@@ -27,7 +27,7 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 from .connective import Connective
-from .errors import ParseError, TypeCheckError, ValidationError
+from .errors import EvalError, ParseError, TypeCheckError, ValidationError
 from .hyperspace import hyper
 from .valuespace import Rational, ValueSpace, frac
 
@@ -127,8 +127,19 @@ class Formula:
     def free_vars(self) -> frozenset[str]:
         return self._free()
 
+    @cached_property
+    def error_bound(self) -> Fraction:
+        """Worst-case drift of the computed value under net refinement.
+
+        Zero whenever every value space in the formula has resolution zero.
+        """
+        return self._error_bound()
+
     def _space(self) -> ValueSpace:
         raise NotImplementedError
+
+    def _error_bound(self) -> Fraction:
+        raise EvalError(f"unknown formula node {type(self).__name__}")
 
     def _free(self) -> frozenset[str]:
         raise NotImplementedError
@@ -145,6 +156,9 @@ class Atomic(Formula):
 
     def _free(self) -> frozenset[str]:
         return frozenset(self.args)
+
+    def _error_bound(self) -> Fraction:
+        return self.space.resolution
 
     def __str__(self) -> str:
         return f"{self.symbol}({', '.join(self.args)})"
@@ -176,6 +190,10 @@ class Apply(Formula):
             out |= c.free_vars
         return out
 
+    def _error_bound(self) -> Fraction:
+        total = sum((c.error_bound for c in self.children), start=Fraction(0))
+        return self.conn.lipschitz * total + self.conn.codomain.resolution
+
     def __str__(self) -> str:
         return f"{self.conn.name}({', '.join(str(c) for c in self.children)})"
 
@@ -198,6 +216,11 @@ class Quant(Formula):
 
     def _free(self) -> frozenset[str]:
         return self.body.free_vars - {self.var}
+
+    def _error_bound(self) -> Fraction:
+        if self.kind is QuantKind.SET:
+            return self.body.error_bound + self.body.value_space.resolution
+        return self.body.error_bound
 
     def __str__(self) -> str:
         return f"{self.kind.keyword} {self.var}. {self.body}"
@@ -222,6 +245,9 @@ class CauchyLimit(Formula):
 
     def _free(self) -> frozenset[str]:
         return self.body.free_vars
+
+    def _error_bound(self) -> Fraction:
+        return self.body.error_bound
 
     def __str__(self) -> str:
         return str(self.body)

@@ -485,22 +485,21 @@ def verify_primordial_bounds(M: Structure, body: Formula, var: str | None = None
 # Negative controls: corrupted codings and broken pseudometrics
 
 
-def _bump_table(conn: Connective, delta: Fraction, grid: ValueSpace) -> Connective:
-    """The same connective with every entry shifted by delta (clamped)."""
-    if conn.arity == 0:
-        v = conn().scalar + delta
-        return const(point(min(ONE, max(ZERO, v))), grid, name=f"{conn.name}~bump")
-    mapping = {}
-    for key in itertools.product(*(d.net for d in conn.domain)):
-        v = conn(*key).scalar + delta
-        mapping[key] = point(min(ONE, max(ZERO, v)))
-    return table(tuple(conn.domain), mapping, conn.lipschitz, grid,
-                 name=f"{conn.name}~bump")
+def _bump(conn: Connective, delta: Fraction, grid: ValueSpace) -> Connective:
+    """The same connective with every output shifted by delta (clamped).
+
+    Wraps the evaluator rather than tabulating it: a connective of n grid
+    inputs has (1/step + 1)^n net points.
+    """
+    def run(*pts: Point) -> Point:
+        return point(min(ONE, max(ZERO, conn.evaluator(*pts).scalar + delta)))
+
+    return Connective(f"{conn.name}~bump", conn.domain, grid, conn.lipschitz, run)
 
 
 def _bump_first_apply(node: Formula, delta: Fraction, grid: ValueSpace) -> Formula:
     if isinstance(node, Apply):
-        return Apply(_bump_table(node.conn, delta, grid), node.children)
+        return Apply(_bump(node.conn, delta, grid), node.children)
     if isinstance(node, Quant):
         return Quant(node.kind, node.var, _bump_first_apply(node.body, delta, grid))
     if isinstance(node, CauchyLimit):

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Iterable, Mapping, Sequence, Union
 
 from .errors import EvalError, SpaceMismatch, ValidationError
@@ -152,25 +151,10 @@ class EvalResult:
         return self.value.scalar
 
 
-@lru_cache(maxsize=None)
 def eval_error_bound(phi: Formula) -> Fraction:
-    """Worst-case drift of the computed value under net refinement.
-
-    Zero whenever every value space in the formula has resolution zero.
-    """
-    if isinstance(phi, Atomic):
-        return phi.space.resolution
-    if isinstance(phi, Apply):
-        total = sum((eval_error_bound(c) for c in phi.children), start=ZERO)
-        return phi.conn.lipschitz * total + phi.conn.codomain.resolution
-    if isinstance(phi, Quant):
-        inner = eval_error_bound(phi.body)
-        if phi.kind is QuantKind.SET:
-            return inner + phi.body.value_space.resolution
-        return inner
-    if isinstance(phi, CauchyLimit):
-        return eval_error_bound(phi.body)
-    raise EvalError(f"unknown formula node {type(phi).__name__}")
+    """Worst-case drift of the computed value under net refinement; see
+    Formula.error_bound, which caches it on the node."""
+    return phi.error_bound
 
 
 def _check_symbols(phi: Formula, sig: Signature, _seen: set[int] | None = None):

@@ -14,21 +14,27 @@ theta(value of phi) within an explicit budget.  The budget is zero whenever
 the embedded source nets already sit on the grid, so on aligned instances the
 translation is exact and the two semantics are interchangeable.
 
-Set quantifiers go through a finite lattice interpolation: every function on
-a hyperspace's net is reproduced exactly as a min-max of affine functions of
-"how far into the forbidden region" observables, built from separators on
-the base space when the supplied generators cannot tell two sets apart.
+Set quantifiers, and sup/inf read through a non-identity observable, are
+coded by one min-max connective.  Its inputs are the codings of
+"sup x. hit_j(body)", one per base net point j that the observable's values
+depend on; each reads membership of that point.  Its value is the lattice
+interpolant of the observable over these point hits: the min over net sets
+k of the max of affines in the hits.  `hit_lattice` evaluates it from
+closed-form row tables instead of writing it out as a formula tree.
+`lattice_approx` keeps the general interpolation, which synthesizes
+separators on the base space when supplied generators cannot tell two sets
+apart; it is the exactly checked reference for the connective.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
+from math import lcm
 from typing import Mapping, Sequence
 
-from .connective import (Connective, affine, clamp01, const, identity, max_of,
-                         min_of, mcshane_extend, table)
+from .connective import Connective, const, identity, mcshane_extend, table
 from .errors import CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
@@ -279,19 +285,6 @@ def eval_expr(expr, values: Sequence[Fraction]) -> Fraction:
     raise ValidationError(f"not a lattice expression: {expr!r}")
 
 
-def expr_generators(expr) -> frozenset[int]:
-    """Indices of the generators the expression actually reads."""
-    if isinstance(expr, Gen):
-        return frozenset([expr.index])
-    if isinstance(expr, Const):
-        return frozenset()
-    if isinstance(expr, (AffineOf, ClampOf)):
-        return expr_generators(expr.sub)
-    if isinstance(expr, (MinOf, MaxOf)):
-        return expr_generators(expr.left) | expr_generators(expr.right)
-    raise ValidationError(f"not a lattice expression: {expr!r}")
-
-
 def expr_lipschitz(expr) -> Fraction:
     """Constant of the expression as a map from generator vectors (sup metric)."""
     if isinstance(expr, Gen):
@@ -304,43 +297,6 @@ def expr_lipschitz(expr) -> Fraction:
         return expr_lipschitz(expr.sub)
     if isinstance(expr, (MinOf, MaxOf)):
         return max(expr_lipschitz(expr.left), expr_lipschitz(expr.right))
-    raise ValidationError(f"not a lattice expression: {expr!r}")
-
-
-# Connectives are immutable, so structurally identical ones can be shared.
-# Lattice expressions repeat the same few shapes thousands of times.
-_cached_const = lru_cache(maxsize=None)(const)
-_cached_affine = lru_cache(maxsize=None)(affine)
-_cached_clamp = lru_cache(maxsize=None)(clamp01)
-_cached_min = lru_cache(maxsize=None)(min_of)
-_cached_max = lru_cache(maxsize=None)(max_of)
-
-
-def expr_to_formula(expr, gen_formulas: Sequence[Formula],
-                    codomain: ValueSpace | None = None) -> Formula:
-    """Realize the expression as a formula combining the generator formulas.
-
-    With a codomain given, every connective is pinned to it (it must cover
-    the values within its resolution); otherwise image spaces are derived
-    per node.
-    """
-    if isinstance(expr, Gen):
-        return gen_formulas[expr.index]
-    if isinstance(expr, Const):
-        space = codomain or make_finite([point(expr.value)], label=f"const[{expr.value}]")
-        return Apply(_cached_const(point(expr.value), space), ())
-    if isinstance(expr, AffineOf):
-        sub = expr_to_formula(expr.sub, gen_formulas, codomain)
-        return Apply(_cached_affine(sub.value_space, expr.a, expr.b, codomain=codomain), (sub,))
-    if isinstance(expr, ClampOf):
-        sub = expr_to_formula(expr.sub, gen_formulas, codomain)
-        return Apply(_cached_clamp(sub.value_space, codomain=codomain), (sub,))
-    if isinstance(expr, (MinOf, MaxOf)):
-        left = expr_to_formula(expr.left, gen_formulas, codomain)
-        right = expr_to_formula(expr.right, gen_formulas, codomain)
-        make = _cached_min if isinstance(expr, MinOf) else _cached_max
-        return Apply(make(left.value_space, right.value_space, codomain=codomain),
-                     (left, right))
     raise ValidationError(f"not a lattice expression: {expr!r}")
 
 
@@ -473,6 +429,103 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
     return approx
 
 
+@dataclass(frozen=True, eq=False)
+class HitLattice:
+    """The interpolant lattice_approx builds from point-hit generators, as
+    closed-form row tables.
+
+    With x_j the sup of the j-th point hit, lattice_approx interpolates the
+    pair of net sets (k, f) through the lowest base index j at which they
+    differ: by g(k) + (g(f) - g(k)) * u, where u = x_j if j is not in k and
+    u = 1 - x_j if it is (the constant g(k) when g(f) = g(k)).  Row k is the
+    max over f != k and the interpolant is the min over the rows.  Because u
+    lies in [0,1], the f that share one j contribute g(k) + u * D, D the
+    largest g(f) - g(k) among them, so a row has at most one term per base
+    index.  Values are integers over the common denominator `scale`.
+    """
+
+    used: tuple[int, ...]  # the hits the interpolant reads, ascending
+    lipschitz: Fraction
+    scale: int
+    # per row: g(k) * scale, whether g(k) itself is a term, and one
+    # (slot, D * scale) per other term; slot i reads x of used[i] and slot
+    # i + len(used) reads 1 - x of used[i]
+    rows: tuple[tuple[int, bool, tuple[tuple[int, int], ...]], ...]
+
+    def value(self, xs: Sequence[Fraction]) -> Fraction:
+        """The interpolant at the sups xs (in [0,1]) of the used hits."""
+        den = lcm(*(x.denominator for x in xs))
+        up = [x.numerator * (den // x.denominator) for x in xs]
+        us = up + [den - u for u in up]
+        best = None
+        for gk, flat, terms in self.rows:
+            top = 0 if flat else None
+            for slot, d in terms:
+                t = us[slot] * d
+                if top is None or t > top:
+                    top = t
+            row = gk * den + top
+            if best is None or row < best:
+                best = row
+        return Fraction(best, self.scale * den)
+
+
+def hit_lattice(H: HyperSpace, g: Mapping[Point, Fraction]) -> HitLattice:
+    """The interpolant lattice_approx(H, g, hits) reads off the point hits.
+
+    hits[j] is the sup generator of the j-th point hit of the base.  The
+    result agrees with the lattice expression on every vector of sups in
+    [0,1], reads the same generators and has the same constant, max |g(f) -
+    g(k)|.  Built from the largest and smallest g over the sets that share
+    their lowest j + 1 bits, so it costs O(|H| * n) rather than O(|H|^2).
+    """
+    n = len(H.base.net)
+    gvals: dict[int, Fraction] = {}
+    for k in H.net:
+        v = frac(g[k])
+        if not ZERO <= v <= ONE:
+            raise ValidationError(f"g value {v} is outside [0,1]")
+        gvals[sum(1 << i for i in H.member_indices(k))] = v
+    scale = lcm(*(v.denominator for v in gvals.values()))
+    gint = {m: v.numerator * (scale // v.denominator) for m, v in gvals.items()}
+
+    hi: list[dict[int, int]] = [{} for _ in range(n)]
+    lo: list[dict[int, int]] = [{} for _ in range(n)]
+    for m, v in gint.items():
+        for j in range(n):
+            p = m & ((2 << j) - 1)
+            hi[j][p] = max(hi[j].get(p, v), v)
+            lo[j][p] = min(lo[j].get(p, v), v)
+
+    used: set[int] = set()
+    raw = []
+    for m, gk in gint.items():
+        flat = len(gint) == 1  # a lone set: its row is the constant g(k)
+        terms = []
+        for j in range(n):
+            # the sets whose lowest difference from m is at bit j
+            p = (m ^ (1 << j)) & ((2 << j) - 1)
+            top = hi[j].get(p)
+            if top is None:
+                continue
+            if top != gk or lo[j][p] != gk:
+                used.add(j)
+            if top == gk:
+                flat = True
+            else:
+                terms.append((j, (m >> j) & 1, top - gk))
+        raw.append((gk, flat, terms))
+
+    order = tuple(sorted(used))
+    slot = {j: i for i, j in enumerate(order)}
+    rows = dict.fromkeys(
+        (gk, flat, tuple((slot[j] + bit * len(order), d) for j, bit, d in terms))
+        for gk, flat, terms in raw
+    )
+    lip = Fraction(max(gint.values()) - min(gint.values()), scale)
+    return HitLattice(order, lip, scale, tuple(rows))
+
+
 # ---------------------------------------------------------------------------
 # Formula coding
 
@@ -494,7 +547,9 @@ class CodedFormula:
         self.ctx = ctx
         self.source = source
         source.value_space
-        self._memo: dict[tuple[int, int], Coded] = {}
+        # keyed on the objects, which hash by identity: the memo keeps every
+        # observable alive, so a new one can never reuse a stale entry
+        self._memo: dict[tuple[Formula, Connective], Coded] = {}
         self.error_budget = ZERO
 
     def codes(self, theta: Connective | None = None) -> Formula:
@@ -524,7 +579,7 @@ class CodedFormula:
             raise SpaceMismatch(f"observable {theta.name} is not real-valued")
 
     def _code(self, phi: Formula, theta: Connective) -> Coded:
-        key = (id(phi), id(theta))
+        key = (phi, theta)
         hit = self._memo.get(key)
         if hit is None:
             hit = self._build(phi, theta)
@@ -653,33 +708,35 @@ class CodedFormula:
             )
             g[k] = theta(chosen).scalar
         virtual = Quant(QuantKind.SET, phi.var, phi.body)
-        coded = self._build_from_lattice(virtual, H, g)
+        coded = self._build_from_lattice(virtual, H, g,
+                                         f"~{theta.name}@{phi.kind.keyword}")
         return Coded(coded.formula, coded.budget + theta.lipschitz * body_space.resolution)
 
     def _build_set(self, phi: Quant, theta: Connective) -> Coded:
         H = phi.value_space
         g = {k: theta(k).scalar for k in H.net}
-        return self._build_from_lattice(phi, H, g)
+        return self._build_from_lattice(phi, H, g, f"~{theta.name}@Q")
 
     def _build_from_lattice(self, phi: Quant, H: HyperSpace,
-                            g: Mapping[Point, Fraction]) -> Coded:
+                            g: Mapping[Point, Fraction], name: str) -> Coded:
         ctx = self.ctx
         base = H.base
-        # the point-hit observables separate any two distinct sets, so no
-        # per-pair separator synthesis is needed and the body is only ever
-        # coded against len(base.net) distinct observables (shared via memo)
-        hits = [sup_generator(H, ctx.point_hit(base, i)) for i in range(len(base.net))]
-        approx = lattice_approx(H, g, hits)
-        used = expr_generators(approx.expr)
-        gen_formulas: list = [None] * len(approx.generators)
+        # the point-hit observables separate any two distinct sets, so the
+        # body is only ever coded against len(base.net) distinct observables
+        # (shared via memo); building every hit refuses a base net with a
+        # point no observable can single out, whichever hits are read
+        hits = [ctx.point_hit(base, i) for i in range(len(base.net))]
+        lattice = hit_lattice(H, g)
+        children = []
         drift = ZERO
-        for j in sorted(used):
-            gen = approx.generators[j]
-            inner = self._code(phi.body, gen.theta)
-            gen_formulas[j] = Quant(QuantKind.SUP, phi.var, inner.formula)
-            drift = max(drift, inner.budget + gen.theta.lipschitz * base.resolution)
-        formula = expr_to_formula(approx.expr, gen_formulas, ctx.grid)
-        return Coded(formula, approx.lipschitz * drift)
+        for j in lattice.used:
+            inner = self._code(phi.body, hits[j])
+            children.append(Quant(QuantKind.SUP, phi.var, inner.formula))
+            drift = max(drift, inner.budget + hits[j].lipschitz * base.resolution)
+        conn = Connective(name, tuple(c.value_space for c in children), ctx.grid,
+                          lattice.lipschitz,
+                          lambda *pts: point(lattice.value([p.scalar for p in pts])))
+        return Coded(Apply(conn, tuple(children)), lattice.lipschitz * drift)
 
 
 def code_formula(ctx: TranslationContext, phi: Formula) -> CodedFormula:

@@ -1,11 +1,14 @@
+import itertools
+import random
 from fractions import Fraction as F
 
 import pytest
 
-from contlog.connective import max_of, neg, table, unit_interval
+from contlog.connective import (identity, max_of, neg, table, tight_lipschitz,
+                                unit_interval)
 from contlog.errors import CapacityError, SpaceMismatch, ValidationError
 from contlog.formula import Apply, Atomic, Quant, QuantKind, Relation, parse, signature
-from contlog.hyperspace import hyper, sup_theta
+from contlog.hyperspace import hyper, inf_theta, sup_theta
 from contlog.semantics import evaluate, structure
 from contlog.translate import (
     AffineOf,
@@ -19,6 +22,7 @@ from contlog.translate import (
     decode_structure,
     eval_expr,
     expr_lipschitz,
+    hit_lattice,
     lattice_approx,
     snap_to_grid,
     sup_generator,
@@ -264,3 +268,109 @@ class TestCoding:
         ident = table([big], {(p,): p for p in big.net}, F(1), codomain=big)
         with pytest.raises(CapacityError):
             code_formula(ctx, Apply(sup_theta(ident), (top,))).codes()
+
+
+def lattice_generators(expr) -> set[int]:
+    """Indices of the generators a lattice expression reads."""
+    if isinstance(expr, Gen):
+        return {expr.index}
+    if isinstance(expr, Const):
+        return set()
+    if isinstance(expr, AffineOf):
+        return lattice_generators(expr.sub)
+    return lattice_generators(expr.left) | lattice_generators(expr.right)
+
+
+def dag_size(phi) -> int:
+    seen = set()
+    stack = [phi]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(getattr(node, "children", None) or
+                         ([node.body] if hasattr(node, "body") else []))
+    return len(seen)
+
+
+# base nets of 1-4 points on a grid of step 1/4: on the grid (quarters) and
+# off it (thirds)
+ALIGNED = ([F(k, 4) for k in range(5)], F(1, 4))
+MISALIGNED = ([F(k, 3) for k in range(4)], F(1, 4))
+
+
+class TestSetConnective:
+    """The set node's one min-max connective against the reference lattice."""
+
+    @pytest.mark.parametrize("layout", [ALIGNED, MISALIGNED], ids=["aligned", "misaligned"])
+    @pytest.mark.parametrize("size", [1, 2, 3, 4])
+    def test_matches_reference_lattice(self, layout, size):
+        values, step = layout
+        rng = random.Random(f"set-connective:{step}:{size}")
+        base = make_finite([point(v) for v in sorted(rng.sample(values, size))],
+                           label="B")
+        sig = signature([Relation("P", 1, base)])
+        ctx = translate_signature(sig, step)
+        H = hyper(base)
+        eighths = [F(e, 8) for e in range(9)]
+        g = {k: rng.choice(eighths) for k in H.net}
+        mapping = {(k,): point(v) for k, v in g.items()}
+        theta = table([H], mapping, tight_lipschitz([H], mapping),
+                      codomain=make_finite(sorted(set(mapping.values()))), name="g")
+        body = Atomic("P", ("x",), base)
+        coder = code_formula(ctx, Quant(QuantKind.SET, "x", body))
+        coded = coder.codes(theta)
+
+        hits = [ctx.point_hit(base, j) for j in range(size)]
+        approx = lattice_approx(H, g, [sup_generator(H, h) for h in hits])
+        assert len(approx.generators) == size  # the hits separate every pair
+        used = sorted(lattice_generators(approx.expr))
+        lattice = hit_lattice(H, g)
+        assert lattice.used == tuple(used)
+        assert lattice.lipschitz == approx.lipschitz == expr_lipschitz(approx.expr)
+        assert isinstance(coded, Apply) and len(coded.children) == len(used)
+
+        grid = [p.scalar for p in ctx.grid.net]
+        for v in itertools.product(grid, repeat=size):
+            got = coded.conn(*(point(v[j]) for j in used)).scalar
+            assert got == eval_expr(approx.expr, v), v
+
+        drift = max((code_formula(ctx, body).budget_of(hits[j])
+                     + hits[j].lipschitz * base.resolution for j in used),
+                    default=F(0))
+        assert coder.budget_of(theta) == approx.lipschitz * drift
+        assert (coder.budget_of(theta) > 0) == (not ctx.aligned and bool(used))
+
+    def test_eight_point_base_is_linear_in_points(self):
+        base = make_finite([point(F(k, 8)) for k in range(8)], label="B8")
+        sig = signature([Relation("P", 1, base)])
+        ctx = translate_signature(sig, F(1, 8))
+        M = structure(sig, ["a", "b", "c"], {"P": {"a": F(1, 8), "b": F(5, 8), "c": F(3, 8)}})
+        N = transport_structure(ctx, M)
+        phi = parse("Q x. P(x)", sig)
+        for theta, want in ((sup_theta(identity(base)), F(5, 8)),
+                            (inf_theta(identity(base)), F(1, 8))):
+            coder = code_formula(ctx, phi)
+            coded = coder.codes(theta)
+            assert coder.budget_of(theta) == 0
+            assert evaluate(N, coded).scalar == want
+            # one connective over at most one coded sup per base point: O(k)
+            # nodes, not O(|H|^2)
+            assert len(coded.children) <= 8
+            assert dag_size(coded) <= 4 * 8 + 1
+
+
+class TestCodingMemo:
+    def test_fresh_observables_never_reuse_a_coding(self):
+        # observables that die after use may be reallocated at the same
+        # address; a memo keyed on id() then hands out a stale coding
+        sig, ctx, M = aligned_setup()
+        N = transport_structure(ctx, M)
+        X = sig.by_name["P"].space
+        coder = code_formula(ctx, parse("sup x. P(x)", sig))
+        for i in range(200):
+            c = F(i % 9, 8)
+            theta = table([X], {(p,): point(c) for p in X.net}, 0,
+                          codomain=make_finite([point(c)]), name="c")
+            assert evaluate(N, coder.codes(theta)).scalar == c, i
+            assert coder.budget_of(theta) == 0
