@@ -19,7 +19,7 @@ import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ContlogError, FormatError, ParseError, ValidationError
+from .errors import ContlogError, FormatError, ValidationError
 from .formula import parse as parse_formula
 from .formula import value_space_of
 from .hyperspace import CompactSet
@@ -425,14 +425,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    # exit 1 means a check failed; anything else that stops a command is
+    # reported on one line with exit 2, never as a traceback
     try:
         return args.handler(args)
-    except ParseError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
     except ContlogError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
+        message = str(err)
+    except RecursionError:
+        message = "input is nested too deeply to process"
+    except Exception as err:
+        message = f"internal error: {type(err).__name__}: {err}"
+    print("error: " + " ".join(message.splitlines()), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

@@ -28,6 +28,8 @@ from .valuespace import (
     Rational,
     ValueSpace,
     frac,
+    linf,
+    linf_coords,
     make_interval,
     membership,
     point,
@@ -51,10 +53,6 @@ def flat_coords(pts: Sequence[Point]) -> tuple[Fraction, ...]:
     for p in pts:
         out.extend(p.coords)
     return tuple(out)
-
-
-def flat_distance(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
-    return max(abs(x - y) for x, y in zip(a, b))
 
 
 def product_distance(spaces: Sequence[ValueSpace], ps: Sequence[Point], qs: Sequence[Point]) -> Fraction:
@@ -430,16 +428,12 @@ def tight_lipschitz(domains: SpaceOrSpaces, mapping: Mapping, codomain: ValueSpa
     for i, p in enumerate(keys):
         for q in keys[i + 1 :]:
             d = product_distance(doms, p, q)
-            gap = codomain.metric(entries[p], entries[q]) if codomain else _default_gap(entries[p], entries[q])
+            gap = codomain.metric(entries[p], entries[q]) if codomain else linf(entries[p], entries[q])
             if gap > ZERO:
                 if d == ZERO:
                     raise ValidationError("mapping differs on points at distance zero")
                 best = max(best, gap / d)
     return best
-
-
-def _default_gap(a: Point, b: Point) -> Fraction:
-    return max(abs(x - y) for x, y in zip(a.coords, b.coords))
 
 
 def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
@@ -476,7 +470,7 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
     for i in range(len(flats)):
         for j in range(i + 1, len(flats)):
             (fp, vp), (fq, vq) = flats[i], flats[j]
-            d = flat_distance(fp, fq)
+            d = linf_coords(fp, fq)
             if abs(vp - vq) > lip * d:
                 raise ValidationError(
                     f"declared Lipschitz {lip} violated on the net: "
@@ -496,7 +490,7 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
         y = flat_coords(pts)
         best = None
         for fp, vp in flats:
-            cand = vp + lip * flat_distance(fp, y)
+            cand = vp + lip * linf_coords(fp, y)
             if best is None or cand < best:
                 best = cand
         return point(min(ONE, max(ZERO, best)))

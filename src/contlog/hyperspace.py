@@ -1,9 +1,17 @@
 """Hyperspaces: spaces of nonempty compact subsets under the Hausdorff metric.
 
-For a finitely presented space X the hyperspace enumerates every nonempty
+For a finitely presented space X the hyperspace presents every nonempty
 subset of X's net, encoded as a 0/1 indicator point whose i-th coordinate says
 whether the i-th net point belongs.  The metric is Hausdorff distance computed
 through the base space's metric, so hyperspaces nest.
+
+The net of 2^n - 1 indicator points is virtual (`SubsetNet`): its length,
+entries and indices come from subset bitmasks, and the points themselves are
+built only when a caller iterates the net.  Typechecking and evaluating `Q`
+never do, so a `Q` value costs O(|U| * n) for a universe U and an n-point
+base.  Coding a set quantifier works on masks and builds the points only to
+apply an observable to them; `lattice_approx` and exhaustive checks over the
+whole hyperspace build them too.
 
 Open behaviour is visible through the two generating families of the Vietoris
 topology: "every member inside U" and "some member meets V".
@@ -12,10 +20,10 @@ topology: "every member inside U" and "some member meets V".
 from __future__ import annotations
 
 import itertools
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Sequence
 
 from .connective import Connective, table
 from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
@@ -25,6 +33,60 @@ from .valuespace import ONE, ZERO, Point, Rational, ValueSpace, frac, nearest, p
 MAX_BASE_POINTS = 16
 
 
+class SubsetNet(Sequence):
+    """The net of a hyperspace over an n-point base, without building it.
+
+    Entry k is the indicator point of the subset mask k + 1, where base index
+    0 is the most significant of the n bits.  That is the sorted order of the
+    indicator points, so the net is canonical by construction.  Length and
+    indexing work on masks; the points are built the first time the net is
+    iterated and kept from then on.  Equality and hash depend only on n.
+    """
+
+    __slots__ = ("n", "_points")
+
+    def __init__(self, n: int):
+        self.n = n
+        self._points: tuple[Point, ...] | None = None
+
+    def __len__(self) -> int:
+        return (1 << self.n) - 1
+
+    def __getitem__(self, k):
+        if self._points is not None or isinstance(k, slice):
+            return self.points[k]
+        size = len(self)
+        if k < 0:
+            k += size
+        if not 0 <= k < size:
+            raise IndexError("subset net index out of range")
+        n, mask = self.n, k + 1
+        return Point(tuple(ONE if mask >> (n - 1 - i) & 1 else ZERO for i in range(n)))
+
+    def __iter__(self):
+        return iter(self.points)
+
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The indicator points in net order, built on first use and kept."""
+        if self._points is None:
+            bits = itertools.product((ZERO, ONE), repeat=self.n)
+            next(bits)  # the empty set
+            self._points = tuple(Point(b) for b in bits)
+        return self._points
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SubsetNet):
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self) -> int:
+        return hash((SubsetNet, self.n))
+
+    def __repr__(self) -> str:
+        return f"SubsetNet({self.n})"
+
+
 @dataclass(frozen=True)
 class HyperSpace(ValueSpace):
     """The space of nonempty subsets of a base space's net.
@@ -32,7 +94,8 @@ class HyperSpace(ValueSpace):
     Points are 0/1 indicator vectors over the base net (in net order); the
     metric is Hausdorff distance over the base metric.  The resolution equals
     the base resolution: a net that presents X to within eps presents the
-    subsets of X to within eps in Hausdorff distance.
+    subsets of X to within eps in Hausdorff distance.  The net is the
+    `SubsetNet` of the base, indexed by subset masks.
     """
 
     base: ValueSpace = None
@@ -40,9 +103,15 @@ class HyperSpace(ValueSpace):
     standard_metric = False
 
     def __post_init__(self):
-        super().__post_init__()
+        # the SubsetNet is canonical by construction: none of the base
+        # class's sorting, deduplication or per-point checks apply
         if self.base is None:
             raise ValidationError("a hyperspace needs a base space")
+        n = len(self.base.net)
+        if not isinstance(self.net, SubsetNet) or self.net.n != n or self.dimension != n:
+            raise ValidationError("a hyperspace's net is the SubsetNet of its base net")
+        if self.resolution < ZERO:
+            raise ValidationError("resolution must be nonnegative")
 
     def member_indices(self, p: Point) -> frozenset[int]:
         """Decode an indicator point into base-net indices."""
@@ -57,6 +126,11 @@ class HyperSpace(ValueSpace):
         if not idx:
             raise SpaceMismatch("indicator encodes the empty set")
         return frozenset(idx)
+
+    def net_index(self, p: Point) -> int:
+        """Position of an indicator point in the net: its subset mask minus 1."""
+        n = self.dimension
+        return sum(1 << (n - 1 - i) for i in self.member_indices(p)) - 1
 
     def metric(self, p: Point, q: Point) -> Fraction:
         return _hausdorff_by_index(self.base, self.member_indices(p), self.member_indices(q))
@@ -74,8 +148,9 @@ def _hausdorff_by_index(base: ValueSpace, ks: Iterable[int], fs: Iterable[int]) 
 def hyper(space: ValueSpace) -> HyperSpace:
     """The hyperspace of a finitely presented space.
 
-    Enumerates all 2^n - 1 nonempty subsets of the net; refuses nets beyond
-    MAX_BASE_POINTS.
+    Presents all 2^n - 1 nonempty subsets of the net through a lazy
+    `SubsetNet`, so this costs O(1) until a caller iterates the net; refuses
+    nets beyond MAX_BASE_POINTS.
     """
     n = len(space.net)
     if n > MAX_BASE_POINTS:
@@ -83,11 +158,7 @@ def hyper(space: ValueSpace) -> HyperSpace:
             f"hyperspace of {space.label} would enumerate 2^{n} subsets; "
             f"the cap is 2^{MAX_BASE_POINTS}"
         )
-    net = []
-    for bits in itertools.product((ZERO, ONE), repeat=n):
-        if any(b == ONE for b in bits):
-            net.append(Point(bits))
-    return HyperSpace(n, tuple(net), space.resolution, f"K({space.label})", space)
+    return HyperSpace(n, SubsetNet(n), space.resolution, f"K({space.label})", space)
 
 
 @dataclass(frozen=True)

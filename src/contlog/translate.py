@@ -312,11 +312,15 @@ def sup_generator(H: HyperSpace, theta: Connective) -> Generator:
     """Tabulate max of theta over the members of every point of H."""
     if theta.arity != 1 or theta.domain[0] != H.base or theta.codomain.dimension != 1:
         raise SpaceMismatch("generator observable must be real-valued on the base space")
-    values = {}
-    for k in H.net:
-        members = [H.base.net[i] for i in sorted(H.member_indices(k))]
-        values[k] = max(theta(m).scalar for m in members)
-    return Generator(theta, values)
+    n = len(H.base.net)
+    tv = [theta(p).scalar for p in H.base.net]
+    sups: list[Fraction] = []
+    for m in range(1, 1 << n):
+        # the lowest set bit of a mask is its highest base index
+        low = m & -m
+        top = tv[n - low.bit_length()]
+        sups.append(top if m == low else max(sups[(m ^ low) - 1], top))
+    return Generator(theta, dict(zip(H.net, sups)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -476,35 +480,43 @@ def hit_lattice(H: HyperSpace, g: Mapping[Point, Fraction]) -> HitLattice:
     hits[j] is the sup generator of the j-th point hit of the base.  The
     result agrees with the lattice expression on every vector of sups in
     [0,1], reads the same generators and has the same constant, max |g(f) -
-    g(k)|.  Built from the largest and smallest g over the sets that share
-    their lowest j + 1 bits, so it costs O(|H| * n) rather than O(|H|^2).
+    g(k)|.
     """
-    n = len(H.base.net)
-    gvals: dict[int, Fraction] = {}
-    for k in H.net:
-        v = frac(g[k])
+    return _hit_lattice(len(H.base.net), [g[k] for k in H.net])
+
+
+def _hit_lattice(n: int, gs: Sequence[Fraction]) -> HitLattice:
+    """hit_lattice from g by subset mask: gs[m - 1] is g at mask m, in which
+    base index j is bit n - 1 - j.
+
+    Built from the largest and smallest g over the sets that share their
+    lowest j + 1 base indices, the top j + 1 bits of their masks, so it
+    costs O(|H| * n) rather than O(|H|^2).
+    """
+    gvals = [frac(v) for v in gs]
+    for v in gvals:
         if not ZERO <= v <= ONE:
             raise ValidationError(f"g value {v} is outside [0,1]")
-        gvals[sum(1 << i for i in H.member_indices(k))] = v
-    scale = lcm(*(v.denominator for v in gvals.values()))
-    gint = {m: v.numerator * (scale // v.denominator) for m, v in gvals.items()}
+    scale = lcm(*(v.denominator for v in gvals))
+    gint = [v.numerator * (scale // v.denominator) for v in gvals]
 
     hi: list[dict[int, int]] = [{} for _ in range(n)]
     lo: list[dict[int, int]] = [{} for _ in range(n)]
-    for m, v in gint.items():
+    for m, v in enumerate(gint, 1):
         for j in range(n):
-            p = m & ((2 << j) - 1)
+            p = m >> (n - 1 - j)
             hi[j][p] = max(hi[j].get(p, v), v)
             lo[j][p] = min(lo[j].get(p, v), v)
 
     used: set[int] = set()
     raw = []
-    for m, gk in gint.items():
+    for m, gk in enumerate(gint, 1):
         flat = len(gint) == 1  # a lone set: its row is the constant g(k)
         terms = []
         for j in range(n):
-            # the sets whose lowest difference from m is at bit j
-            p = (m ^ (1 << j)) & ((2 << j) - 1)
+            # the sets whose lowest difference from m is at base index j
+            prefix = m >> (n - 1 - j)
+            bit, p = prefix & 1, prefix ^ 1
             top = hi[j].get(p)
             if top is None:
                 continue
@@ -513,7 +525,7 @@ def hit_lattice(H: HyperSpace, g: Mapping[Point, Fraction]) -> HitLattice:
             if top == gk:
                 flat = True
             else:
-                terms.append((j, (m >> j) & 1, top - gk))
+                terms.append((j, bit, top - gk))
         raw.append((gk, flat, terms))
 
     order = tuple(sorted(used))
@@ -522,7 +534,7 @@ def hit_lattice(H: HyperSpace, g: Mapping[Point, Fraction]) -> HitLattice:
         (gk, flat, tuple((slot[j] + bit * len(order), d) for j, bit, d in terms))
         for gk, flat, terms in raw
     )
-    lip = Fraction(max(gint.values()) - min(gint.values()), scale)
+    lip = Fraction(max(gint) - min(gint), scale)
     return HitLattice(order, lip, scale, tuple(rows))
 
 
@@ -699,14 +711,15 @@ class CodedFormula:
         # theta(extremum of the collected values) factors through the value set
         _check_set_capacity(body_space)
         H = hyper(body_space)
-        pick = max if phi.kind is QuantKind.SUP else min
-        g = {}
-        for k in H.net:
-            chosen = pick(
-                (body_space.net[i] for i in sorted(H.member_indices(k))),
-                key=lambda p: p.scalar,
-            )
-            g[k] = theta(chosen).scalar
+        # the body net is sorted by value, so a set's largest member is its
+        # highest base index (the lowest set bit of its mask) and its
+        # smallest is its lowest base index (the highest set bit)
+        n = len(body_space.net)
+        tv = [theta(p).scalar for p in body_space.net]
+        if phi.kind is QuantKind.SUP:
+            g = [tv[n - (m & -m).bit_length()] for m in range(1, 1 << n)]
+        else:
+            g = [tv[n - m.bit_length()] for m in range(1, 1 << n)]
         virtual = Quant(QuantKind.SET, phi.var, phi.body)
         coded = self._build_from_lattice(virtual, H, g,
                                          f"~{theta.name}@{phi.kind.keyword}")
@@ -714,11 +727,13 @@ class CodedFormula:
 
     def _build_set(self, phi: Quant, theta: Connective) -> Coded:
         H = phi.value_space
-        g = {k: theta(k).scalar for k in H.net}
+        g = [theta(k).scalar for k in H.net]
         return self._build_from_lattice(phi, H, g, f"~{theta.name}@Q")
 
     def _build_from_lattice(self, phi: Quant, H: HyperSpace,
-                            g: Mapping[Point, Fraction], name: str) -> Coded:
+                            g: Sequence[Fraction], name: str) -> Coded:
+        """Code phi through the lattice of g, given by subset mask (g[m - 1]
+        at mask m) so that no indicator point is needed."""
         ctx = self.ctx
         base = H.base
         # the point-hit observables separate any two distinct sets, so the
@@ -726,7 +741,7 @@ class CodedFormula:
         # (shared via memo); building every hit refuses a base net with a
         # point no observable can single out, whichever hits are read
         hits = [ctx.point_hit(base, i) for i in range(len(base.net))]
-        lattice = hit_lattice(H, g)
+        lattice = _hit_lattice(len(base.net), g)
         children = []
         drift = ZERO
         for j in lattice.used:

@@ -9,6 +9,7 @@ space.  All arithmetic is exact (`fractions.Fraction`); floats never enter.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -61,9 +62,14 @@ def point(*coords: Rational) -> Point:
     return Point(tuple(frac(c) for c in coords))
 
 
+def linf_coords(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
+    """l-infinity distance between two coordinate vectors of equal length."""
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
 def linf(p: Point, q: Point) -> Fraction:
     """l-infinity distance between two points of equal dimension."""
-    return max(abs(a - b) for a, b in zip(p.coords, q.coords))
+    return linf_coords(p.coords, q.coords)
 
 
 @dataclass(frozen=True)
@@ -115,11 +121,8 @@ class ValueSpace:
     @cached_property
     def distance_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """Pairwise distances between net points, indexed like the net."""
-        n = len(self.net)
-        rows = []
-        for i in range(n):
-            rows.append(tuple(self.metric(self.net[i], self.net[j]) for j in range(n)))
-        return tuple(rows)
+        net = self.net
+        return tuple(tuple(self.metric(p, q) for q in net) for p in net)
 
     @cached_property
     def separation(self) -> Fraction:
@@ -207,6 +210,13 @@ def nearest(space: ValueSpace, p: Point) -> tuple[Point, Fraction]:
         raise SpaceMismatch(
             f"point of dimension {p.dimension} in {space.dimension}-dimensional space"
         )
+    if space.dimension == 1 and space.standard_metric:
+        # the net is sorted: the nearest point is one of the two around p
+        net, x = space.net, p.coords[0]
+        i = bisect_left(net, p)
+        if i == len(net) or (i > 0 and x - net[i - 1].coords[0] <= net[i].coords[0] - x):
+            i -= 1
+        return net[i], abs(x - net[i].coords[0])
     best_p, best_d = None, None
     for q in space.net:
         d = space.metric(p, q)

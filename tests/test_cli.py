@@ -368,3 +368,25 @@ class TestUsage:
             main(["eval", "--structure", files["m"],
                   "--formula", "P(x)", "--formula-file", "phi.txt"])
         assert exc.value.code == 2
+
+
+class TestUnexpectedErrors:
+    def test_deep_formula_exits_2(self, files, capsys):
+        formula = "sup x. " * 1500 + "P(x)"
+        code, out, err = run(capsys, "eval", "--structure", files["m"],
+                             "--formula", formula)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_contlog_exception_exits_2(self, files, capsys, monkeypatch):
+        import contlog.cli
+
+        def boom(*args, **kwargs):
+            raise RuntimeError("line one\nline two")
+
+        monkeypatch.setattr(contlog.cli, "evaluate", boom)
+        code, out, err = run(capsys, "eval", "--structure", files["m"],
+                             "--formula", "P(x)", "--assign", "x=a")
+        assert code == 2 and out == ""
+        assert err.startswith("error: internal error: RuntimeError") and err.count("\n") == 1

@@ -1,11 +1,15 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
 
 from contlog.connective import identity, neg, table
 from contlog.errors import CapacityError, SpaceMismatch, ValidationError
+from contlog.formula import Relation, parse, signature
 from contlog.hyperspace import (
     CompactSet,
+    HyperSpace,
+    SubsetNet,
     ball,
     compact,
     decode_subset,
@@ -19,6 +23,8 @@ from contlog.hyperspace import (
     vietoris_member,
     vietoris_slack,
 )
+from contlog.semantics import evaluate, structure
+from contlog.serialize import space_to_json, structure_to_json
 from contlog.valuespace import make_finite, make_interval, point
 
 B = make_interval(0, 1, F(1, 2), label="halves")  # net {0, 1/2, 1}
@@ -53,6 +59,85 @@ class TestHyperSpace:
         big = make_interval(0, 1, F(1, 20))
         with pytest.raises(CapacityError):
             hyper(big)
+
+
+def eager_net(n):
+    """The reference net, built eagerly: every nonempty 0/1 indicator, sorted."""
+    pts = [point(*bits) for bits in itertools.product((0, 1), repeat=n) if any(bits)]
+    return sorted(set(pts))
+
+
+class TestSubsetNet:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_matches_eager_enumeration(self, n):
+        want = eager_net(n)
+        net = SubsetNet(n)
+        assert len(net) == len(want) == 2 ** n - 1
+        # random access before and after the points are built
+        assert [net[k] for k in range(len(net))] == want
+        assert [net[-k] for k in range(1, len(net) + 1)] == want[::-1]
+        with pytest.raises(IndexError):
+            net[len(net)]
+        with pytest.raises(IndexError):
+            net[-len(net) - 1]
+        assert net._points is None
+        assert list(net) == want
+        assert [net[k] for k in range(len(net))] == want
+        assert net[-1] == want[-1] and net[1:3] == tuple(want[1:3])
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_index_and_members_follow_the_mask(self, n):
+        base = make_finite([point(F(k, 7)) for k in range(n)], label=f"sevenths{n}")
+        h = hyper(base)
+        assert isinstance(h.net, SubsetNet) and h.net.n == n
+        for k, p in enumerate(eager_net(n)):
+            assert h.net_index(p) == k
+            assert h.member_indices(p) == frozenset(
+                i for i, c in enumerate(p.coords) if c == 1)
+            # base index 0 is the most significant bit of mask k + 1
+            assert h.member_indices(p) == frozenset(
+                i for i in range(n) if (k + 1) >> (n - 1 - i) & 1)
+
+    def test_net_index_rejects_off_net_points(self):
+        with pytest.raises(SpaceMismatch):
+            H.net_index(point(0, 0, 0))
+        with pytest.raises(SpaceMismatch):
+            H.net_index(point(F(1, 2), 1, 0))
+        with pytest.raises(SpaceMismatch):
+            H.net_index(point(1, 1))
+
+    def test_equality_and_hash_follow_n(self):
+        assert SubsetNet(4) == SubsetNet(4)
+        assert hash(SubsetNet(4)) == hash(SubsetNet(4))
+        assert SubsetNet(4) != SubsetNet(5)
+        assert SubsetNet(3) != tuple(eager_net(3))
+        built = SubsetNet(3)
+        list(built)
+        assert built == SubsetNet(3) and hash(built) == hash(SubsetNet(3))
+        other = hyper(make_interval(0, 1, F(1, 2), label="another label"))
+        assert other == H and hash(other) == hash(H)
+        assert hyper(make_interval(0, 1, F(1, 3))) != H
+
+    def test_hyperspace_needs_the_subset_net_of_its_base(self):
+        with pytest.raises(ValidationError):
+            HyperSpace(3, tuple(eager_net(3)), B.resolution, "K", B)
+        with pytest.raises(ValidationError):
+            HyperSpace(2, SubsetNet(2), B.resolution, "K", B)
+
+    def test_q_never_builds_the_indicator_points(self):
+        base = make_finite([point(F(k, 17)) for k in range(16)], label="seventeenths")
+        sig = signature([Relation("P", 1, base)])
+        M = structure(sig, ["a", "b", "c"],
+                      {"P": {"a": F(3, 17), "b": F(9, 17), "c": F(3, 17)}})
+        phi = parse("Q x. P(x)", sig)
+        h = phi.value_space
+        assert isinstance(h, HyperSpace) and len(h.net) == 2 ** 16 - 1
+        res = evaluate(M, phi)
+        assert res.value.members == (point(F(3, 17)), point(F(9, 17)))
+        assert res.space is h
+        space_to_json(res.space)
+        structure_to_json(M)
+        assert h.net._points is None
 
 
 class TestCompactSet:

@@ -173,6 +173,32 @@ class TestNearest:
         q, d = nearest(s, point(F(1, 8)))
         assert q == point(0) and d == F(1, 8)
 
+    @pytest.mark.parametrize("space", [
+        make_interval(0, 1, F(1, 4)),
+        make_interval(F(1, 8), F(7, 8), F(1, 3)),  # last step clamped short
+        make_interval(0, 1, F(1, 15)),
+        make_finite([point(F(1, 10)), point(F(1, 3)), point(F(1, 2)), point(F(9, 10))]),
+        make_finite([point(F(2, 5))]),
+    ], ids=["quarters", "clamped", "fifteenths", "irregular", "single"])
+    def test_bisect_matches_linear_scan(self, space):
+        # the reference is the documented rule: the first point at the
+        # least distance, so a tie picks the smaller point
+        def scan(p):
+            best = None
+            for q in space.net:
+                d = linf(p, q)
+                if best is None or d < best[1]:
+                    best = (q, d)
+            return best
+
+        xs = [q.scalar for q in space.net]
+        probes = {F(0), F(1), *xs}
+        probes |= {(a + b) / 2 for a, b in zip(xs, xs[1:])}  # midpoint ties
+        probes |= {x + e for x in list(probes) for e in (F(1, 97), F(-1, 97))}
+        probes |= {F(k, 16) for k in range(17)}
+        for x in sorted(v for v in probes if 0 <= v <= 1):
+            assert nearest(space, point(x)) == scan(point(x)), x
+
 
 def test_membership():
     s = make_interval(0, 1, F(1, 4))  # covering grid: resolution 1/8
