@@ -21,7 +21,6 @@ from typing import Mapping, Sequence
 
 from .errors import ContlogError, FormatError, ValidationError
 from .formula import parse as parse_formula
-from .formula import value_space_of
 from .hyperspace import CompactSet
 from .oracle import SUITES, FuzzConfig, fuzz, summarize
 from .semantics import (
@@ -181,7 +180,7 @@ def cmd_parse(args) -> int:
     sig = _load_signature(args.signature)
     library = _load_library(args.library)
     phi = parse_formula(_formula_text(args), sig, library)
-    space = value_space_of(phi)
+    space = phi.value_space
     bound = eval_error_bound(phi)
     free = sorted(phi.free_vars)
     _emit(args,

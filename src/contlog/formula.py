@@ -263,23 +263,6 @@ def atom(sig: Signature, name: str, *variables: str) -> Atomic:
     return Atomic(name, tuple(variables), rel.space)
 
 
-def value_space_of(phi: Formula) -> ValueSpace:
-    """The space a formula's values live in; typechecks the whole tree."""
-    return phi.value_space
-
-
-def validate(phi: Formula) -> ValueSpace:
-    """Force a full typecheck of the tree (children included)."""
-    if isinstance(phi, Apply):
-        for c in phi.children:
-            validate(c)
-    elif isinstance(phi, Quant):
-        validate(phi.body)
-    elif isinstance(phi, CauchyLimit):
-        validate(phi.body)
-    return phi.value_space
-
-
 RateLike = Union[Callable[[int], Fraction], Sequence[Rational], Mapping[int, Rational]]
 
 

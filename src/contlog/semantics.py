@@ -559,6 +559,7 @@ def _target_points(space: ValueSpace, target) -> list[Point]:
     For a hyperspace-valued formula each target member is itself a set; a
     bare CompactSet then means a single target point.  For other spaces a
     CompactSet's members are the targets, and scalars/tuples/Points work too.
+    An empty target is refused.
     """
     if isinstance(target, CompactSet):
         if isinstance(space, HyperSpace):
@@ -574,6 +575,8 @@ def _target_points(space: ValueSpace, target) -> list[Point]:
             out.append(encode_subset(space, m.members))
         else:
             out.append(_as_value(space, m))
+    if not out:
+        raise ValidationError("condition target is empty")
     return out
 
 
@@ -587,8 +590,6 @@ def check_condition(M: Structure, phi: Formula, target, tol: Rational = 0,
     result = evaluate(M, phi, assignment)
     space = result.space
     members = _target_points(space, target)
-    if not members:
-        raise ValidationError("condition target is empty")
     vp = _as_point_value(space, result.value)
     dist = min(space.metric(vp, m) for m in members)
     tol = frac(tol)

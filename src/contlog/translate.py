@@ -2,16 +2,17 @@
 
 A signature whose symbols take values in arbitrary finite-net spaces is
 translated to one whose symbols are all valued on a single [0,1] grid: each
-source symbol P valued in X becomes one grid symbol per coordinate of a
-separating embedding of X into the unit cube.  Structures transport by
-embedding each value and snapping the coordinates to the grid (error at most
-half the grid step per coordinate), and decode back by nearest net point.
+source symbol P valued in X becomes one grid symbol per coordinate of X,
+which already sits in a unit cube, so its coordinate projections separate
+its points.  Structures transport by snapping each coordinate of a value to
+the grid (error at most half the grid step per coordinate), and decode back
+by nearest net point.
 
 Formulas translate by *coding*: for a source formula phi and a real-valued
 observable theta on phi's value space, code(phi, theta) is a formula over the
 target signature whose value on the transported structure tracks
 theta(value of phi) within an explicit budget.  The budget is zero whenever
-the embedded source nets already sit on the grid, so on aligned instances the
+the source nets already sit on the grid, so on aligned instances the
 translation is exact and the two semantics are interchangeable.
 
 Set quantifiers, and sup/inf read through a non-identity observable, are
@@ -34,16 +35,15 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, Sequence
 
-from .connective import Connective, const, identity, mcshane_extend, table
+from .connective import Connective, const, identity, mcshane_extend, proj, table
 from .errors import CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
-from .hyperspace import (CompactSet, HyperSpace, compact, encode_subset, hyper,
+from .hyperspace import (CompactSet, HyperSpace, compact, hyper,
                          urysohn_separator)
-from .semantics import CheckReport, Structure
-from .valuespace import (ONE, ZERO, Embedding, Point, Rational, ValueSpace,
-                         embed_cube, frac, linf, make_finite, make_interval,
-                         nearest, point)
+from .semantics import CheckReport, Structure, _target_points
+from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, linf,
+                         linf_coords, make_finite, make_interval, nearest, point)
 
 MAX_SET_CODING_POINTS = 8
 
@@ -72,7 +72,7 @@ class TranslationContext:
         self.source = source
         self.step = step
         self.grid = make_interval(0, 1, step, label=f"grid[{step}]")
-        self._embeddings: dict[ValueSpace, Embedding] = {}
+        self._coordinates: dict[ValueSpace, tuple[Connective, ...]] = {}
         self._identities: dict[ValueSpace, Connective] = {}
         self._separators: dict = {}
         self._hits: dict = {}
@@ -81,8 +81,7 @@ class TranslationContext:
         targets: list[Relation] = []
         taken = set(source.by_name)
         for rel in source.relations:
-            emb = self.embedding(rel.space)
-            names = tuple(f"{rel.name}_{i}" for i in range(emb.ambient_dimension))
+            names = tuple(f"{rel.name}_{i}" for i in range(rel.space.dimension))
             for n in names:
                 if n in taken:
                     raise ValidationError(
@@ -94,12 +93,13 @@ class TranslationContext:
         self.components = components
         self.target = Signature(tuple(targets), None, ())
 
-    def embedding(self, space: ValueSpace) -> Embedding:
-        emb = self._embeddings.get(space)
-        if emb is None:
-            emb = embed_cube(space)
-            self._embeddings[space] = emb
-        return emb
+    def coordinates(self, space: ValueSpace) -> tuple[Connective, ...]:
+        """The coordinate projections of a space, one per grid symbol."""
+        projs = self._coordinates.get(space)
+        if projs is None:
+            projs = tuple(proj(space, i) for i in range(space.dimension))
+            self._coordinates[space] = projs
+        return projs
 
     def identity_on(self, space: ValueSpace) -> Connective:
         conn = self._identities.get(space)
@@ -148,16 +148,12 @@ class TranslationContext:
         return self.space_snap_bound(rel.space)
 
     def space_snap_bound(self, space: ValueSpace) -> Fraction:
-        emb = self.embedding(space)
-        worst = ZERO
-        for q in space.net:
-            for c in emb.coordinates(q).coords:
-                worst = max(worst, abs(c - snap_to_grid(self.grid, c)))
-        return worst
+        coords = {c for q in space.net for c in q.coords}
+        return max(abs(c - snap_to_grid(self.grid, c)) for c in coords)
 
     @cached_property
     def aligned(self) -> bool:
-        """True when every embedded source net sits exactly on the grid."""
+        """True when every source net sits exactly on the grid."""
         return all(self.snap_bound(r.name) == 0 for r in self.source.relations)
 
 
@@ -166,35 +162,33 @@ def translate_signature(sig: Signature, step: Rational) -> TranslationContext:
 
 
 def transport_structure(ctx: TranslationContext, M: Structure) -> Structure:
-    """Embed every value and snap its coordinates onto the grid."""
+    """Snap the coordinates of every value onto the grid."""
     if M.signature != ctx.source:
         raise SpaceMismatch("structure is not over the source signature")
     interp: dict[str, dict] = {name: {} for r in ctx.source.relations
                                for name in ctx.components[r.name]}
     for rel in ctx.source.relations:
-        emb = ctx.embedding(rel.space)
         names = ctx.components[rel.name]
         for t, v in M.interp[rel.name].items():
-            coords = emb.coordinates(v).coords
-            for name, c in zip(names, coords):
+            for name, c in zip(names, v.coords):
                 interp[name][t] = point(snap_to_grid(ctx.grid, c))
     return Structure(ctx.target, M.universe, interp)
 
 
 def decode_structure(ctx: TranslationContext, N: Structure) -> Structure:
-    """Read a source structure back: nearest embedded net point, coordinatewise."""
+    """Read a source structure back: nearest net point in the flat l-infinity
+    distance on coordinates."""
     if N.signature != ctx.target:
         raise SpaceMismatch("structure is not over the target signature")
     interp: dict[str, dict] = {}
     for rel in ctx.source.relations:
-        emb = ctx.embedding(rel.space)
         names = ctx.components[rel.name]
         entries = {}
         for t in N.interp[names[0]]:
             vec = tuple(N.interp[name][t].scalar for name in names)
             best = None
             for q in rel.space.net:
-                d = linf(emb.coordinates(q), Point(vec))
+                d = linf_coords(q.coords, vec)
                 if best is None or d < best[0]:
                     best = (d, q)
             entries[t] = best[1]
@@ -204,18 +198,17 @@ def decode_structure(ctx: TranslationContext, N: Structure) -> Structure:
 
 def t0_violations(ctx: TranslationContext, N: Structure, tol: Rational = 0) -> list[str]:
     """Membership conditions: each transported value vector must lie within
-    grid resolution (+ tol) of the embedded image of some source net point."""
+    grid resolution (+ tol) of the coordinates of some source net point."""
     if N.signature != ctx.target:
         raise SpaceMismatch("structure is not over the target signature")
     tol = frac(tol)
     bound = ctx.grid.resolution + tol
     out = []
     for rel in ctx.source.relations:
-        emb = ctx.embedding(rel.space)
         names = ctx.components[rel.name]
         for t in N.interp[names[0]]:
-            vec = Point(tuple(N.interp[name][t].scalar for name in names))
-            d = min(linf(emb.coordinates(q), vec) for q in rel.space.net)
+            vec = tuple(N.interp[name][t].scalar for name in names)
+            d = min(linf_coords(q.coords, vec) for q in rel.space.net)
             if d > bound:
                 out.append(
                     f"{rel.name}{t}: embedded distance {d} to the nearest "
@@ -338,13 +331,6 @@ class LatticeApprox:
     def evaluate(self, k: Point) -> Fraction:
         vals = [g.values[k] for g in self.generators]
         return eval_expr(self.expr, vals)
-
-    def as_connective(self, name: str = "lattice") -> Connective:
-        mapping = {(k,): point(self.evaluate(k)) for k in self.space.net}
-        gen_lip = max((g.theta.lipschitz for g in self.generators), default=ZERO)
-        codomain = make_finite(sorted(set(mapping.values())), label=f"{name}-values")
-        return table([self.space], mapping, self.lipschitz * gen_lip,
-                     codomain=codomain, name=name)
 
 
 def _fold(make, items):
@@ -602,7 +588,7 @@ class CodedFormula:
     def _build(self, phi: Formula, theta: Connective) -> Coded:
         space = phi.value_space
         if isinstance(space, HyperSpace):
-            # refuse before any embedding or metric of the hyperspace is
+            # refuse before any coordinate or metric of the hyperspace is
             # touched: those are exponential in the base net
             _check_set_capacity(space.base)
         if isinstance(phi, Atomic):
@@ -619,24 +605,21 @@ class CodedFormula:
 
     def _extension(self, keys: Sequence[tuple[Point, ...]],
                    values: Mapping[tuple[Point, ...], Fraction],
-                   label: str, name: str) -> tuple[Connective, Fraction]:
+                   name: str) -> tuple[Connective, Fraction]:
         """McShane-extend a finite table over the flat grid cube; returns the
-        connective and its (tight) constant."""
+        connective and its (tight) constant.
+
+        The keys are distinct tuples of net points, so their flattened
+        coordinates are distinct and every distance below is positive.
+        """
         flat_keys = [Point(sum((p.coords for p in k), ())) for k in keys]
         lip = ZERO
         for i, p in enumerate(flat_keys):
             for j in range(i + 1, len(flat_keys)):
-                q = flat_keys[j]
                 gap = abs(values[keys[i]] - values[keys[j]])
                 if gap > 0:
-                    d = linf(p, q)
-                    if d == 0:
-                        raise ValidationError(
-                            f"{name}: embedding does not separate two net points "
-                            f"with different observable values"
-                        )
-                    lip = max(lip, gap / d)
-        net_space = make_finite(flat_keys, label=label)
+                    lip = max(lip, gap / linf(p, flat_keys[j]))
+        net_space = make_finite(flat_keys, label=name)
         mapping = {(fk,): point(values[k]) for fk, k in zip(flat_keys, keys)}
         dim = net_space.dimension
         ext = mcshane_extend(mapping, lip, net_space, [self.ctx.grid] * dim,
@@ -645,13 +628,9 @@ class CodedFormula:
 
     def _build_atomic(self, phi: Atomic, theta: Connective) -> Coded:
         ctx = self.ctx
-        emb = ctx.embedding(phi.space)
-        keys = [(emb.coordinates(q),) for q in phi.space.net]
-        values = {k: theta(q).scalar for k, q in zip(keys, phi.space.net)}
-        ext, lip = self._extension(
-            keys, values,
-            label=f"emb({phi.space.label})", name=f"~{theta.name}@{phi.symbol}",
-        )
+        keys = [(q,) for q in phi.space.net]
+        values = {k: theta(k[0]).scalar for k in keys}
+        ext, lip = self._extension(keys, values, f"~{theta.name}@{phi.symbol}")
         children = tuple(
             Atomic(nm, phi.args, ctx.grid) for nm in ctx.components[phi.symbol]
         )
@@ -670,34 +649,18 @@ class CodedFormula:
         for s in child_spaces:
             if isinstance(s, HyperSpace):
                 _check_set_capacity(s.base)
-        embs = [ctx.embedding(s) for s in child_spaces]
 
-        # every child enters through its embedding coordinates
-        coded_children: list[Coded] = []
-        for child, emb in zip(phi.children, embs):
-            for obs in emb.separating_family:
-                coded_children.append(self._code(child, obs))
+        # every child enters through its coordinates
+        coded_children = [self._code(child, obs)
+                          for child, s in zip(phi.children, child_spaces)
+                          for obs in ctx.coordinates(s)]
 
         # tabulate theta(conn(..)) over the product of the child nets
-        def tuples(spaces):
-            out = [()]
-            for s in spaces:
-                out = [t + (q,) for t in out for q in s.net]
-            return out
-
-        keys = []
-        values = {}
-        for combo in tuples(child_spaces):
-            flat_key = tuple(
-                emb.coordinates(q) for emb, q in zip(embs, combo)
-            )
-            out = conn(*combo)
-            values[flat_key] = theta(out).scalar
-            keys.append(flat_key)
-        ext, lip = self._extension(
-            keys, values,
-            label=f"emb({conn.name})", name=f"~{theta.name}@{conn.name}",
-        )
+        keys = [()]
+        for s in child_spaces:
+            keys = [t + (q,) for t in keys for q in s.net]
+        values = {k: theta(conn(*k)).scalar for k in keys}
+        ext, lip = self._extension(keys, values, f"~{theta.name}@{conn.name}")
         formula = Apply(ext, tuple(c.formula for c in coded_children))
         budget = lip * sum((c.budget for c in coded_children), start=ZERO)
         return Coded(formula, budget)
@@ -774,15 +737,7 @@ def code_condition(ctx: TranslationContext, phi: Formula, target) -> CodedCondit
     structure.
     """
     space = phi.value_space
-    if isinstance(target, CompactSet):
-        if isinstance(space, HyperSpace):
-            members = [encode_subset(space, target.members)]
-        else:
-            members = list(target.members)
-    else:
-        members = [m if isinstance(m, Point) else point(frac(m)) for m in target]
-    if not members:
-        raise ValidationError("condition target is empty")
+    members = _target_points(space, target)
     for m in members:
         space.net_index(m)  # raises if the target is off the net
     mapping = {}

@@ -233,35 +233,3 @@ def membership(space: ValueSpace, p: Point, tol: Rational = ZERO) -> bool:
     _, d = nearest(space, p)
     return d <= space.resolution + tol
 
-
-@dataclass(frozen=True)
-class Embedding:
-    """A family of real-valued connectives that separates the points of a space."""
-
-    source: ValueSpace
-    ambient_dimension: int
-    separating_family: tuple  # tuple[Connective, ...]; typed loosely to avoid a cycle
-
-    def coordinates(self, p: Point) -> Point:
-        """Image of p under the family, concatenated into the ambient cube."""
-        coords: list[Fraction] = []
-        for conn in self.separating_family:
-            coords.extend(conn(p).coords)
-        return Point(tuple(coords))
-
-
-def embed_cube(space: ValueSpace) -> Embedding:
-    """The coordinate-projection embedding of a space into [0,1]^dimension.
-
-    Projections separate net points automatically, but separation is still
-    asserted here rather than assumed.
-    """
-    from .connective import proj  # deferred: connective depends on this module
-
-    family = tuple(proj(space, i) for i in range(space.dimension))
-    for a, b in itertools.combinations(space.net, 2):
-        if all(conn(a) == conn(b) for conn in family):
-            raise ValidationError(
-                f"projection family fails to separate {a} and {b} in {space.label}"
-            )
-    return Embedding(space, space.dimension, family)

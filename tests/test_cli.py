@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -350,6 +351,14 @@ class TestFuzz:
         _, second, _ = run(capsys, "fuzz", "--seed", "3", "--trials", "6",
                            "--suite", "quotient")
         assert first == second
+
+    def test_default_suites_output_is_pinned(self, files, capsys):
+        # a change that keeps every value and budget keeps this output
+        # byte for byte
+        code, out, _ = run(capsys, "fuzz", "--seed", "7", "--trials", "200")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "c970a1bc4b5b18ec82ba2cb4d8531db1d14e386910b4cc86278f39d99eecd55a")
 
     def test_unknown_suite_rejected_by_argparse(self, files, capsys):
         with pytest.raises(SystemExit) as exc:

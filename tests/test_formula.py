@@ -16,8 +16,6 @@ from contlog.formula import (
     cauchy_limit,
     parse,
     signature,
-    validate,
-    value_space_of,
 )
 from contlog.hyperspace import HyperSpace
 from contlog.valuespace import make_finite, make_interval, point
@@ -102,7 +100,7 @@ class TestNodes:
         bad_child = Apply(neg(make_finite([point(0)])), (atom(SIG, "P", "x"),))
         top = Quant(QuantKind.SUP, "x", bad_child)
         with pytest.raises(TypeCheckError):
-            validate(top)
+            top.value_space
 
 
 class TestParse:
@@ -182,4 +180,4 @@ class TestCauchyLimit:
     def test_str_is_transparent(self):
         lim = cauchy_limit(lambda n: F(0), self._formulas(1), 0)
         assert str(lim) == "P(x)"
-        assert value_space_of(lim) == X
+        assert lim.value_space == X

@@ -4,12 +4,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from contlog.connective import (identity, max_of, neg, table, tight_lipschitz,
-                                unit_interval)
+from contlog.connective import (identity, max_of, neg, proj, table,
+                                tight_lipschitz, unit_interval)
 from contlog.errors import CapacityError, SpaceMismatch, ValidationError
 from contlog.formula import Apply, Atomic, Quant, QuantKind, Relation, parse, signature
-from contlog.hyperspace import hyper, inf_theta, sup_theta
-from contlog.semantics import evaluate, structure
+from contlog.hyperspace import compact, hyper, inf_theta, sup_theta
+from contlog.oracle import verify_coding
+from contlog.semantics import check_condition, evaluate, structure
 from contlog.translate import (
     AffineOf,
     Const,
@@ -33,9 +34,12 @@ from contlog.translate import (
 from contlog.valuespace import make_finite, make_interval, point
 
 
+ALIGNED_X = make_finite([point(0), point(F(1, 4)), point(F(3, 4))], label="X")
+
+
 def aligned_setup():
     u = unit_interval()
-    X = make_finite([point(0), point(F(1, 4)), point(F(3, 4))], label="X")
+    X = ALIGNED_X
     sig = signature([Relation("P", 1, X), Relation("d", 2, u)],
                     distance_symbol="d", moduli={"P": 1})
     ctx = translate_signature(sig, F(1, 8))
@@ -94,6 +98,39 @@ class TestTransport:
             transport_structure(ctx, N)
         with pytest.raises(SpaceMismatch):
             decode_structure(ctx, M)
+
+    @pytest.mark.parametrize("step, budgets", [
+        (F(1, 4), (0, 0)),
+        (F(1, 3), (0, F(1, 3))),
+    ])
+    def test_hyperspace_and_plane_relations(self, step, budgets):
+        # each relation becomes one grid symbol per coordinate of its values:
+        # three indicator bits for S, two coordinates for T
+        B = make_finite([point(0), point(F(1, 2)), point(1)], label="B")
+        H = hyper(B)
+        Y = make_finite([point(0, F(1, 2)), point(F(1, 2), 1), point(1, 0)], label="Y")
+        sig = signature([Relation("S", 1, H), Relation("T", 1, Y)])
+        M = structure(sig, ["a", "b", "c"], {
+            "S": {"a": compact(B, point(0)),
+                  "b": compact(B, point(F(1, 2)), point(1)),
+                  "c": compact(B, *B.net)},
+            "T": {"a": point(0, F(1, 2)), "b": point(F(1, 2), 1), "c": point(1, 0)},
+        })
+        ctx = translate_signature(sig, step)
+        assert ctx.components == {"S": ("S_0", "S_1", "S_2"), "T": ("T_0", "T_1")}
+        N = transport_structure(ctx, M)
+        assert N.value("S_1", "b") == point(1)
+        assert N.value("T_0", "b") == point(snap_to_grid(ctx.grid, F(1, 2)))
+        assert decode_structure(ctx, N).interp == M.interp
+        assert t0_violations(ctx, N) == []
+        # an apply node codes its child against the coordinate projections;
+        # on H they are 2-Lipschitz for the Hausdorff metric, not 1
+        assert [c.lipschitz for c in ctx.coordinates(H)] == [2, 2, 2]
+        phis = (Apply(sup_theta(identity(B)), (Atomic("S", ("x",), H),)),
+                Apply(proj(Y, 0), (Atomic("T", ("x",), Y),)))
+        checks = [verify_coding(ctx, M, phi) for phi in phis]
+        assert all(c.ok for c in checks)
+        assert tuple(c.budget for c in checks) == budgets
 
     def test_snap_to_grid(self):
         g4 = make_interval(0, 1, F(1, 4))
@@ -259,6 +296,23 @@ class TestCoding:
         assert evaluate(N, cond.formula).scalar == 0  # distance to target
         cond2 = code_condition(ctx, parse("inf x. P(x)", sig), [point(F(3, 4))])
         assert evaluate(N, cond2.formula).scalar == F(1, 2)
+
+    @pytest.mark.parametrize("text, target", [
+        ("Q x. P(x)", [compact(ALIGNED_X, point(F(1, 4))),
+                       compact(ALIGNED_X, point(F(1, 4)), point(F(3, 4)))]),
+        ("Q x. P(x)", compact(ALIGNED_X, point(0), point(F(3, 4)))),
+        ("sup x. P(x)", F(1, 4)),
+        ("sup x. P(x)", compact(ALIGNED_X, point(0), point(F(3, 4)))),
+        ("inf x. P(x)", [F(3, 4), point(0)]),
+    ])
+    def test_condition_coding_reads_targets_like_check_condition(self, text, target):
+        sig, ctx, M = aligned_setup()
+        N = transport_structure(ctx, M)
+        phi = parse(text, sig)
+        report = check_condition(M, phi, target)
+        cond = code_condition(ctx, phi, target)
+        assert cond.budget == 0
+        assert evaluate(N, cond.formula).scalar == report.distance
 
     def test_set_body_capacity_capped(self):
         big = make_interval(0, 1, F(1, 10), label="dense")

@@ -4,11 +4,9 @@ import pytest
 
 from contlog.errors import SpaceMismatch, ValidationError
 from contlog.valuespace import (
-    Embedding,
     Point,
     ValueSpace,
     distance,
-    embed_cube,
     frac,
     linf,
     make_finite,
@@ -210,22 +208,3 @@ def test_membership():
     with pytest.raises(ValidationError):
         membership(s, point(0), F(-1))
 
-
-class TestEmbedding:
-    def test_identity_on_reals(self):
-        s = make_interval(0, 1, F(1, 2))
-        emb = embed_cube(s)
-        assert emb.ambient_dimension == 1
-        assert emb.coordinates(point(F(1, 2))) == point(F(1, 2))
-
-    def test_projections_in_two_dims(self):
-        s = make_finite([point(0, 1), point(1, 0), point(F(1, 2), F(1, 2))])
-        emb = embed_cube(s)
-        assert emb.ambient_dimension == 2
-        assert emb.coordinates(point(0, 1)) == point(0, 1)
-
-    def test_embedding_is_a_dataclass(self):
-        s = make_interval(0, 1, 1)
-        emb = embed_cube(s)
-        assert isinstance(emb, Embedding)
-        assert emb.source == s
