@@ -4,7 +4,8 @@ A connective takes one point from each of its domain spaces and returns a
 point of its codomain.  Every connective carries a Lipschitz constant with
 respect to the l-infinity combination of its domain metrics; constructors
 either derive the constant structurally or validate a declared one
-exhaustively on the net.
+exhaustively on the net, each in one scan of its pairs (`_steepest_pair`).
+Projections of a hyperspace use a closed form from the base distances.
 
 Outputs must always stay inside the unit cube, so the constructors for maps
 that could leave it (`affine`, `add`) reject domains whose image escapes.
@@ -159,8 +160,11 @@ def identity(space: ValueSpace, name: str = "id") -> Connective:
 def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
     """Coordinate projection onto the i-th coordinate.
 
-    1-Lipschitz on plain l-infinity spaces.  On a space with an overridden
-    metric the tight constant is computed from the net instead.
+    1-Lipschitz on plain l-infinity spaces.  On a hyperspace, coordinate i
+    is the indicator of base point b_i: it changes only between sets K with
+    b_i and F without, where d_H(K, F) >= d(b_i, F), and {b_i, b_j}, {b_j}
+    attain that for b_j nearest b_i.  So the tight constant is
+    1 / min_{j != i} d(b_i, b_j), and 0 on a one-point base.
     """
     if not (0 <= i < space.dimension):
         raise SpaceMismatch(f"no coordinate {i} in {space.dimension}-dimensional space")
@@ -168,14 +172,9 @@ def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
     if space.standard_metric:
         lip = Fraction(1)
     else:
-        lip = ZERO
-        n = len(space.net)
-        m = space.distance_matrix
-        for a in range(n):
-            for b in range(a + 1, n):
-                gap = abs(space.net[a].coords[i] - space.net[b].coords[i])
-                if gap > ZERO:
-                    lip = max(lip, gap / m[a][b])
+        row = space.base.distance_matrix[i]
+        gaps = [d for j, d in enumerate(row) if j != i]
+        lip = ONE / min(gaps) if gaps else ZERO
     codomain = ValueSpace(
         1,
         tuple(point(c) for c in coords),
@@ -370,6 +369,24 @@ def compose(outer: Connective, inners: Sequence[Connective], shared: bool = Fals
     return Connective(name, dom, outer.codomain, lip, run)
 
 
+def _steepest_pair(keys: Sequence, gap: Callable, distance: Callable) -> tuple | None:
+    """The pair of keys with the largest gap / distance, as (p, q, gap, d), or
+    None if no gap is positive.  A positive gap at distance zero is steepest.
+    The distance is computed only for pairs with a positive gap."""
+    best, steepest = None, ZERO
+    for i, p in enumerate(keys):
+        for q in keys[i + 1 :]:
+            g = gap(p, q)
+            if g > ZERO:
+                d = distance(p, q)
+                if d == ZERO:
+                    return p, q, g, d
+                slope = g / d
+                if slope > steepest:
+                    best, steepest = (p, q, g, d), slope
+    return best
+
+
 def _normalize_key(key) -> tuple[Point, ...]:
     if isinstance(key, Point):
         return (key,)
@@ -386,9 +403,7 @@ def table(domains: SpaceOrSpaces, mapping: Mapping, lipschitz: Rational,
     """
     doms = _spaces(domains)
     lip = frac(lipschitz)
-    entries: dict[tuple[Point, ...], Point] = {}
-    for k, v in mapping.items():
-        entries[_normalize_key(k)] = as_point(v)
+    entries = {_normalize_key(k): as_point(v) for k, v in mapping.items()}
     keys = list(product_net(doms))
     for k in keys:
         if k not in entries:
@@ -400,15 +415,14 @@ def table(domains: SpaceOrSpaces, mapping: Mapping, lipschitz: Rational,
     if len(entries) != len(keys):
         extra = set(entries) - set(keys)
         raise ValidationError(f"{name}: {len(extra)} entries are off the product net")
-    for i, p in enumerate(keys):
-        for q in keys[i + 1 :]:
-            d = product_distance(doms, p, q)
-            gap = codomain.metric(entries[p], entries[q])
-            if gap > lip * d:
-                raise ValidationError(
-                    f"{name}: declared Lipschitz {lip} violated: "
-                    f"|f{tuple(map(str, p))} - f{tuple(map(str, q))}| = {gap} > {lip} * {d}"
-                )
+    steep = _steepest_pair(keys, lambda p, q: codomain.metric(entries[p], entries[q]),
+                           lambda p, q: product_distance(doms, p, q))
+    if steep is not None and steep[2] > lip * steep[3]:
+        p, q, gap, d = steep
+        raise ValidationError(
+            f"{name}: declared Lipschitz {lip} violated: "
+            f"|f{tuple(map(str, p))} - f{tuple(map(str, q))}| = {gap} > {lip} * {d}"
+        )
 
     def run(*pts: Point) -> Point:
         try:
@@ -423,17 +437,12 @@ def tight_lipschitz(domains: SpaceOrSpaces, mapping: Mapping, codomain: ValueSpa
     """Smallest constant valid for the mapping on the product net."""
     doms = _spaces(domains)
     entries = {_normalize_key(k): as_point(v) for k, v in mapping.items()}
-    keys = list(entries)
-    best = ZERO
-    for i, p in enumerate(keys):
-        for q in keys[i + 1 :]:
-            d = product_distance(doms, p, q)
-            gap = codomain.metric(entries[p], entries[q]) if codomain else linf(entries[p], entries[q])
-            if gap > ZERO:
-                if d == ZERO:
-                    raise ValidationError("mapping differs on points at distance zero")
-                best = max(best, gap / d)
-    return best
+    gap = codomain.metric if codomain else linf
+    steep = _steepest_pair(list(entries), lambda p, q: gap(entries[p], entries[q]),
+                           lambda p, q: product_distance(doms, p, q))
+    if steep is not None and steep[3] == ZERO:
+        raise ValidationError("mapping differs on points at distance zero")
+    return ZERO if steep is None else steep[2] / steep[3]
 
 
 def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
@@ -457,9 +466,7 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
     if xdim != adim:
         raise SpaceMismatch(f"net dimension {xdim} does not match ambient dimension {adim}")
 
-    entries: dict[tuple[Point, ...], Fraction] = {}
-    for k, v in theta.items():
-        entries[_normalize_key(k)] = as_scalar(v)
+    entries = {_normalize_key(k): as_scalar(v) for k, v in theta.items()}
     keys = list(product_net(xs))
     for k in keys:
         if k not in entries:
@@ -467,15 +474,14 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
     _check_unit_range(entries.values(), "extension values")
 
     flats = [(flat_coords(k), entries[k]) for k in keys]
-    for i in range(len(flats)):
-        for j in range(i + 1, len(flats)):
-            (fp, vp), (fq, vq) = flats[i], flats[j]
-            d = linf_coords(fp, fq)
-            if abs(vp - vq) > lip * d:
-                raise ValidationError(
-                    f"declared Lipschitz {lip} violated on the net: "
-                    f"|{vp} - {vq}| > {lip} * {d}"
-                )
+    steep = _steepest_pair(flats, lambda a, b: abs(a[1] - b[1]),
+                           lambda a, b: linf_coords(a[0], b[0]))
+    if steep is not None and steep[2] > lip * steep[3]:
+        (_, vp), (_, vq), _, d = steep
+        raise ValidationError(
+            f"declared Lipschitz {lip} violated on the net: "
+            f"|{vp} - {vq}| > {lip} * {d}"
+        )
 
     if codomain is None:
         codomain = unit_interval()
@@ -485,6 +491,13 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
         )
     if name is None:
         name = f"ext:{len(flats)}p"
+    return _mcshane(flats, lip, amb, codomain, name)
+
+
+def _mcshane(flats: Sequence, lip: Fraction, ambient: tuple[ValueSpace, ...],
+             codomain: ValueSpace, name: str) -> Connective:
+    """mcshane_extend without its checks, on (flat coordinates, value) pairs
+    whose values lie in [0,1] and satisfy lip."""
 
     def run(*pts: Point) -> Point:
         y = flat_coords(pts)
@@ -495,23 +508,21 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
                 best = cand
         return point(min(ONE, max(ZERO, best)))
 
-    return Connective(name, amb, codomain, lip, run)
+    return Connective(name, ambient, codomain, lip, run)
 
 
 def validate_lipschitz(conn: Connective) -> tuple | None:
     """Exhaustively check a connective's constant on its product net.
 
-    Returns None when the bound holds, else a witness
+    Returns None when the bound holds, else the steepest pair as a witness
     (inputs_p, inputs_q, gap, distance).
     """
     keys = list(product_net(conn.domain))
     outs = {k: conn.evaluator(*k) for k in keys}
-    for i, p in enumerate(keys):
-        for q in keys[i + 1 :]:
-            d = product_distance(conn.domain, p, q)
-            gap = conn.codomain.metric(outs[p], outs[q])
-            if gap > conn.lipschitz * d:
-                return (p, q, gap, d)
+    steep = _steepest_pair(keys, lambda p, q: conn.codomain.metric(outs[p], outs[q]),
+                           lambda p, q: product_distance(conn.domain, p, q))
+    if steep is not None and steep[2] > conn.lipschitz * steep[3]:
+        return steep
     return None
 
 

@@ -386,27 +386,36 @@ def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
     target = coded.codes(theta)
     budget = coded.budget_of(theta)
     N = transport_structure(ctx, M)
-
-    worst = ZERO
-    witness = None
     asgs = _assignments(M, phi.free_vars, assignment)
-    for asg in asgs:
-        src = evaluate(M, phi, asg).value
-        p = _as_point(space, src)
-        rhs = theta(p).scalar if theta is not None else p.scalar
-        lhs = evaluate(N, target, asg).scalar
-        diff = abs(lhs - rhs)
-        if diff > worst:
-            worst = diff
-        if diff > budget + tol and witness is None:
-            witness = {
-                "assignment": dict(asg),
-                "target_value": str(lhs),
-                "source_value": str(rhs),
-                "difference": str(diff),
-                "budget": str(budget),
-            }
+    worst, first = _compare(M, phi, theta, N, target, asgs, budget + tol)
+    witness = None
+    if first is not None:
+        asg, lhs, rhs, diff = first
+        witness = {
+            "assignment": dict(asg),
+            "target_value": str(lhs),
+            "source_value": str(rhs),
+            "difference": str(diff),
+            "budget": str(budget),
+        }
     return CodingCheck(witness is None, len(asgs), budget, worst, witness)
+
+
+def _compare(M: Structure, phi: Formula, theta: Connective | None, N: Structure,
+             coded: Formula, asgs: Sequence[Mapping[str, str]], limit: Fraction):
+    """The largest |coded in N - theta(phi in M)| over the assignments, and
+    the first (assignment, coded, source, difference) beyond limit or None."""
+    space = phi.value_space
+    worst, first = ZERO, None
+    for asg in asgs:
+        p = _as_point(space, evaluate(M, phi, asg).value)
+        rhs = theta(p).scalar if theta is not None else p.scalar
+        lhs = evaluate(N, coded, asg).scalar
+        diff = abs(lhs - rhs)
+        worst = max(worst, diff)
+        if diff > limit and first is None:
+            first = (asg, lhs, rhs, diff)
+    return worst, first
 
 
 @dataclass(frozen=True)
@@ -517,7 +526,6 @@ def verify_corruption_detected(ctx: TranslationContext, M: Structure,
     means the corruption WAS detected.
     """
     tol = frac(tol)
-    space = phi.value_space
     coded = code_formula(ctx, phi)
     target = coded.codes(theta)
     budget = coded.budget_of(theta)
@@ -528,18 +536,12 @@ def verify_corruption_detected(ctx: TranslationContext, M: Structure,
     delta = Fraction(1, 4) if base <= Fraction(1, 2) else Fraction(-1, 4)
     bad = _bump_first_apply(target, delta, ctx.grid)
 
-    worst = ZERO
+    worst, first = _compare(M, phi, theta, N, bad, asgs, budget + tol)
     caught = None
-    for asg in asgs:
-        src = evaluate(M, phi, asg).value
-        p = _as_point(space, src)
-        rhs = theta(p).scalar if theta is not None else p.scalar
-        lhs = evaluate(N, bad, asg).scalar
-        diff = abs(lhs - rhs)
-        worst = max(worst, diff)
-        if diff > budget + tol and caught is None:
-            caught = {"assignment": dict(asg), "difference": str(diff),
-                      "budget": str(budget), "shift": str(delta)}
+    if first is not None:
+        asg, _, _, diff = first
+        caught = {"assignment": dict(asg), "difference": str(diff),
+                  "budget": str(budget), "shift": str(delta)}
     return CodingCheck(caught is not None, len(asgs), budget, worst, caught)
 
 
@@ -661,12 +663,6 @@ def _sizes(M: Structure, phi: Formula | None = None) -> dict[str, int]:
     return out
 
 
-def _record(kind: str, trial: int, ok: bool, detail: str,
-            sizes: dict, witness) -> TrialRecord:
-    return TrialRecord(kind, trial, ok, detail, sizes,
-                       None if witness is None else witness)
-
-
 def run_coding_trials(cfg: FuzzConfig, *, grid: bool = False,
                       trials: int | None = None) -> list[TrialRecord]:
     """Criterion: the coded formula tracks theta of the source value.
@@ -692,7 +688,7 @@ def run_coding_trials(cfg: FuzzConfig, *, grid: bool = False,
             witness = {"budget": str(check.budget),
                        "difference": str(check.max_difference)}
             detail = "exact trial must have zero budget and zero difference"
-        out.append(_record(kind, i, ok, detail, _sizes(M, phi), witness))
+        out.append(TrialRecord(kind, i, ok, detail, _sizes(M, phi), witness))
     return out
 
 
@@ -727,9 +723,9 @@ def run_quantifier_trials(cfg: FuzzConfig, *, trials: int | None = None,
             raise ValidationError(f"no known checks among {checks!r}")
         ok = all(r.ok for r in results)
         witness = next((r.witness for r in results if r.witness), None)
-        out.append(_record("quantifier", i, ok,
-                           f"checked {results[0].checked} assignments",
-                           _sizes(M, body), witness))
+        out.append(TrialRecord("quantifier", i, ok,
+                                f"checked {results[0].checked} assignments",
+                                _sizes(M, body), witness))
     return out
 
 
@@ -761,10 +757,10 @@ def run_corruption_trials(cfg: FuzzConfig, *,
             phi = base
         ctx = TranslationContext(sig, EXACT_STEP)
         check = verify_corruption_detected(ctx, M, phi, theta, tol=cfg.tol)
-        out.append(_record("corruption", i, check.ok,
-                           f"shift detected at difference {check.max_difference}",
-                           _sizes(M, phi), check.witness if check.ok else
-                           {"max_difference": str(check.max_difference)}))
+        out.append(TrialRecord("corruption", i, check.ok,
+                                f"shift detected at difference {check.max_difference}",
+                                _sizes(M, phi), check.witness if check.ok else
+                                {"max_difference": str(check.max_difference)}))
     return out
 
 
@@ -778,8 +774,8 @@ def run_metric_violation_trials(cfg: FuzzConfig, *,
         report = check_pseudometric(M)
         caught = (not report.ok) and any(f.startswith(law) for f in report.failures)
         witness = {"law": law, "failures": "; ".join(report.failures)}
-        out.append(_record("metric-violation", i, caught,
-                           f"planted {law} violation", _sizes(M), witness))
+        out.append(TrialRecord("metric-violation", i, caught,
+                                f"planted {law} violation", _sizes(M), witness))
     return out
 
 
@@ -799,8 +795,8 @@ def run_roundtrip_trials(cfg: FuzzConfig, *,
         ok = not violations and same
         witness = None if ok else {"violations": "; ".join(violations),
                                    "decoded_equal": str(same)}
-        out.append(_record("roundtrip", i, ok, "transport, base check, decode",
-                           _sizes(M), witness))
+        out.append(TrialRecord("roundtrip", i, ok, "transport, base check, decode",
+                                _sizes(M), witness))
     return out
 
 
@@ -829,9 +825,9 @@ def run_quotient_trials(cfg: FuzzConfig, *,
         ok = witness is None and any(len(c) > 1 for c in classes)
         if witness is None and ok is False:
             witness = {"classes": str(classes)}
-        out.append(_record("quotient", i, ok,
-                           f"{len(M.universe)} elements in {len(classes)} classes",
-                           _sizes(M, phi), witness))
+        out.append(TrialRecord("quotient", i, ok,
+                                f"{len(M.universe)} elements in {len(classes)} classes",
+                                _sizes(M, phi), witness))
     return out
 
 
@@ -887,9 +883,9 @@ def run_refinement_trials(cfg: FuzzConfig, *,
             if drift > bound and witness is None:
                 witness = {"assignment": dict(asg), "drift": str(drift),
                            "bound": str(bound)}
-        out.append(_record("refinement", i, witness is None,
-                           f"drift {worst} <= bound {bound} at step {step}",
-                           _sizes(M_c, phi_c), witness))
+        out.append(TrialRecord("refinement", i, witness is None,
+                                f"drift {worst} <= bound {bound} at step {step}",
+                                _sizes(M_c, phi_c), witness))
     return out
 
 
@@ -915,8 +911,8 @@ def run_limit_trials(cfg: FuzzConfig, *,
         except ValidationError as err:  # rate never adequate for this prefix
             ok = frac(rate(length - 1)) > tol
             witness = None if ok else {"error": str(err)}
-        out.append(_record("limit", i, ok, f"prefix {length}, tol {tol}",
-                           {"universe": 1, "relations": 1, "net": length}, witness))
+        out.append(TrialRecord("limit", i, ok, f"prefix {length}, tol {tol}",
+                                {"universe": 1, "relations": 1, "net": length}, witness))
     return out
 
 

@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence, Union
 
+from .connective import _steepest_pair
 from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
@@ -397,20 +398,17 @@ def quotient(M: Structure) -> Structure:
 # Functions as graph relations
 
 def _tight_function_lipschitz(M: Structure, f: Mapping[ElementTuple, str]) -> Fraction:
-    best = ZERO
-    keys = list(f)
-    for i, s in enumerate(keys):
-        for t in keys[i + 1 :]:
-            move = max(M.distance(x, y) for x, y in zip(s, t))
-            gap = M.distance(f[s], f[t])
-            if gap > 0:
-                if move == 0:
-                    raise ValidationError(
-                        f"function sends zero-distance inputs {s} and {t} "
-                        f"to outputs at distance {gap}"
-                    )
-                best = max(best, gap / move)
-    return best
+    steep = _steepest_pair(list(f), lambda s, t: M.distance(f[s], f[t]),
+                           lambda s, t: max(M.distance(x, y) for x, y in zip(s, t)))
+    if steep is None:
+        return ZERO
+    s, t, gap, move = steep
+    if move == 0:
+        raise ValidationError(
+            f"function sends zero-distance inputs {s} and {t} "
+            f"to outputs at distance {gap}"
+        )
+    return gap / move
 
 
 def encode_function(M: Structure, name: str, f_table: Mapping, modulus: Rational | None = None) -> Structure:

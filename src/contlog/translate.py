@@ -35,15 +35,16 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, Sequence
 
-from .connective import Connective, const, identity, mcshane_extend, proj, table
+from .connective import (Connective, _mcshane, _steepest_pair, const, flat_coords,
+                         identity, proj, table)
 from .errors import CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import (CompactSet, HyperSpace, compact, hyper,
                          urysohn_separator)
 from .semantics import CheckReport, Structure, _target_points
-from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, linf,
-                         linf_coords, make_finite, make_interval, nearest, point)
+from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, linf_coords,
+                         make_finite, make_interval, nearest, point)
 
 MAX_SET_CODING_POINTS = 8
 
@@ -74,7 +75,6 @@ class TranslationContext:
         self.grid = make_interval(0, 1, step, label=f"grid[{step}]")
         self._coordinates: dict[ValueSpace, tuple[Connective, ...]] = {}
         self._identities: dict[ValueSpace, Connective] = {}
-        self._separators: dict = {}
         self._hits: dict = {}
 
         components: dict[str, tuple[str, ...]] = {}
@@ -106,14 +106,6 @@ class TranslationContext:
         if conn is None:
             conn = identity(space)
             self._identities[space] = conn
-        return conn
-
-    def separator(self, space: ValueSpace, k: CompactSet, f: CompactSet) -> Connective:
-        key = (space, k.members, f.members)
-        conn = self._separators.get(key)
-        if conn is None:
-            conn = urysohn_separator(space, k, f)
-            self._separators[key] = conn
         return conn
 
     def point_hit(self, space: ValueSpace, i: int) -> Connective:
@@ -610,21 +602,16 @@ class CodedFormula:
         connective and its (tight) constant.
 
         The keys are distinct tuples of net points, so their flattened
-        coordinates are distinct and every distance below is positive.
+        coordinates are distinct and every distance below is positive.  The
+        constant is tight by construction, so mcshane_extend's re-check of the
+        same pairs is skipped.
         """
-        flat_keys = [Point(sum((p.coords for p in k), ())) for k in keys]
-        lip = ZERO
-        for i, p in enumerate(flat_keys):
-            for j in range(i + 1, len(flat_keys)):
-                gap = abs(values[keys[i]] - values[keys[j]])
-                if gap > 0:
-                    lip = max(lip, gap / linf(p, flat_keys[j]))
-        net_space = make_finite(flat_keys, label=name)
-        mapping = {(fk,): point(values[k]) for fk, k in zip(flat_keys, keys)}
-        dim = net_space.dimension
-        ext = mcshane_extend(mapping, lip, net_space, [self.ctx.grid] * dim,
-                             codomain=self.ctx.grid, name=name)
-        return ext, lip
+        flats = [(flat_coords(k), values[k]) for k in keys]
+        steep = _steepest_pair(flats, lambda a, b: abs(a[1] - b[1]),
+                               lambda a, b: linf_coords(a[0], b[0]))
+        lip = ZERO if steep is None else steep[2] / steep[3]
+        grid = self.ctx.grid
+        return _mcshane(flats, lip, (grid,) * len(flats[0][0]), grid, name), lip
 
     def _build_atomic(self, phi: Atomic, theta: Connective) -> Coded:
         ctx = self.ctx
@@ -738,8 +725,6 @@ def code_condition(ctx: TranslationContext, phi: Formula, target) -> CodedCondit
     """
     space = phi.value_space
     members = _target_points(space, target)
-    for m in members:
-        space.net_index(m)  # raises if the target is off the net
     mapping = {}
     for q in space.net:
         d = min(space.metric(q, m) for m in members)

@@ -1,8 +1,10 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from contlog.connective import (
+    Connective,
     add,
     affine,
     bounded_add,
@@ -23,6 +25,7 @@ from contlog.connective import (
     validate_lipschitz,
 )
 from contlog.errors import EvalError, SpaceMismatch, ValidationError
+from contlog.hyperspace import hyper
 from contlog.valuespace import make_finite, make_interval, point, product
 
 Q = make_interval(0, 1, F(1, 4), label="quarters")
@@ -55,6 +58,25 @@ class TestBasicConnectives:
         assert p1.lipschitz == 1
         with pytest.raises(SpaceMismatch):
             proj(s, 2)
+
+    @pytest.mark.parametrize("space", [
+        hyper(make_finite([point(F(1, 3))])),
+        hyper(make_finite([point(0), point(F(2, 3))])),
+        hyper(make_finite([point(0), point(F(1, 8)), point(F(1, 2)), point(1)])),
+        hyper(make_finite([point(0), point(F(1, 5)), point(F(1, 4)), point(F(3, 5)),
+                           point(1)])),
+        hyper(make_finite([point(0, 0), point(F(1, 2), F(1, 4)), point(F(1, 3), 1)])),
+        hyper(hyper(make_finite([point(0), point(F(1, 4))]))),
+    ], ids=["base1", "base2", "base4", "base5", "base-2d", "nested"])
+    def test_proj_on_hyperspace_is_tight(self, space):
+        # the closed form equals the constant scanned from the whole net
+        for i in range(space.dimension):
+            p = proj(space, i)
+            coordinate = {(k,): point(k.coords[i]) for k in space.net}
+            assert p.lipschitz == tight_lipschitz([space], coordinate)
+            assert all(p(k) == v for (k,), v in coordinate.items())
+        with pytest.raises(SpaceMismatch):
+            proj(space, space.dimension)
 
     def test_neg(self):
         n = neg(Q)
@@ -145,6 +167,9 @@ class TestTable:
         t = table([dom], ramp, F(3, 2), codomain=cod, name="ramp")
         assert t(point(F(1, 2))) == point(F(3, 4))
         assert validate_lipschitz(t) is None
+        # the tight constant 3/2 is accepted by the extension's check too
+        values = {k: v.scalar for k, v in ramp.items()}
+        assert mcshane_extend(values, F(3, 2), dom, EIGHTHS).lipschitz == F(3, 2)
 
     def test_tight_lipschitz_frozen(self):
         # steepest pair: |0 - 3/4| over distance 1/2
@@ -160,6 +185,18 @@ class TestTable:
         cod = make_finite([point(0), point(F(3, 4)), point(1)])
         with pytest.raises(ValidationError, match="declared Lipschitz"):
             table([dom], ramp, F(1), codomain=cod, name="liar")
+        # just below the tight constant 3/2, every check names the steepest pair
+        under = F(3, 2) - F(1, 64)
+        steepest = re.escape("|f('(0)',) - f('(1/2)',)| = 3/4")
+        with pytest.raises(ValidationError, match=steepest):
+            table([dom], ramp, under, codomain=cod, name="liar")
+        values = {k: v.scalar for k, v in ramp.items()}
+        with pytest.raises(ValidationError, match=re.escape("|0 - 3/4| > 95/64 * 1/2")):
+            mcshane_extend(values, under, dom, EIGHTHS)
+        honest = table([dom], ramp, F(3, 2), codomain=cod, name="ramp")
+        liar = Connective("liar", honest.domain, cod, under, honest.evaluator)
+        assert validate_lipschitz(liar) == (
+            (point(0),), (point(F(1, 2)),), F(3, 4), F(1, 2))
 
     def test_requires_total_mapping(self):
         dom = make_finite([point(0), point(1)])

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from contlog.connective import (identity, max_of, neg, proj, table,
+from contlog.connective import (identity, max_of, mcshane_extend, neg, proj, table,
                                 tight_lipschitz, unit_interval)
 from contlog.errors import CapacityError, SpaceMismatch, ValidationError
 from contlog.formula import Apply, Atomic, Quant, QuantKind, Relation, parse, signature
@@ -304,6 +304,7 @@ class TestCoding:
         ("sup x. P(x)", F(1, 4)),
         ("sup x. P(x)", compact(ALIGNED_X, point(0), point(F(3, 4)))),
         ("inf x. P(x)", [F(3, 4), point(0)]),
+        ("sup x. P(x)", F(1, 2)),  # not a net point of X
     ])
     def test_condition_coding_reads_targets_like_check_condition(self, text, target):
         sig, ctx, M = aligned_setup()
@@ -313,6 +314,34 @@ class TestCoding:
         cond = code_condition(ctx, phi, target)
         assert cond.budget == 0
         assert evaluate(N, cond.formula).scalar == report.distance
+
+    @pytest.mark.parametrize("binary", [False, True], ids=["atomic", "apply"])
+    def test_extension_is_the_checked_mcshane_extension(self, binary):
+        # the coder's unchecked extension, at its scanned constant, is the
+        # one mcshane_extend validates and builds at the tight constant
+        Y = make_finite([point(0), point(F(1, 2)), point(1)], label="Y")
+        sig = signature([Relation("P", 1, ALIGNED_X), Relation("R", 1, Y)])
+        ctx = translate_signature(sig, F(1, 4))
+        p = Atomic("P", ("x",), ALIGNED_X)
+        if binary:
+            conn = max_of(ALIGNED_X, Y)
+            phi, spaces = Apply(conn, (p, Atomic("R", ("x",), Y))), [ALIGNED_X, Y]
+            theta = neg(conn.codomain)
+            mapping = {k: theta(conn(*k)).scalar
+                       for k in itertools.product(ALIGNED_X.net, Y.net)}
+        else:
+            phi, spaces = p, [ALIGNED_X]
+            values = {point(0): F(1, 2), point(F(1, 4)): F(1), point(F(3, 4)): F(0)}
+            theta = table([ALIGNED_X], {(q,): point(v) for q, v in values.items()}, 2,
+                          codomain=make_finite([point(v) for v in values.values()]))
+            mapping = {(q,): v for q, v in values.items()}
+        ext = code_formula(ctx, phi).codes(theta).conn
+        tight = tight_lipschitz(spaces, {k: point(v) for k, v in mapping.items()})
+        ref = mcshane_extend(mapping, tight, spaces, [ctx.grid] * len(spaces),
+                             codomain=ctx.grid)
+        assert ext.lipschitz == tight > 0
+        for y in itertools.product(ctx.grid.net, repeat=len(spaces)):
+            assert ext(*y) == ref(*y)
 
     def test_set_body_capacity_capped(self):
         big = make_interval(0, 1, F(1, 10), label="dense")
