@@ -7,10 +7,13 @@ either derive the constant structurally or validate a declared one
 exhaustively on the net, each in one scan of its pairs (`_steepest_pair`).
 Projections of a hyperspace use a closed form from the base distances.
 
-Outputs must always stay inside the unit cube, so the constructors for maps
-that could leave it (`affine`, `add`) reject domains whose image escapes.
-`table` is the general escape hatch: any map on a finite net, with any valid
-declared constant.
+The nine stock scalar connectives (`neg`, `clamp01`, `affine`, `add`,
+`bounded_add`, `truncated_sub`, `mul`, `max_of`, `min_of`) each state their
+map once, to `_pointwise`: the same function yields the image that is
+checked, the default codomain and the evaluator.  Outputs must always stay
+inside the unit cube, so the maps that could leave it (`affine`, `add`)
+reject domains whose image escapes.  `table` is the general escape hatch:
+any map on a finite net, with any valid declared constant.
 """
 
 from __future__ import annotations
@@ -186,32 +189,48 @@ def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
     return Connective(name, (space,), codomain, lip, lambda p, _i=i: point(p.coords[_i]))
 
 
+def _pointwise(who: str, spaces: tuple[ValueSpace, ...], f: Callable, lip: Rational,
+               resolution: Fraction, label: str, codomain: ValueSpace | None, name: str,
+               unit_range: str | None = None) -> Connective:
+    """The stock connective that applies the scalar map f to one-dimensional spaces.
+
+    The image of f over the product net is checked against [0,1] when
+    `unit_range` names the map, fills the default codomain (with the given
+    resolution and label), and must fit the codomain; the evaluator applies
+    the same f.
+    """
+    for s in spaces:
+        if s.dimension != 1:
+            raise SpaceMismatch(f"{who} needs a one-dimensional space, got {s.label}")
+    image = [f(*(p.scalar for p in k)) for k in product_net(spaces)]
+    if unit_range is not None:
+        _check_unit_range(image, unit_range)
+    pts = [point(v) for v in image]
+    if codomain is None:
+        codomain = ValueSpace(1, tuple(pts), resolution, label)
+    for e in pts:
+        if not membership(codomain, e, ZERO):
+            raise ValidationError(
+                f"{who}: image point {e} is not within resolution of {codomain.label}"
+            )
+    if len(spaces) == 1:
+        run = lambda p: point(f(p.scalar))  # noqa: E731
+    else:
+        run = lambda p, q: point(f(p.scalar, q.scalar))  # noqa: E731
+    return Connective(name, spaces, codomain, Fraction(lip), run)
+
+
 def neg(space: ValueSpace, codomain: ValueSpace | None = None, name: str = "neg") -> Connective:
     """x -> 1 - x on a one-dimensional space."""
-    _require_dim1(space, "neg")
-    if codomain is None:
-        codomain = ValueSpace(
-            1,
-            tuple(point(ONE - p.scalar) for p in space.net),
-            space.resolution,
-            f"neg({space.label})",
-        )
-    _check_entries_fit(codomain, [point(ONE - p.scalar) for p in space.net], "neg")
-    return Connective(name, (space,), codomain, Fraction(1), lambda p: point(ONE - p.scalar))
+    return _pointwise("neg", (space,), lambda x: ONE - x, 1, space.resolution,
+                      f"neg({space.label})", codomain, name)
 
 
 def clamp01(space: ValueSpace, codomain: ValueSpace | None = None, name: str = "clamp01") -> Connective:
     """x -> min(1, max(0, x)); the identity on anything already in [0,1]."""
-    _require_dim1(space, "clamp01")
-    if codomain is None:
-        codomain = space
-    _check_entries_fit(codomain, list(space.net), "clamp01")
-
-    def run(p: Point) -> Point:
-        x = p.scalar
-        return point(min(ONE, max(ZERO, x)))
-
-    return Connective(name, (space,), codomain, Fraction(1), run)
+    return _pointwise("clamp01", (space,), lambda x: min(ONE, max(ZERO, x)), 1,
+                      space.resolution, space.label,
+                      space if codomain is None else codomain, name)
 
 
 def affine(space: ValueSpace, a: Rational, b: Rational, codomain: ValueSpace | None = None,
@@ -221,100 +240,47 @@ def affine(space: ValueSpace, a: Rational, b: Rational, codomain: ValueSpace | N
     Monotone, so checking the net (which for covering grids includes the
     endpoints) bounds the image.  Lipschitz constant |a|.
     """
-    _require_dim1(space, "affine")
     a, b = frac(a), frac(b)
-    image = [a * p.scalar + b for p in space.net]
-    _check_unit_range(image, f"affine({a},{b}) on {space.label}")
-    if codomain is None:
-        codomain = ValueSpace(
-            1,
-            tuple(point(v) for v in sorted(set(image))),
-            abs(a) * space.resolution,
-            f"affine({space.label})",
-        )
-    _check_entries_fit(codomain, [point(v) for v in image], "affine")
-    if name is None:
-        name = f"affine[{a},{b}]"
-    return Connective(name, (space,), codomain, abs(a), lambda p: point(a * p.scalar + b))
-
-
-def _binary_images(x: ValueSpace, y: ValueSpace, op) -> list[Fraction]:
-    return [op(p.scalar, q.scalar) for p in x.net for q in y.net]
+    return _pointwise("affine", (space,), lambda x: a * x + b, abs(a),
+                      abs(a) * space.resolution, f"affine({space.label})", codomain,
+                      f"affine[{a},{b}]" if name is None else name,
+                      unit_range=f"affine({a},{b}) on {space.label}")
 
 
 def add(x: ValueSpace, y: ValueSpace, codomain: ValueSpace | None = None, name: str = "add") -> Connective:
     """Pointwise sum of two one-dimensional spaces; the sums must stay in [0,1]."""
-    _require_dim1(x, "add")
-    _require_dim1(y, "add")
-    image = _binary_images(x, y, lambda p, q: p + q)
-    _check_unit_range(image, "add")
-    if codomain is None:
-        codomain = ValueSpace(1, tuple(point(v) for v in sorted(set(image))),
-                              x.resolution + y.resolution, f"add({x.label},{y.label})")
-    _check_entries_fit(codomain, [point(v) for v in image], "add")
-    return Connective(name, (x, y), codomain, Fraction(2),
-                      lambda p, q: point(p.scalar + q.scalar))
+    return _pointwise("add", (x, y), lambda p, q: p + q, 2, x.resolution + y.resolution,
+                      f"add({x.label},{y.label})", codomain, name, unit_range="add")
 
 
 def bounded_add(x: ValueSpace, y: ValueSpace, codomain: ValueSpace | None = None,
                 name: str = "badd") -> Connective:
     """Truncated sum min(1, p + q); always lands in [0,1]."""
-    _require_dim1(x, "bounded_add")
-    _require_dim1(y, "bounded_add")
-    image = _binary_images(x, y, lambda p, q: min(Fraction(1), p + q))
-    if codomain is None:
-        codomain = ValueSpace(1, tuple(point(v) for v in sorted(set(image))),
-                              x.resolution + y.resolution, f"badd({x.label},{y.label})")
-    _check_entries_fit(codomain, [point(v) for v in image], "bounded_add")
-    return Connective(name, (x, y), codomain, Fraction(2),
-                      lambda p, q: point(min(Fraction(1), p.scalar + q.scalar)))
+    return _pointwise("bounded_add", (x, y), lambda p, q: min(ONE, p + q), 2,
+                      x.resolution + y.resolution, f"badd({x.label},{y.label})", codomain, name)
 
 
 def truncated_sub(x: ValueSpace, y: ValueSpace, codomain: ValueSpace | None = None,
                   name: str = "tsub") -> Connective:
     """Truncated difference max(0, p - q)."""
-    _require_dim1(x, "truncated_sub")
-    _require_dim1(y, "truncated_sub")
-    image = _binary_images(x, y, lambda p, q: max(Fraction(0), p - q))
-    if codomain is None:
-        codomain = ValueSpace(1, tuple(point(v) for v in sorted(set(image))),
-                              x.resolution + y.resolution, f"tsub({x.label},{y.label})")
-    _check_entries_fit(codomain, [point(v) for v in image], "truncated_sub")
-    return Connective(name, (x, y), codomain, Fraction(2),
-                      lambda p, q: point(max(Fraction(0), p.scalar - q.scalar)))
+    return _pointwise("truncated_sub", (x, y), lambda p, q: max(ZERO, p - q), 2,
+                      x.resolution + y.resolution, f"tsub({x.label},{y.label})", codomain, name)
 
 
 def mul(x: ValueSpace, y: ValueSpace, codomain: ValueSpace | None = None, name: str = "mul") -> Connective:
     """Pointwise product; 2-Lipschitz on the unit square."""
-    _require_dim1(x, "mul")
-    _require_dim1(y, "mul")
-    image = _binary_images(x, y, lambda p, q: p * q)
-    if codomain is None:
-        codomain = ValueSpace(1, tuple(point(v) for v in sorted(set(image))),
-                              x.resolution + y.resolution, f"mul({x.label},{y.label})")
-    _check_entries_fit(codomain, [point(v) for v in image], "mul")
-    return Connective(name, (x, y), codomain, Fraction(2),
-                      lambda p, q: point(p.scalar * q.scalar))
+    return _pointwise("mul", (x, y), lambda p, q: p * q, 2, x.resolution + y.resolution,
+                      f"mul({x.label},{y.label})", codomain, name)
 
 
 def max_of(x: ValueSpace, y: ValueSpace, codomain: ValueSpace | None = None, name: str = "max") -> Connective:
-    return _lattice_binary(x, y, codomain, name, max)
+    return _pointwise(name, (x, y), max, 1, max(x.resolution, y.resolution),
+                      f"{name}({x.label},{y.label})", codomain, name)
 
 
 def min_of(x: ValueSpace, y: ValueSpace, codomain: ValueSpace | None = None, name: str = "min") -> Connective:
-    return _lattice_binary(x, y, codomain, name, min)
-
-
-def _lattice_binary(x, y, codomain, name, op) -> Connective:
-    _require_dim1(x, name)
-    _require_dim1(y, name)
-    image = _binary_images(x, y, op)
-    if codomain is None:
-        codomain = ValueSpace(1, tuple(point(v) for v in sorted(set(image))),
-                              max(x.resolution, y.resolution), f"{name}({x.label},{y.label})")
-    _check_entries_fit(codomain, [point(v) for v in image], name)
-    return Connective(name, (x, y), codomain, Fraction(1),
-                      lambda p, q, _op=op: point(_op(p.scalar, q.scalar)))
+    return _pointwise(name, (x, y), min, 1, max(x.resolution, y.resolution),
+                      f"{name}({x.label},{y.label})", codomain, name)
 
 
 def compose(outer: Connective, inners: Sequence[Connective], shared: bool = False,
@@ -525,15 +491,3 @@ def validate_lipschitz(conn: Connective) -> tuple | None:
         return steep
     return None
 
-
-def _require_dim1(space: ValueSpace, who: str):
-    if space.dimension != 1:
-        raise SpaceMismatch(f"{who} needs a one-dimensional space, got {space.label}")
-
-
-def _check_entries_fit(codomain: ValueSpace, entries, who: str):
-    for e in entries:
-        if not membership(codomain, e, ZERO):
-            raise ValidationError(
-                f"{who}: image point {e} is not within resolution of {codomain.label}"
-            )

@@ -23,7 +23,7 @@ import itertools
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .connective import Connective, table
 from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
@@ -144,13 +144,13 @@ def _hausdorff_by_index(base: ValueSpace, ks: Iterable[int], fs: Iterable[int]) 
     return max(forward, backward)
 
 
-@lru_cache(maxsize=None)
 def hyper(space: ValueSpace) -> HyperSpace:
     """The hyperspace of a finitely presented space.
 
     Presents all 2^n - 1 nonempty subsets of the net through a lazy
     `SubsetNet`, so this costs O(1) until a caller iterates the net; refuses
-    nets beyond MAX_BASE_POINTS.
+    nets beyond MAX_BASE_POINTS.  Each call builds a new space (equal to any
+    other over an equal base), so built points live only as long as it does.
     """
     n = len(space.net)
     if n > MAX_BASE_POINTS:

@@ -45,6 +45,9 @@ GRID_TRANSLATION_STEP = Fraction(1, 4)
 #: enumerates every nonempty subset, so this caps the lattice size).
 MAX_SET_BODY_POINTS = 4
 
+#: Random formulas use at most this many free variables.
+MAX_FREE_VARIABLES = 2
+
 _NAMES = ("R", "S", "T")
 
 
@@ -198,11 +201,9 @@ class _FormulaBuilder:
     """
 
     def __init__(self, cfg: FuzzConfig, sig: Signature, rng: random.Random,
-                 grid: bool, stable: bool, max_free: int = 2,
-                 set_cap: int = MAX_SET_BODY_POINTS):
+                 grid: bool, stable: bool, set_cap: int = MAX_SET_BODY_POINTS):
         self.cfg, self.sig, self.rng = cfg, sig, rng
         self.grid, self.stable = grid, stable
-        self.max_free = max_free
         self.set_cap = set_cap
         self.frees: list[str] = []
         self.bound = 0
@@ -218,7 +219,7 @@ class _FormulaBuilder:
 
     def _var(self, scope: tuple[str, ...]) -> str:
         choices = list(scope) + self.frees
-        if len(self.frees) < self.max_free:
+        if len(self.frees) < MAX_FREE_VARIABLES:
             choices.append("<new>")
         pick = self.rng.choice(choices)
         if pick == "<new>":
@@ -569,13 +570,7 @@ def random_metric_structure(cfg: FuzzConfig, rng: random.Random, *,
     fn = {c: rng.choice(EXACT_POOL) for c in set(placement.values())}
     rtab = {(a,): point(fn[placement[a]]) for a in universe}
 
-    tight = ZERO
-    for a in universe:
-        for b in universe:
-            gap = abs(fn[placement[a]] - fn[placement[b]])
-            move = abs(placement[a] - placement[b])
-            if move > 0 and gap / move > tight:
-                tight = gap / move
+    tight = tight_lipschitz(pool_space, {point(c): point(v) for c, v in fn.items()})
     sig = signature(
         [Relation("d", 2, pool_space), Relation("R", 1, pool_space)],
         distance_symbol="d", moduli={"R": max(tight, ONE)},

@@ -26,7 +26,7 @@ from .connective import _steepest_pair
 from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
-from .hyperspace import CompactSet, HyperSpace, compact, encode_subset, hyper
+from .hyperspace import CompactSet, HyperSpace, compact, decode_subset, encode_subset, hyper
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, membership,
                          nearest, point)
 
@@ -190,8 +190,7 @@ def _as_point_value(space: ValueSpace, v: Value) -> Point:
 
 def _as_space_value(space: ValueSpace, p: Point) -> Value:
     if isinstance(space, HyperSpace):
-        members = tuple(space.base.net[i] for i in sorted(space.member_indices(p)))
-        return CompactSet(space.base, members)
+        return decode_subset(space, p)
     return p
 
 

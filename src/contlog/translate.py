@@ -40,8 +40,7 @@ from .connective import (Connective, _mcshane, _steepest_pair, const, flat_coord
 from .errors import CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
-from .hyperspace import (CompactSet, HyperSpace, compact, hyper,
-                         urysohn_separator)
+from .hyperspace import HyperSpace, decode_subset, hyper, urysohn_separator
 from .semantics import CheckReport, Structure, _target_points
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, linf_coords,
                          make_finite, make_interval, nearest, point)
@@ -235,11 +234,6 @@ class AffineOf:
 
 
 @dataclass(frozen=True)
-class ClampOf:
-    sub: "LatticeExpr"
-
-
-@dataclass(frozen=True)
 class MinOf:
     left: "LatticeExpr"
     right: "LatticeExpr"
@@ -251,7 +245,7 @@ class MaxOf:
     right: "LatticeExpr"
 
 
-LatticeExpr = object  # Gen | Const | AffineOf | ClampOf | MinOf | MaxOf
+LatticeExpr = object  # Gen | Const | AffineOf | MinOf | MaxOf
 
 
 def eval_expr(expr, values: Sequence[Fraction]) -> Fraction:
@@ -261,8 +255,6 @@ def eval_expr(expr, values: Sequence[Fraction]) -> Fraction:
         return expr.value
     if isinstance(expr, AffineOf):
         return expr.a * eval_expr(expr.sub, values) + expr.b
-    if isinstance(expr, ClampOf):
-        return min(ONE, max(ZERO, eval_expr(expr.sub, values)))
     if isinstance(expr, MinOf):
         return min(eval_expr(expr.left, values), eval_expr(expr.right, values))
     if isinstance(expr, MaxOf):
@@ -278,8 +270,6 @@ def expr_lipschitz(expr) -> Fraction:
         return ZERO
     if isinstance(expr, AffineOf):
         return abs(expr.a) * expr_lipschitz(expr.sub)
-    if isinstance(expr, ClampOf):
-        return expr_lipschitz(expr.sub)
     if isinstance(expr, (MinOf, MaxOf)):
         return max(expr_lipschitz(expr.left), expr_lipschitz(expr.right))
     raise ValidationError(f"not a lattice expression: {expr!r}")
@@ -368,9 +358,6 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
             if k not in gen.values:
                 raise ValidationError("generator sup table misses a net point")
 
-    def members(k: Point) -> CompactSet:
-        return compact(H.base, *(H.base.net[i] for i in sorted(H.member_indices(k))))
-
     def pair_expr(k: Point, f: Point):
         gk, gf = gvals[k], gvals[f]
         if gk == gf:
@@ -384,7 +371,7 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
             lo, hi = min(b, a + b), max(b, a + b)
             if ZERO <= lo and hi <= ONE:
                 return AffineOf(a, b, Gen(j))
-        sep = urysohn_separator(H.base, members(k), members(f))
+        sep = urysohn_separator(H.base, decode_subset(H, k), decode_subset(H, f))
         gen = sup_generator(H, sep)
         gens.append(gen)
         j = len(gens) - 1
@@ -540,7 +527,6 @@ class CodedFormula:
         # keyed on the objects, which hash by identity: the memo keeps every
         # observable alive, so a new one can never reuse a stale entry
         self._memo: dict[tuple[Formula, Connective], Coded] = {}
-        self.error_budget = ZERO
 
     def codes(self, theta: Connective | None = None) -> Formula:
         return self._code(self.source, self._default(theta)).formula
@@ -574,7 +560,6 @@ class CodedFormula:
         if hit is None:
             hit = self._build(phi, theta)
             self._memo[key] = hit
-            self.error_budget = max(self.error_budget, hit.budget)
         return hit
 
     def _build(self, phi: Formula, theta: Connective) -> Coded:

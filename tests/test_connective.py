@@ -1,3 +1,4 @@
+import itertools
 import re
 from fractions import Fraction as F
 
@@ -30,6 +31,8 @@ from contlog.valuespace import make_finite, make_interval, point, product
 
 Q = make_interval(0, 1, F(1, 4), label="quarters")
 EIGHTHS = make_interval(0, 1, F(1, 8))
+GRID = make_interval(0, F(1, 2), F(1, 4), label="grid")
+SPARSE = make_finite([point(0), point(F(1, 8)), point(F(5, 8))], label="eighths")
 
 
 def test_unit_interval_covers():
@@ -138,6 +141,101 @@ class TestArithmetic:
         m = mul(Q, Q)
         with pytest.raises(EvalError):
             m(point(F(1, 2)))
+
+
+def _fracs(text):
+    return [F(x) for x in text.split()]
+
+
+# constructor, spaces, further arguments, name, codomain label, codomain net,
+# resolution, Lipschitz constant, the scalar map it must compute
+STOCK = {
+    "neg-grid": (neg, (GRID,), (), "neg", "neg(grid)", "1/2 3/4 1", "1/8", 1,
+                 lambda x: 1 - x),
+    "neg-sparse": (neg, (SPARSE,), (), "neg", "neg(eighths)", "3/8 7/8 1", "0", 1,
+                   lambda x: 1 - x),
+    "clamp01-grid": (clamp01, (GRID,), (), "clamp01", "grid", "0 1/4 1/2", "1/8", 1,
+                     lambda x: x),
+    "clamp01-sparse": (clamp01, (SPARSE,), (), "clamp01", "eighths", "0 1/8 5/8", "0", 1,
+                       lambda x: x),
+    "affine-grid": (affine, (GRID,), (-1, F(3, 4)), "affine[-1,3/4]", "affine(grid)",
+                    "1/4 1/2 3/4", "1/8", 1, lambda x: F(3, 4) - x),
+    "affine-sparse": (affine, (SPARSE,), (F(1, 2), F(1, 8)), "affine[1/2,1/8]",
+                      "affine(eighths)", "1/8 3/16 7/16", "0", F(1, 2),
+                      lambda x: x / 2 + F(1, 8)),
+    "add": (add, (GRID, GRID), (), "add", "add(grid,grid)", "0 1/4 1/2 3/4 1", "1/4", 2,
+            lambda x, y: x + y),
+    "bounded_add": (bounded_add, (GRID, SPARSE), (), "badd", "badd(grid,eighths)",
+                    "0 1/8 1/4 3/8 1/2 5/8 7/8 1", "1/8", 2, lambda x, y: min(1, x + y)),
+    "truncated_sub": (truncated_sub, (GRID, SPARSE), (), "tsub", "tsub(grid,eighths)",
+                      "0 1/8 1/4 3/8 1/2", "1/8", 2, lambda x, y: max(0, x - y)),
+    "mul": (mul, (GRID, SPARSE), (), "mul", "mul(grid,eighths)",
+            "0 1/32 1/16 5/32 5/16", "1/8", 2, lambda x, y: x * y),
+    "max_of": (max_of, (GRID, SPARSE), (), "max", "max(grid,eighths)",
+               "0 1/8 1/4 1/2 5/8", "1/8", 1, max),
+    "min_of": (min_of, (GRID, SPARSE), (), "min", "min(grid,eighths)",
+               "0 1/8 1/4 1/2", "1/8", 1, min),
+}
+
+
+class TestStockConstructors:
+    """Pins the nine stock constructors: default codomains, constants, values
+    on the whole product net and the exact error texts."""
+
+    @pytest.mark.parametrize("case", STOCK, ids=list(STOCK))
+    def test_codomain_constant_and_values(self, case):
+        ctor, spaces, extra, name, label, net, res, lip, f = STOCK[case]
+        c = ctor(*spaces, *extra)
+        assert (c.name, c.domain, c.lipschitz) == (name, spaces, lip)
+        assert c.codomain.label == label
+        assert [p.scalar for p in c.codomain.net] == _fracs(net)
+        assert c.codomain.resolution == F(res)
+        for k in itertools.product(*(s.net for s in spaces)):
+            assert c(*k) == point(f(*(p.scalar for p in k)))
+
+    def test_names_and_default_codomains_follow_a_given_name(self):
+        join = max_of(GRID, SPARSE, name="join")
+        assert (join.name, join.codomain.label) == ("join", "join(grid,eighths)")
+        assert affine(GRID, 1, 0, name="copy").name == "copy"
+        assert neg(GRID, name="not").codomain.label == "neg(grid)"
+        assert clamp01(hyper(make_finite([point(F(1, 3))]))).codomain.label == "K(finite(1p,1d))"
+
+    @pytest.mark.parametrize("case", STOCK, ids=list(STOCK))
+    def test_two_dimensional_space_rejected(self, case):
+        ctor, spaces, extra, name = STOCK[case][:4]
+        who = name if ctor in (max_of, min_of) else ctor.__name__
+        plane = product(GRID, SPARSE)
+        for i in range(len(spaces)):
+            args = spaces[:i] + (plane,) + spaces[i + 1:]
+            with pytest.raises(SpaceMismatch) as err:
+                ctor(*args, *extra)
+            assert str(err.value) == f"{who} needs a one-dimensional space, got grid*eighths"
+
+    @pytest.mark.parametrize("case, first_misfit", [
+        ("neg-grid", "1"), ("clamp01-grid", "1/4"), ("affine-grid", "3/4"), ("add", "1/4"),
+        ("bounded_add", "1/8"), ("truncated_sub", "1/4"), ("mul", "1/32"), ("max_of", "1/8"),
+        ("min_of", "1/8"),
+    ])
+    def test_explicit_codomain_must_hold_the_image(self, case, first_misfit):
+        ctor, spaces, extra, name = STOCK[case][:4]
+        who = name if ctor in (max_of, min_of) else ctor.__name__
+        zero = make_finite([point(0)], label="zero")
+        with pytest.raises(ValidationError) as err:
+            ctor(*spaces, *extra, codomain=zero)
+        assert str(err.value) == (
+            f"{who}: image point ({first_misfit}) is not within resolution of zero")
+
+    def test_sums_and_affine_maps_must_stay_in_unit_range(self):
+        with pytest.raises(ValidationError) as err:
+            add(GRID, SPARSE)
+        assert str(err.value) == "add leaves the unit interval (value 9/8)"
+        with pytest.raises(ValidationError) as err:
+            affine(GRID, 2, F(1, 8))
+        assert str(err.value) == "affine(2,1/8) on grid leaves the unit interval (value 9/8)"
+        with pytest.raises(ValidationError) as err:
+            affine(SPARSE, -1, F(1, 2))
+        assert str(err.value) == (
+            "affine(-1,1/2) on eighths leaves the unit interval (value -1/8)")
 
 
 class TestCompose:
