@@ -21,7 +21,6 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import EvalError, SpaceMismatch, ValidationError
@@ -124,7 +123,6 @@ class Connective:
         return f"Connective({self.name!r}: [{doms}] -> {self.codomain.label}, L={self.lipschitz})"
 
 
-@lru_cache(maxsize=1)
 def unit_interval() -> ValueSpace:
     """The default real codomain: a net of {0,1} whose resolution 1/2 covers [0,1]."""
     return make_interval(0, 1, 1, label="[0,1]")

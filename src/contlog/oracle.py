@@ -371,13 +371,12 @@ class CodingCheck:
 
 
 def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
-                  theta: Connective | None = None, tol: Rational = ZERO,
-                  assignment: Mapping[str, str] | None = None) -> CodingCheck:
+                  theta: Connective | None = None, tol: Rational = ZERO) -> CodingCheck:
     """Compare the coded formula against theta of the source value.
 
     Both sides are evaluated directly: the source formula in M, the coded
-    formula in the transported structure.  With no assignment given, every
-    assignment of the free variables is checked.
+    formula in the transported structure, under every assignment of the
+    free variables.
     """
     tol = frac(tol)
     space = phi.value_space
@@ -387,7 +386,7 @@ def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
     target = coded.codes(theta)
     budget = coded.budget_of(theta)
     N = transport_structure(ctx, M)
-    asgs = _assignments(M, phi.free_vars, assignment)
+    asgs = _assignments(M, phi.free_vars, None)
     worst, first = _compare(M, phi, theta, N, target, asgs, budget + tol)
     witness = None
     if first is not None:
@@ -439,8 +438,7 @@ def _single_free_var(body: Formula, var: str | None) -> str:
 
 def verify_quantifier_identity(M: Structure, body: Formula,
                                theta: Connective | None = None,
-                               var: str | None = None,
-                               assignment: Mapping[str, str] | None = None) -> IdentityCheck:
+                               var: str | None = None) -> IdentityCheck:
     """sup of theta over the set quantifier's value equals the direct sup.
 
     The left side collects the compact value set of `Q var. body` and takes
@@ -455,7 +453,7 @@ def verify_quantifier_identity(M: Structure, body: Formula,
         theta = identity(space)
     q = Quant(QuantKind.SET, var, body)
     witness = None
-    asgs = _assignments(M, body.free_vars - {var}, assignment)
+    asgs = _assignments(M, body.free_vars - {var}, None)
     for asg in asgs:
         kset = evaluate(M, q, asg).value
         lhs = max(theta(m).scalar for m in kset.members)
@@ -468,8 +466,8 @@ def verify_quantifier_identity(M: Structure, body: Formula,
     return IdentityCheck(witness is None, len(asgs), witness)
 
 
-def verify_primordial_bounds(M: Structure, body: Formula, var: str | None = None,
-                             assignment: Mapping[str, str] | None = None) -> IdentityCheck:
+def verify_primordial_bounds(M: Structure, body: Formula,
+                             var: str | None = None) -> IdentityCheck:
     """max/min member of the primordial value set equal the sup/inf values."""
     var = _single_free_var(body, var)
     space = body.value_space
@@ -477,7 +475,7 @@ def verify_primordial_bounds(M: Structure, body: Formula, var: str | None = None
         raise ValidationError("sup/inf comparison needs a real-valued body")
     q = Quant(QuantKind.SET, var, body)
     witness = None
-    asgs = _assignments(M, body.free_vars - {var}, assignment)
+    asgs = _assignments(M, body.free_vars - {var}, None)
     for asg in asgs:
         members = [m.scalar for m in evaluate(M, q, asg).value.members]
         sup_val = evaluate(M, Quant(QuantKind.SUP, var, body), asg).scalar
@@ -616,8 +614,7 @@ def pseudometric_violation(cfg: FuzzConfig, rng: random.Random,
 
 def verify_limit_declaration(M: Structure, formulas: Sequence[Formula],
                              rate: Callable[[int], Fraction], tol: Rational,
-                             true_limit: Fraction | None = None,
-                             assignment: Mapping[str, str] | None = None) -> IdentityCheck:
+                             true_limit: Fraction | None = None) -> IdentityCheck:
     """Spot-check a declared uniformly Cauchy sequence against brute force.
 
     Verifies the pairwise rate bound on the whole provided prefix, that the
@@ -625,8 +622,7 @@ def verify_limit_declaration(M: Structure, formulas: Sequence[Formula],
     known) that the truncation is within tolerance of it.
     """
     tol = frac(tol)
-    asg = dict(assignment or {})
-    vals = [evaluate(M, f, asg).scalar for f in formulas]
+    vals = [evaluate(M, f).scalar for f in formulas]
     witness = None
     for i, vi in enumerate(vals):
         for j in range(i + 1, len(vals)):
@@ -638,7 +634,7 @@ def verify_limit_declaration(M: Structure, formulas: Sequence[Formula],
     expected_index = next(n for n in range(len(formulas)) if frac(rate(n)) <= tol)
     if lim.index != expected_index and witness is None:
         witness = {"index": str(lim.index), "expected": str(expected_index)}
-    chosen = evaluate(M, lim, asg).scalar
+    chosen = evaluate(M, lim).scalar
     if chosen != vals[lim.index] and witness is None:
         witness = {"wrapped": str(chosen), "direct": str(vals[lim.index])}
     if true_limit is not None and abs(chosen - true_limit) > tol and witness is None:
@@ -810,11 +806,7 @@ def run_quotient_trials(cfg: FuzzConfig, *,
         for asg in _assignments(M, phi.free_vars, None):
             v1 = evaluate(M, phi, asg).value
             v2 = evaluate(Mq, phi, {k: rep[v] for k, v in asg.items()}).value
-            if isinstance(v1, CompactSet):
-                same = set(v1.members) == set(v2.members)
-            else:
-                same = v1 == v2
-            if not same and witness is None:
+            if v1 != v2 and witness is None:
                 witness = {"assignment": dict(asg), "value": str(v1),
                            "quotient_value": str(v2)}
         ok = witness is None and any(len(c) > 1 for c in classes)

@@ -14,19 +14,24 @@ Quantifier semantics over a finite universe:
     Q x. body       the set of body values, as a compact subset of the body
                     space (values are snapped to the space's net; the snap
                     distance is charged to the uncertainty bound)
+
+During evaluation every node yields a Point: a set value is the 0/1
+indicator point of its hyperspace (see `hyperspace`), so connectives act on
+it directly.  Only the result of `evaluate` is decoded into a `CompactSet`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Mapping, Sequence, Union
 
 from .connective import _steepest_pair
 from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
-from .hyperspace import CompactSet, HyperSpace, compact, decode_subset, encode_subset, hyper
+from .hyperspace import CompactSet, HyperSpace, decode_subset, encode_subset
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, membership,
                          nearest, point)
 
@@ -182,18 +187,6 @@ def _check_symbols(phi: Formula, sig: Signature, _seen: set[int] | None = None):
         _check_symbols(phi.body, sig, seen)
 
 
-def _as_point_value(space: ValueSpace, v: Value) -> Point:
-    if isinstance(v, CompactSet):
-        return encode_subset(space, v.members)
-    return v
-
-
-def _as_space_value(space: ValueSpace, p: Point) -> Value:
-    if isinstance(space, HyperSpace):
-        return decode_subset(space, p)
-    return p
-
-
 def evaluate(M: Structure, phi: Formula, assignment: Mapping[str, str] | None = None) -> EvalResult:
     """Evaluate a formula in a structure under an assignment of free variables."""
     asg = dict(assignment or {})
@@ -204,11 +197,11 @@ def evaluate(M: Structure, phi: Formula, assignment: Mapping[str, str] | None = 
         if e not in M.universe:
             raise EvalError(f"assignment sends {var} to {e!r}, not a universe element")
     _check_symbols(phi, M.signature)
-    phi.value_space  # force a full typecheck before evaluation starts
+    space = phi.value_space  # force a full typecheck before evaluation starts
 
-    memo: dict[tuple[int, tuple[tuple[str, str], ...]], Value] = {}
+    memo: dict[tuple[int, tuple[tuple[str, str], ...]], Point] = {}
 
-    def run(node: Formula, env: dict[str, str]) -> Value:
+    def run(node: Formula, env: dict[str, str]) -> Point:
         key = (id(node), tuple(sorted((v, env[v]) for v in node.free_vars)))
         hit = memo.get(key)
         if hit is not None:
@@ -217,41 +210,28 @@ def evaluate(M: Structure, phi: Formula, assignment: Mapping[str, str] | None = 
         memo[key] = out
         return out
 
-    def _run(node: Formula, env: dict[str, str]) -> Value:
+    def _run(node: Formula, env: dict[str, str]) -> Point:
         if isinstance(node, Atomic):
-            t = tuple(env[a] for a in node.args)
-            return _as_space_value(node.space, M.interp[node.symbol][t])
+            return M.interp[node.symbol][tuple(env[a] for a in node.args)]
         if isinstance(node, Apply):
-            args = [
-                _as_point_value(child.value_space, run(child, env))
-                for child in node.children
-            ]
-            out = node.conn(*args)
-            return _as_space_value(node.conn.codomain, out)
+            return node.conn(*[run(child, env) for child in node.children])
         if isinstance(node, CauchyLimit):
             return run(node.body, env)
         if isinstance(node, Quant):
-            space = node.body.value_space
-            results = []
-            for e in M.universe:
-                env2 = dict(env)
-                env2[node.var] = e
-                results.append(run(node.body, env2))
+            results = [run(node.body, {**env, node.var: e}) for e in M.universe]
             if node.kind is QuantKind.SUP:
                 return max(results, key=lambda p: p.scalar)
             if node.kind is QuantKind.INF:
                 return min(results, key=lambda p: p.scalar)
-            # Q: collect the value set, snapped onto the body space's net
-            snapped = []
-            for v in results:
-                p = _as_point_value(space, v)
-                q, _ = nearest(space, p)
-                snapped.append(q)
-            return compact(space, *snapped)
+            # Q: the indicator of the body values, snapped onto the body space's net
+            base = node.body.value_space
+            return encode_subset(node.value_space, [nearest(base, p)[0] for p in results])
         raise EvalError(f"unknown formula node {type(node).__name__}")
 
     value = run(phi, asg)
-    return EvalResult(value, eval_error_bound(phi), phi.value_space)
+    if isinstance(space, HyperSpace):
+        value = decode_subset(space, value)
+    return EvalResult(value, eval_error_bound(phi), space)
 
 
 # ---------------------------------------------------------------------------
@@ -278,58 +258,23 @@ def check_pseudometric(M: Structure, tol: Rational = 0) -> CheckReport:
     dtab = M.interp[sig.distance_symbol]
     d = lambda a, b: dtab[(a, b)].scalar  # noqa: E731
     U = M.universe
-    failures = []
-
-    for a in U:
-        if d(a, a) > tol:
-            failures.append(f"reflexivity: d({a},{a}) = {d(a, a)}")
-            break
-    for a in U:
-        hit = next((b for b in U if abs(d(a, b) - d(b, a)) > tol), None)
-        if hit is not None:
-            failures.append(
-                f"symmetry: d({a},{hit}) = {d(a, hit)} but d({hit},{a}) = {d(hit, a)}"
-            )
-            break
-    done = False
-    for a in U:
-        for b in U:
-            for c in U:
-                if d(a, c) > d(a, b) + d(b, c) + tol:
-                    failures.append(
-                        f"triangle: d({a},{c}) = {d(a, c)} > "
-                        f"d({a},{b}) + d({b},{c}) = {d(a, b) + d(b, c)}"
-                    )
-                    done = True
-                    break
-            if done:
-                break
-        if done:
-            break
-
+    found = [
+        next((f"reflexivity: d({a},{a}) = {d(a, a)}" for a in U if d(a, a) > tol), None),
+        next((f"symmetry: d({a},{b}) = {d(a, b)} but d({b},{a}) = {d(b, a)}"
+              for a, b in product(U, U) if abs(d(a, b) - d(b, a)) > tol), None),
+        next((f"triangle: d({a},{c}) = {d(a, c)} > d({a},{b}) + d({b},{c}) = {d(a, b) + d(b, c)}"
+              for a, b, c in product(U, U, U) if d(a, c) > d(a, b) + d(b, c) + tol), None),
+    ]
     for rel in sig.relations:
         if rel.name == sig.distance_symbol:
             continue
-        L = sig.modulus(rel.name)
-        tuples = M._tuples(rel.arity)
-        found = None
-        for s in tuples:
-            for t in tuples:
-                gap = rel.space.metric(M.interp[rel.name][s], M.interp[rel.name][t])
-                move = max(d(x, y) for x, y in zip(s, t))
-                if gap > L * move + tol:
-                    found = (s, t, gap, move)
-                    break
-            if found:
-                break
-        if found:
-            s, t, gap, move = found
-            failures.append(
-                f"modulus: |{rel.name}{s} - {rel.name}{t}| = {gap} > "
-                f"{L} * {move}"
-            )
-
-    return CheckReport(not failures, tuple(failures))
+        L, table, tuples = sig.modulus(rel.name), M.interp[rel.name], M._tuples(rel.arity)
+        pairs = ((s, t, rel.space.metric(table[s], table[t]), max(map(d, s, t)))
+                 for s, t in product(tuples, tuples))
+        found.append(next((f"modulus: |{rel.name}{s} - {rel.name}{t}| = {gap} > {L} * {move}"
+                           for s, t, gap, move in pairs if gap > L * move + tol), None))
+    failures = tuple(f for f in found if f is not None)
+    return CheckReport(not failures, failures)
 
 
 def zero_distance_classes(M: Structure) -> tuple[tuple[str, ...], ...]:
@@ -482,45 +427,26 @@ def check_function_axioms(M: Structure, symbol: str, lipschitz: Rational | None 
         raise ValidationError(f"{symbol} cannot be a function graph (needs arity >= 2, real values)")
     tol = frac(tol)
     L = frac(lipschitz) if lipschitz is not None else sig.modulus(symbol)
-    P = M.interp[symbol]
-    k = rel.arity - 1
-    failures = []
-
-    for xs in M._tuples(k):
-        low = min(P[xs + (y,)].scalar for y in M.universe)
-        if low > tol:
-            failures.append(f"totality: min_y {symbol}{xs + ('y',)} = {low} > 0")
-            break
-    found = None
-    for xs in M._tuples(k):
-        for y1 in M.universe:
-            for y2 in M.universe:
-                gap = abs(P[xs + (y1,)].scalar - P[xs + (y2,)].scalar)
-                if gap > M.distance(y1, y2) + tol:
-                    found = f"output slot: |{symbol}{xs + (y1,)} - {symbol}{xs + (y2,)}| = {gap} > d({y1},{y2}) = {M.distance(y1, y2)}"
-                    break
-            if found:
-                break
-        if found:
-            break
-    if found:
-        failures.append(found)
-    found = None
-    for xs1 in M._tuples(k):
-        for xs2 in M._tuples(k):
-            move = max(M.distance(a, b) for a, b in zip(xs1, xs2))
-            for y in M.universe:
-                gap = abs(P[xs1 + (y,)].scalar - P[xs2 + (y,)].scalar)
-                if gap > L * move + tol:
-                    found = f"input slots: |{symbol}{xs1 + (y,)} - {symbol}{xs2 + (y,)}| = {gap} > {L} * {move}"
-                    break
-            if found:
-                break
-        if found:
-            break
-    if found:
-        failures.append(found)
-    return CheckReport(not failures, tuple(failures))
+    P = lambda xs, y: M.interp[symbol][xs + (y,)].scalar  # noqa: E731
+    d, U, rows = M.distance, M.universe, M._tuples(rel.arity - 1)
+    lows = ((xs, min(P(xs, y) for y in U)) for xs in rows)
+    output_gaps = ((xs, y1, y2, abs(P(xs, y1) - P(xs, y2)))
+                   for xs, y1, y2 in product(rows, U, U))
+    moves = ((xs1, xs2, max(map(d, xs1, xs2))) for xs1, xs2 in product(rows, rows))
+    input_gaps = ((xs1, xs2, y, abs(P(xs1, y) - P(xs2, y)), move)
+                  for xs1, xs2, move in moves for y in U)
+    found = [
+        next((f"totality: min_y {symbol}{xs + ('y',)} = {low} > 0"
+              for xs, low in lows if low > tol), None),
+        next((f"output slot: |{symbol}{xs + (y1,)} - {symbol}{xs + (y2,)}| = {gap} "
+              f"> d({y1},{y2}) = {d(y1, y2)}"
+              for xs, y1, y2, gap in output_gaps if gap > d(y1, y2) + tol), None),
+        next((f"input slots: |{symbol}{xs1 + (y,)} - {symbol}{xs2 + (y,)}| = {gap} "
+              f"> {L} * {move}"
+              for xs1, xs2, y, gap, move in input_gaps if gap > L * move + tol), None),
+    ]
+    failures = tuple(f for f in found if f is not None)
+    return CheckReport(not failures, failures)
 
 
 def decode_function(M: Structure, symbol: str) -> dict[ElementTuple, str]:
@@ -587,7 +513,7 @@ def check_condition(M: Structure, phi: Formula, target, tol: Rational = 0,
     result = evaluate(M, phi, assignment)
     space = result.space
     members = _target_points(space, target)
-    vp = _as_point_value(space, result.value)
+    vp = _as_value(space, result.value)
     dist = min(space.metric(vp, m) for m in members)
     tol = frac(tol)
     return ConditionReport(dist <= result.error_bound + tol, result.value, dist, result.error_bound)

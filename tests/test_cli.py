@@ -1,6 +1,7 @@
 import hashlib
 import json
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -387,6 +388,12 @@ class TestUnexpectedErrors:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_recursion_error_has_its_own_message(self, capsys):
+        mood = Path(__file__).resolve().parents[1] / "demos" / "data" / "mood.json"
+        code, out, err = run(capsys, "eval", "--structure", str(mood),
+                             "--formula", "sup x. " * 1500 + "P(x)")
+        assert (code, out, err) == (2, "", "error: input is nested too deeply to process\n")
 
     def test_non_contlog_exception_exits_2(self, files, capsys, monkeypatch):
         import contlog.cli

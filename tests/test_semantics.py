@@ -4,7 +4,7 @@ import pytest
 
 from contlog.connective import identity, min_of, neg
 from contlog.errors import EvalError, ValidationError
-from contlog.hyperspace import sup_theta
+from contlog.hyperspace import hyper, inf_theta, lift, sup_theta
 from contlog.formula import (
     Apply,
     Atomic,
@@ -45,6 +45,14 @@ def metric_structure(values=(0, F(1, 2), F(1, 2))):
     d_tab = {(x, y): abs(placement[x] - placement[y]) for x in names for y in names}
     r_tab = {x: placement[x] for x in names}
     return structure(sig, names, {"d": d_tab, "R": r_tab})
+
+
+def mutated(N, name, changes):
+    """N with some entries of one relation's table replaced."""
+    tables = {n: dict(t) for n, t in N.interp.items()}
+    for key, value in changes.items():
+        tables[name][key] = point(value)
+    return structure(N.signature, list(N.universe), tables)
 
 
 class TestStructure:
@@ -119,6 +127,82 @@ class TestEvaluate:
         assert evaluate(M, lim).scalar == F(3, 4)
 
 
+G3 = make_interval(0, 1, F(1, 2), label="G3")
+SET_SIG = signature([Relation("P", 1, G3), Relation("S", 1, hyper(G3))])
+SET_M = structure(SET_SIG, ["a", "b", "c"], {
+    "P": {"a": 0, "b": F(1, 2), "c": F(1, 2)},
+    "S": {"a": compact(G3, point(0), point(1)),
+          "b": compact(G3, point(F(1, 2))),
+          "c": compact(G3, point(0), point(F(1, 2)), point(1))},
+})
+S_X = atom(SET_SIG, "S", "x")
+NEG_S_X = Apply(lift(neg(G3)), (S_X,))
+Q_S = Quant(QuantKind.SET, "x", S_X)
+Q_Q_P = Quant(QuantKind.SET, "y", parse("Q x. P(x)", SET_SIG))
+
+
+class TestSetValues:
+    """Set values inside formulas: hyperspace-valued symbols, lifted
+    connectives, Q over set-valued bodies and nested Q."""
+
+    @pytest.mark.parametrize("phi, asg, members, label, bound", [
+        (S_X, {"x": "a"}, ((0,), (1,)), "K(G3)", F(1, 4)),
+        (NEG_S_X, {"x": "c"}, ((0,), (F(1, 2),), (1,)), "K(neg(G3))", F(1, 2)),
+        (NEG_S_X, {"x": "b"}, ((F(1, 2),),), "K(neg(G3))", F(1, 2)),
+        (Q_S, None, ((0, 1, 0), (1, 0, 1), (1, 1, 1)), "K(K(G3))", F(1, 2)),
+        (Q_Q_P, None, ((1, 1, 0),), "K(K(G3))", F(3, 4)),
+    ])
+    def test_set_results(self, phi, asg, members, label, bound):
+        res = evaluate(SET_M, phi, asg)
+        assert isinstance(res.value, CompactSet)
+        assert res.value.members == tuple(point(*m) for m in members)
+        assert res.value.space == res.space.base
+        assert (res.space.label, res.error_bound) == (label, bound)
+
+    @pytest.mark.parametrize("phi, asg, value, bound", [
+        (Apply(sup_theta(identity(G3)), (S_X,)), {"x": "a"}, 1, F(1, 2)),
+        (Apply(inf_theta(identity(G3)), (S_X,)), {"x": "c"}, 0, F(1, 2)),
+        (Apply(inf_theta(identity(G3)), (NEG_S_X,)), {"x": "b"}, F(1, 2), F(3, 4)),
+        (Apply(sup_theta(inf_theta(identity(G3))), (Q_S,)), None, F(1, 2), F(3, 4)),
+        (Apply(inf_theta(sup_theta(identity(G3))), (Q_Q_P,)), None, F(1, 2), 1),
+    ])
+    def test_extrema_on_top(self, phi, asg, value, bound):
+        res = evaluate(SET_M, phi, asg)
+        assert (res.value, res.space, res.error_bound) == (point(value), G3, bound)
+
+    def test_condition_on_a_set_with_an_assignment(self):
+        hit = check_condition(SET_M, S_X, compact(G3, point(0), point(1)),
+                              assignment={"x": "a"})
+        assert hit.ok and hit.distance == 0 and hit.error_bound == F(1, 4)
+        assert hit.value == compact(G3, point(0), point(1))
+        miss = check_condition(SET_M, S_X, compact(G3, point(0)), assignment={"x": "a"})
+        assert not miss.ok and miss.distance == 1
+
+    def test_condition_on_a_set_of_sets(self):
+        want = compact(hyper(G3), point(1, 0, 1), point(0, 1, 0), point(1, 1, 1))
+        report = check_condition(SET_M, Q_S, want)
+        assert report.ok and report.distance == 0 and report.error_bound == F(1, 2)
+        assert report.value == want
+
+
+class TestCheckSymbols:
+    def test_unknown_symbol(self):
+        other = signature([Relation("T", 1, G)])
+        with pytest.raises(EvalError, match="^structure does not interpret 'T'$"):
+            evaluate(M, atom(other, "T", "x"), {"x": "a"})
+
+    def test_arity_mismatch(self):
+        other = signature([Relation("P", 2, G)])
+        with pytest.raises(EvalError, match="^P arity mismatch$"):
+            evaluate(M, atom(other, "P", "x", "y"), {"x": "a", "y": "b"})
+
+    def test_space_mismatch(self):
+        other = signature([Relation("P", 1, G3)])
+        with pytest.raises(EvalError, match=r"^P is valued in G in the structure "
+                                            r"but G3 in the formula$"):
+            evaluate(M, parse("sup x. P(x)", other))
+
+
 class TestErrorBound:
     def test_atomic_bound_is_resolution(self):
         assert eval_error_bound(atom(SIG, "P", "x")) == F(1, 8)
@@ -184,6 +268,23 @@ class TestPseudometric:
         broken = structure(N.signature, list(N.universe), tables)
         assert any(f.startswith("modulus")
                    for f in check_pseudometric(broken).failures)
+
+
+    @pytest.mark.parametrize("values, name, changes, failures", [
+        ((0, F(1, 2), F(1, 2)), "d", {("a", "a"): F(1, 4)},
+         ("reflexivity: d(a,a) = 1/4",)),
+        ((0, F(1, 2), F(1, 2)), "d", {("a", "b"): F(1, 4)},
+         ("symmetry: d(a,b) = 1/4 but d(b,a) = 1/2",
+          "triangle: d(a,c) = 1/2 > d(a,b) + d(b,c) = 1/4",
+          "modulus: |R('a',) - R('b',)| = 1/2 > 1 * 1/4")),
+        ((0, F(1, 8), F(1, 4)), "d", {("a", "c"): 1, ("c", "a"): 1},
+         ("triangle: d(a,c) = 1 > d(a,b) + d(b,c) = 1/4",)),
+        ((0, F(1, 2), F(1, 2)), "R", {("b",): 0, ("c",): 1},
+         ("modulus: |R('a',) - R('c',)| = 1 > 1 * 1/2",)),
+    ])
+    def test_first_counterexample_texts(self, values, name, changes, failures):
+        report = check_pseudometric(mutated(metric_structure(values), name, changes))
+        assert report.failures == failures
 
     def test_tolerance_forgives(self):
         N = metric_structure()
@@ -259,6 +360,26 @@ class TestFunctions:
             encode_function(N, "R", {"a": "a", "b": "b", "c": "c"})
         with pytest.raises(ValidationError, match="distance"):
             encode_function(M, "f", {"a": "a", "b": "b"})
+
+
+    @pytest.mark.parametrize("changes, lipschitz, failures", [
+        ({}, None, ()),
+        ({}, F(1, 2), ("input slots: |f('a', 'a') - f('b', 'a')| = 1/2 > 1/2 * 1/2",)),
+        ({("a", "b"): F(1, 2)}, None, ("totality: min_y f('a', 'y') = 1/2 > 0",)),
+        ({("a", "a"): 1}, None,
+         ("output slot: |f('a', 'a') - f('a', 'b')| = 1 > d(a,b) = 1/2",)),
+        ({("c", "b"): 1}, None,
+         ("output slot: |f('c', 'b') - f('c', 'c')| = 1 > d(b,c) = 1/2",)),
+        ({("b", "a"): F(1, 8), ("b", "b"): 1, ("b", "c"): F(1, 8)}, F(1, 2),
+         ("totality: min_y f('b', 'y') = 1/8 > 0",
+          "output slot: |f('b', 'a') - f('b', 'b')| = 7/8 > d(a,b) = 1/2",
+          "input slots: |f('a', 'a') - f('b', 'a')| = 3/8 > 1/2 * 1/2")),
+    ])
+    def test_law_failure_texts(self, changes, lipschitz, failures):
+        N = encode_function(metric_structure((0, F(1, 2), 1)), "f",
+                            {"a": "b", "b": "c", "c": "c"})
+        report = check_function_axioms(mutated(N, "f", changes), "f", lipschitz)
+        assert report.failures == failures and report.ok == (not failures)
 
     def test_axioms_detect_non_function(self):
         N = metric_structure((0, F(1, 2), 1))
