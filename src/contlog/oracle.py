@@ -1,11 +1,13 @@
 """Brute-force ground truth and a randomized property harness.
 
-Everything here is recomputed by direct enumeration — quantifiers as loops
-over the universe, set values as explicit member lists, budgets compared
-against exhaustively evaluated differences — sharing nothing with the
-translation pipeline except `evaluate` itself.  The generators produce
-well-typed formulas and structures by construction; all randomness flows
-from explicit seeds, so every trial is reproducible from its record.
+Everything here is recomputed by direct enumeration — the identities'
+direct sides as loops over the universe, set values as explicit member
+lists, budgets compared against exhaustively evaluated differences — sharing
+nothing with the translation pipeline except the evaluator itself.  Each
+check tabulates every formula it compares once (`tabulate`) and reads one
+row per assignment.  The generators produce well-typed formulas and
+structures by construction; all randomness flows from explicit seeds, so
+every trial is reproducible from its record.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from .connective import (Connective, affine, clamp01, identity, max_of,
 from .errors import EvalError, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
-from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset, hyper,
-                         inf_theta, sup_theta)
-from .semantics import (Structure, check_pseudometric, evaluate,
-                        eval_error_bound, quotient, structure,
+from .hyperspace import (MAX_BASE_POINTS, CompactSet, decode_subset,
+                         encode_subset, hyper, inf_theta, sup_theta)
+from .semantics import (Structure, _decoded, check_pseudometric, evaluate,
+                        eval_error_bound, quotient, structure, tabulate,
                         zero_distance_classes)
 from .translate import TranslationContext, code_formula, t0_violations, \
     decode_structure, transport_structure
@@ -374,9 +376,9 @@ def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
                   theta: Connective | None = None, tol: Rational = ZERO) -> CodingCheck:
     """Compare the coded formula against theta of the source value.
 
-    Both sides are evaluated directly: the source formula in M, the coded
-    formula in the transported structure, under every assignment of the
-    free variables.
+    Both sides are tabulated directly, once each: the source formula in M,
+    the coded formula in the transported structure; every assignment of the
+    free variables reads one row of each table.
     """
     tol = frac(tol)
     space = phi.value_space
@@ -405,12 +407,13 @@ def _compare(M: Structure, phi: Formula, theta: Connective | None, N: Structure,
              coded: Formula, asgs: Sequence[Mapping[str, str]], limit: Fraction):
     """The largest |coded in N - theta(phi in M)| over the assignments, and
     the first (assignment, coded, source, difference) beyond limit or None."""
-    space = phi.value_space
+    [source] = tabulate(M, [phi])
+    [target] = tabulate(N, [coded])
     worst, first = ZERO, None
     for asg in asgs:
-        p = _as_point(space, evaluate(M, phi, asg).value)
+        p = source.at(asg)
         rhs = theta(p).scalar if theta is not None else p.scalar
-        lhs = evaluate(N, coded, asg).scalar
+        lhs = target.at(asg).scalar
         diff = abs(lhs - rhs)
         worst = max(worst, diff)
         if diff > limit and first is None:
@@ -441,9 +444,10 @@ def verify_quantifier_identity(M: Structure, body: Formula,
                                var: str | None = None) -> IdentityCheck:
     """sup of theta over the set quantifier's value equals the direct sup.
 
-    The left side collects the compact value set of `Q var. body` and takes
-    the maximum of theta over its members; the right side maximizes theta of
-    the body value over universe elements directly.  Exact equality.
+    One pass tabulates `Q var. body` and the body together.  Per assignment,
+    the left side takes the maximum of theta over the members of the set
+    row; the right side maximizes theta over the body rows along the `var`
+    axis.  Exact equality.
     """
     var = _single_free_var(body, var)
     space = body.value_space
@@ -452,15 +456,12 @@ def verify_quantifier_identity(M: Structure, body: Formula,
             raise ValidationError("a non-real body needs an explicit observable")
         theta = identity(space)
     q = Quant(QuantKind.SET, var, body)
+    sets, values = tabulate(M, [q, body])
     witness = None
     asgs = _assignments(M, body.free_vars - {var}, None)
     for asg in asgs:
-        kset = evaluate(M, q, asg).value
-        lhs = max(theta(m).scalar for m in kset.members)
-        rhs = max(
-            theta(_as_point(space, evaluate(M, body, {**asg, var: a}).value)).scalar
-            for a in M.universe
-        )
+        lhs = max(theta(m).scalar for m in decode_subset(q.value_space, sets.at(asg)).members)
+        rhs = max(theta(values.at({**asg, var: a})).scalar for a in M.universe)
         if lhs != rhs and witness is None:
             witness = {"assignment": dict(asg), "via_set": str(lhs), "direct": str(rhs)}
     return IdentityCheck(witness is None, len(asgs), witness)
@@ -468,18 +469,24 @@ def verify_quantifier_identity(M: Structure, body: Formula,
 
 def verify_primordial_bounds(M: Structure, body: Formula,
                              var: str | None = None) -> IdentityCheck:
-    """max/min member of the primordial value set equal the sup/inf values."""
+    """max/min member of the primordial value set equal the sup/inf values.
+
+    One pass tabulates `Q var. body`, `sup var. body` and `inf var. body`,
+    three reductions of the one body table; each assignment reads a row of
+    each.
+    """
     var = _single_free_var(body, var)
     space = body.value_space
     if space.dimension != 1 or not space.standard_metric:
         raise ValidationError("sup/inf comparison needs a real-valued body")
     q = Quant(QuantKind.SET, var, body)
+    sets, sups, infs = tabulate(M, [q, Quant(QuantKind.SUP, var, body),
+                                    Quant(QuantKind.INF, var, body)])
     witness = None
     asgs = _assignments(M, body.free_vars - {var}, None)
     for asg in asgs:
-        members = [m.scalar for m in evaluate(M, q, asg).value.members]
-        sup_val = evaluate(M, Quant(QuantKind.SUP, var, body), asg).scalar
-        inf_val = evaluate(M, Quant(QuantKind.INF, var, body), asg).scalar
+        members = [m.scalar for m in decode_subset(q.value_space, sets.at(asg)).members]
+        sup_val, inf_val = sups.at(asg).scalar, infs.at(asg).scalar
         if (max(members) != sup_val or min(members) != inf_val) and witness is None:
             witness = {
                 "assignment": dict(asg),
@@ -802,13 +809,16 @@ def run_quotient_trials(cfg: FuzzConfig, *,
         rep = {e: cls[0] for cls in classes for e in cls}
         Mq = quotient(M)
         phi = random_formula(cfg, M.signature, rng, set_cap=MAX_BASE_POINTS)
+        [before] = tabulate(M, [phi])
+        [after] = tabulate(Mq, [phi])
         witness = None
         for asg in _assignments(M, phi.free_vars, None):
-            v1 = evaluate(M, phi, asg).value
-            v2 = evaluate(Mq, phi, {k: rep[v] for k, v in asg.items()}).value
+            v1 = before.at(asg)
+            v2 = after.at({k: rep[v] for k, v in asg.items()})
             if v1 != v2 and witness is None:
-                witness = {"assignment": dict(asg), "value": str(v1),
-                           "quotient_value": str(v2)}
+                space = phi.value_space
+                witness = {"assignment": dict(asg), "value": str(_decoded(space, v1)),
+                           "quotient_value": str(_decoded(space, v2))}
         ok = witness is None and any(len(c) > 1 for c in classes)
         if witness is None and ok is False:
             witness = {"classes": str(classes)}
@@ -861,11 +871,12 @@ def run_refinement_trials(cfg: FuzzConfig, *,
         M_f = Structure(fine_sig, universe, interp_f)
 
         bound = eval_error_bound(phi_c)
+        [coarse] = tabulate(M_c, [phi_c])
+        [fine] = tabulate(M_f, [phi_f])
         witness = None
         worst = ZERO
         for asg in _assignments(M_c, phi_c.free_vars, None):
-            drift = abs(evaluate(M_c, phi_c, asg).scalar
-                        - evaluate(M_f, phi_f, asg).scalar)
+            drift = abs(coarse.at(asg).scalar - fine.at(asg).scalar)
             worst = max(worst, drift)
             if drift > bound and witness is None:
                 witness = {"assignment": dict(asg), "drift": str(drift),

@@ -7,21 +7,25 @@ bound*: how far the computed value could drift from the value over any
 refinement of the participating nets.  On spaces whose nets have resolution
 zero the bound is zero and evaluation is exact in the strict sense.
 
-Quantifier semantics over a finite universe:
+Evaluation is one bottom-up pass over the formula DAG (`tabulate`).  Each
+node gets a table over its free variables, with a row per tuple of
+elements; a row's value is a Point, a set value being the 0/1 indicator
+point of its hyperspace (see `hyperspace`), so connectives act on it
+directly.  A quantifier reduces its body's table along one axis:
 
-    sup x. body     max over elements
-    inf x. body     min over elements
-    Q x. body       the set of body values, as a compact subset of the body
-                    space (values are snapped to the space's net; the snap
-                    distance is charged to the uncertainty bound)
+    sup x. body     max over the x axis
+    inf x. body     min over the x axis
+    Q x. body       the set of body values along the x axis, as a compact
+                    subset of the body space (values are snapped to the
+                    space's net; the snap distance is charged to the
+                    uncertainty bound)
 
-During evaluation every node yields a Point: a set value is the 0/1
-indicator point of its hyperspace (see `hyperspace`), so connectives act on
-it directly.  Only the result of `evaluate` is decoded into a `CompactSet`.
+`evaluate` looks one row up and decodes a set value into a `CompactSet`.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -163,75 +167,176 @@ def eval_error_bound(phi: Formula) -> Fraction:
     return phi.error_bound
 
 
-def _check_symbols(phi: Formula, sig: Signature, _seen: set[int] | None = None):
-    # Translated formulas share subtrees heavily; walk each node once.
-    seen = set() if _seen is None else _seen
-    if id(phi) in seen:
-        return
-    seen.add(id(phi))
-    if isinstance(phi, Atomic):
-        rel = sig.by_name.get(phi.symbol)
-        if rel is None:
-            raise EvalError(f"structure does not interpret {phi.symbol!r}")
-        if rel.arity != len(phi.args):
-            raise EvalError(f"{phi.symbol} arity mismatch")
-        if rel.space != phi.space:
-            raise EvalError(
-                f"{phi.symbol} is valued in {rel.space.label} in the structure "
-                f"but {phi.space.label} in the formula"
-            )
-    elif isinstance(phi, Apply):
-        for c in phi.children:
-            _check_symbols(c, sig, seen)
-    elif isinstance(phi, (Quant, CauchyLimit)):
-        _check_symbols(phi.body, sig, seen)
+@dataclass(frozen=True, eq=False)
+class Table:
+    """A formula's values under every assignment of its free variables.
+
+    `vars` are the free variables in sorted order and each row is keyed by
+    the elements they take, in that order.  A set value is its indicator
+    point.
+    """
+
+    vars: tuple[str, ...]
+    rows: dict[ElementTuple, Point]
+
+    def at(self, assignment: Mapping[str, str]) -> Point:
+        return self.rows[tuple(assignment[v] for v in self.vars)]
 
 
-def evaluate(M: Structure, phi: Formula, assignment: Mapping[str, str] | None = None) -> EvalResult:
-    """Evaluate a formula in a structure under an assignment of free variables."""
-    asg = dict(assignment or {})
-    missing = phi.free_vars - set(asg)
-    if missing:
-        raise EvalError(f"unassigned free variables: {sorted(missing)}")
+def _children(node: Formula) -> tuple[Formula, ...]:
+    if isinstance(node, Apply):
+        return node.children
+    if isinstance(node, (Quant, CauchyLimit)):
+        return (node.body,)
+    if isinstance(node, Atomic):
+        return ()
+    raise EvalError(f"unknown formula node {type(node).__name__}")
+
+
+def _check_symbol(node: Atomic, sig: Signature):
+    rel = sig.by_name.get(node.symbol)
+    if rel is None:
+        raise EvalError(f"structure does not interpret {node.symbol!r}")
+    if rel.arity != len(node.args):
+        raise EvalError(f"{node.symbol} arity mismatch")
+    if rel.space != node.space:
+        raise EvalError(
+            f"{node.symbol} is valued in {rel.space.label} in the structure "
+            f"but {node.space.label} in the formula"
+        )
+
+
+def _postorder(roots: Sequence[Formula], sig: Signature) -> list[Formula]:
+    """Every node under the roots once, children first, without recursion.
+
+    Visiting a node checks its symbol against the signature and fills its
+    cached value space, free variables and error bound from its children's,
+    so none of those recurse either.
+    """
+    order: list[Formula] = []
+    seen: set[int] = set()
+    stack = [(root, False) for root in roots]
+    while stack:
+        node, ready = stack.pop()
+        if ready:
+            if isinstance(node, Atomic):
+                _check_symbol(node, sig)
+            node.value_space, node.free_vars, node.error_bound
+            order.append(node)
+        elif id(node) not in seen:
+            seen.add(id(node))
+            stack.append((node, True))
+            stack.extend((child, False) for child in _children(node))
+    return order
+
+
+def _picker(src: tuple[str, ...], dst: Sequence[str]):
+    """The map from a row over the variables `src` to its entries at `dst`."""
+    if tuple(dst) == src:
+        return lambda row: row
+    idx = [src.index(v) for v in dst]
+    return lambda row: tuple([row[i] for i in idx])
+
+
+def _reduce(node: Quant, body: Table, variables: tuple[str, ...]) -> Table:
+    """Reduce the body's table along the quantified variable's axis."""
+    if node.var not in body.vars:
+        if node.kind is not QuantKind.SET:
+            return body
+        groups = {key: [p] for key, p in body.rows.items()}
+    else:
+        i = body.vars.index(node.var)
+        groups = {}
+        for key, p in body.rows.items():
+            groups.setdefault(key[:i] + key[i + 1:], []).append(p)
+    if node.kind is QuantKind.SUP:
+        return Table(variables, {k: max(ps, key=lambda p: p.scalar) for k, ps in groups.items()})
+    if node.kind is QuantKind.INF:
+        return Table(variables, {k: min(ps, key=lambda p: p.scalar) for k, ps in groups.items()})
+    # Q: the indicator of the body values, each distinct one snapped once
+    # onto the body space's net
+    base, space, snapped = node.body.value_space, node.value_space, {}
+    for ps in groups.values():
+        for p in ps:
+            if p not in snapped:
+                snapped[p] = nearest(base, p)[0]
+    return Table(variables, {k: encode_subset(space, [snapped[p] for p in ps])
+                             for k, ps in groups.items()})
+
+
+def tabulate(M: Structure, roots: Sequence[Formula],
+             assignment: Mapping[str, str] | None = None) -> list[Table]:
+    """The tables of several formulas, from one bottom-up pass over their DAG.
+
+    Nodes shared between the roots are tabulated once.  An atomic table
+    reads its rows from the structure, a connective's projects each row onto
+    its children's tables, and a quantifier reduces its body's table along
+    one axis.  A variable the assignment fixes is a one-row axis, unless
+    some quantifier in the formulas rebinds it; every other variable ranges
+    over the universe.  Intermediate tables are dropped once every parent
+    has read them.
+    """
+    return _tables(M, roots, _postorder(roots, M.signature), dict(assignment or {}))
+
+
+def _tables(M: Structure, roots: Sequence[Formula], order: list[Formula],
+            asg: dict[str, str]) -> list[Table]:
     for var, e in asg.items():
         if e not in M.universe:
             raise EvalError(f"assignment sends {var} to {e!r}, not a universe element")
-    _check_symbols(phi, M.signature)
-    space = phi.value_space  # force a full typecheck before evaluation starts
-
-    memo: dict[tuple[int, tuple[tuple[str, str], ...]], Point] = {}
-
-    def run(node: Formula, env: dict[str, str]) -> Point:
-        key = (id(node), tuple(sorted((v, env[v]) for v in node.free_vars)))
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        out = _run(node, env)
-        memo[key] = out
-        return out
-
-    def _run(node: Formula, env: dict[str, str]) -> Point:
-        if isinstance(node, Atomic):
-            return M.interp[node.symbol][tuple(env[a] for a in node.args)]
-        if isinstance(node, Apply):
-            return node.conn(*[run(child, env) for child in node.children])
+    rebound = {node.var for node in order if isinstance(node, Quant)}
+    domains = {v: (e,) for v, e in asg.items() if v not in rebound}
+    keep = {id(root) for root in roots}
+    readers = Counter(id(child) for node in order for child in _children(node))
+    tables: dict[int, Table] = {}
+    for node in order:
+        kids = [tables[id(child)] for child in _children(node)]
+        variables = tuple(sorted(node.free_vars))
         if isinstance(node, CauchyLimit):
-            return run(node.body, env)
-        if isinstance(node, Quant):
-            results = [run(node.body, {**env, node.var: e}) for e in M.universe]
-            if node.kind is QuantKind.SUP:
-                return max(results, key=lambda p: p.scalar)
-            if node.kind is QuantKind.INF:
-                return min(results, key=lambda p: p.scalar)
-            # Q: the indicator of the body values, snapped onto the body space's net
-            base = node.body.value_space
-            return encode_subset(node.value_space, [nearest(base, p)[0] for p in results])
-        raise EvalError(f"unknown formula node {type(node).__name__}")
+            table = kids[0]
+        elif isinstance(node, Quant):
+            table = _reduce(node, kids[0], variables)
+        else:
+            rows = product(*(domains.get(v, M.universe) for v in variables))
+            if isinstance(node, Atomic):
+                col, pick = M.interp[node.symbol], _picker(variables, node.args)
+                table = Table(variables, {r: col[pick(r)] for r in rows})
+            else:
+                conn = node.conn
+                picks = [(k.rows, _picker(variables, k.vars)) for k in kids]
+                table = Table(variables, {r: conn(*[t[pick(r)] for t, pick in picks])
+                                          for r in rows})
+        tables[id(node)] = table
+        for child in _children(node):
+            readers[id(child)] -= 1
+            if not readers[id(child)] and id(child) not in keep:
+                del tables[id(child)]
+    return [tables[id(root)] for root in roots]
 
-    value = run(phi, asg)
-    if isinstance(space, HyperSpace):
-        value = decode_subset(space, value)
-    return EvalResult(value, eval_error_bound(phi), space)
+
+def _point(M: Structure, phi: Formula, assignment: Mapping[str, str] | None) -> Point:
+    """phi's value, as a point, under a total assignment of its free variables."""
+    asg = dict(assignment or {})
+    order = _postorder([phi], M.signature)
+    missing = phi.free_vars - set(asg)
+    if missing:
+        raise EvalError(f"unassigned free variables: {sorted(missing)}")
+    [table] = _tables(M, [phi], order, asg)
+    return table.at(asg)
+
+
+def _decoded(space: ValueSpace, p: Point) -> Value:
+    return decode_subset(space, p) if isinstance(space, HyperSpace) else p
+
+
+def evaluate(M: Structure, phi: Formula, assignment: Mapping[str, str] | None = None) -> EvalResult:
+    """Evaluate a formula in a structure under an assignment of free variables.
+
+    A lookup into the formula's table; a set value is decoded into a
+    CompactSet.
+    """
+    p = _point(M, phi, assignment)
+    return EvalResult(_decoded(phi.value_space, p), phi.error_bound, phi.value_space)
 
 
 # ---------------------------------------------------------------------------
@@ -482,22 +587,13 @@ def _target_points(space: ValueSpace, target) -> list[Point]:
     For a hyperspace-valued formula each target member is itself a set; a
     bare CompactSet then means a single target point.  For other spaces a
     CompactSet's members are the targets, and scalars/tuples/Points work too.
-    An empty target is refused.
+    Every member is coerced by `_as_value`.  An empty target is refused.
     """
     if isinstance(target, CompactSet):
-        if isinstance(space, HyperSpace):
-            return [encode_subset(space, target.members)]
-        return [_as_value(space, m) for m in target.members]
-    if isinstance(target, (Point, str)) or not isinstance(target, Iterable):
+        target = [target] if isinstance(space, HyperSpace) else target.members
+    elif isinstance(target, (Point, str)) or not isinstance(target, Iterable):
         target = [target]
-    out = []
-    for m in target:
-        if isinstance(m, CompactSet):
-            if not isinstance(space, HyperSpace):
-                raise SpaceMismatch("set target for a non-hyperspace value")
-            out.append(encode_subset(space, m.members))
-        else:
-            out.append(_as_value(space, m))
+    out = [_as_value(space, m) for m in target]
     if not out:
         raise ValidationError("condition target is empty")
     return out
@@ -508,12 +604,11 @@ def check_condition(M: Structure, phi: Formula, target, tol: Rational = 0,
     """Does the formula's value land in the target set, up to bound + tol?
 
     The test is: min distance from the value to a target member is at most
-    the evaluation's uncertainty bound plus tol.
+    the evaluation's uncertainty bound plus tol.  The distance is taken from
+    the value's point in the formula's table, a set value's indicator point
+    included.
     """
-    result = evaluate(M, phi, assignment)
-    space = result.space
-    members = _target_points(space, target)
-    vp = _as_value(space, result.value)
-    dist = min(space.metric(vp, m) for m in members)
-    tol = frac(tol)
-    return ConditionReport(dist <= result.error_bound + tol, result.value, dist, result.error_bound)
+    p = _point(M, phi, assignment)
+    space, bound = phi.value_space, phi.error_bound
+    dist = min(space.metric(p, m) for m in _target_points(space, target))
+    return ConditionReport(dist <= bound + frac(tol), _decoded(space, p), dist, bound)

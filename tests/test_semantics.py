@@ -1,13 +1,18 @@
+import json
+import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
 from contlog.connective import identity, min_of, neg
-from contlog.errors import EvalError, ValidationError
-from contlog.hyperspace import hyper, inf_theta, lift, sup_theta
+from contlog.errors import EvalError, SpaceMismatch, ValidationError
+from contlog.hyperspace import (MAX_BASE_POINTS, encode_subset, hyper, inf_theta,
+                                lift, sup_theta)
 from contlog.formula import (
     Apply,
     Atomic,
+    CauchyLimit,
     Quant,
     QuantKind,
     Relation,
@@ -27,9 +32,12 @@ from contlog.semantics import (
     evaluate,
     quotient,
     structure,
+    tabulate,
     zero_distance_classes,
 )
-from contlog.valuespace import make_finite, make_interval, point
+from contlog.oracle import FuzzConfig, random_formula, random_signature, random_structure
+from contlog.serialize import structure_from_json
+from contlog.valuespace import make_finite, make_interval, nearest, point
 
 G = make_interval(0, 1, F(1, 4), label="G")
 SIG = signature([Relation("P", 1, G)])
@@ -183,6 +191,93 @@ class TestSetValues:
         report = check_condition(SET_M, Q_S, want)
         assert report.ok and report.distance == 0 and report.error_bound == F(1, 2)
         assert report.value == want
+
+
+def reference(M, phi, env):
+    """Naive recursive evaluation under one assignment; set values are
+    indicator points.  Each quantifier loops over the universe."""
+    if isinstance(phi, Atomic):
+        return M.interp[phi.symbol][tuple(env[a] for a in phi.args)]
+    if isinstance(phi, Apply):
+        return phi.conn(*[reference(M, c, env) for c in phi.children])
+    if isinstance(phi, CauchyLimit):
+        return reference(M, phi.body, env)
+    results = [reference(M, phi.body, {**env, phi.var: e}) for e in M.universe]
+    if phi.kind is QuantKind.SUP:
+        return max(results, key=lambda p: p.scalar)
+    if phi.kind is QuantKind.INF:
+        return min(results, key=lambda p: p.scalar)
+    base = phi.body.value_space
+    return encode_subset(phi.value_space, [nearest(base, p)[0] for p in results])
+
+
+def assert_rows_match(M, phi, assignment=None):
+    """Every row of phi's table equals the reference at the row's assignment;
+    without an assignment there is a row per tuple of universe elements."""
+    asg = assignment or {}
+    [table] = tabulate(M, [phi], asg)
+    assert table.vars == tuple(sorted(phi.free_vars))
+    for key, value in table.rows.items():
+        assert value == reference(M, phi, {**asg, **dict(zip(table.vars, key))})
+    if not asg:
+        assert len(table.rows) == len(M.universe) ** len(table.vars)
+    return table
+
+
+MOOD = structure_from_json(json.loads(
+    (Path(__file__).resolve().parents[1] / "demos" / "data" / "mood.json").read_text()))
+
+
+class TestTables:
+    """Every table row against the naive recursive reference."""
+
+    @pytest.mark.parametrize("seed", [3, 11, 29])
+    def test_random_formulas(self, seed):
+        cfg = FuzzConfig(seed=seed, universe_size=4, formula_depth=3)
+        set_valued = 0
+        for trial in range(25):
+            rng = random.Random(f"tables:{seed}:{trial}")
+            sig = random_signature(rng, cfg)
+            N = random_structure(cfg, sig, rng)
+            phi = random_formula(cfg, sig, rng, set_cap=MAX_BASE_POINTS)
+            set_valued += not phi.value_space.standard_metric
+            assert_rows_match(N, phi)
+            fixed = {v: rng.choice(N.universe) for v in sorted(phi.free_vars)}
+            assert len(assert_rows_match(N, phi, fixed).rows) == 1
+        assert set_valued > 0
+
+    @pytest.mark.parametrize("phi", [
+        Q_S, Q_Q_P, Apply(sup_theta(inf_theta(identity(G3))), (Q_S,)),
+        Quant(QuantKind.SET, "x", Apply(min_of(G3, G3), (atom(SET_SIG, "P", "x"),
+                                                     atom(SET_SIG, "P", "y")))),
+        cauchy_limit([F(1, 2), F(0)], [parse("inf x. P(x)", SET_SIG),
+                                       parse("sup x. P(y)", SET_SIG)], 0),
+        Quant(QuantKind.SUP, "y", atom(SET_SIG, "P", "x")),
+        Quant(QuantKind.SET, "y", atom(SET_SIG, "P", "x")),
+        Quant(QuantKind.SET, "y", S_X),
+    ], ids=["Q", "QQ", "theta-of-Q", "Q-binary", "limit", "vacuous-sup",
+            "vacuous-Q", "vacuous-Q-of-sets"])
+    def test_hand_written(self, phi):
+        assert_rows_match(SET_M, phi)
+
+    def test_several_roots_in_one_pass(self):
+        body = atom(SET_SIG, "P", "x")
+        sets, sups = tabulate(SET_M, [Quant(QuantKind.SET, "x", body),
+                                      Quant(QuantKind.SUP, "x", body)])
+        assert sets.rows == {(): point(1, 1, 0)} and sups.rows == {(): point(F(1, 2))}
+
+    def test_assigned_variable_rebound_by_a_quantifier(self):
+        phi = parse("sup x. P(x)", MOOD.signature)
+        assert evaluate(MOOD, phi, {"x": "a"}).scalar == F(4, 5)
+        space = MOOD.signature.by_name["P"].space
+        both = Apply(min_of(space, space), (atom(MOOD.signature, "P", "x"), phi))
+        assert evaluate(MOOD, both, {"x": "a"}).scalar == F(3, 10)
+        assert evaluate(MOOD, both, {"x": "b"}).scalar == F(4, 5)
+        assert_rows_match(MOOD, both, {"x": "a"})
+
+    def test_deep_formula_evaluates_without_recursion(self):
+        phi = parse("sup x. " * 900 + "P(x)", MOOD.signature)
+        assert evaluate(MOOD, phi).value.scalar == F(4, 5)
 
 
 class TestCheckSymbols:
@@ -415,3 +510,8 @@ class TestCheckCondition:
         phi = parse("Q x. P(x)", SIG)
         want = compact(G, point(F(1, 4)), point(F(3, 4)))
         assert check_condition(M, phi, want).ok
+
+    def test_set_target_on_a_real_valued_formula(self):
+        phi = parse("sup x. P(x)", SIG)
+        with pytest.raises(SpaceMismatch, match="^set value supplied for non-hyperspace G$"):
+            check_condition(M, phi, [compact(G, point(F(3, 4)))])
