@@ -24,9 +24,9 @@ from .connective import (Connective, affine, clamp01, identity, max_of,
 from .errors import EvalError, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
-from .hyperspace import (MAX_BASE_POINTS, CompactSet, decode_subset,
-                         encode_subset, hyper, inf_theta, sup_theta)
-from .semantics import (Structure, _decoded, check_pseudometric, evaluate,
+from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset, hyper,
+                         inf_theta, sup_theta)
+from .semantics import (Structure, check_pseudometric, evaluate,
                         eval_error_bound, quotient, structure, tabulate,
                         zero_distance_classes)
 from .translate import TranslationContext, code_formula, t0_violations, \
@@ -460,7 +460,7 @@ def verify_quantifier_identity(M: Structure, body: Formula,
     witness = None
     asgs = _assignments(M, body.free_vars - {var}, None)
     for asg in asgs:
-        lhs = max(theta(m).scalar for m in decode_subset(q.value_space, sets.at(asg)).members)
+        lhs = max(theta(m).scalar for m in sets.value(asg).members)
         rhs = max(theta(values.at({**asg, var: a})).scalar for a in M.universe)
         if lhs != rhs and witness is None:
             witness = {"assignment": dict(asg), "via_set": str(lhs), "direct": str(rhs)}
@@ -485,7 +485,7 @@ def verify_primordial_bounds(M: Structure, body: Formula,
     witness = None
     asgs = _assignments(M, body.free_vars - {var}, None)
     for asg in asgs:
-        members = [m.scalar for m in decode_subset(q.value_space, sets.at(asg)).members]
+        members = [m.scalar for m in sets.value(asg).members]
         sup_val, inf_val = sups.at(asg).scalar, infs.at(asg).scalar
         if (max(members) != sup_val or min(members) != inf_val) and witness is None:
             witness = {
@@ -813,12 +813,10 @@ def run_quotient_trials(cfg: FuzzConfig, *,
         [after] = tabulate(Mq, [phi])
         witness = None
         for asg in _assignments(M, phi.free_vars, None):
-            v1 = before.at(asg)
-            v2 = after.at({k: rep[v] for k, v in asg.items()})
-            if v1 != v2 and witness is None:
-                space = phi.value_space
-                witness = {"assignment": dict(asg), "value": str(_decoded(space, v1)),
-                           "quotient_value": str(_decoded(space, v2))}
+            asg_q = {k: rep[v] for k, v in asg.items()}
+            if before.at(asg) != after.at(asg_q) and witness is None:
+                witness = {"assignment": dict(asg), "value": str(before.value(asg)),
+                           "quotient_value": str(after.value(asg_q))}
         ok = witness is None and any(len(c) > 1 for c in classes)
         if witness is None and ok is False:
             witness = {"classes": str(classes)}

@@ -173,14 +173,20 @@ class Table:
 
     `vars` are the free variables in sorted order and each row is keyed by
     the elements they take, in that order.  A set value is its indicator
-    point.
+    point in `space` until `value` decodes it.
     """
 
     vars: tuple[str, ...]
     rows: dict[ElementTuple, Point]
+    space: ValueSpace
 
     def at(self, assignment: Mapping[str, str]) -> Point:
         return self.rows[tuple(assignment[v] for v in self.vars)]
+
+    def value(self, assignment: Mapping[str, str]) -> Value:
+        """The row's value, a set value decoded into a CompactSet."""
+        p = self.at(assignment)
+        return decode_subset(self.space, p) if isinstance(self.space, HyperSpace) else p
 
 
 def _children(node: Formula) -> tuple[Formula, ...]:
@@ -206,27 +212,20 @@ def _check_symbol(node: Atomic, sig: Signature):
         )
 
 
-def _postorder(roots: Sequence[Formula], sig: Signature) -> list[Formula]:
-    """Every node under the roots once, children first, without recursion.
-
-    Visiting a node checks its symbol against the signature and fills its
-    cached value space, free variables and error bound from its children's,
-    so none of those recurse either.
-    """
+def _postorder(roots: Sequence[Formula]) -> list[Formula]:
+    """Every node under the roots once, children first and the leftmost
+    subtree first, without recursion."""
     order: list[Formula] = []
     seen: set[int] = set()
-    stack = [(root, False) for root in roots]
+    stack = [(root, False) for root in reversed(roots)]
     while stack:
         node, ready = stack.pop()
         if ready:
-            if isinstance(node, Atomic):
-                _check_symbol(node, sig)
-            node.value_space, node.free_vars, node.error_bound
             order.append(node)
         elif id(node) not in seen:
             seen.add(id(node))
             stack.append((node, True))
-            stack.extend((child, False) for child in _children(node))
+            stack.extend((child, False) for child in reversed(_children(node)))
     return order
 
 
@@ -249,19 +248,20 @@ def _reduce(node: Quant, body: Table, variables: tuple[str, ...]) -> Table:
         groups = {}
         for key, p in body.rows.items():
             groups.setdefault(key[:i] + key[i + 1:], []).append(p)
-    if node.kind is QuantKind.SUP:
-        return Table(variables, {k: max(ps, key=lambda p: p.scalar) for k, ps in groups.items()})
-    if node.kind is QuantKind.INF:
-        return Table(variables, {k: min(ps, key=lambda p: p.scalar) for k, ps in groups.items()})
-    # Q: the indicator of the body values, each distinct one snapped once
-    # onto the body space's net
-    base, space, snapped = node.body.value_space, node.value_space, {}
-    for ps in groups.values():
-        for p in ps:
-            if p not in snapped:
-                snapped[p] = nearest(base, p)[0]
-    return Table(variables, {k: encode_subset(space, [snapped[p] for p in ps])
-                             for k, ps in groups.items()})
+    space = node.value_space
+    if node.kind is QuantKind.SET:
+        # the indicator of the body values, each distinct one snapped once
+        # onto the body space's net
+        base, snapped = node.body.value_space, {}
+        for ps in groups.values():
+            for p in ps:
+                if p not in snapped:
+                    snapped[p] = nearest(base, p)[0]
+        fold = lambda ps: encode_subset(space, [snapped[p] for p in ps])  # noqa: E731
+    else:
+        extreme = max if node.kind is QuantKind.SUP else min
+        fold = lambda ps: extreme(ps, key=lambda p: p.scalar)  # noqa: E731
+    return Table(variables, {k: fold(ps) for k, ps in groups.items()}, space)
 
 
 def tabulate(M: Structure, roots: Sequence[Formula],
@@ -275,15 +275,23 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     some quantifier in the formulas rebinds it; every other variable ranges
     over the universe.  Intermediate tables are dropped once every parent
     has read them.
+
+    Before any table is built the assignment's elements are checked against
+    the universe, then every atomic symbol against the signature (leftmost
+    first), then the formulas are typechecked; each node's cached value
+    space, free variables and error bound are filled children first, so
+    none of those recurse.
     """
-    return _tables(M, roots, _postorder(roots, M.signature), dict(assignment or {}))
-
-
-def _tables(M: Structure, roots: Sequence[Formula], order: list[Formula],
-            asg: dict[str, str]) -> list[Table]:
+    asg = dict(assignment or {})
     for var, e in asg.items():
         if e not in M.universe:
             raise EvalError(f"assignment sends {var} to {e!r}, not a universe element")
+    order = _postorder(roots)
+    for node in order:
+        if isinstance(node, Atomic):
+            _check_symbol(node, M.signature)
+    for node in order:
+        node.value_space, node.free_vars, node.error_bound
     rebound = {node.var for node in order if isinstance(node, Quant)}
     domains = {v: (e,) for v, e in asg.items() if v not in rebound}
     keep = {id(root) for root in roots}
@@ -300,12 +308,12 @@ def _tables(M: Structure, roots: Sequence[Formula], order: list[Formula],
             rows = product(*(domains.get(v, M.universe) for v in variables))
             if isinstance(node, Atomic):
                 col, pick = M.interp[node.symbol], _picker(variables, node.args)
-                table = Table(variables, {r: col[pick(r)] for r in rows})
+                table = Table(variables, {r: col[pick(r)] for r in rows}, node.value_space)
             else:
                 conn = node.conn
                 picks = [(k.rows, _picker(variables, k.vars)) for k in kids]
                 table = Table(variables, {r: conn(*[t[pick(r)] for t, pick in picks])
-                                          for r in rows})
+                                          for r in rows}, node.value_space)
         tables[id(node)] = table
         for child in _children(node):
             readers[id(child)] -= 1
@@ -314,29 +322,25 @@ def _tables(M: Structure, roots: Sequence[Formula], order: list[Formula],
     return [tables[id(root)] for root in roots]
 
 
-def _point(M: Structure, phi: Formula, assignment: Mapping[str, str] | None) -> Point:
-    """phi's value, as a point, under a total assignment of its free variables."""
-    asg = dict(assignment or {})
-    order = _postorder([phi], M.signature)
-    missing = phi.free_vars - set(asg)
+def _assigned_table(M: Structure, phi: Formula, asg: Mapping[str, str]) -> Table:
+    """phi's table under an assignment that must cover its free variables."""
+    [table] = tabulate(M, [phi], asg)
+    missing = sorted(set(table.vars) - set(asg))
     if missing:
-        raise EvalError(f"unassigned free variables: {sorted(missing)}")
-    [table] = _tables(M, [phi], order, asg)
-    return table.at(asg)
-
-
-def _decoded(space: ValueSpace, p: Point) -> Value:
-    return decode_subset(space, p) if isinstance(space, HyperSpace) else p
+        raise EvalError(f"unassigned free variables: {missing}")
+    return table
 
 
 def evaluate(M: Structure, phi: Formula, assignment: Mapping[str, str] | None = None) -> EvalResult:
     """Evaluate a formula in a structure under an assignment of free variables.
 
     A lookup into the formula's table; a set value is decoded into a
-    CompactSet.
+    CompactSet.  Errors come in the order `tabulate` checks them; an
+    unassigned free variable is reported last.
     """
-    p = _point(M, phi, assignment)
-    return EvalResult(_decoded(phi.value_space, p), phi.error_bound, phi.value_space)
+    asg = dict(assignment or {})
+    value = _assigned_table(M, phi, asg).value(asg)
+    return EvalResult(value, phi.error_bound, phi.value_space)
 
 
 # ---------------------------------------------------------------------------
@@ -608,7 +612,8 @@ def check_condition(M: Structure, phi: Formula, target, tol: Rational = 0,
     the value's point in the formula's table, a set value's indicator point
     included.
     """
-    p = _point(M, phi, assignment)
-    space, bound = phi.value_space, phi.error_bound
+    asg = dict(assignment or {})
+    table = _assigned_table(M, phi, asg)
+    p, space, bound = table.at(asg), phi.value_space, phi.error_bound
     dist = min(space.metric(p, m) for m in _target_points(space, target))
-    return ConditionReport(dist <= bound + frac(tol), _decoded(space, p), dist, bound)
+    return ConditionReport(dist <= bound + frac(tol), table.value(asg), dist, bound)

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from contlog.connective import identity, min_of, neg
-from contlog.errors import EvalError, SpaceMismatch, ValidationError
+from contlog.errors import EvalError, SpaceMismatch, TypeCheckError, ValidationError
 from contlog.hyperspace import (MAX_BASE_POINTS, encode_subset, hyper, inf_theta,
                                 lift, sup_theta)
 from contlog.formula import (
@@ -296,6 +296,36 @@ class TestCheckSymbols:
         with pytest.raises(EvalError, match=r"^P is valued in G in the structure "
                                             r"but G3 in the formula$"):
             evaluate(M, parse("sup x. P(x)", other))
+
+
+class TestErrorOrder:
+    """Assignment elements, then symbols left to right, then types, then
+    unassigned variables."""
+
+    OTHER = signature([Relation("T", 1, G), Relation("U", 1, G)])
+
+    def test_element_before_symbols(self):
+        with pytest.raises(EvalError, match=r"^assignment sends x to 'zz', not a universe element$"):
+            evaluate(M, atom(self.OTHER, "T", "x"), {"x": "zz"})
+
+    def test_leftmost_symbol_first(self):
+        phi = Apply(min_of(G, G), (atom(self.OTHER, "T", "x"), atom(self.OTHER, "U", "x")))
+        with pytest.raises(EvalError, match="^structure does not interpret 'T'$"):
+            evaluate(M, phi, {"x": "a"})
+
+    def test_symbols_before_types(self):
+        ill_typed = Apply(min_of(G3, G3), (atom(SIG, "P", "x"),) * 2)
+        with pytest.raises(TypeCheckError, match="^argument 0 of min"):
+            evaluate(M, ill_typed, {"x": "a"})
+        phi = Apply(min_of(G, G), (ill_typed, atom(self.OTHER, "U", "x")))
+        with pytest.raises(EvalError, match="^structure does not interpret 'U'$"):
+            evaluate(M, phi, {"x": "a"})
+
+    def test_unassigned_variable_last(self):
+        with pytest.raises(EvalError, match="^structure does not interpret 'T'$"):
+            evaluate(M, atom(self.OTHER, "T", "x"))
+        with pytest.raises(EvalError, match=r"^unassigned free variables: \['x'\]$"):
+            check_condition(M, atom(SIG, "P", "x"), F(1, 4), assignment={"y": "a"})
 
 
 class TestErrorBound:
