@@ -5,6 +5,8 @@ just [0,1].  The package evaluates both semantics, translates real-valued
 structures onto coarse grids with certified error budgets, and cross-checks
 the two readings against each other on randomly generated instances.
 """
+import importlib
+
 from .errors import (
     CapacityError,
     ContlogError,
@@ -98,24 +100,19 @@ from .semantics import (
     structure,
     zero_distance_classes,
 )
-from .translate import (
-    MAX_SET_CODING_POINTS,
-    CodedCondition,
-    CodedFormula,
-    LatticeApprox,
-    TranslationContext,
-    check_T0,
-    code_condition,
-    code_formula,
-    decode_structure,
-    lattice_approx,
-    snap_to_grid,
-    sup_generator,
-    t0_violations,
-    translate_signature,
-    transport_structure,
-)
-from .oracle import FuzzConfig, TrialRecord, fuzz, summarize
+
+# The coder and the fuzz harness load on first use (PEP 562), so a command
+# that needs neither does not pay for compiling them.
+_LAZY = {
+    **dict.fromkeys(
+        ("MAX_SET_CODING_POINTS", "CodedCondition", "CodedFormula",
+         "LatticeApprox", "TranslationContext", "check_T0", "code_condition",
+         "code_formula", "decode_structure", "lattice_approx", "snap_to_grid",
+         "sup_generator", "t0_violations", "translate_signature",
+         "transport_structure"),
+        "translate"),
+    **dict.fromkeys(("FuzzConfig", "TrialRecord", "fuzz", "summarize"), "oracle"),
+}
 
 __version__ = "0.1.0"
 
@@ -145,3 +142,16 @@ __all__ = [
     "transport_structure",
     "FuzzConfig", "TrialRecord", "fuzz", "summarize",
 ]
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(_LAZY))

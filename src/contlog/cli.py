@@ -10,11 +10,17 @@ the stable schema tag "contlog.cli/1".  Commands that produce a file format
 (translate, quotient, encode-fn) print the bare document instead unless
 --json asks for the envelope.  fuzz always reports as JSON lines, one record
 per trial, followed by a summary line.
+
+Each command imports only what it runs: translate and check-t0 load the
+coder (`contlog.translate`), and only fuzz loads the fuzz harness
+(`contlog.oracle`), so a cold eval compiles neither.  A stdout closed by its
+reader, like a failed --out write, ends in one error line and exit 2.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
@@ -22,7 +28,6 @@ from typing import Mapping, Sequence
 from .errors import ContlogError, FormatError, ValidationError
 from .formula import parse as parse_formula
 from .hyperspace import CompactSet
-from .oracle import SUITES, FuzzConfig, fuzz, summarize
 from .semantics import (
     Structure,
     check_pseudometric,
@@ -43,9 +48,14 @@ from .serialize import (
     structure_from_json,
     structure_to_json,
 )
-from .translate import t0_violations, translate_signature
 
 CLI_SCHEMA = "contlog.cli/1"
+
+# the names of oracle.SUITES, kept here so that building the parser does not
+# load the fuzz harness
+SUITE_NAMES = ("coding-exact", "coding-grid", "quantifier", "roundtrip",
+               "corruption", "metric-violation", "quotient", "refinement",
+               "limit")
 
 
 # ---------------------------------------------------------------------------
@@ -161,9 +171,12 @@ def _emit_document(args, doc: dict, extras: dict, human_note: str) -> None:
     which also carries any command-specific extras.
     """
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh, indent=2, sort_keys=True)
+                fh.write("\n")
+        except OSError as err:
+            raise FormatError(f"cannot write {args.out}: {err}") from None
         _emit(args, {"ok": True, "out": args.out, **extras}, human_note)
     elif args.json:
         _print_json({"schema": CLI_SCHEMA, "command": args.command,
@@ -211,6 +224,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_translate(args) -> int:
+    from .translate import translate_signature
+
     if args.structure is not None:
         M = _load_structure(args.structure)
         sig = M.signature
@@ -225,6 +240,8 @@ def cmd_translate(args) -> int:
 
 
 def cmd_check_t0(args) -> int:
+    from .translate import t0_violations, translate_signature
+
     sig = _load_signature(args.signature)
     ctx = translate_signature(sig, rational_from_str(args.step))
     N = _load_structure(args.structure)
@@ -310,6 +327,8 @@ def cmd_encode_fn(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
+    from .oracle import FuzzConfig, fuzz, summarize
+
     cfg = FuzzConfig(seed=args.seed,
                      universe_size=args.universe_size,
                      formula_depth=args.depth,
@@ -407,9 +426,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100,
                    help="total trials across all suites (default 100)")
     p.add_argument("--suite", action="append", metavar="NAME",
-                   choices=[name for name, _, _ in SUITES],
+                   choices=SUITE_NAMES,
                    help="restrict to one suite (repeatable): "
-                        + ", ".join(name for name, _, _ in SUITES))
+                        + ", ".join(SUITE_NAMES))
     p.add_argument("--universe-size", type=int, default=4,
                    help="elements per random structure (default 4)")
     p.add_argument("--depth", type=int, default=2,
@@ -427,7 +446,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     # exit 1 means a check failed; anything else that stops a command is
     # reported on one line with exit 2, never as a traceback
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()  # a closed stdout shows here, not at exit
+        return status
+    except BrokenPipeError:
+        # the reader has gone; send stdout to devnull so that the flush at
+        # interpreter exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        message = "cannot write output: stdout was closed by its reader"
     except ContlogError as err:
         message = str(err)
     except RecursionError:

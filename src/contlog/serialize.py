@@ -10,7 +10,7 @@ readers accept a missing tag but reject an unknown one.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Any, Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 from .connective import (Connective, add, affine, bounded_add, clamp01, const,
                          identity, max_of, min_of, mul, neg, proj, table,
@@ -19,8 +19,10 @@ from .errors import ContlogError, FormatError
 from .formula import Relation, Signature
 from .hyperspace import hyper, inf_theta, lift, sup_theta
 from .semantics import Structure
-from .translate import TranslationContext, transport_structure
 from .valuespace import Point, ValueSpace, frac, make_finite, make_interval
+
+if TYPE_CHECKING:
+    from .translate import TranslationContext
 
 SIGNATURE_SCHEMA = "contlog.signature/1"
 STRUCTURE_SCHEMA = "contlog.structure/1"
@@ -282,5 +284,7 @@ def manifest_to_json(ctx: TranslationContext, M: Structure | None = None) -> dic
         "target_signature": signature_to_json(ctx.target),
     }
     if M is not None:
+        from .translate import transport_structure
+
         doc["structure"] = structure_to_json(transport_structure(ctx, M))
     return doc

@@ -1,5 +1,8 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -378,6 +381,41 @@ class TestUsage:
             main(["eval", "--structure", files["m"],
                   "--formula", "P(x)", "--formula-file", "phi.txt"])
         assert exc.value.code == 2
+
+
+class TestWriteFailures:
+    @pytest.mark.parametrize("argv", [
+        ("translate", "--signature", "{sig}", "--step", "1/4"),
+        ("quotient", "--structure", "{metric}"),
+        ("encode-fn", "--structure", "{metric}", "--name", "f",
+         "--table", '{{"a": "b", "b": "a", "c": "a"}}'),
+    ])
+    @pytest.mark.parametrize("out", ["{dir}", "{dir}/missing/doc.json"])
+    def test_unwritable_out_is_a_format_error(self, files, capsys, argv, out):
+        out = out.format(**files)
+        code, stdout, err = run(capsys, *(a.format(**files) for a in argv),
+                                "--out", out)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot write {out}: [Errno ")
+        assert err.count("\n") == 1
+
+    def test_closed_stdout(self):
+        # the reading end of the pipe is closed before the command writes
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "contlog.cli", "translate",
+                 "--structure", str(root / "demos" / "data" / "mood.json"),
+                 "--step", "1/4"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            "error: cannot write output: stdout was closed by its reader\n")
 
 
 class TestUnexpectedErrors:
