@@ -14,6 +14,13 @@ checked, the default codomain and the evaluator.  Outputs must always stay
 inside the unit cube, so the maps that could leave it (`affine`, `add`)
 reject domains whose image escapes.  `table` is the general escape hatch:
 any map on a finite net, with any valid declared constant.
+
+McShane extensions (`mcshane_extend`, and `_mcshane` for the coder) scale
+their table of net coordinates and values to integers over one common
+denominator once.  The constant's scan and every evaluation then run on
+that integer table in plain ints, and each evaluation builds a single
+Fraction, memoized per input tuple on the connective that owns it.  Values
+are exact, so they equal the Fraction definition bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +28,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import EvalError, SpaceMismatch, ValidationError
@@ -336,19 +344,34 @@ def compose(outer: Connective, inners: Sequence[Connective], shared: bool = Fals
 def _steepest_pair(keys: Sequence, gap: Callable, distance: Callable) -> tuple | None:
     """The pair of keys with the largest gap / distance, as (p, q, gap, d), or
     None if no gap is positive.  A positive gap at distance zero is steepest.
-    The distance is computed only for pairs with a positive gap."""
-    best, steepest = None, ZERO
+    The distance is computed only for pairs with a positive gap.  Slopes are
+    compared by cross-multiplication, so integer gaps and distances stay
+    integers; the first of several steepest pairs wins."""
+    best = None
     for i, p in enumerate(keys):
         for q in keys[i + 1 :]:
             g = gap(p, q)
-            if g > ZERO:
+            if g > 0:
                 d = distance(p, q)
-                if d == ZERO:
+                if d == 0:
                     return p, q, g, d
-                slope = g / d
-                if slope > steepest:
-                    best, steepest = (p, q, g, d), slope
+                if best is None or g * best[3] > best[2] * d:
+                    best = (p, q, g, d)
     return best
+
+
+def _integer_table(flats: Sequence[tuple[Sequence[Fraction], Fraction]]) -> tuple[int, list]:
+    """(flat coordinates, value) pairs as integers over their common
+    denominator: returns (den, [(coordinates * den, value * den), ...])."""
+    den = lcm(*(c.denominator for fp, v in flats for c in (*fp, v)))
+    return den, [(tuple(c.numerator * (den // c.denominator) for c in fp),
+                  v.numerator * (den // v.denominator)) for fp, v in flats]
+
+
+def _steepest_entry(rows: Sequence) -> tuple | None:
+    """_steepest_pair of an integer table: value gap over l-infinity distance."""
+    return _steepest_pair(rows, lambda a, b: abs(a[1] - b[1]),
+                          lambda a, b: linf_coords(a[0], b[0]))
 
 
 def _normalize_key(key) -> tuple[Point, ...]:
@@ -437,14 +460,14 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
             raise ValidationError(f"extension: no value for net point {tuple(map(str, k))}")
     _check_unit_range(entries.values(), "extension values")
 
-    flats = [(flat_coords(k), entries[k]) for k in keys]
-    steep = _steepest_pair(flats, lambda a, b: abs(a[1] - b[1]),
-                           lambda a, b: linf_coords(a[0], b[0]))
+    den, rows = _integer_table([(flat_coords(k), entries[k]) for k in keys])
+    steep = _steepest_entry(rows)
+    # both sides are over den, which cancels
     if steep is not None and steep[2] > lip * steep[3]:
         (_, vp), (_, vq), _, d = steep
         raise ValidationError(
             f"declared Lipschitz {lip} violated on the net: "
-            f"|{vp} - {vq}| > {lip} * {d}"
+            f"|{Fraction(vp, den)} - {Fraction(vq, den)}| > {lip} * {Fraction(d, den)}"
         )
 
     if codomain is None:
@@ -454,23 +477,40 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
             f"extension codomain {codomain.label} does not cover [0,1] within its resolution"
         )
     if name is None:
-        name = f"ext:{len(flats)}p"
-    return _mcshane(flats, lip, amb, codomain, name)
+        name = f"ext:{len(rows)}p"
+    return _mcshane(den, rows, lip, amb, codomain, name)
 
 
-def _mcshane(flats: Sequence, lip: Fraction, ambient: tuple[ValueSpace, ...],
+def _mcshane(den: int, rows: Sequence, lip: Fraction, ambient: tuple[ValueSpace, ...],
              codomain: ValueSpace, name: str) -> Connective:
-    """mcshane_extend without its checks, on (flat coordinates, value) pairs
-    whose values lie in [0,1] and satisfy lip."""
+    """mcshane_extend without its checks, on an integer table over den (see
+    `_integer_table`) whose values lie in [0,1] and satisfy lip.
+
+    With the input y = Y / b over the lcm b of its coordinates' denominators
+    and lip = n / m, the candidate of the row (F, V) is
+
+        V / den + (n / m) * max |F / den - Y / b|
+            = (V * b * m + n * max |F * b - Y * den|) / (den * b * m),
+
+    so each call scans the rows in ints, clamps, and builds one Fraction.
+    Results are memoized by input tuple (points hash by value) for the life
+    of the connective.
+    """
+    n, m = lip.numerator, lip.denominator
+    memo: dict[tuple[Point, ...], Point] = {}
 
     def run(*pts: Point) -> Point:
-        y = flat_coords(pts)
-        best = None
-        for fp, vp in flats:
-            cand = vp + lip * linf_coords(fp, y)
-            if best is None or cand < best:
-                best = cand
-        return point(min(ONE, max(ZERO, best)))
+        out = memo.get(pts)
+        if out is None:
+            y = flat_coords(pts)
+            b = lcm(*(c.denominator for c in y))
+            ys = [c.numerator * (b // c.denominator) * den for c in y]
+            vb = b * m
+            best = min(v * vb + n * max(abs(f * b - t) for f, t in zip(fs, ys))
+                       for fs, v in rows)
+            top = den * vb
+            out = memo[pts] = point(Fraction(min(top, max(0, best)), top))
+        return out
 
     return Connective(name, ambient, codomain, lip, run)
 

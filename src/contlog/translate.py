@@ -35,8 +35,8 @@ from functools import cached_property
 from math import lcm
 from typing import Mapping, Sequence
 
-from .connective import (Connective, _mcshane, _steepest_pair, const, flat_coords,
-                         identity, proj, table)
+from .connective import (Connective, _integer_table, _mcshane, _steepest_entry, const,
+                         flat_coords, identity, proj, table)
 from .errors import CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
@@ -158,11 +158,16 @@ def transport_structure(ctx: TranslationContext, M: Structure) -> Structure:
         raise SpaceMismatch("structure is not over the source signature")
     interp: dict[str, dict] = {name: {} for r in ctx.source.relations
                                for name in ctx.components[r.name]}
+    # values repeat across tuples: snap each distinct coordinate once
+    snapped: dict[Fraction, Point] = {}
     for rel in ctx.source.relations:
         names = ctx.components[rel.name]
         for t, v in M.interp[rel.name].items():
             for name, c in zip(names, v.coords):
-                interp[name][t] = point(snap_to_grid(ctx.grid, c))
+                q = snapped.get(c)
+                if q is None:
+                    q = snapped[c] = point(snap_to_grid(ctx.grid, c))
+                interp[name][t] = q
     return Structure(ctx.target, M.universe, interp)
 
 
@@ -586,17 +591,18 @@ class CodedFormula:
         """McShane-extend a finite table over the flat grid cube; returns the
         connective and its (tight) constant.
 
-        The keys are distinct tuples of net points, so their flattened
-        coordinates are distinct and every distance below is positive.  The
-        constant is tight by construction, so mcshane_extend's re-check of the
-        same pairs is skipped.
+        The table is scaled to integers over one common denominator once; the
+        scan for the constant and the extension's integer kernel, which
+        memoizes each input, both run on it.  The keys are distinct tuples of
+        net points, so their flattened coordinates are distinct and every
+        distance below is positive.  The constant is tight by construction,
+        so mcshane_extend's re-check of the same pairs is skipped.
         """
-        flats = [(flat_coords(k), values[k]) for k in keys]
-        steep = _steepest_pair(flats, lambda a, b: abs(a[1] - b[1]),
-                               lambda a, b: linf_coords(a[0], b[0]))
-        lip = ZERO if steep is None else steep[2] / steep[3]
+        den, rows = _integer_table([(flat_coords(k), values[k]) for k in keys])
+        steep = _steepest_entry(rows)
+        lip = ZERO if steep is None else Fraction(steep[2], steep[3])
         grid = self.ctx.grid
-        return _mcshane(flats, lip, (grid,) * len(flats[0][0]), grid, name), lip
+        return _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name), lip
 
     def _build_atomic(self, phi: Atomic, theta: Connective) -> Coded:
         ctx = self.ctx

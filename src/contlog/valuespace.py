@@ -119,6 +119,12 @@ class ValueSpace:
             raise SpaceMismatch(f"{p} is not a net point of {self.label}") from None
 
     @cached_property
+    def _scalars(self) -> tuple[Fraction, ...]:
+        """The first coordinate of each net point, in net order; for
+        one-dimensional nets, the sorted scalars `nearest` bisects."""
+        return tuple(p.coords[0] for p in self.net)
+
+    @cached_property
     def distance_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """Pairwise distances between net points, indexed like the net."""
         net = self.net
@@ -212,11 +218,11 @@ def nearest(space: ValueSpace, p: Point) -> tuple[Point, Fraction]:
         )
     if space.dimension == 1 and space.standard_metric:
         # the net is sorted: the nearest point is one of the two around p
-        net, x = space.net, p.coords[0]
-        i = bisect_left(net, p)
-        if i == len(net) or (i > 0 and x - net[i - 1].coords[0] <= net[i].coords[0] - x):
+        xs, x = space._scalars, p.coords[0]
+        i = bisect_left(xs, x)
+        if i == len(xs) or (i > 0 and x - xs[i - 1] <= xs[i] - x):
             i -= 1
-        return net[i], abs(x - net[i].coords[0])
+        return space.net[i], abs(x - xs[i])
     best_p, best_d = None, None
     for q in space.net:
         d = space.metric(p, q)

@@ -1,4 +1,5 @@
 import itertools
+import random
 import re
 from fractions import Fraction as F
 
@@ -6,6 +7,9 @@ import pytest
 
 from contlog.connective import (
     Connective,
+    _integer_table,
+    _mcshane,
+    _steepest_pair,
     add,
     affine,
     bounded_add,
@@ -27,7 +31,7 @@ from contlog.connective import (
 )
 from contlog.errors import EvalError, SpaceMismatch, ValidationError
 from contlog.hyperspace import hyper
-from contlog.valuespace import make_finite, make_interval, point, product
+from contlog.valuespace import linf, linf_coords, make_finite, make_interval, point, product
 
 Q = make_interval(0, 1, F(1, 4), label="quarters")
 EIGHTHS = make_interval(0, 1, F(1, 8))
@@ -334,3 +338,152 @@ class TestMcShane:
         theta = {(point(0),): F(0), (point(1),): F(1)}
         with pytest.raises(ValidationError):
             mcshane_extend(theta, F(1, 2), net, EIGHTHS)
+
+
+def _random_fraction(rng, dens=(1, 2, 3, 5, 7, 8, 12)):
+    d = rng.choice(dens)
+    return F(rng.randint(0, d), d)
+
+
+def _mcshane_reference(flats, lip, pts):
+    """The extension in Fractions, as its definition reads."""
+    y = [c for p in pts for c in p.coords]
+    best = min(v + lip * linf_coords(f, y) for f, v in flats)
+    return point(min(F(1), max(F(0), best)))
+
+
+class TestIntegerMcShane:
+    """The McShane kernel runs in ints over a common denominator; its values
+    must equal the Fraction definition exactly."""
+
+    def test_integer_table(self):
+        den, rows = _integer_table([((F(1, 3), F(1, 2)), F(3, 4)), ((F(0), F(1)), F(1, 6))])
+        assert den == 12
+        assert rows == [((4, 6), 9), ((0, 12), 2)]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_fraction_reference(self, seed):
+        rng = random.Random(seed)
+        dim = rng.choice([1, 2])
+        pts = {tuple(_random_fraction(rng) for _ in range(dim)) for _ in range(rng.randint(1, 6))}
+        net = make_finite([point(*c) for c in pts])
+        theta = {(q,): _random_fraction(rng, (1, 3, 4, 5, 9)) for q in net.net}
+        tight = tight_lipschitz([net], {k: point(v) for k, v in theta.items()})
+        lip = tight * rng.choice([1, 1, F(3, 2), F(7, 3)]) + rng.choice([0, F(1, 7)])
+        ambient = EIGHTHS if dim == 1 else product(EIGHTHS, EIGHTHS)
+        ext = mcshane_extend(theta, lip, net, ambient)
+        flats = [(k[0].coords, v) for k, v in theta.items()]
+        # exact agreement on the net
+        for k, v in theta.items():
+            assert ext(*k) == point(v)
+        # off the grid, with denominators the keys do not share
+        probes = [point(*(_random_fraction(rng, (1, 6, 10, 11, 16)) for _ in range(dim)))
+                  for _ in range(40)]
+        for y in probes:
+            assert ext(y) == _mcshane_reference(flats, lip, (y,)), y
+        # a repeated input is served by the memo, which keys on the value
+        y = probes[0]
+        again = point(*y.coords)
+        assert again is not y and ext(again) == ext(y) == _mcshane_reference(flats, lip, (y,))
+
+    def test_clamps_at_zero_and_one(self):
+        net = make_finite([point(0), point(F(1, 2)), point(1)])
+        theta = {(point(0),): F(0), (point(F(1, 2)),): F(1), (point(1),): F(1)}
+        ext = mcshane_extend(theta, 2, net, EIGHTHS)
+        flats = [(k[0].coords, v) for k, v in theta.items()]
+        assert ext(point(0)) == point(0)
+        # at 3/4 every key's candidate is 3/2 (0 + 2 * 3/4, 1 + 2 * 1/4), clamped to 1
+        assert ext(point(F(3, 4))) == point(1)
+        for k in range(25):
+            y = point(F(k, 24))
+            assert ext(y) == _mcshane_reference(flats, F(2), (y,))
+
+    def test_unchecked_kernel_on_several_inputs(self):
+        # the coder's form: several one-dimensional inputs, and a constant
+        # whose denominator is not the table's
+        rng = random.Random(41)
+        keys = list(itertools.product(Q.net, SPARSE.net))
+        flats = [(tuple(c for p in k for c in p.coords), _random_fraction(rng)) for k in keys]
+        den, rows = _integer_table(flats)
+        lip = F(9, 7)  # any constant: the kernel does not check it
+        ext = _mcshane(den, rows, lip, (EIGHTHS, EIGHTHS), EIGHTHS, "ext")
+        assert ext.lipschitz == lip
+        for _ in range(60):
+            ys = (point(_random_fraction(rng, (5, 9, 16))), point(_random_fraction(rng)))
+            assert ext(*ys) == _mcshane_reference(flats, lip, ys)
+
+
+def _steepest_pair_by_division(keys, gap, distance):
+    """The scan as it read before slopes were compared by cross-multiplication."""
+    best, steepest = None, F(0)
+    for i, p in enumerate(keys):
+        for q in keys[i + 1:]:
+            g = gap(p, q)
+            if g > 0:
+                d = distance(p, q)
+                if d == 0:
+                    return p, q, g, d
+                slope = g / d
+                if slope > steepest:
+                    best, steepest = (p, q, g, d), slope
+    return best
+
+
+class TestSteepestPair:
+    @pytest.mark.parametrize("kind", [int, F])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_division_form(self, kind, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 7)
+
+        def draw(k):
+            return k if kind is int else F(k, rng.choice([1, 2, 3]))
+
+        # few distinct values, so that slopes tie and some gaps are zero
+        vals = [draw(rng.randint(0, 3)) for _ in range(n)]
+        dist = {}
+        for i in range(n):
+            for j in range(i + 1, n):
+                dist[i, j] = dist[j, i] = draw(rng.choice([1, 2, 2, 4]))
+        if seed % 4 == 3 and n > 2:
+            dist[0, n - 1] = dist[n - 1, 0] = kind(0)  # a zero-distance pair
+        keys = list(range(n))
+        gap = lambda p, q: abs(vals[p] - vals[q])  # noqa: E731
+        distance = lambda p, q: dist[p, q]  # noqa: E731
+        got = _steepest_pair(keys, gap, distance)
+        assert got == _steepest_pair_by_division(keys, gap, distance)
+        if got is not None:
+            assert all(type(x) is kind for x in got[2:])
+
+    def test_first_of_tied_pairs_wins(self):
+        vals = [0, 1, 2, 4]
+        dist = lambda p, q: abs(p - q) * 2  # noqa: E731
+        gap = lambda p, q: abs(vals[p] - vals[q])  # noqa: E731
+        # (0, 1) and (1, 2) have slope 1/2, as does (0, 2); (2, 3) is steeper
+        got = _steepest_pair([0, 1, 2, 3], gap, dist)
+        assert got == (2, 3, 2, 2)
+        assert _steepest_pair([0, 1, 2], gap, dist) == (0, 1, 1, 2)
+        assert _steepest_pair([0, 1, 2], gap, dist) == _steepest_pair_by_division(
+            [0, 1, 2], gap, dist)
+
+    def test_zero_distance_returns_at_once(self):
+        seen = []
+
+        def gap(p, q):
+            seen.append((p, q))
+            return 1
+
+        assert _steepest_pair([0, 1, 2], gap, lambda p, q: 0) == (0, 1, 1, 0)
+        assert seen == [(0, 1)]
+
+    def test_no_positive_gap(self):
+        assert _steepest_pair([0, 1, 2], lambda p, q: 0, lambda p, q: 1) is None
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_tight_constant_is_the_largest_slope(self, seed):
+        rng = random.Random(seed)
+        net = make_finite([point(_random_fraction(rng)) for _ in range(5)])
+        mapping = {(q,): point(_random_fraction(rng)) for q in net.net}
+        slopes = [linf(mapping[p], mapping[q]) / linf(p[0], q[0])
+                  for p, q in itertools.combinations(mapping, 2)]
+        assert tight_lipschitz([net], mapping) == max(slopes, default=F(0))

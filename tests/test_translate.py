@@ -132,6 +132,29 @@ class TestTransport:
         assert all(c.ok for c in checks)
         assert tuple(c.budget for c in checks) == budgets
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transport_matches_per_coordinate_snap(self, seed):
+        # the transported structure is each coordinate snapped on its own,
+        # however often a value repeats
+        rng = random.Random(seed)
+        X = make_interval(0, 1, F(1, 3), label="thirds")
+        Y = make_finite([point(0, F(1, 5)), point(F(2, 5), F(1, 3)), point(1, F(1, 5))], label="Y")
+        sig = signature([Relation("R", 2, X), Relation("T", 1, Y)])
+        universe = ["a", "b", "c"]
+        M = structure(sig, universe, {
+            "R": {t: rng.choice(X.net) for t in itertools.product(universe, repeat=2)},
+            "T": {e: rng.choice(Y.net) for e in universe},
+        })
+        ctx = translate_signature(sig, rng.choice([F(1, 4), F(1, 6), F(2, 7)]))
+        N = transport_structure(ctx, M)
+        want = {}
+        for rel in sig.relations:
+            for i, name in enumerate(ctx.components[rel.name]):
+                want[name] = {t: point(snap_to_grid(ctx.grid, v.coords[i]))
+                              for t, v in M.interp[rel.name].items()}
+        assert N.interp == want
+        assert N.signature == ctx.target and N.universe == M.universe
+
     def test_snap_to_grid(self):
         g4 = make_interval(0, 1, F(1, 4))
         assert snap_to_grid(g4, F(1, 8)) == 0  # ties go down

@@ -1,8 +1,10 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
 from contlog.errors import SpaceMismatch, ValidationError
+from contlog.hyperspace import hyper
 from contlog.valuespace import (
     Point,
     ValueSpace,
@@ -160,6 +162,24 @@ def test_distance_checks_dimensions():
         distance(s, point(0, 0), point(1, 1))
 
 
+def _scan(space, p):
+    """The documented rule for `nearest`: the first net point at the least
+    distance, so a tie picks the smaller point."""
+    best = None
+    for q in space.net:
+        d = space.metric(p, q)
+        if best is None or d < best[1]:
+            best = (q, d)
+    return best
+
+
+def _random_nets(count):
+    rng = random.Random(5)
+    for _ in range(count):
+        den = rng.choice([3, 8, 10, 12])
+        yield make_finite([point(F(rng.randint(0, den), den)) for _ in range(rng.randint(1, 7))])
+
+
 class TestNearest:
     def test_basic(self):
         s = make_interval(0, 1, F(1, 4))
@@ -177,25 +197,26 @@ class TestNearest:
         make_interval(0, 1, F(1, 15)),
         make_finite([point(F(1, 10)), point(F(1, 3)), point(F(1, 2)), point(F(9, 10))]),
         make_finite([point(F(2, 5))]),
-    ], ids=["quarters", "clamped", "fifteenths", "irregular", "single"])
+        *_random_nets(8),
+    ], ids=["quarters", "clamped", "fifteenths", "irregular", "single",
+            *(f"random{i}" for i in range(8))])
     def test_bisect_matches_linear_scan(self, space):
-        # the reference is the documented rule: the first point at the
-        # least distance, so a tie picks the smaller point
-        def scan(p):
-            best = None
-            for q in space.net:
-                d = linf(p, q)
-                if best is None or d < best[1]:
-                    best = (q, d)
-            return best
-
         xs = [q.scalar for q in space.net]
         probes = {F(0), F(1), *xs}
         probes |= {(a + b) / 2 for a, b in zip(xs, xs[1:])}  # midpoint ties
         probes |= {x + e for x in list(probes) for e in (F(1, 97), F(-1, 97))}
         probes |= {F(k, 16) for k in range(17)}
         for x in sorted(v for v in probes if 0 <= v <= 1):
-            assert nearest(space, point(x)) == scan(point(x)), x
+            assert nearest(space, point(x)) == _scan(space, point(x)), x
+
+    def test_hyperspace_scans_its_net(self):
+        # the bisection is for plain one-dimensional nets only; a hyperspace,
+        # one-dimensional over a one-point base included, scans its net
+        for base in (make_finite([point(0), point(F(1, 3)), point(1)]),
+                     make_finite([point(F(2, 5))])):
+            H = hyper(base)
+            for p in H.net:
+                assert nearest(H, p) == _scan(H, p) == (p, F(0))
 
 
 def test_membership():
