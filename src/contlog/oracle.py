@@ -446,8 +446,8 @@ def verify_quantifier_identity(M: Structure, body: Formula,
 
     One pass tabulates `Q var. body` and the body together.  Per assignment,
     the left side takes the maximum of theta over the members of the set
-    row; the right side maximizes theta over the body rows along the `var`
-    axis.  Exact equality.
+    row, once per distinct set; the right side maximizes theta over the body
+    rows along the `var` axis.  Exact equality.
     """
     var = _single_free_var(body, var)
     space = body.value_space
@@ -458,9 +458,13 @@ def verify_quantifier_identity(M: Structure, body: Formula,
     q = Quant(QuantKind.SET, var, body)
     sets, values = tabulate(M, [q, body])
     witness = None
+    via_set: dict[Point, Fraction] = {}
     asgs = _assignments(M, body.free_vars - {var}, None)
     for asg in asgs:
-        lhs = max(theta(m).scalar for m in sets.value(asg).members)
+        k = sets.at(asg)
+        lhs = via_set.get(k)
+        if lhs is None:
+            lhs = via_set[k] = max(theta(m).scalar for m in sets.value(asg).members)
         rhs = max(theta(values.at({**asg, var: a})).scalar for a in M.universe)
         if lhs != rhs and witness is None:
             witness = {"assignment": dict(asg), "via_set": str(lhs), "direct": str(rhs)}
@@ -473,7 +477,7 @@ def verify_primordial_bounds(M: Structure, body: Formula,
 
     One pass tabulates `Q var. body`, `sup var. body` and `inf var. body`,
     three reductions of the one body table; each assignment reads a row of
-    each.
+    each, and each distinct set row is decoded once.
     """
     var = _single_free_var(body, var)
     space = body.value_space
@@ -483,15 +487,21 @@ def verify_primordial_bounds(M: Structure, body: Formula,
     sets, sups, infs = tabulate(M, [q, Quant(QuantKind.SUP, var, body),
                                     Quant(QuantKind.INF, var, body)])
     witness = None
+    extremes: dict[Point, tuple[Fraction, Fraction]] = {}
     asgs = _assignments(M, body.free_vars - {var}, None)
     for asg in asgs:
-        members = [m.scalar for m in sets.value(asg).members]
+        k = sets.at(asg)
+        bounds = extremes.get(k)
+        if bounds is None:
+            members = [m.scalar for m in sets.value(asg).members]
+            bounds = extremes[k] = max(members), min(members)
+        set_max, set_min = bounds
         sup_val, inf_val = sups.at(asg).scalar, infs.at(asg).scalar
-        if (max(members) != sup_val or min(members) != inf_val) and witness is None:
+        if (set_max != sup_val or set_min != inf_val) and witness is None:
             witness = {
                 "assignment": dict(asg),
-                "set_max": str(max(members)), "sup": str(sup_val),
-                "set_min": str(min(members)), "inf": str(inf_val),
+                "set_max": str(set_max), "sup": str(sup_val),
+                "set_min": str(set_min), "inf": str(inf_val),
             }
     return IdentityCheck(witness is None, len(asgs), witness)
 

@@ -20,7 +20,11 @@ directly.  A quantifier reduces its body's table along one axis:
                     space's net; the snap distance is charged to the
                     uncertainty bound)
 
-`evaluate` looks one row up and decodes a set value into a `CompactSet`.
+Within the pass the tables hold interned int ids, one per distinct Point,
+so a connective runs once per distinct tuple of argument ids, sup and inf
+compare int ranks and Q ORs subset bitmasks; Points are decoded only into
+the tables of the roots.  `evaluate` looks one row up and decodes a set
+value into a `CompactSet`.
 """
 
 from __future__ import annotations
@@ -28,7 +32,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import product
+from operator import or_
 from typing import Iterable, Mapping, Sequence, Union
 
 from .connective import _steepest_pair
@@ -237,31 +243,36 @@ def _picker(src: tuple[str, ...], dst: Sequence[str]):
     return lambda row: tuple([row[i] for i in idx])
 
 
-def _reduce(node: Quant, body: Table, variables: tuple[str, ...]) -> Table:
-    """Reduce the body's table along the quantified variable's axis."""
-    if node.var not in body.vars:
+def _reduce(node: Quant, body_vars: tuple[str, ...], body: dict[ElementTuple, int],
+            values: list[Point], intern) -> dict[ElementTuple, int]:
+    """Reduce the body's rows of value ids along the quantified variable's
+    axis; `values` maps an id to its Point and `intern` a Point to its id."""
+    if node.var not in body_vars:
         if node.kind is not QuantKind.SET:
             return body
-        groups = {key: [p] for key, p in body.rows.items()}
+        groups = {key: [i] for key, i in body.items()}
     else:
-        i = body.vars.index(node.var)
+        k = body_vars.index(node.var)
         groups = {}
-        for key, p in body.rows.items():
-            groups.setdefault(key[:i] + key[i + 1:], []).append(p)
-    space = node.value_space
+        for key, i in body.items():
+            groups.setdefault(key[:k] + key[k + 1:], []).append(i)
+    distinct = dict.fromkeys(body.values())
     if node.kind is QuantKind.SET:
-        # the indicator of the body values, each distinct one snapped once
-        # onto the body space's net
-        base, snapped = node.body.value_space, {}
-        for ps in groups.values():
-            for p in ps:
-                if p not in snapped:
-                    snapped[p] = nearest(base, p)[0]
-        fold = lambda ps: encode_subset(space, [snapped[p] for p in ps])  # noqa: E731
-    else:
-        extreme = max if node.kind is QuantKind.SUP else min
-        fold = lambda ps: extreme(ps, key=lambda p: p.scalar)  # noqa: E731
-    return Table(variables, {k: fold(ps) for k, ps in groups.items()}, space)
+        # each distinct body value is snapped once onto the body space's net
+        # and becomes its bit of a subset mask; each distinct mask is then
+        # one indicator point, net entry mask - 1 of the hyperspace
+        space, base = node.value_space, node.body.value_space
+        top = space.dimension - 1
+        bit = {i: 1 << top - base.net_index(nearest(base, values[i])[0]) for i in distinct}
+        masks = {key: reduce(or_, map(bit.__getitem__, ids)) for key, ids in groups.items()}
+        sets = {m: intern(space.net[m - 1]) for m in set(masks.values())}
+        return {key: sets[m] for key, m in masks.items()}
+    # a one-dimensional space has one point per scalar, so ranking the
+    # distinct values once leaves only ints to compare per group
+    order = sorted(distinct, key=lambda i: values[i].scalar)
+    rank = {i: r for r, i in enumerate(order)}
+    extreme = max if node.kind is QuantKind.SUP else min
+    return {key: order[extreme(map(rank.__getitem__, ids))] for key, ids in groups.items()}
 
 
 def tabulate(M: Structure, roots: Sequence[Formula],
@@ -275,6 +286,11 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     some quantifier in the formulas rebinds it; every other variable ranges
     over the universe.  Intermediate tables are dropped once every parent
     has read them.
+
+    Inside the pass a row holds an int id: each distinct Point gets one the
+    first time it appears, so a connective runs once per distinct tuple of
+    argument ids and a quantifier compares ints.  Only the roots' rows are
+    decoded back into Points.
 
     Before any table is built the assignment's elements are checked against
     the universe, then every atomic symbol against the signature (leftmost
@@ -296,30 +312,50 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     domains = {v: (e,) for v, e in asg.items() if v not in rebound}
     keep = {id(root) for root in roots}
     readers = Counter(id(child) for node in order for child in _children(node))
-    tables: dict[int, Table] = {}
+    values: list[Point] = []
+    ids: dict[Point, int] = {}
+
+    def intern(p: Point) -> int:
+        i = ids.setdefault(p, len(values))
+        if i == len(values):
+            values.append(p)
+        return i
+
+    # a node's (variables, rows), each row holding a value id
+    tables: dict[int, tuple[tuple[str, ...], dict[ElementTuple, int]]] = {}
     for node in order:
         kids = [tables[id(child)] for child in _children(node)]
         variables = tuple(sorted(node.free_vars))
         if isinstance(node, CauchyLimit):
             table = kids[0]
         elif isinstance(node, Quant):
-            table = _reduce(node, kids[0], variables)
+            table = variables, _reduce(node, *kids[0], values, intern)
         else:
             rows = product(*(domains.get(v, M.universe) for v in variables))
             if isinstance(node, Atomic):
                 col, pick = M.interp[node.symbol], _picker(variables, node.args)
-                table = Table(variables, {r: col[pick(r)] for r in rows}, node.value_space)
+                table = variables, {r: intern(col[pick(r)]) for r in rows}
             else:
-                conn = node.conn
-                picks = [(k.rows, _picker(variables, k.vars)) for k in kids]
-                table = Table(variables, {r: conn(*[t[pick(r)] for t, pick in picks])
-                                          for r in rows}, node.value_space)
+                conn, memo, out = node.conn, {}, {}
+                picks = [(kid_rows, _picker(variables, kid_vars)) for kid_vars, kid_rows in kids]
+                for r in rows:
+                    args = tuple([t[pick(r)] for t, pick in picks])
+                    i = memo.get(args)
+                    if i is None:
+                        i = memo[args] = intern(conn(*[values[a] for a in args]))
+                    out[r] = i
+                table = variables, out
         tables[id(node)] = table
         for child in _children(node):
             readers[id(child)] -= 1
             if not readers[id(child)] and id(child) not in keep:
                 del tables[id(child)]
-    return [tables[id(root)] for root in roots]
+    decoded = []
+    for root in roots:
+        variables, rows = tables[id(root)]
+        decoded.append(Table(variables, {k: values[i] for k, i in rows.items()},
+                             root.value_space))
+    return decoded
 
 
 def _assigned_table(M: Structure, phi: Formula, asg: Mapping[str, str]) -> Table:

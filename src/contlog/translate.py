@@ -37,7 +37,7 @@ from typing import Mapping, Sequence
 
 from .connective import (Connective, _integer_table, _mcshane, _steepest_entry, const,
                          flat_coords, identity, proj, table)
-from .errors import CapacityError, SpaceMismatch, ValidationError
+from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import HyperSpace, decode_subset, hyper, urysohn_separator
@@ -111,13 +111,15 @@ class TranslationContext:
         """Observable that is 1 exactly on the i-th net point and 0 elsewhere.
 
         Its sup over a set reads off membership of that point, so the family
-        over all i separates any two distinct sets.
+        over all i separates any two distinct sets.  Its gap is 1 only
+        between the i-th point and another, so its tight constant is the
+        closed form 1 / (distance to the nearest other net point) and needs
+        no pairwise scan.
         """
         key = (space, i)
         conn = self._hits.get(key)
         if conn is None:
             target = space.net[i]
-            mapping = {(p,): point(1 if p == target else 0) for p in space.net}
             if len(space.net) > 1:
                 sep = min(space.metric(target, p) for p in space.net if p != target)
                 if sep == 0:
@@ -128,8 +130,16 @@ class TranslationContext:
                 lip = Fraction(1) / sep
             else:
                 lip = ZERO
-            conn = table([space], mapping, lip, codomain=_BIT,
-                         name=f"hit[{i}]")
+            name = f"hit[{i}]"
+            hit, miss = point(1), point(0)
+
+            def run(p: Point) -> Point:
+                try:
+                    return hit if space.net_index(p) == i else miss
+                except SpaceMismatch:
+                    raise EvalError(f"{name}: input {(str(p),)} is off the table net") from None
+
+            conn = Connective(name, (space,), _BIT, lip, run)
             self._hits[key] = conn
         return conn
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from contlog.connective import identity, min_of, neg
+from contlog.connective import Connective, identity, max_of, min_of, neg
 from contlog.errors import EvalError, SpaceMismatch, TypeCheckError, ValidationError
 from contlog.hyperspace import (MAX_BASE_POINTS, encode_subset, hyper, inf_theta,
                                 lift, sup_theta)
@@ -278,6 +278,44 @@ class TestTables:
     def test_deep_formula_evaluates_without_recursion(self):
         phi = parse("sup x. " * 900 + "P(x)", MOOD.signature)
         assert evaluate(MOOD, phi).value.scalar == F(4, 5)
+
+
+class TestInterning:
+    """Rows hold value ids: equal Points share one however they were built."""
+
+    PX, PY = atom(SET_SIG, "P", "x"), atom(SET_SIG, "P", "y")
+
+    def test_connective_runs_once_per_distinct_argument_tuple(self):
+        calls = []
+        inner = min_of(G3, G3)
+
+        def run(p, q):
+            calls.append((p, q))
+            return inner(p, q)
+
+        counting = Connective("count", inner.domain, inner.codomain, inner.lipschitz, run)
+        phi = Apply(counting, (self.PX, self.PY))
+        for _ in range(2):
+            calls.clear()
+            [table] = tabulate(SET_M, [phi])
+            # 9 rows over P's values 0, 1/2, 1/2: 4 distinct argument tuples
+            assert len(table.rows) == 9
+            assert len(calls) == len(set(calls)) == 4
+        assert_rows_match(SET_M, phi)
+
+    @pytest.mark.parametrize("kind, rows", [
+        (QuantKind.SET, [point(1, 1, 0), point(0, 1, 0), point(0, 1, 0)]),
+        (QuantKind.SUP, [point(F(1, 2))] * 3),
+        (QuantKind.INF, [point(0), point(F(1, 2)), point(F(1, 2))]),
+    ])
+    def test_quantifiers_over_equal_points_from_different_objects(self, kind, rows):
+        column = SET_M.interp["P"]
+        assert column[("b",)] == column[("c",)] and column[("b",)] is not column[("c",)]
+        # max(P(x), P(y)) builds a new 1/2 for each of its argument tuples
+        # (0, 1/2), (1/2, 0) and (1/2, 1/2)
+        phi = Quant(kind, "x", Apply(max_of(G3, G3), (self.PX, self.PY)))
+        table = assert_rows_match(SET_M, phi)
+        assert [table.rows[(y,)] for y in SET_M.universe] == rows
 
 
 class TestCheckSymbols:

@@ -6,7 +6,7 @@ import pytest
 
 from contlog.connective import (identity, max_of, mcshane_extend, neg, proj, table,
                                 tight_lipschitz, unit_interval)
-from contlog.errors import CapacityError, SpaceMismatch, ValidationError
+from contlog.errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from contlog.formula import Apply, Atomic, Quant, QuantKind, Relation, parse, signature
 from contlog.hyperspace import compact, hyper, inf_theta, sup_theta
 from contlog.oracle import verify_coding
@@ -17,6 +17,7 @@ from contlog.translate import (
     Gen,
     MaxOf,
     MinOf,
+    TranslationContext,
     check_T0,
     code_condition,
     code_formula,
@@ -31,7 +32,7 @@ from contlog.translate import (
     translate_signature,
     transport_structure,
 )
-from contlog.valuespace import make_finite, make_interval, point
+from contlog.valuespace import ZERO, ValueSpace, make_finite, make_interval, point
 
 
 ALIGNED_X = make_finite([point(0), point(F(1, 4)), point(F(3, 4))], label="X")
@@ -464,6 +465,59 @@ class TestSetConnective:
             # nodes, not O(|H|^2)
             assert len(coded.children) <= 8
             assert dag_size(coded) <= 4 * 8 + 1
+
+
+class TestPointHit:
+    SPACES = [
+        make_finite([point(F(1, 2))], label="one"),
+        ALIGNED_X,
+        make_interval(0, 1, F(1, 3), label="thirds"),
+        make_finite([point(0, F(1, 2)), point(F(1, 4), 1), point(1, 0)], label="plane"),
+        hyper(make_finite([point(0), point(F(1, 8)), point(F(3, 4))], label="B")),
+    ]
+
+    @staticmethod
+    def as_table(space, i):
+        """The hit as a validated `table` connective at its tight constant."""
+        mapping = {(p,): point(1 if j == i else 0) for j, p in enumerate(space.net)}
+        tight = tight_lipschitz([space], mapping)
+        return tight, table([space], mapping, tight, codomain=make_finite(
+            [point(0), point(1)]), name=f"hit[{i}]")
+
+    @pytest.mark.parametrize("space", SPACES, ids=lambda s: s.label)
+    def test_closed_form_constant_is_tight(self, space):
+        ctx = TranslationContext(signature([Relation("P", 1, ALIGNED_X)]), F(1, 4))
+        for i in range(len(space.net)):
+            hit = ctx.point_hit(space, i)
+            tight, ref = self.as_table(space, i)
+            assert hit.lipschitz == tight, i
+            assert [hit(p) for p in space.net] == [ref(p) for p in space.net]
+            assert ctx.point_hit(space, i) is hit
+
+    @pytest.mark.parametrize("space, off", [
+        (ALIGNED_X, point(F(1, 2))),
+        (SPACES[4], point(1, F(1, 2), 0)),
+        (SPACES[4], point(0, 0, 0)),
+    ])
+    def test_off_net_input_raises_the_table_text(self, space, off):
+        ctx = TranslationContext(signature([Relation("P", 1, ALIGNED_X)]), F(1, 4))
+        with pytest.raises(EvalError) as want:
+            self.as_table(space, 0)[1](off)
+        with pytest.raises(EvalError) as got:
+            ctx.point_hit(space, 0)(off)
+        assert str(got.value) == str(want.value)
+
+    def test_zero_separation_refused(self):
+        class Flat(ValueSpace):
+            standard_metric = False
+
+            def metric(self, p, q):
+                return ZERO
+
+        flat = Flat(1, (point(0), point(1)), ZERO, "flat")
+        ctx = TranslationContext(signature([Relation("P", 1, ALIGNED_X)]), F(1, 4))
+        with pytest.raises(ValidationError, match="at distance zero from another net point"):
+            ctx.point_hit(flat, 0)
 
 
 class TestCodingMemo:
