@@ -135,12 +135,7 @@ __all__ = [
     "check_condition", "check_function_axioms", "check_pseudometric",
     "decode_function", "encode_function", "eval_error_bound", "evaluate",
     "quotient", "structure", "zero_distance_classes",
-    "MAX_SET_CODING_POINTS", "CodedCondition", "CodedFormula",
-    "LatticeApprox", "TranslationContext", "check_T0", "code_condition",
-    "code_formula", "decode_structure", "lattice_approx", "snap_to_grid",
-    "sup_generator", "t0_violations", "translate_signature",
-    "transport_structure",
-    "FuzzConfig", "TrialRecord", "fuzz", "summarize",
+    *_LAZY,
 ]
 
 

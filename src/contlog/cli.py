@@ -305,6 +305,8 @@ def _function_table(args) -> dict[str, str]:
 def cmd_encode_fn(args) -> int:
     M = _load_structure(args.structure)
     table = _function_table(args)
+    if not table:
+        raise FormatError("function table is empty")
     arities = {len(k.split(",")) for k in table}
     if len(arities) > 1:
         raise FormatError("function table keys have mixed arities")

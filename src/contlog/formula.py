@@ -29,7 +29,7 @@ from typing import Callable, Mapping, Sequence, Union
 from .connective import Connective
 from .errors import EvalError, ParseError, TypeCheckError, ValidationError
 from .hyperspace import hyper
-from .valuespace import Rational, ValueSpace, frac
+from .valuespace import Rational, ValueSpace, frac, tolerance
 
 KEYWORDS = ("sup", "inf", "Q")
 
@@ -117,7 +117,10 @@ class QuantKind(enum.Enum):
 
 
 class Formula:
-    """Base class; concrete nodes are Atomic, Apply, Quant and CauchyLimit."""
+    """Base class; concrete nodes are Atomic, Apply, Quant and CauchyLimit.
+
+    Each concrete node has `children`, its direct subformulas in order.
+    """
 
     @cached_property
     def value_space(self) -> ValueSpace:
@@ -150,6 +153,8 @@ class Atomic(Formula):
     symbol: str
     args: tuple[str, ...]
     space: ValueSpace
+
+    children = ()
 
     def _space(self) -> ValueSpace:
         return self.space
@@ -204,6 +209,10 @@ class Quant(Formula):
     var: str
     body: Formula
 
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
     def _space(self) -> ValueSpace:
         inner = self.body.value_space
         if self.kind is QuantKind.SET:
@@ -240,6 +249,10 @@ class CauchyLimit(Formula):
     tol: Fraction
     rate: Callable[[int], Fraction] = field(repr=False)
 
+    @property
+    def children(self) -> tuple[Formula, ...]:
+        return (self.body,)
+
     def _space(self) -> ValueSpace:
         return self.body.value_space
 
@@ -274,9 +287,7 @@ def cauchy_limit(rate: RateLike, formulas: Sequence[Formula], tol: Rational) -> 
     in a marker carrying the certificate.  Fails if no such N exists within
     the provided list.
     """
-    tol = frac(tol)
-    if tol < 0:
-        raise ValidationError("tolerance must be nonnegative")
+    tol = tolerance(tol)
     if not formulas:
         raise ValidationError("cauchy_limit needs at least one formula")
 

@@ -32,7 +32,7 @@ from .semantics import (Structure, check_pseudometric, evaluate,
 from .translate import TranslationContext, code_formula, t0_violations, \
     decode_structure, transport_structure
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac,
-                         make_finite, make_interval, nearest, point)
+                         make_finite, make_interval, nearest, point, tolerance)
 
 #: Exact coordinates are drawn from the eighths so that a step-1/8 grid
 #: carries them without snapping.
@@ -380,7 +380,7 @@ def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
     the coded formula in the transported structure; every assignment of the
     free variables reads one row of each table.
     """
-    tol = frac(tol)
+    tol = tolerance(tol)
     space = phi.value_space
     if theta is None and (space.dimension != 1 or not space.standard_metric):
         raise ValidationError("a formula that is not real-valued needs an observable")
@@ -541,7 +541,7 @@ def verify_corruption_detected(ctx: TranslationContext, M: Structure,
     boundary of the uncorrupted value so extrema cannot mask it.  `ok`
     means the corruption WAS detected.
     """
-    tol = frac(tol)
+    tol = tolerance(tol)
     coded = code_formula(ctx, phi)
     target = coded.codes(theta)
     budget = coded.budget_of(theta)

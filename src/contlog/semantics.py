@@ -43,7 +43,7 @@ from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import CompactSet, HyperSpace, decode_subset, encode_subset
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, membership,
-                         nearest, point)
+                         nearest, point, tolerance)
 
 ElementTuple = tuple[str, ...]
 Value = Union[Point, CompactSet]
@@ -195,16 +195,6 @@ class Table:
         return decode_subset(self.space, p) if isinstance(self.space, HyperSpace) else p
 
 
-def _children(node: Formula) -> tuple[Formula, ...]:
-    if isinstance(node, Apply):
-        return node.children
-    if isinstance(node, (Quant, CauchyLimit)):
-        return (node.body,)
-    if isinstance(node, Atomic):
-        return ()
-    raise EvalError(f"unknown formula node {type(node).__name__}")
-
-
 def _check_symbol(node: Atomic, sig: Signature):
     rel = sig.by_name.get(node.symbol)
     if rel is None:
@@ -222,16 +212,18 @@ def _postorder(roots: Sequence[Formula]) -> list[Formula]:
     """Every node under the roots once, children first and the leftmost
     subtree first, without recursion."""
     order: list[Formula] = []
-    seen: set[int] = set()
+    seen: set[Formula] = set()
     stack = [(root, False) for root in reversed(roots)]
     while stack:
         node, ready = stack.pop()
         if ready:
             order.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
+        elif node not in seen:
+            if not isinstance(node, (Atomic, Apply, Quant, CauchyLimit)):
+                raise EvalError(f"unknown formula node {type(node).__name__}")
+            seen.add(node)
             stack.append((node, True))
-            stack.extend((child, False) for child in reversed(_children(node)))
+            stack.extend((child, False) for child in reversed(node.children))
     return order
 
 
@@ -310,8 +302,8 @@ def tabulate(M: Structure, roots: Sequence[Formula],
         node.value_space, node.free_vars, node.error_bound
     rebound = {node.var for node in order if isinstance(node, Quant)}
     domains = {v: (e,) for v, e in asg.items() if v not in rebound}
-    keep = {id(root) for root in roots}
-    readers = Counter(id(child) for node in order for child in _children(node))
+    keep = set(roots)
+    readers = Counter(child for node in order for child in node.children)
     values: list[Point] = []
     ids: dict[Point, int] = {}
 
@@ -322,9 +314,9 @@ def tabulate(M: Structure, roots: Sequence[Formula],
         return i
 
     # a node's (variables, rows), each row holding a value id
-    tables: dict[int, tuple[tuple[str, ...], dict[ElementTuple, int]]] = {}
+    tables: dict[Formula, tuple[tuple[str, ...], dict[ElementTuple, int]]] = {}
     for node in order:
-        kids = [tables[id(child)] for child in _children(node)]
+        kids = [tables[child] for child in node.children]
         variables = tuple(sorted(node.free_vars))
         if isinstance(node, CauchyLimit):
             table = kids[0]
@@ -345,14 +337,14 @@ def tabulate(M: Structure, roots: Sequence[Formula],
                         i = memo[args] = intern(conn(*[values[a] for a in args]))
                     out[r] = i
                 table = variables, out
-        tables[id(node)] = table
-        for child in _children(node):
-            readers[id(child)] -= 1
-            if not readers[id(child)] and id(child) not in keep:
-                del tables[id(child)]
+        tables[node] = table
+        for child in node.children:
+            readers[child] -= 1
+            if not readers[child] and child not in keep:
+                del tables[child]
     decoded = []
     for root in roots:
-        variables, rows = tables[id(root)]
+        variables, rows = tables[root]
         decoded.append(Table(variables, {k: values[i] for k, i in rows.items()},
                              root.value_space))
     return decoded
@@ -399,7 +391,7 @@ def check_pseudometric(M: Structure, tol: Rational = 0) -> CheckReport:
     sig = M.signature
     if sig.distance_symbol is None:
         raise ValidationError("signature has no distance symbol")
-    tol = frac(tol)
+    tol = tolerance(tol)
     dtab = M.interp[sig.distance_symbol]
     d = lambda a, b: dtab[(a, b)].scalar  # noqa: E731
     U = M.universe
@@ -515,6 +507,8 @@ def encode_function(M: Structure, name: str, f_table: Mapping, modulus: Rational
     def key_len(key) -> int:
         return len(key.split(",")) if isinstance(key, str) else len(key)
 
+    if not f_table:
+        raise ValidationError("function table is empty")
     arities = {key_len(k) for k in f_table}
     if len(arities) != 1:
         raise ValidationError("function table keys have mixed arities")
@@ -570,7 +564,7 @@ def check_function_axioms(M: Structure, symbol: str, lipschitz: Rational | None 
         raise ValidationError(f"unknown symbol {symbol!r}")
     if rel.arity < 2 or rel.space.dimension != 1:
         raise ValidationError(f"{symbol} cannot be a function graph (needs arity >= 2, real values)")
-    tol = frac(tol)
+    tol = tolerance(tol)
     L = frac(lipschitz) if lipschitz is not None else sig.modulus(symbol)
     P = lambda xs, y: M.interp[symbol][xs + (y,)].scalar  # noqa: E731
     d, U, rows = M.distance, M.universe, M._tuples(rel.arity - 1)
@@ -648,8 +642,9 @@ def check_condition(M: Structure, phi: Formula, target, tol: Rational = 0,
     the value's point in the formula's table, a set value's indicator point
     included.
     """
+    tol = tolerance(tol)
     asg = dict(assignment or {})
     table = _assigned_table(M, phi, asg)
     p, space, bound = table.at(asg), phi.value_space, phi.error_bound
     dist = min(space.metric(p, m) for m in _target_points(space, target))
-    return ConditionReport(dist <= bound + frac(tol), table.value(asg), dist, bound)
+    return ConditionReport(dist <= bound + tol, table.value(asg), dist, bound)

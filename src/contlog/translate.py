@@ -20,11 +20,12 @@ coded by one min-max connective.  Its inputs are the codings of
 "sup x. hit_j(body)", one per base net point j that the observable's values
 depend on; each reads membership of that point.  Its value is the lattice
 interpolant of the observable over these point hits: the min over net sets
-k of the max of affines in the hits.  `hit_lattice` evaluates it from
-closed-form row tables instead of writing it out as a formula tree.
-`lattice_approx` keeps the general interpolation, which synthesizes
-separators on the base space when supplied generators cannot tell two sets
-apart; it is the exactly checked reference for the connective.
+k of the max of affines in the hits.  `hit_lattice` builds it as
+closed-form integer row tables.  `lattice_approx` keeps the general
+interpolation as a flat table with one row of affine terms per net set; it
+synthesizes separators on the base space when supplied generators cannot
+tell two sets apart, and it is the exactly checked reference for the
+connective.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
 from .hyperspace import HyperSpace, decode_subset, hyper, urysohn_separator
 from .semantics import CheckReport, Structure, _target_points
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, linf_coords,
-                         make_finite, make_interval, nearest, point)
+                         make_finite, make_interval, nearest, point, tolerance)
 
 MAX_SET_CODING_POINTS = 8
 
@@ -186,20 +187,19 @@ def decode_structure(ctx: TranslationContext, N: Structure) -> Structure:
     distance on coordinates."""
     if N.signature != ctx.target:
         raise SpaceMismatch("structure is not over the target signature")
-    interp: dict[str, dict] = {}
-    for rel in ctx.source.relations:
-        names = ctx.components[rel.name]
-        entries = {}
-        for t in N.interp[names[0]]:
-            vec = tuple(N.interp[name][t].scalar for name in names)
-            best = None
-            for q in rel.space.net:
-                d = linf_coords(q.coords, vec)
-                if best is None or d < best[0]:
-                    best = (d, q)
-            entries[t] = best[1]
-        interp[rel.name] = entries
+    interp = {rel.name: {t: q for t, q, _ in _nearest_net_points(ctx, N, rel)}
+              for rel in ctx.source.relations}
     return Structure(ctx.source, N.universe, interp)
+
+
+def _nearest_net_points(ctx: TranslationContext, N: Structure, rel: Relation):
+    """Per tuple of a source symbol: the first net point in net order nearest
+    to its grid values, in the flat l-infinity distance, and that distance."""
+    names = ctx.components[rel.name]
+    for t in N.interp[names[0]]:
+        vec = tuple(N.interp[name][t].scalar for name in names)
+        q = min(rel.space.net, key=lambda p: linf_coords(p.coords, vec))
+        yield t, q, linf_coords(q.coords, vec)
 
 
 def t0_violations(ctx: TranslationContext, N: Structure, tol: Rational = 0) -> list[str]:
@@ -207,14 +207,10 @@ def t0_violations(ctx: TranslationContext, N: Structure, tol: Rational = 0) -> l
     grid resolution (+ tol) of the coordinates of some source net point."""
     if N.signature != ctx.target:
         raise SpaceMismatch("structure is not over the target signature")
-    tol = frac(tol)
-    bound = ctx.grid.resolution + tol
+    bound = ctx.grid.resolution + tolerance(tol)
     out = []
     for rel in ctx.source.relations:
-        names = ctx.components[rel.name]
-        for t in N.interp[names[0]]:
-            vec = tuple(N.interp[name][t].scalar for name in names)
-            d = min(linf_coords(q.coords, vec) for q in rel.space.net)
+        for t, _, d in _nearest_net_points(ctx, N, rel):
             if d > bound:
                 out.append(
                     f"{rel.name}{t}: embedded distance {d} to the nearest "
@@ -229,66 +225,7 @@ def check_T0(ctx: TranslationContext, N: Structure, tol: Rational = 0) -> CheckR
 
 
 # ---------------------------------------------------------------------------
-# Lattice expressions: min-max of affine images of generator values
-
-@dataclass(frozen=True)
-class Gen:
-    index: int
-
-
-@dataclass(frozen=True)
-class Const:
-    value: Fraction
-
-
-@dataclass(frozen=True)
-class AffineOf:
-    a: Fraction
-    b: Fraction
-    sub: "LatticeExpr"
-
-
-@dataclass(frozen=True)
-class MinOf:
-    left: "LatticeExpr"
-    right: "LatticeExpr"
-
-
-@dataclass(frozen=True)
-class MaxOf:
-    left: "LatticeExpr"
-    right: "LatticeExpr"
-
-
-LatticeExpr = object  # Gen | Const | AffineOf | MinOf | MaxOf
-
-
-def eval_expr(expr, values: Sequence[Fraction]) -> Fraction:
-    if isinstance(expr, Gen):
-        return values[expr.index]
-    if isinstance(expr, Const):
-        return expr.value
-    if isinstance(expr, AffineOf):
-        return expr.a * eval_expr(expr.sub, values) + expr.b
-    if isinstance(expr, MinOf):
-        return min(eval_expr(expr.left, values), eval_expr(expr.right, values))
-    if isinstance(expr, MaxOf):
-        return max(eval_expr(expr.left, values), eval_expr(expr.right, values))
-    raise ValidationError(f"not a lattice expression: {expr!r}")
-
-
-def expr_lipschitz(expr) -> Fraction:
-    """Constant of the expression as a map from generator vectors (sup metric)."""
-    if isinstance(expr, Gen):
-        return Fraction(1)
-    if isinstance(expr, Const):
-        return ZERO
-    if isinstance(expr, AffineOf):
-        return abs(expr.a) * expr_lipschitz(expr.sub)
-    if isinstance(expr, (MinOf, MaxOf)):
-        return max(expr_lipschitz(expr.left), expr_lipschitz(expr.right))
-    raise ValidationError(f"not a lattice expression: {expr!r}")
-
+# The lattice interpolant: a min over rows of a max of affines of generator sups
 
 @dataclass(frozen=True, eq=False)
 class Generator:
@@ -313,31 +250,35 @@ def sup_generator(H: HyperSpace, theta: Connective) -> Generator:
     return Generator(theta, dict(zip(H.net, sups)))
 
 
+Term = tuple[Fraction, Fraction, int | None]
+
+
 @dataclass(frozen=True, eq=False)
 class LatticeApprox:
-    """Exact min-max-affine reproduction of a function on a hyperspace net."""
+    """Exact min-max-affine reproduction of a function on a hyperspace net.
+
+    `rows` holds one tuple of terms (a, b, j) per net set.  A term reads
+    a * x_j + b, with x_j the sup of the j-th generator, or the constant b
+    when j is None.  The interpolant is the min over the rows of the max over
+    each row's terms.
+    """
 
     space: HyperSpace
-    expr: object
+    rows: tuple[tuple[Term, ...], ...]
     generators: tuple[Generator, ...]
 
     @cached_property
     def lipschitz(self) -> Fraction:
-        return expr_lipschitz(self.expr)
+        """Constant as a map from generator vectors (sup metric)."""
+        return max((abs(a) for row in self.rows for a, _, _ in row), default=ZERO)
+
+    def value(self, xs: Sequence[Fraction]) -> Fraction:
+        """The interpolant at the sups xs of the generators."""
+        return min(max(b if j is None else a * xs[j] + b for a, b, j in row)
+                   for row in self.rows)
 
     def evaluate(self, k: Point) -> Fraction:
-        vals = [g.values[k] for g in self.generators]
-        return eval_expr(self.expr, vals)
-
-
-def _fold(make, items):
-    # Balanced reduction: min/max are associative, and a tree of logarithmic
-    # depth keeps deeply nested codings within the interpreter's stack.
-    items = list(items)
-    while len(items) > 1:
-        items = [make(items[k], items[k + 1]) if k + 1 < len(items) else items[k]
-                 for k in range(0, len(items), 2)]
-    return items[0]
+        return self.value([g.values[k] for g in self.generators])
 
 
 def _check_set_capacity(base: ValueSpace) -> None:
@@ -373,37 +314,33 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
             if k not in gen.values:
                 raise ValidationError("generator sup table misses a net point")
 
-    def pair_expr(k: Point, f: Point):
-        gk, gf = gvals[k], gvals[f]
-        if gk == gf:
-            return Const(gk)
-        for j, gen in enumerate(gens):
-            wk, wf = gen.values[k], gen.values[f]
-            if wk == wf:
-                continue
-            a = (gf - gk) / (wf - wk)
-            b = gk - a * wk
-            lo, hi = min(b, a + b), max(b, a + b)
-            if ZERO <= lo and hi <= ONE:
-                return AffineOf(a, b, Gen(j))
-        sep = urysohn_separator(H.base, decode_subset(H, k), decode_subset(H, f))
-        gen = sup_generator(H, sep)
-        gens.append(gen)
-        j = len(gens) - 1
-        wk, wf = gen.values[k], gen.values[f]
+    def fit(j: int, k: Point, f: Point) -> Term | None:
+        # the affine through (x_j(k), g(k)) and (x_j(f), g(f)), if x_j
+        # tells k and f apart
+        wk, wf = gens[j].values[k], gens[j].values[f]
         if wk == wf:
+            return None
+        a = (gvals[f] - gvals[k]) / (wf - wk)
+        return a, gvals[k] - a * wk, j
+
+    def term(k: Point, f: Point) -> Term:
+        if gvals[k] == gvals[f]:
+            return ZERO, gvals[k], None
+        for j in range(len(gens)):
+            t = fit(j, k, f)
+            # the affine must stay in [0,1] at x_j = 0 and at x_j = 1
+            if t is not None and ZERO <= t[1] <= ONE and ZERO <= t[0] + t[1] <= ONE:
+                return t
+        sep = urysohn_separator(H.base, decode_subset(H, k), decode_subset(H, f))
+        gens.append(sup_generator(H, sep))
+        t = fit(len(gens) - 1, k, f)
+        if t is None:
             raise ValidationError("separator failed to separate two distinct net sets")
-        a = (gf - gk) / (wf - wk)
-        b = gk - a * wk
-        return AffineOf(a, b, Gen(j))
+        return t
 
-    rows = []
-    for k in H.net:
-        terms = [pair_expr(k, f) for f in H.net if f != k]
-        rows.append(_fold(MaxOf, terms) if terms else Const(gvals[k]))
-    expr = _fold(MinOf, rows)
-
-    approx = LatticeApprox(H, expr, tuple(gens))
+    rows = tuple(tuple(term(k, f) for f in H.net if f != k) or ((ZERO, gvals[k], None),)
+                 for k in H.net)
+    approx = LatticeApprox(H, rows, tuple(gens))
     for k in H.net:
         got = approx.evaluate(k)
         if got != gvals[k]:
@@ -415,17 +352,16 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
 
 @dataclass(frozen=True, eq=False)
 class HitLattice:
-    """The interpolant lattice_approx builds from point-hit generators, as
-    closed-form row tables.
+    """The rows lattice_approx builds from point-hit generators, in closed
+    form.
 
-    With x_j the sup of the j-th point hit, lattice_approx interpolates the
-    pair of net sets (k, f) through the lowest base index j at which they
-    differ: by g(k) + (g(f) - g(k)) * u, where u = x_j if j is not in k and
-    u = 1 - x_j if it is (the constant g(k) when g(f) = g(k)).  Row k is the
-    max over f != k and the interpolant is the min over the rows.  Because u
-    lies in [0,1], the f that share one j contribute g(k) + u * D, D the
-    largest g(f) - g(k) among them, so a row has at most one term per base
-    index.  Values are integers over the common denominator `scale`.
+    With x_j the sup of the j-th point hit, the term of row k for a net set
+    f != k reads the lowest base index j at which k and f differ: it is
+    g(k) + (g(f) - g(k)) * u, where u = x_j if j is not in k and u = 1 - x_j
+    if it is (the constant g(k) when g(f) = g(k)).  Because u lies in
+    [0,1], the f that share one j contribute g(k) + u * D, D the largest
+    g(f) - g(k) among them, so a row has at most one term per base index.
+    Values are integers over the common denominator `scale`.
     """
 
     used: tuple[int, ...]  # the hits the interpolant reads, ascending
@@ -458,7 +394,7 @@ def hit_lattice(H: HyperSpace, g: Mapping[Point, Fraction]) -> HitLattice:
     """The interpolant lattice_approx(H, g, hits) reads off the point hits.
 
     hits[j] is the sup generator of the j-th point hit of the base.  The
-    result agrees with the lattice expression on every vector of sups in
+    result agrees with `LatticeApprox.value` on every vector of sups in
     [0,1], reads the same generators and has the same constant, max |g(f) -
     g(k)|.
     """

@@ -231,11 +231,17 @@ def nearest(space: ValueSpace, p: Point) -> tuple[Point, Fraction]:
     return best_p, best_d
 
 
-def membership(space: ValueSpace, p: Point, tol: Rational = ZERO) -> bool:
-    """Whether p lies within resolution + tol of the net."""
+def tolerance(tol: Rational) -> Fraction:
+    """A check's slack as a Fraction; a negative one is refused."""
     tol = frac(tol)
     if tol < ZERO:
         raise ValidationError("tolerance must be nonnegative")
+    return tol
+
+
+def membership(space: ValueSpace, p: Point, tol: Rational = ZERO) -> bool:
+    """Whether p lies within resolution + tol of the net."""
+    tol = tolerance(tol)
     _, d = nearest(space, p)
     return d <= space.resolution + tol
 

@@ -255,6 +255,12 @@ class TestCheckT0:
         doc = json.loads(out)
         assert code == 1 and doc["ok"] is False and len(doc["violations"]) == 1
 
+    def test_negative_tolerance_exits_2(self, files, capsys):
+        code, out, err = run(capsys, "check-t0", "--signature", files["bitsig"],
+                             "--structure", files["bit_n"], "--step", "1/8",
+                             "--tol=-1")
+        assert (code, out, err) == (2, "", "error: tolerance must be nonnegative\n")
+
 
 class TestCheckMetric:
     def test_axioms_hold(self, files, capsys):
@@ -271,6 +277,11 @@ class TestCheckMetric:
                            files["badmetric"], "--json")
         doc = json.loads(out)
         assert doc["ok"] is False and doc["failures"]
+
+    def test_negative_tolerance_exits_2(self, files, capsys):
+        code, out, err = run(capsys, "check-metric", "--structure", files["metric"],
+                             "--tol=-1/2")
+        assert (code, out, err) == (2, "", "error: tolerance must be nonnegative\n")
 
 
 class TestQuotient:
@@ -324,6 +335,11 @@ class TestEncodeFn:
                            "--name", "f",
                            "--table", '{"a": "b", "a,b": "c"}')
         assert code == 2 and "mixed arities" in err
+
+    def test_empty_table_exits_2(self, files, capsys):
+        code, out, err = run(capsys, "encode-fn", "--structure", files["metric"],
+                             "--name", "f", "--table", "{}")
+        assert (code, out, err) == (2, "", "error: function table is empty\n")
 
     def test_unknown_element_exits_2(self, files, capsys):
         code, _, err = run(capsys, "encode-fn", "--structure", files["metric"],

@@ -133,6 +133,13 @@ class TestVerifiers:
         assert check.ok  # ok == the planted shift was caught
         assert check.witness is not None and "shift" in check.witness
 
+    @pytest.mark.parametrize("verify", [verify_coding, verify_corruption_detected])
+    def test_negative_tolerance_rejected(self, verify):
+        ctx = TranslationContext(self.sig, EXACT_STEP)
+        phi = atom(self.sig, "P", "x")
+        with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+            verify(ctx, self.M, phi, tol=F(-1, 4))
+
 
 class TestDrivers:
     def test_each_driver_runs_clean(self):

@@ -13,6 +13,7 @@ from contlog.formula import (
     Apply,
     Atomic,
     CauchyLimit,
+    Formula,
     Quant,
     QuantKind,
     Relation,
@@ -335,6 +336,14 @@ class TestCheckSymbols:
                                             r"but G3 in the formula$"):
             evaluate(M, parse("sup x. P(x)", other))
 
+    def test_unknown_node_kind(self):
+        class Odd(Formula):
+            pass
+
+        for phi in (Odd(), Apply(neg(G), (Odd(),)), Quant(QuantKind.SUP, "x", Odd())):
+            with pytest.raises(EvalError, match="^unknown formula node Odd$"):
+                tabulate(M, [phi])
+
 
 class TestErrorOrder:
     """Assignment elements, then symbols left to right, then types, then
@@ -457,6 +466,10 @@ class TestPseudometric:
         assert not check_pseudometric(broken).ok
         assert check_pseudometric(broken, tol=F(1, 8)).ok
 
+    def test_negative_tolerance_rejected(self):
+        with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+            check_pseudometric(metric_structure(), tol=F(-1, 2))
+
 
 class TestQuotient:
     def test_classes_and_reps(self):
@@ -523,6 +536,14 @@ class TestFunctions:
             encode_function(N, "R", {"a": "a", "b": "b", "c": "c"})
         with pytest.raises(ValidationError, match="distance"):
             encode_function(M, "f", {"a": "a", "b": "b"})
+        with pytest.raises(ValidationError, match="^function table is empty$"):
+            encode_function(N, "f", {})
+
+    def test_negative_tolerance_rejected(self):
+        N = encode_function(metric_structure((0, F(1, 2), 1)), "f",
+                            {"a": "b", "b": "c", "c": "c"})
+        with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+            check_function_axioms(N, "f", tol=-1)
 
 
     @pytest.mark.parametrize("changes, lipschitz, failures", [
@@ -573,6 +594,8 @@ class TestCheckCondition:
         assert report.distance == F(1, 4)
         assert not report.ok  # bound 1/8 < distance 1/4
         assert check_condition(M, phi, [point(F(1, 2))], tol=F(1, 8)).ok
+        with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+            check_condition(M, phi, [point(F(1, 2))], tol=F(-1, 8))
 
     def test_set_valued_target(self):
         phi = parse("Q x. P(x)", SIG)

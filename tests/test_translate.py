@@ -12,18 +12,12 @@ from contlog.hyperspace import compact, hyper, inf_theta, sup_theta
 from contlog.oracle import verify_coding
 from contlog.semantics import check_condition, evaluate, structure
 from contlog.translate import (
-    AffineOf,
-    Const,
-    Gen,
-    MaxOf,
-    MinOf,
+    LatticeApprox,
     TranslationContext,
     check_T0,
     code_condition,
     code_formula,
     decode_structure,
-    eval_expr,
-    expr_lipschitz,
     hit_lattice,
     lattice_approx,
     snap_to_grid,
@@ -91,6 +85,22 @@ class TestTransport:
         assert not report.ok
         assert "R" in report.failures[0]
         assert t0_violations(ctx, bad, tol=1) == []
+        for check in (t0_violations, check_T0):
+            with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+                check(ctx, bad, tol=-1)
+
+    def test_ties_go_to_the_first_net_point(self):
+        X = make_finite([point(0), point(F(1, 2))], label="X")
+        sig = signature([Relation("R", 1, X)])
+        ctx = translate_signature(sig, F(1, 8))
+        N = structure(ctx.target, ["a", "b"], {"R_0": {"a": F(1, 4), "b": F(7, 8)}})
+        back = decode_structure(ctx, N)
+        assert back.value("R", "a") == point(0)  # 1/4 from both net points
+        assert back.value("R", "b") == point(F(1, 2))
+        assert t0_violations(ctx, N) == [
+            "R('a',): embedded distance 1/4 to the nearest net point of X exceeds 1/16",
+            "R('b',): embedded distance 3/8 to the nearest net point of X exceeds 1/16",
+        ]
 
     def test_wrong_signature_rejected(self):
         sig, ctx, M = aligned_setup()
@@ -166,13 +176,16 @@ class TestTransport:
 class TestLatticeExpressions:
     def test_eval_expr(self):
         vals = [F(1, 3), F(2, 3)]
-        e = MinOf(MaxOf(AffineOf(F(1, 2), F(1, 4), Gen(0)), Const(F(1, 8))), Gen(1))
+        rows = (((F(1, 2), F(1, 4), 0), (F(0), F(1, 8), None)), ((F(1), F(0), 1),))
+        ap = LatticeApprox(hyper(ALIGNED_X), rows, ())
         want = min(max(F(1, 2) * F(1, 3) + F(1, 4), F(1, 8)), F(2, 3))
-        assert eval_expr(e, vals) == want
+        assert ap.value(vals) == want
 
     def test_expr_lipschitz(self):
-        e = MaxOf(AffineOf(F(3), F(0), Gen(0)), Gen(1))
-        assert expr_lipschitz(e) == 3
+        rows = (((F(3), F(0), 0), (F(1), F(0), 1)), ((F(-5), F(1), 1), (F(0), F(7), None)))
+        assert LatticeApprox(hyper(ALIGNED_X), rows, ()).lipschitz == 5
+        constant = LatticeApprox(hyper(ALIGNED_X), (((F(0), F(1, 2), None),),), ())
+        assert constant.lipschitz == 0
 
     def test_interpolates_min_member(self):
         B = make_interval(0, 1, F(1, 2), label="B")
@@ -377,17 +390,6 @@ class TestCoding:
             code_formula(ctx, Apply(sup_theta(ident), (top,))).codes()
 
 
-def lattice_generators(expr) -> set[int]:
-    """Indices of the generators a lattice expression reads."""
-    if isinstance(expr, Gen):
-        return {expr.index}
-    if isinstance(expr, Const):
-        return set()
-    if isinstance(expr, AffineOf):
-        return lattice_generators(expr.sub)
-    return lattice_generators(expr.left) | lattice_generators(expr.right)
-
-
 def dag_size(phi) -> int:
     seen = set()
     stack = [phi]
@@ -431,16 +433,16 @@ class TestSetConnective:
         hits = [ctx.point_hit(base, j) for j in range(size)]
         approx = lattice_approx(H, g, [sup_generator(H, h) for h in hits])
         assert len(approx.generators) == size  # the hits separate every pair
-        used = sorted(lattice_generators(approx.expr))
+        used = sorted({j for row in approx.rows for _, _, j in row if j is not None})
         lattice = hit_lattice(H, g)
         assert lattice.used == tuple(used)
-        assert lattice.lipschitz == approx.lipschitz == expr_lipschitz(approx.expr)
+        assert lattice.lipschitz == approx.lipschitz
         assert isinstance(coded, Apply) and len(coded.children) == len(used)
 
         grid = [p.scalar for p in ctx.grid.net]
         for v in itertools.product(grid, repeat=size):
             got = coded.conn(*(point(v[j]) for j in used)).scalar
-            assert got == eval_expr(approx.expr, v), v
+            assert got == approx.value(v), v
 
         drift = max((code_formula(ctx, body).budget_of(hits[j])
                      + hits[j].lipschitz * base.resolution for j in used),

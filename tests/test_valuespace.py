@@ -17,6 +17,7 @@ from contlog.valuespace import (
     nearest,
     point,
     product,
+    tolerance,
 )
 
 
@@ -24,6 +25,12 @@ def test_frac_coercions():
     assert frac("2/3") == F(2, 3)
     assert frac(1) == F(1)
     assert frac(F(1, 2)) == F(1, 2)
+
+
+def test_tolerance_coercion():
+    assert tolerance("1/4") == F(1, 4) and tolerance(0) == 0
+    with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+        tolerance("-1/2")
 
 
 class TestPoint:
