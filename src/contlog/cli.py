@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import ContlogError, FormatError, ValidationError
+from .errors import NESTED_TOO_DEEPLY, ContlogError, FormatError, ValidationError
 from .formula import parse as parse_formula
 from .hyperspace import CompactSet
 from .semantics import (
@@ -459,7 +459,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ContlogError as err:
         message = str(err)
     except RecursionError:
-        message = "input is nested too deeply to process"
+        message = NESTED_TOO_DEEPLY
     except Exception as err:
         message = f"internal error: {type(err).__name__}: {err}"
     print("error: " + " ".join(message.splitlines()), file=sys.stderr)

@@ -27,7 +27,8 @@ from functools import cached_property
 from typing import Callable, Mapping, Sequence, Union
 
 from .connective import Connective
-from .errors import EvalError, ParseError, TypeCheckError, ValidationError
+from .errors import (NESTED_TOO_DEEPLY, CapacityError, EvalError, ParseError, TypeCheckError,
+                     ValidationError)
 from .hyperspace import hyper
 from .valuespace import Rational, ValueSpace, frac, tolerance
 
@@ -428,4 +429,7 @@ class _Parser:
 
 def parse(text: str, sig: Signature, library: Mapping[str, Connective] | None = None) -> Formula:
     """Parse and typecheck formula text against a signature and connective library."""
-    return _Parser(text, sig, library or {}).run()
+    try:
+        return _Parser(text, sig, library or {}).run()
+    except RecursionError:
+        raise CapacityError(NESTED_TOO_DEEPLY) from None

@@ -22,9 +22,9 @@ from .connective import (Connective, affine, clamp01, identity, max_of,
                          min_of, mul, neg, table, tight_lipschitz,
                          truncated_sub, bounded_add, const)
 from .errors import EvalError, ValidationError
-from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
+from .formula import (Apply, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
-from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset, hyper,
+from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset,
                          inf_theta, sup_theta)
 from .semantics import (Structure, check_pseudometric, evaluate,
                         eval_error_bound, quotient, structure, tabulate,

@@ -42,7 +42,7 @@ from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import CompactSet, HyperSpace, decode_subset, encode_subset
-from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, membership,
+from .valuespace import (ZERO, Point, Rational, ValueSpace, frac, membership,
                          nearest, point, tolerance)
 
 ElementTuple = tuple[str, ...]
@@ -119,6 +119,18 @@ class Structure:
                         f"{rel.name}{t}: value {v} is not within resolution of "
                         f"the net of {rel.space.label}"
                     )
+
+    @classmethod
+    def _unchecked(cls, signature: Signature, universe: tuple[str, ...],
+                   interp: Mapping[str, Mapping[ElementTuple, Point]]) -> Structure:
+        """A structure built without `__post_init__`, for callers whose
+        interpretation is total over a checked universe and whose every
+        value is a net point of its symbol's space."""
+        M = object.__new__(cls)
+        for name, value in (("signature", signature), ("universe", universe),
+                            ("interp", interp)):
+            object.__setattr__(M, name, value)
+        return M
 
     def _tuples(self, arity: int) -> list[ElementTuple]:
         out: list[ElementTuple] = [()]

@@ -6,7 +6,9 @@ source symbol P valued in X becomes one grid symbol per coordinate of X,
 which already sits in a unit cube, so its coordinate projections separate
 its points.  Structures transport by snapping each coordinate of a value to
 the grid (error at most half the grid step per coordinate), and decode back
-by nearest net point.
+by nearest net point.  Every transported value is a grid point by
+construction, so the transported structure skips `Structure`'s per-value
+membership check; the context keeps each space's snap bound.
 
 Formulas translate by *coding*: for a source formula phi and a real-valued
 observable theta on phi's value space, code(phi, theta) is a formula over the
@@ -38,7 +40,8 @@ from typing import Mapping, Sequence
 
 from .connective import (Connective, _integer_table, _mcshane, _steepest_entry, const,
                          flat_coords, identity, proj, table)
-from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
+from .errors import (NESTED_TOO_DEEPLY, CapacityError, EvalError, SpaceMismatch,
+                     ValidationError)
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import HyperSpace, decode_subset, hyper, urysohn_separator
@@ -76,6 +79,7 @@ class TranslationContext:
         self._coordinates: dict[ValueSpace, tuple[Connective, ...]] = {}
         self._identities: dict[ValueSpace, Connective] = {}
         self._hits: dict = {}
+        self._snap_bounds: dict[ValueSpace, Fraction] = {}
 
         components: dict[str, tuple[str, ...]] = {}
         targets: list[Relation] = []
@@ -150,8 +154,12 @@ class TranslationContext:
         return self.space_snap_bound(rel.space)
 
     def space_snap_bound(self, space: ValueSpace) -> Fraction:
-        coords = {c for q in space.net for c in q.coords}
-        return max(abs(c - snap_to_grid(self.grid, c)) for c in coords)
+        bound = self._snap_bounds.get(space)
+        if bound is None:
+            coords = {c for q in space.net for c in q.coords}
+            bound = max(nearest(self.grid, Point((c,)))[1] for c in coords)
+            self._snap_bounds[space] = bound
+        return bound
 
     @cached_property
     def aligned(self) -> bool:
@@ -177,9 +185,10 @@ def transport_structure(ctx: TranslationContext, M: Structure) -> Structure:
             for name, c in zip(names, v.coords):
                 q = snapped.get(c)
                 if q is None:
-                    q = snapped[c] = point(snap_to_grid(ctx.grid, c))
+                    q = snapped[c] = nearest(ctx.grid, Point((c,)))[0]
                 interp[name][t] = q
-    return Structure(ctx.target, M.universe, interp)
+    # M is total over its checked universe and every value is a grid point
+    return Structure._unchecked(ctx.target, M.universe, interp)
 
 
 def decode_structure(ctx: TranslationContext, N: Structure) -> Structure:
@@ -474,16 +483,26 @@ class CodedFormula:
     def __init__(self, ctx: TranslationContext, source: Formula):
         self.ctx = ctx
         self.source = source
-        source.value_space
+        try:
+            source.value_space
+        except RecursionError:
+            raise CapacityError(NESTED_TOO_DEEPLY) from None
         # keyed on the objects, which hash by identity: the memo keeps every
         # observable alive, so a new one can never reuse a stale entry
         self._memo: dict[tuple[Formula, Connective], Coded] = {}
 
     def codes(self, theta: Connective | None = None) -> Formula:
-        return self._code(self.source, self._default(theta)).formula
+        return self._root(theta).formula
 
     def budget_of(self, theta: Connective | None = None) -> Fraction:
-        return self._code(self.source, self._default(theta)).budget
+        return self._root(theta).budget
+
+    def _root(self, theta: Connective | None) -> Coded:
+        theta = self._default(theta)
+        try:
+            return self._code(self.source, theta)
+        except RecursionError:
+            raise CapacityError(NESTED_TOO_DEEPLY) from None
 
     def _default(self, theta: Connective | None) -> Connective:
         if theta is not None:

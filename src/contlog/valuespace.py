@@ -4,6 +4,13 @@ A value space is a finite net of rational points in [0,1]^n together with a
 resolution: the net stands for a compact set that it covers to within the
 resolution under the l-infinity metric.  Resolution 0 means the net *is* the
 space.  All arithmetic is exact (`fractions.Fraction`); floats never enter.
+
+Values are validated once, at the boundary: `Point`, `point` and
+`ValueSpace` check every input, while `make_interval`, whose grid is sorted
+and distinct by construction, checks its arguments and then builds its space
+through the unchecked `ValueSpace._unchecked`.  A point keeps its hash, and
+one-dimensional `nearest` bisects the net's scalars as integers over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import Iterable, Sequence, Union
 
 from .errors import SpaceMismatch, ValidationError
@@ -30,7 +38,11 @@ def frac(x: Rational) -> Fraction:
 
 @dataclass(frozen=True, order=True)
 class Point:
-    """A point of the unit cube with exact rational coordinates."""
+    """A point of the unit cube with exact rational coordinates.
+
+    The hash is computed once, at construction, and equals the dataclass
+    hash of the coordinates; equality compares it before the coordinates.
+    """
 
     coords: tuple[Fraction, ...]
 
@@ -40,8 +52,20 @@ class Point:
         for c in self.coords:
             if not isinstance(c, Fraction):
                 raise ValidationError(f"coordinate {c!r} is not a Fraction")
-            if c < ZERO or c > ONE:
+            # a Fraction's denominator is positive: 0 <= c <= 1 in integers
+            if c.numerator < 0 or c.numerator > c.denominator:
                 raise ValidationError(f"coordinate {c} lies outside [0,1]")
+        object.__setattr__(self, "_hash", hash((self.coords,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not Point:
+            return NotImplemented
+        return self._hash == other._hash and self.coords == other.coords
 
     @property
     def dimension(self) -> int:
@@ -104,6 +128,18 @@ class ValueSpace:
         if self.resolution < ZERO:
             raise ValidationError("resolution must be nonnegative")
 
+    @classmethod
+    def _unchecked(cls, dimension: int, net: tuple[Point, ...], resolution: Fraction,
+                   label: str) -> ValueSpace:
+        """A space built without `__post_init__`, for callers whose net is
+        already sorted, distinct and of the right dimension, and whose
+        resolution is a nonnegative Fraction."""
+        space = object.__new__(cls)
+        for name, value in (("dimension", dimension), ("net", net),
+                            ("resolution", resolution), ("label", label)):
+            object.__setattr__(space, name, value)
+        return space
+
     def metric(self, p: Point, q: Point) -> Fraction:
         return linf(p, q)
 
@@ -119,10 +155,14 @@ class ValueSpace:
             raise SpaceMismatch(f"{p} is not a net point of {self.label}") from None
 
     @cached_property
-    def _scalars(self) -> tuple[Fraction, ...]:
-        """The first coordinate of each net point, in net order; for
-        one-dimensional nets, the sorted scalars `nearest` bisects."""
-        return tuple(p.coords[0] for p in self.net)
+    def _int_scalars(self) -> tuple[int, tuple[int, ...]]:
+        """The first coordinate of each net point, in net order, over one
+        common denominator: (den, the coordinates times den).  For
+        one-dimensional nets these are the sorted integers `nearest`
+        bisects."""
+        xs = [p.coords[0] for p in self.net]
+        den = lcm(*(x.denominator for x in xs))
+        return den, tuple(x.numerator * (den // x.denominator) for x in xs)
 
     @cached_property
     def distance_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -161,18 +201,15 @@ def make_interval(lo: Rational, hi: Rational, step: Rational, label: str | None 
         raise ValidationError(f"empty interval: lo={lo} > hi={hi}")
     if lo < ZERO or hi > ONE:
         raise ValidationError("interval must sit inside [0,1]")
-    pts: list[Point] = []
-    k = 0
-    while True:
-        x = lo + k * step
-        if x >= hi:
-            pts.append(point(hi))
-            break
-        pts.append(point(x))
-        k += 1
+    # lo + k*step below hi, then hi itself, in integers over one denominator
+    den = lcm(lo.denominator, hi.denominator, step.denominator)
+    a, b, s = (v.numerator * (den // v.denominator) for v in (lo, hi, step))
+    pts = [Point((Fraction(x, den),)) for x in range(a, b, s)]
+    pts.append(Point((hi,)))
     if label is None:
         label = f"[{lo},{hi}]/{step}"
-    return ValueSpace(1, tuple(pts), step / 2, label)
+    # the points rise strictly from lo and stop at hi: the net is canonical
+    return ValueSpace._unchecked(1, tuple(pts), step / 2, label)
 
 
 def make_finite(points: Iterable[Point], label: str | None = None) -> ValueSpace:
@@ -211,18 +248,28 @@ def distance(space: ValueSpace, p: Point, q: Point) -> Fraction:
 
 
 def nearest(space: ValueSpace, p: Point) -> tuple[Point, Fraction]:
-    """The net point closest to p and its distance.  Ties pick the smaller point."""
+    """The net point closest to p and its distance.  Ties pick the smaller point.
+
+    A plain one-dimensional net is bisected in integers and builds one
+    Fraction, the distance; any other net is scanned.
+    """
     if p.dimension != space.dimension:
         raise SpaceMismatch(
             f"point of dimension {p.dimension} in {space.dimension}-dimensional space"
         )
     if space.dimension == 1 and space.standard_metric:
-        # the net is sorted: the nearest point is one of the two around p
-        xs, x = space._scalars, p.coords[0]
-        i = bisect_left(xs, x)
-        if i == len(xs) or (i > 0 and x - xs[i - 1] <= xs[i] - x):
+        # the net is sorted: the nearest point is one of the two around
+        # x = num/q.  In integers over the net's denominator den, the first
+        # scalar >= x is the first at least ceil(num*den/q), and the tie
+        # x - xs[i-1] <= xs[i] - x reads 2*num*den <= (xs[i-1] + xs[i])*q
+        den, xs = space._int_scalars
+        x = p.coords[0]
+        num, q = x.numerator, x.denominator
+        scaled = num * den
+        i = bisect_left(xs, -(-scaled // q))
+        if i == len(xs) or (i > 0 and 2 * scaled <= (xs[i - 1] + xs[i]) * q):
             i -= 1
-        return space.net[i], abs(x - xs[i])
+        return space.net[i], Fraction(abs(scaled - xs[i] * q), q * den)
     best_p, best_d = None, None
     for q in space.net:
         d = space.metric(p, q)

@@ -3,15 +3,13 @@ from fractions import Fraction as F
 import pytest
 
 from contlog.connective import min_of, neg
-from contlog.errors import ParseError, TypeCheckError, ValidationError
+from contlog.errors import CapacityError, ParseError, TypeCheckError, ValidationError
 from contlog.formula import (
     Apply,
-    Atomic,
     CauchyLimit,
     Quant,
     QuantKind,
     Relation,
-    Signature,
     atom,
     cauchy_limit,
     parse,
@@ -135,6 +133,13 @@ class TestParse:
             parse("sup sup. P(x)", SIG)
         with pytest.raises(ParseError):
             parse("@", SIG)
+
+    @pytest.mark.parametrize("text", ["sup x. " * 5000 + "P(x)",
+                                      "neg(" * 5000 + "P(x)" + ")" * 5000],
+                             ids=["quantifiers", "connectives"])
+    def test_deep_input_is_a_capacity_error(self, text):
+        with pytest.raises(CapacityError, match="^input is nested too deeply to process$"):
+            parse(text, SIG, {"neg": neg(X)})
 
     def test_library_name_clashes_rejected(self):
         with pytest.raises(ValidationError):

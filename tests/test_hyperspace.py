@@ -7,7 +7,6 @@ from contlog.connective import identity, neg, table
 from contlog.errors import CapacityError, SpaceMismatch, ValidationError
 from contlog.formula import Relation, parse, signature
 from contlog.hyperspace import (
-    CompactSet,
     HyperSpace,
     SubsetNet,
     ball,

@@ -1,10 +1,12 @@
 """The package namespace: every public name resolves, and the coder and the
-fuzz harness load only when a name from them is asked for.
+fuzz harness load only when a name from them is asked for, and no module
+imports a name it never uses.
 
 The checks that must see the package before any lazy name is touched run in
 a fresh interpreter, since other tests in the same run load every module
 of the package.
 """
+import ast
 import os
 import subprocess
 import sys
@@ -64,3 +66,43 @@ def test_eval_loads_neither_coder_nor_harness():
                 "                         '--formula', 'Q x. P(x)'])\n"
                 f"print(code, {LAZY_MODULES})\n")
     assert out == "{0.3, 0.8}\n0 []\n"
+
+
+def unused_imports(path: Path) -> list[str]:
+    """Names a module imports but never reads; a name listed in the
+    module's `__all__` counts as read."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported: dict[str, int] = {}
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+        elif isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {c.value for c in ast.walk(node.value)
+                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items()
+            if name not in used]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src" / "contlog").glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_unused_imports(path):
+    assert unused_imports(path) == []
+
+
+def test_unused_import_scan_flags_an_unread_name(tmp_path):
+    src = tmp_path / "mod.py"
+    src.write_text("from __future__ import annotations\n"
+                   "import os.path\n"
+                   "from fractions import Fraction, gcd as g\n"
+                   "__all__ = ['Fraction']\n"
+                   "def f(x: int) -> str:\n"
+                   "    return os.sep\n")
+    assert unused_imports(src) == ["mod.py:3: g"]

@@ -1,5 +1,6 @@
 import json
 import random
+import re
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -24,6 +25,7 @@ from contlog.formula import (
 )
 from contlog.hyperspace import CompactSet, compact
 from contlog.semantics import (
+    Structure,
     check_condition,
     check_function_axioms,
     check_pseudometric,
@@ -76,6 +78,12 @@ class TestStructure:
         exact = signature([Relation("P", 1, make_finite([point(0), point(1)]))])
         with pytest.raises(ValidationError, match="not within resolution"):
             structure(exact, ["a"], {"P": {"a": F(1, 2)}})
+
+    def test_constructor_refuses_an_off_net_value(self):
+        exact = signature([Relation("P", 1, make_finite([point(0), point(1)], label="B"))])
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "P('a',): value (1/2) is not within resolution of the net of B") + "$"):
+            Structure(exact, ("a",), {"P": {("a",): point(F(1, 2))}})
 
     def test_bad_element_ids(self):
         for bad in ("", "a,b", " a"):

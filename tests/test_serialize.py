@@ -1,10 +1,11 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
 
 from contlog.connective import unit_interval
-from contlog.errors import FormatError
+from contlog.errors import FormatError, ValidationError
 from contlog.formula import Relation, signature
 from contlog.hyperspace import encode_subset, hyper
 from contlog.semantics import structure
@@ -13,7 +14,6 @@ from contlog.serialize import (
     MANIFEST_SCHEMA,
     SIGNATURE_SCHEMA,
     STRUCTURE_SCHEMA,
-    connective_from_json,
     library_from_json,
     manifest_to_json,
     point_from_json,
@@ -229,7 +229,25 @@ class TestStructures:
     def test_off_net_value_is_a_format_error(self):
         doc = structure_to_json(self.make())
         doc["interp"]["P"]["a"] = "1/2"  # X has no point near 1/2
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="^" + re.escape(
+                "P('a',): value (1/2) is not within resolution of the net of X") + "$"):
+            structure_from_json(doc)
+
+    @pytest.mark.parametrize("value, error, message", [
+        ("-1/4", ValidationError, "coordinate -1/4 lies outside [0,1]"),
+        ("5/4", ValidationError, "coordinate 5/4 lies outside [0,1]"),
+        (0.25, FormatError, "rationals must be strings or integers, got 0.25"),
+    ], ids=["negative", "above-one", "float"])
+    def test_bad_coordinates_are_refused(self, value, error, message):
+        doc = structure_to_json(self.make())
+        doc["interp"]["P"]["a"] = value
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            structure_from_json(doc)
+
+    def test_interval_bounds_are_checked(self):
+        doc = structure_to_json(self.make())
+        doc["signature"]["relations"][0]["space"] = {"interval": ["-1/4", "1", "1/4"]}
+        with pytest.raises(ValidationError, match=r"^interval must sit inside \[0,1\]$"):
             structure_from_json(doc)
 
 

@@ -10,7 +10,7 @@ from contlog.errors import CapacityError, EvalError, SpaceMismatch, ValidationEr
 from contlog.formula import Apply, Atomic, Quant, QuantKind, Relation, parse, signature
 from contlog.hyperspace import compact, hyper, inf_theta, sup_theta
 from contlog.oracle import verify_coding
-from contlog.semantics import check_condition, evaluate, structure
+from contlog.semantics import Structure, check_condition, evaluate, structure
 from contlog.translate import (
     LatticeApprox,
     TranslationContext,
@@ -26,7 +26,7 @@ from contlog.translate import (
     translate_signature,
     transport_structure,
 )
-from contlog.valuespace import ZERO, ValueSpace, make_finite, make_interval, point
+from contlog.valuespace import ZERO, ValueSpace, make_finite, make_interval, membership, point
 
 
 ALIGNED_X = make_finite([point(0), point(F(1, 4)), point(F(3, 4))], label="X")
@@ -166,11 +166,40 @@ class TestTransport:
         assert N.interp == want
         assert N.signature == ctx.target and N.universe == M.universe
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_transport_passes_the_checked_constructor(self, seed):
+        # transport builds its structure unchecked; the checked constructor
+        # must accept the same interpretation, every value on the grid
+        rng = random.Random(seed)
+        X = make_finite([point(F(rng.randint(0, 97), 97)) for _ in range(4)], label="X")
+        Y = make_finite([point(F(rng.randint(0, 9), 9), F(rng.randint(0, 1009), 1009))
+                         for _ in range(3)], label="Y")
+        sig = signature([Relation("R", 2, X), Relation("T", 1, Y)])
+        universe = ["a", "b", "c"]
+        M = structure(sig, universe, {
+            "R": {t: rng.choice(X.net) for t in itertools.product(universe, repeat=2)},
+            "T": {e: rng.choice(Y.net) for e in universe},
+        })
+        ctx = translate_signature(sig, rng.choice([F(1, 4), F(1, 7), F(2, 9), F(1, 3)]))
+        N = transport_structure(ctx, M)
+        checked = Structure(N.signature, N.universe, N.interp)
+        assert checked.interp == N.interp
+        for entries in N.interp.values():
+            for v in entries.values():
+                assert membership(ctx.grid, v) and v in ctx.grid.net
+
     def test_snap_to_grid(self):
         g4 = make_interval(0, 1, F(1, 4))
         assert snap_to_grid(g4, F(1, 8)) == 0  # ties go down
         assert snap_to_grid(g4, F(3, 8)) == F(1, 4)
         assert snap_to_grid(g4, F(5, 6)) == F(3, 4)
+
+    def test_snap_to_grid_ties_on_a_clamped_grid(self):
+        g = make_interval(F(1, 8), F(7, 8), F(1, 3))  # 1/8, 11/24, 19/24, 7/8
+        assert snap_to_grid(g, F(7, 24)) == F(1, 8)  # midway: ties go down
+        assert snap_to_grid(g, F(5, 6)) == F(19, 24)  # midway to the clamped end
+        assert snap_to_grid(g, F(5, 6) + F(1, 1009)) == F(7, 8)
+        assert snap_to_grid(g, 0) == F(1, 8) and snap_to_grid(g, 1) == F(7, 8)
 
 
 class TestLatticeExpressions:
@@ -536,3 +565,37 @@ class TestCodingMemo:
                           codomain=make_finite([point(c)]), name="c")
             assert evaluate(N, coder.codes(theta)).scalar == c, i
             assert coder.budget_of(theta) == 0
+
+
+class TestDeepFormulas:
+    """A formula deeper than the recursion limit ends in a CapacityError."""
+
+    MESSAGE = "^input is nested too deeply to process$"
+
+    @staticmethod
+    def deep(depth, typed):
+        sig, ctx, M = aligned_setup()
+        phi = Atomic("P", ("x",), ALIGNED_X)
+        for _ in range(depth):
+            phi = Quant(QuantKind.SUP, "x", phi)
+            if typed:
+                phi.value_space  # typecheck as it grows, so no read recurses
+        return ctx, phi
+
+    def test_construction(self):
+        ctx, phi = self.deep(5000, typed=False)
+        with pytest.raises(CapacityError, match=self.MESSAGE):
+            code_formula(ctx, phi)
+
+    @pytest.mark.parametrize("read", ["codes", "budget_of"])
+    def test_coding(self, read):
+        ctx, phi = self.deep(5000, typed=True)
+        coder = code_formula(ctx, phi)
+        with pytest.raises(CapacityError, match=self.MESSAGE):
+            getattr(coder, read)()
+
+    def test_parsed_formula(self):
+        sig, ctx, M = aligned_setup()
+        coder = code_formula(ctx, parse("sup x. " * 900 + "P(x)", sig))
+        with pytest.raises(CapacityError, match=self.MESSAGE):
+            coder.budget_of()

@@ -1,5 +1,7 @@
 import random
+import re
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 
@@ -62,6 +64,27 @@ class TestPoint:
     def test_ordering(self):
         assert point(0) < point(F(1, 2)) < point(1)
         assert sorted([point(1, 0), point(0, 1)]) == [point(0, 1), point(1, 0)]
+        assert point(0, 1) <= point(0, 1) and not point(1, 0) < point(0, 1)
+
+    def test_hash_is_the_hash_of_its_coordinates(self):
+        # the cached hash equals the dataclass's, so set and dict order is kept
+        for p in (point(0), point(1), point(F(1, 3)), point(F(2, 1009), F(96, 97), 1)):
+            assert hash(p) == hash((p.coords,))
+
+    def test_equality(self):
+        a, b = point(F(1, 3), F(1, 2)), point("1/3", "2/4")
+        assert a is not b and a == b and hash(a) == hash(b)
+        assert a == a
+        assert a != point(F(1, 3), F(1, 4)) and a != point(F(1, 3))
+        assert point(F(1, 2)) != point(F(1, 2), F(1, 2))
+        assert len({a, b, point(0)}) == 2
+
+    def test_comparison_with_a_non_point_is_not_implemented(self):
+        p = point(F(1, 2))
+        assert p.__eq__((F(1, 2),)) is NotImplemented
+        assert p != (F(1, 2),) and p != F(1, 2)
+        with pytest.raises(TypeError):
+            p < (F(1, 2),)
 
 
 def test_linf():
@@ -136,6 +159,58 @@ class TestMakeInterval:
         with pytest.raises(ValidationError):
             make_interval(0, 2, F(1, 2))
 
+    def test_matches_the_checked_constructor(self):
+        # make_interval skips ValueSpace's canonicalization; its space must be
+        # the one the checked constructor builds from lo, lo + step, ..., hi
+        rng = random.Random(15)
+        uneven = 0
+        for _ in range(250):
+            den = rng.choice([1, 2, 3, 8, 12, 97, 1009])
+            a, b = sorted(rng.randint(0, den) for _ in range(2))
+            lo, hi = F(a, den), F(b, den)
+            step = F(rng.randint(1, 30), rng.choice([3, 8, 10, 97, 120]))
+            pts, x = [], lo
+            while x < hi:
+                pts.append(point(x))
+                x += step
+            pts.append(point(hi))
+            label = f"[{lo},{hi}]/{step}"
+            want = ValueSpace(1, tuple(pts), step / 2, label)
+            got = make_interval(lo, hi, step)
+            assert (got.net, got.resolution, got.label) == (want.net, want.resolution, label)
+            assert got == want and hash(got) == hash(want)
+            uneven += (hi - lo) % step != 0
+        assert uneven > 100
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: point(-1), ValidationError, "coordinate -1 lies outside [0,1]"),
+    (lambda: point(F(1, 2), F(9, 8)), ValidationError, "coordinate 9/8 lies outside [0,1]"),
+    (lambda: Point((F(-1, 1009),)), ValidationError, "coordinate -1/1009 lies outside [0,1]"),
+    (lambda: Point((F(1, 2), 0.5)), ValidationError, "coordinate 0.5 is not a Fraction"),
+    (lambda: Point((1,)), ValidationError, "coordinate 1 is not a Fraction"),
+    (lambda: Point(()), ValidationError, "a point needs at least one coordinate"),
+    (lambda: ValueSpace(1, (point(0), point(0, 1)), F(0), "X"), SpaceMismatch,
+     "net point (0, 1) has dimension 2, expected 1"),
+    (lambda: ValueSpace(1, (), F(0), "X"), ValidationError, "net must be nonempty"),
+    (lambda: ValueSpace(0, (point(0),), F(0), "X"), ValidationError,
+     "dimension must be a positive integer"),
+    (lambda: ValueSpace(1, (point(0),), F(-1), "X"), ValidationError,
+     "resolution must be nonnegative"),
+    (lambda: make_interval(0, 1, 0), ValidationError, "step must be positive"),
+    (lambda: make_interval(F(1, 2), F(1, 4), F(1, 8)), ValidationError,
+     "empty interval: lo=1/2 > hi=1/4"),
+    (lambda: make_interval(F(-1, 8), 1, F(1, 8)), ValidationError,
+     "interval must sit inside [0,1]"),
+    (lambda: make_interval(0, F(9, 8), F(1, 8)), ValidationError,
+     "interval must sit inside [0,1]"),
+], ids=["negative", "above-one", "negative-Point", "float", "int", "empty",
+        "space-dimension", "space-empty", "space-dimension-0", "space-resolution",
+        "interval-step", "interval-empty", "interval-below", "interval-above"])
+def test_public_constructors_refuse_bad_input(build, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        build()
+
 
 class TestMakeFinite:
     def test_exact(self):
@@ -205,16 +280,31 @@ class TestNearest:
         make_finite([point(F(1, 10)), point(F(1, 3)), point(F(1, 2)), point(F(9, 10))]),
         make_finite([point(F(2, 5))]),
         *_random_nets(8),
+        # large coprime denominators, alone and mixed
+        make_finite([point(F(k, 97)) for k in (0, 5, 13, 48, 49, 96, 97)]),
+        make_finite([point(F(k, 1009)) for k in (1, 2, 500, 504, 1008)]),
+        make_finite([point(F(1, 97)), point(F(3, 1009)), point(F(50, 97)),
+                     point(F(700, 1009)), point(1)]),
+        make_interval(F(1, 1009), F(1000, 1009), F(1, 97)),
+        make_finite([point(F(500, 1009))]),
+        make_finite([point(0)]),
+        make_finite([point(1)]),
     ], ids=["quarters", "clamped", "fifteenths", "irregular", "single",
-            *(f"random{i}" for i in range(8))])
+            *(f"random{i}" for i in range(8)),
+            "den97", "den1009", "mixed", "mixed-clamped", "single1009", "single0", "single1"])
     def test_bisect_matches_linear_scan(self, space):
         xs = [q.scalar for q in space.net]
         probes = {F(0), F(1), *xs}
         probes |= {(a + b) / 2 for a, b in zip(xs, xs[1:])}  # midpoint ties
-        probes |= {x + e for x in list(probes) for e in (F(1, 97), F(-1, 97))}
+        probes |= {x + e for x in list(probes)
+                   for e in (F(1, 97), F(-1, 97), F(1, 1009), F(-1, 1009))}
         probes |= {F(k, 16) for k in range(17)}
         for x in sorted(v for v in probes if 0 <= v <= 1):
-            assert nearest(space, point(x)) == _scan(space, point(x)), x
+            got = nearest(space, point(x))
+            assert got == _scan(space, point(x)), x
+            # the distance is a normalized Fraction, like the scan's
+            d = got[1]
+            assert type(d) is F and gcd(d.numerator, d.denominator) == 1, x
 
     def test_hyperspace_scans_its_net(self):
         # the bisection is for plain one-dimensional nets only; a hyperspace,
