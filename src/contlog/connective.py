@@ -5,15 +5,21 @@ point of its codomain.  Every connective carries a Lipschitz constant with
 respect to the l-infinity combination of its domain metrics; constructors
 either derive the constant structurally or validate a declared one
 exhaustively on the net, each in one scan of its pairs (`_steepest_pair`).
-Projections of a hyperspace use a closed form from the base distances.
+A table of real values on plain l-infinity spaces (`table`,
+`tight_lipschitz`, `validate_lipschitz`) is scanned as one integer table
+over a common denominator (`_steepest_table`), like the coder's tables.  Projections of a
+hyperspace use a closed form from the base distances, and their codomains
+the closed-form coordinate values of the net.
 
 The nine stock scalar connectives (`neg`, `clamp01`, `affine`, `add`,
 `bounded_add`, `truncated_sub`, `mul`, `max_of`, `min_of`) each state their
 map once, to `_pointwise`: the same function yields the image that is
-checked, the default codomain and the evaluator.  Outputs must always stay
-inside the unit cube, so the maps that could leave it (`affine`, `add`)
-reject domains whose image escapes.  `table` is the general escape hatch:
-any map on a finite net, with any valid declared constant.
+checked, the default codomain and the evaluator (the image is the default
+codomain's net, so only an explicit codomain is checked against it).
+Outputs must always stay inside the unit cube, so the maps that could leave
+it (`affine`, `add`) reject domains whose image escapes.  `table` is the
+general escape hatch: any map on a finite net, with any valid declared
+constant.
 
 McShane extensions (`mcshane_extend`, and `_mcshane` for the coder) scale
 their table of net coordinates and values to integers over one common
@@ -38,6 +44,7 @@ from .valuespace import (
     Point,
     Rational,
     ValueSpace,
+    _member,
     frac,
     linf,
     linf_coords,
@@ -177,16 +184,16 @@ def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
     """
     if not (0 <= i < space.dimension):
         raise SpaceMismatch(f"no coordinate {i} in {space.dimension}-dimensional space")
-    coords = sorted({p.coords[i] for p in space.net})
     if space.standard_metric:
         lip = Fraction(1)
     else:
         row = space.base.distance_matrix[i]
         gaps = [d for j, d in enumerate(row) if j != i]
         lip = ONE / min(gaps) if gaps else ZERO
-    codomain = ValueSpace(
+    # the coordinate values rise strictly: the net is canonical
+    codomain = ValueSpace._unchecked(
         1,
-        tuple(point(c) for c in coords),
+        tuple(Point((c,)) for c in space.coordinate_values(i)),
         lip * space.resolution,
         f"{space.label}[{i}]",
     )
@@ -201,24 +208,27 @@ def _pointwise(who: str, spaces: tuple[ValueSpace, ...], f: Callable, lip: Ratio
     """The stock connective that applies the scalar map f to one-dimensional spaces.
 
     The image of f over the product net is checked against [0,1] when
-    `unit_range` names the map, fills the default codomain (with the given
-    resolution and label), and must fit the codomain; the evaluator applies
-    the same f.
+    `unit_range` names the map, and either fills the default codomain (with
+    the given resolution and label) or must fit the given codomain; the
+    evaluator applies the same f.
     """
     for s in spaces:
         if s.dimension != 1:
             raise SpaceMismatch(f"{who} needs a one-dimensional space, got {s.label}")
-    image = [f(*(p.scalar for p in k)) for k in product_net(spaces)]
+    scalars = [[p.coords[0] for p in s.net] for s in spaces]
+    image = [f(*k) for k in itertools.product(*scalars)]
     if unit_range is not None:
         _check_unit_range(image, unit_range)
-    pts = [point(v) for v in image]
+    # each distinct image value once, in the order it first appears
+    pts = [point(v) for v in dict.fromkeys(image)]
     if codomain is None:
         codomain = ValueSpace(1, tuple(pts), resolution, label)
-    for e in pts:
-        if not membership(codomain, e, ZERO):
-            raise ValidationError(
-                f"{who}: image point {e} is not within resolution of {codomain.label}"
-            )
+    else:
+        for e in pts:
+            if not _member(codomain, e, ZERO):
+                raise ValidationError(
+                    f"{who}: image point {e} is not within resolution of {codomain.label}"
+                )
     if len(spaces) == 1:
         run = lambda p: point(f(p.scalar))  # noqa: E731
     else:
@@ -395,22 +405,27 @@ def table(domains: SpaceOrSpaces, mapping: Mapping, lipschitz: Rational,
     for k in keys:
         if k not in entries:
             raise ValidationError(f"{name}: no entry for net point {tuple(map(str, k))}")
-        if not membership(codomain, entries[k], ZERO):
+        if not _member(codomain, entries[k], ZERO):
             raise ValidationError(
                 f"{name}: entry {entries[k]} is not within resolution of {codomain.label}"
             )
     if len(entries) != len(keys):
         extra = set(entries) - set(keys)
         raise ValidationError(f"{name}: {len(extra)} entries are off the product net")
-    steep = _steepest_pair(keys, lambda p, q: codomain.metric(entries[p], entries[q]),
-                           lambda p, q: product_distance(doms, p, q))
+    steep = _steepest_table(doms, keys, entries, codomain)
     if steep is not None and steep[2] > lip * steep[3]:
         p, q, gap, d = steep
         raise ValidationError(
             f"{name}: declared Lipschitz {lip} violated: "
             f"|f{tuple(map(str, p))} - f{tuple(map(str, q))}| = {gap} > {lip} * {d}"
         )
+    return _tabulated(name, doms, entries, lip, codomain)
 
+
+def _tabulated(name: str, doms: tuple[ValueSpace, ...], entries: Mapping, lip: Fraction,
+               codomain: ValueSpace) -> Connective:
+    """`table` without its checks, for entries keyed by tuples of points that
+    cover the product net, lie on the codomain's net and satisfy lip."""
     def run(*pts: Point) -> Point:
         try:
             return entries[pts]
@@ -420,13 +435,38 @@ def table(domains: SpaceOrSpaces, mapping: Mapping, lipschitz: Rational,
     return Connective(name, doms, codomain, lip, run)
 
 
+def _steepest_table(doms: tuple[ValueSpace, ...], keys: Sequence[tuple[Point, ...]],
+                    entries: Mapping, codomain: ValueSpace | None) -> tuple | None:
+    """_steepest_pair of a table's entries over its keys, under the codomain's
+    metric (l-infinity without one) and the product of the domain metrics.
+
+    When every space is plain l-infinity, every value is one-dimensional
+    and every key fits the domains, the scan runs on one integer table over
+    a common denominator (`_integer_table`, `_steepest_entry`).  The
+    denominator cancels from every slope, so it returns the same first
+    steepest pair as the Fraction scan, with the same gap and distance.
+    """
+    if ((codomain is None or codomain.standard_metric)
+            and all(s.standard_metric for s in doms)
+            and all(entries[k].dimension == 1 and len(k) == len(doms)
+                    and all(p.dimension == s.dimension for p, s in zip(k, doms))
+                    for k in keys)):
+        den, rows = _integer_table([(flat_coords(k), entries[k].coords[0]) for k in keys])
+        steep = _steepest_entry([(*row, k) for row, k in zip(rows, keys)])
+        if steep is None:
+            return None
+        p, q, gap, d = steep
+        return p[2], q[2], Fraction(gap, den), Fraction(d, den)
+    metric = codomain.metric if codomain else linf
+    return _steepest_pair(keys, lambda p, q: metric(entries[p], entries[q]),
+                          lambda p, q: product_distance(doms, p, q))
+
+
 def tight_lipschitz(domains: SpaceOrSpaces, mapping: Mapping, codomain: ValueSpace | None = None) -> Fraction:
     """Smallest constant valid for the mapping on the product net."""
     doms = _spaces(domains)
     entries = {_normalize_key(k): as_point(v) for k, v in mapping.items()}
-    gap = codomain.metric if codomain else linf
-    steep = _steepest_pair(list(entries), lambda p, q: gap(entries[p], entries[q]),
-                           lambda p, q: product_distance(doms, p, q))
+    steep = _steepest_table(doms, list(entries), entries, codomain)
     if steep is not None and steep[3] == ZERO:
         raise ValidationError("mapping differs on points at distance zero")
     return ZERO if steep is None else steep[2] / steep[3]
@@ -523,8 +563,7 @@ def validate_lipschitz(conn: Connective) -> tuple | None:
     """
     keys = list(product_net(conn.domain))
     outs = {k: conn.evaluator(*k) for k in keys}
-    steep = _steepest_pair(keys, lambda p, q: conn.codomain.metric(outs[p], outs[q]),
-                           lambda p, q: product_distance(conn.domain, p, q))
+    steep = _steepest_table(conn.domain, keys, outs, conn.codomain)
     if steep is not None and steep[2] > conn.lipschitz * steep[3]:
         return steep
     return None

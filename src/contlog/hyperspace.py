@@ -7,11 +7,22 @@ through the base space's metric, so hyperspaces nest.
 
 The net of 2^n - 1 indicator points is virtual (`SubsetNet`): its length,
 entries and indices come from subset bitmasks, and the points themselves are
-built only when a caller iterates the net.  Typechecking and evaluating `Q`
-never do, so a `Q` value costs O(|U| * n) for a universe U and an n-point
-base.  Coding a set quantifier works on masks and builds the points only to
-apply an observable to them; `lattice_approx` and exhaustive checks over the
-whole hyperspace build them too.
+built only when a caller iterates the net.  These never do:
+
+- typechecking and evaluating `Q`, so a `Q` value costs O(|U| * n) for a
+  universe U and an n-point base;
+- `membership`, and so a `Structure` with set values, which reads a value's
+  0/1 mask in O(n);
+- `proj` and the translation's snap bound, which take the coordinate values
+  {0, 1} in closed form (`coordinate_values`).
+
+These do:
+
+- coding a set quantifier, which works on masks and builds the points only
+  to apply an observable to them;
+- `lattice_approx`, and exhaustive checks over the whole hyperspace;
+- `nearest` on a hyperspace, and so decoding a transported structure and
+  its T0 check.
 
 Open behaviour is visible through the two generating families of the Vietoris
 topology: "every member inside U" and "some member meets V".
@@ -126,6 +137,17 @@ class HyperSpace(ValueSpace):
         if not idx:
             raise SpaceMismatch("indicator encodes the empty set")
         return frozenset(idx)
+
+    def _has(self, p: Point) -> bool:
+        """Every nonempty 0/1 vector is an indicator point.  `member_indices`
+        refuses any other point, with the text the Hausdorff metric gives."""
+        self.member_indices(p)
+        return True
+
+    def coordinate_values(self, i: int) -> tuple[Fraction, ...]:
+        """Coordinate i of an indicator point says whether base point i is a
+        member: always on a one-point base, either way on a larger one."""
+        return (ONE,) if self.dimension == 1 else (ZERO, ONE)
 
     def net_index(self, p: Point) -> int:
         """Position of an indicator point in the net: its subset mask minus 1."""

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
-from .connective import (Connective, affine, clamp01, identity, max_of,
-                         min_of, mul, neg, table, tight_lipschitz,
+from .connective import (Connective, _tabulated, affine, clamp01, identity,
+                         max_of, min_of, mul, neg, tight_lipschitz,
                          truncated_sub, bounded_add, const)
 from .errors import EvalError, ValidationError
 from .formula import (Apply, CauchyLimit, Formula, Quant, QuantKind,
@@ -174,10 +174,12 @@ def random_theta(rng: random.Random, space: ValueSpace, *,
             return identity(space)
         if pick < 0.5:
             return neg(space)
-    mapping = {p: point(rng.choice(EXACT_POOL)) for p in space.net}
+    mapping = {(p,): point(rng.choice(EXACT_POOL)) for p in space.net}
+    # total on the net, valued on the codomain's net, at the tight constant:
+    # every check of `table` holds by construction
     lip = tight_lipschitz(space, mapping)
-    codomain = make_finite(sorted(set(mapping.values())))
-    return table(space, mapping, lip, codomain, name="obs")
+    codomain = make_finite(set(mapping.values()))
+    return _tabulated("obs", (space,), mapping, lip, codomain)
 
 
 # ---------------------------------------------------------------------------
@@ -326,10 +328,10 @@ class _FormulaBuilder:
         if len(space.net) <= MAX_SET_BODY_POINTS:
             return node
         vals = self.rng.sample(EXACT_POOL, MAX_SET_BODY_POINTS)
-        mapping = {p: point(self.rng.choice(vals)) for p in space.net}
+        mapping = {(p,): point(self.rng.choice(vals)) for p in space.net}
         lip = tight_lipschitz(space, mapping)
-        codomain = make_finite(sorted(set(mapping.values())))
-        return Apply(table(space, mapping, lip, codomain, name="squash"), (node,))
+        codomain = make_finite(set(mapping.values()))
+        return Apply(_tabulated("squash", (space,), mapping, lip, codomain), (node,))
 
 
 def random_formula(cfg: FuzzConfig, sig: Signature,

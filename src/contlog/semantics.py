@@ -42,7 +42,7 @@ from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import CompactSet, HyperSpace, decode_subset, encode_subset
-from .valuespace import (ZERO, Point, Rational, ValueSpace, frac, membership,
+from .valuespace import (ZERO, Point, Rational, ValueSpace, _member, frac,
                          nearest, point, tolerance)
 
 ElementTuple = tuple[str, ...]
@@ -114,7 +114,7 @@ class Structure:
                     f"(missing {missing}, extra {extra})"
                 )
             for t, v in entries.items():
-                if not membership(rel.space, v, ZERO):
+                if not _member(rel.space, v, ZERO):
                     raise ValidationError(
                         f"{rel.name}{t}: value {v} is not within resolution of "
                         f"the net of {rel.space.label}"
@@ -133,10 +133,7 @@ class Structure:
         return M
 
     def _tuples(self, arity: int) -> list[ElementTuple]:
-        out: list[ElementTuple] = [()]
-        for _ in range(arity):
-            out = [t + (e,) for t in out for e in self.universe]
-        return out
+        return list(product(self.universe, repeat=arity))
 
     def value(self, symbol: str, *elements: str) -> Point:
         return self.interp[symbol][tuple(elements)]

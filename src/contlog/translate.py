@@ -156,7 +156,7 @@ class TranslationContext:
     def space_snap_bound(self, space: ValueSpace) -> Fraction:
         bound = self._snap_bounds.get(space)
         if bound is None:
-            coords = {c for q in space.net for c in q.coords}
+            coords = {c for i in range(space.dimension) for c in space.coordinate_values(i)}
             bound = max(nearest(self.grid, Point((c,)))[1] for c in coords)
             self._snap_bounds[space] = bound
         return bound

@@ -11,6 +11,12 @@ and distinct by construction, checks its arguments and then builds its space
 through the unchecked `ValueSpace._unchecked`.  A point keeps its hash, and
 one-dimensional `nearest` bisects the net's scalars as integers over one
 common denominator.
+
+`membership` answers a net point from its position in the net, with no
+scan and no Fraction: a one-dimensional net bisects its integer scalars,
+any other plain net looks the point up in its index, and a hyperspace reads
+the point's 0/1 mask (`ValueSpace._has`).  Only a point off the net falls
+through to `nearest`.
 """
 
 from __future__ import annotations
@@ -21,6 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
 from .errors import SpaceMismatch, ValidationError
@@ -53,7 +60,7 @@ class Point:
             if not isinstance(c, Fraction):
                 raise ValidationError(f"coordinate {c!r} is not a Fraction")
             # a Fraction's denominator is positive: 0 <= c <= 1 in integers
-            if c.numerator < 0 or c.numerator > c.denominator:
+            if not 0 <= c.numerator <= c.denominator:
                 raise ValidationError(f"coordinate {c} lies outside [0,1]")
         object.__setattr__(self, "_hash", hash((self.coords,)))
 
@@ -83,7 +90,7 @@ class Point:
 
 
 def point(*coords: Rational) -> Point:
-    return Point(tuple(frac(c) for c in coords))
+    return Point(tuple(map(frac, coords)))
 
 
 def linf_coords(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -118,7 +125,9 @@ class ValueSpace:
             raise ValidationError("dimension must be a positive integer")
         if not self.net:
             raise ValidationError("net must be nonempty")
-        canonical = tuple(sorted(set(self.net)))
+        # Point's order, with the coordinates as the key: one tuple
+        # comparison per pair, not a call of Point.__lt__
+        canonical = tuple(sorted(set(self.net), key=attrgetter("coords")))
         object.__setattr__(self, "net", canonical)
         for p in canonical:
             if p.dimension != self.dimension:
@@ -153,6 +162,24 @@ class ValueSpace:
             return self._index[p]
         except KeyError:
             raise SpaceMismatch(f"{p} is not a net point of {self.label}") from None
+
+    def _has(self, p: Point) -> bool:
+        """Whether p, of the space's dimension, is a net point: for a
+        one-dimensional net by an integer bisection of `_int_scalars`, for
+        any other net through `_index`."""
+        if self.dimension == 1:
+            den, xs = self._int_scalars
+            x = p.coords[0]
+            t, r = divmod(x.numerator * den, x.denominator)
+            if r:
+                return False
+            i = bisect_left(xs, t)
+            return i < len(xs) and xs[i] == t
+        return p in self._index
+
+    def coordinate_values(self, i: int) -> tuple[Fraction, ...]:
+        """The distinct values of coordinate i over the net, rising."""
+        return tuple(sorted({p.coords[i] for p in self.net}))
 
     @cached_property
     def _int_scalars(self) -> tuple[int, tuple[int, ...]]:
@@ -287,8 +314,20 @@ def tolerance(tol: Rational) -> Fraction:
 
 
 def membership(space: ValueSpace, p: Point, tol: Rational = ZERO) -> bool:
-    """Whether p lies within resolution + tol of the net."""
-    tol = tolerance(tol)
-    _, d = nearest(space, p)
-    return d <= space.resolution + tol
+    """Whether p lies within resolution + tol of the net.
+
+    A net point is a member at once, by its position in the net; any other
+    point is measured against the net by `nearest`.
+    """
+    return _member(space, p, tolerance(tol))
+
+
+def _member(space: ValueSpace, p: Point, tol: Fraction) -> bool:
+    """`membership` with a tolerance already checked, for callers that check
+    many values against one tolerance."""
+    if p.dimension != space.dimension:
+        raise SpaceMismatch(
+            f"point of dimension {p.dimension} in {space.dimension}-dimensional space"
+        )
+    return space._has(p) or nearest(space, p)[1] <= space.resolution + tol
 

@@ -10,6 +10,7 @@ from contlog.connective import (
     _integer_table,
     _mcshane,
     _steepest_pair,
+    _steepest_table,
     add,
     affine,
     bounded_add,
@@ -22,6 +23,7 @@ from contlog.connective import (
     min_of,
     mul,
     neg,
+    product_distance,
     proj,
     table,
     tight_lipschitz,
@@ -31,7 +33,8 @@ from contlog.connective import (
 )
 from contlog.errors import EvalError, SpaceMismatch, ValidationError
 from contlog.hyperspace import hyper
-from contlog.valuespace import linf, linf_coords, make_finite, make_interval, point, product
+from contlog.valuespace import (ValueSpace, linf, linf_coords, make_finite, make_interval,
+                                point, product)
 
 Q = make_interval(0, 1, F(1, 4), label="quarters")
 EIGHTHS = make_interval(0, 1, F(1, 8))
@@ -82,6 +85,9 @@ class TestBasicConnectives:
             coordinate = {(k,): point(k.coords[i]) for k in space.net}
             assert p.lipschitz == tight_lipschitz([space], coordinate)
             assert all(p(k) == v for (k,), v in coordinate.items())
+            # the closed-form codomain is the one built from the whole net
+            assert p.codomain == ValueSpace(1, tuple(coordinate.values()),
+                                            p.lipschitz * space.resolution, "scanned")
         with pytest.raises(SpaceMismatch):
             proj(space, space.dimension)
 
@@ -487,3 +493,75 @@ class TestSteepestPair:
         slopes = [linf(mapping[p], mapping[q]) / linf(p[0], q[0])
                   for p, q in itertools.combinations(mapping, 2)]
         assert tight_lipschitz([net], mapping) == max(slopes, default=F(0))
+
+
+def _fraction_steepest(doms, keys, entries, codomain=None):
+    """The Fraction scan of a table, the reference for `_steepest_table`."""
+    gap = codomain.metric if codomain else linf
+    return _steepest_pair(keys, lambda p, q: gap(entries[p], entries[q]),
+                          lambda p, q: product_distance(doms, p, q))
+
+
+def _random_domains(rng):
+    def net(dim):
+        dens = (1, 2, 3, 8, 12, 97)
+        return make_finite([point(*(_random_fraction(rng, dens) for _ in range(dim)))
+                            for _ in range(rng.randint(1, 5))])
+
+    shape = rng.choice(["1d", "1d", "2d", "product", "interval"])
+    if shape == "1d":
+        return [net(1)]
+    if shape == "2d":
+        return [net(2)]
+    if shape == "product":
+        return [net(1), rng.choice([net(1), net(2), make_interval(0, 1, F(1, 3))])]
+    return [make_interval(0, 1, rng.choice([F(1, 4), F(1, 5), F(2, 7)]))]
+
+
+class TestIntegerTableScan:
+    """`table`, `tight_lipschitz` and `validate_lipschitz` scan real tables
+    on plain spaces in integers; the pair, constant and texts must be the
+    Fraction scan's."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_fraction_scan(self, seed):
+        rng = random.Random(seed)
+        for trial in range(40):
+            doms = _random_domains(rng)
+            keys = list(itertools.product(*(s.net for s in doms)))
+            pool = [_random_fraction(rng, (1, 3, 4, 5, 9, 16)) for _ in range(rng.randint(1, 4))]
+            mapping = {k: point(rng.choice(pool)) for k in keys}
+            cod = make_finite(set(mapping.values()))
+            steep = _fraction_steepest(doms, keys, mapping)
+            assert _steepest_table(tuple(doms), keys, mapping, cod) == steep
+            assert _steepest_table(tuple(doms), keys, mapping, None) == steep
+            tight = F(0) if steep is None else steep[2] / steep[3]
+            assert tight_lipschitz(doms, mapping) == tight
+            assert tight_lipschitz(doms, mapping, cod) == tight
+            honest = table(doms, mapping, tight, cod)
+            assert honest.lipschitz == tight and validate_lipschitz(honest) is None
+            if steep is not None:
+                p, q, gap, d = steep
+                under = tight - F(1, 1000)
+                liar = Connective("liar", honest.domain, cod, under, honest.evaluator)
+                assert validate_lipschitz(liar) == steep
+                text = (f"t{trial}: declared Lipschitz {under} violated: "
+                        f"|f{tuple(map(str, p))} - f{tuple(map(str, q))}| = {gap} > {under} * {d}")
+                with pytest.raises(ValidationError) as caught:
+                    table(doms, mapping, under, cod, name=f"t{trial}")
+                assert str(caught.value) == text
+
+    def test_distance_zero_and_other_metrics_keep_their_texts(self):
+        X = make_finite([point(0), point(1)])
+        # keys longer than the domains: the product distance reads only the
+        # first point, so two keys lie at distance zero
+        clash = {(point(0), point(0)): point(0), (point(0), point(1)): point(1)}
+        with pytest.raises(ValidationError, match="^mapping differs on points at distance zero$"):
+            tight_lipschitz([X], clash)
+        # a hyperspace domain is scanned under the Hausdorff metric
+        H = hyper(make_finite([point(0), point(F(1, 4)), point(1)]))
+        mapping = {(k,): point(max(c for c, b in zip((F(0), F(1, 4), F(1)), k.coords) if b))
+                   for k in H.net}
+        assert tight_lipschitz([H], mapping) == F(1)
+        assert _steepest_table((H,), list(mapping), mapping, None) == _fraction_steepest(
+            (H,), list(mapping), mapping)

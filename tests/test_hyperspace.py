@@ -138,6 +138,24 @@ class TestSubsetNet:
         structure_to_json(M)
         assert h.net._points is None
 
+    def test_a_structure_validates_set_values_without_the_net(self):
+        h = hyper(make_interval(0, 1, F(1, 15)))
+        sig = signature([Relation("P", 1, h)])
+        values = {"a": [1] + [0] * 15, "b": [0, 1] + [0] * 13 + [1], "c": [1] * 16}
+        M = structure(sig, ["a", "b", "c"], {"P": values})
+        assert M.value("P", "b") == point(*values["b"])
+        assert evaluate(M, parse("P(x)", sig), {"x": "b"}).value.members == (
+            point(F(1, 15)), point(1))
+        assert h.net._points is None
+        # off-net indicators are refused with the Hausdorff metric's texts
+        half = [F(1, 2)] + [0] * 15
+        for bad, error in ((half, f"{point(*half)} is not a 0/1 indicator point"),
+                           ([0] * 16, "indicator encodes the empty set")):
+            with pytest.raises(SpaceMismatch) as caught:
+                structure(sig, ["a", "b", "c"], {"P": {**values, "c": bad}})
+            assert str(caught.value) == error
+        assert h.net._points is None
+
 
 class TestCompactSet:
     def test_canonicalizes(self):

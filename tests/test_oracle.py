@@ -3,19 +3,23 @@ from fractions import Fraction as F
 
 import pytest
 
+from contlog import semantics
 from contlog.errors import ValidationError
-from contlog.formula import Relation, atom, signature
+from contlog.formula import QuantKind, Relation, atom, signature
+from contlog.connective import table, tight_lipschitz
 from contlog.oracle import (
     EXACT_STEP,
     PSEUDOMETRIC_LAWS,
     SUITES,
     FuzzConfig,
+    _FormulaBuilder,
     fuzz,
     pseudometric_violation,
     random_metric_structure,
     random_signature,
     random_space,
     random_structure,
+    random_theta,
     run_coding_trials,
     run_corruption_trials,
     run_limit_trials,
@@ -32,7 +36,7 @@ from contlog.oracle import (
 )
 from contlog.semantics import check_pseudometric, structure, zero_distance_classes
 from contlog.translate import TranslationContext
-from contlog.valuespace import make_finite, point
+from contlog.valuespace import Point, make_finite, point
 
 
 CFG = FuzzConfig(seed=20260816)
@@ -133,6 +137,42 @@ class TestVerifiers:
         assert check.ok  # ok == the planted shift was caught
         assert check.witness is not None and "shift" in check.witness
 
+    def test_set_quantifier_faults_are_witnessed(self, monkeypatch):
+        # plant a fault: every set row of `Q` loses its largest member
+        reduce = semantics._reduce
+
+        def faulty(node, body_vars, body, values, intern):
+            out = reduce(node, body_vars, body, values, intern)
+            if node.kind is not QuantKind.SET:
+                return out
+
+            def drop_largest(i):
+                coords = list(values[i].coords)
+                members = [j for j, c in enumerate(coords) if c == 1]
+                if len(members) > 1:
+                    coords[members[-1]] = F(0)
+                return intern(Point(tuple(coords)))
+
+            return {key: drop_largest(i) for key, i in out.items()}
+
+        monkeypatch.setattr(semantics, "_reduce", faulty)
+        X = self.sig.by_name["P"].space
+        sig = signature([Relation("R", 2, X)])
+        M = structure(sig, ["a", "b"], {"R": {"a,a": 0, "a,b": F(3, 4),
+                                              "b,a": F(1, 4), "b,b": F(1, 4)}})
+        body = atom(sig, "R", "p", "q")
+        # p = a has the set {0, 3/4}, which the fault cuts to {0}; p = b has {1/4}
+        identity = verify_quantifier_identity(M, body, var="q")
+        assert not identity.ok and identity.checked == 2
+        assert identity.witness == {"assignment": {"p": "a"}, "via_set": "0", "direct": "3/4"}
+        bounds = verify_primordial_bounds(M, body, var="q")
+        assert not bounds.ok and bounds.checked == 2
+        assert bounds.witness == {"assignment": {"p": "a"}, "set_max": "0", "sup": "3/4",
+                                  "set_min": "0", "inf": "0"}
+        monkeypatch.undo()
+        assert verify_quantifier_identity(M, body, var="q").ok
+        assert verify_primordial_bounds(M, body, var="q").ok
+
     @pytest.mark.parametrize("verify", [verify_coding, verify_corruption_detected])
     def test_negative_tolerance_rejected(self, verify):
         ctx = TranslationContext(self.sig, EXACT_STEP)
@@ -223,3 +263,38 @@ class TestSuiteRunner:
         s = summarize(records)
         assert s["trials"] == 10 and s["failures"] == 0
         assert s["by_kind"]["roundtrip"] == {"trials": 10, "failures": 0}
+
+
+class TestDirectTables:
+    """The generator builds its observables and squashes at their measured
+    constant without `table`'s checks; each must equal the checked table."""
+
+    @staticmethod
+    def _assert_equals_its_table(conn):
+        [space] = conn.domain
+        mapping = {(p,): conn(p) for p in space.net}
+        checked = table(space, mapping, conn.lipschitz, conn.codomain, name=conn.name)
+        assert conn.lipschitz == tight_lipschitz(space, mapping)
+        assert conn.codomain == make_finite(set(mapping.values()))
+        for p in space.net:
+            assert conn(p) == checked(p)
+
+    def test_observables(self):
+        rng = random.Random(11)
+        built = 0
+        for _ in range(80):
+            space = random_space(rng, CFG, dim=rng.choice([1, 1, 2]))
+            theta = random_theta(rng, space)
+            if theta.name == "obs":
+                self._assert_equals_its_table(theta)
+                built += 1
+        assert built >= 40
+
+    def test_squashes(self):
+        rng = random.Random(12)
+        sig = signature([Relation("P", 1, make_finite([point(F(k, 8)) for k in range(9)]))])
+        builder = _FormulaBuilder(CFG, sig, rng, grid=False, stable=False)
+        for _ in range(30):
+            squashed = builder._shrink(atom(sig, "P", "x"))
+            assert squashed.conn.name == "squash"
+            self._assert_equals_its_table(squashed.conn)

@@ -77,6 +77,13 @@ class TestTransport:
         back = decode_structure(ctx, N)
         assert back.value("R", "a") == point(F(1, 3))  # nearest recovers
 
+    def test_hyperspace_snap_bound_and_projections_need_no_net(self):
+        h = hyper(make_interval(0, 1, F(1, 15)))
+        ctx = translate_signature(signature([Relation("P", 1, h)]), F(1, 4))
+        assert ctx.aligned and ctx.snap_bound("P") == 0
+        assert all(p.codomain.net == (point(0), point(1)) for p in ctx.coordinates(h))
+        assert h.net._points is None
+
     def test_violations_witnessed(self):
         X, sig, ctx, M = misaligned_setup()
         bad = structure(ctx.target, ["a", "b", "c"],

@@ -326,3 +326,90 @@ def test_membership():
     with pytest.raises(ValidationError):
         membership(s, point(0), F(-1))
 
+
+
+def _member_by_scan(space, p, tol):
+    """The definition `membership` answers: the least distance to the net
+    within resolution + tol."""
+    return min(space.metric(p, q) for q in space.net) <= space.resolution + tol
+
+
+def _membership_spaces():
+    rng = random.Random(16)
+    for _ in range(6):
+        den = rng.choice([3, 8, 10, 12, 97])
+        yield make_finite([point(F(rng.randint(0, den), den)) for _ in range(rng.randint(1, 6))])
+        yield make_finite([point(F(rng.randint(0, den), den), F(rng.randint(0, den), den))
+                           for _ in range(rng.randint(1, 6))])
+    yield make_interval(0, 1, F(1, 4))
+    yield make_interval(F(1, 8), F(7, 8), F(1, 3))
+    yield product(make_interval(0, 1, F(1, 3)), make_finite([point(F(1, 4)), point(1)]))
+    yield product(make_finite([point(F(1, 2), F(1, 5))]), make_interval(0, 1, F(1, 2)))
+    yield ValueSpace(1, (point(F(1, 3)), point(F(2, 3))), F(1, 12), "coarse")
+    for base in (make_finite([point(F(2, 5))]),
+                 make_finite([point(0), point(F(1, 3)), point(1)]),
+                 make_interval(0, 1, F(1, 4))):
+        yield hyper(base)
+
+
+class TestMembershipByPosition:
+    @pytest.mark.parametrize("space", list(_membership_spaces()),
+                             ids=lambda s: s.label)
+    def test_agrees_with_the_nearest_distance(self, space):
+        rng = random.Random(len(space.net))
+        probes = list(space.net)
+        if space.standard_metric:
+            # off the net: small steps from net points (within resolution
+            # or beyond it) and arbitrary points of the cube
+            for q in space.net:
+                for e in (F(1, 97), F(1, 24), F(1, 7), F(1, 3)):
+                    shifted = [min(F(1), max(F(0), c + rng.choice((e, -e)))) for c in q.coords]
+                    probes.append(Point(tuple(shifted)))
+            probes += [Point(tuple(F(rng.randint(0, 60), 60) for _ in range(space.dimension)))
+                       for _ in range(10)]
+        for p in probes:
+            for tol in (F(0), F(1, 50), F(1, 5)):
+                assert membership(space, p, tol) == _member_by_scan(space, p, tol), (p, tol)
+
+    def test_net_points_answer_by_position(self):
+        # the bisection finds the point among many close, large-denominator ones
+        s = make_finite([point(F(k, 1009)) for k in range(0, 1010, 7)])
+        assert all(membership(s, p) for p in s.net)
+        assert not membership(s, point(F(1, 1009)))
+        assert membership(s, point(F(1, 1009)), F(6, 1009))
+        # a 2-D net point is found through the net's index
+        grid = product(s, make_finite([point(0), point(F(1, 2))]))
+        assert all(membership(grid, p) for p in grid.net[::50])
+        assert not membership(grid, point(F(1, 1009), 0))
+
+    def test_a_hyperspace_reads_the_mask(self):
+        H = hyper(make_interval(0, 1, F(1, 15)))
+        assert membership(H, point(*([1] + [0] * 15)))
+        assert membership(H, point(*([1] * 16)), F(1, 2))
+        for bad, message in ((point(*([F(1, 2)] + [0] * 15)), "is not a 0/1 indicator point"),
+                             (point(*([0] * 16)), "^indicator encodes the empty set$")):
+            with pytest.raises(SpaceMismatch, match=message):
+                membership(H, bad)
+        assert H.net._points is None
+
+    @pytest.mark.parametrize("space", [make_interval(0, 1, F(1, 4)),
+                                       make_finite([point(0, 1)]),
+                                       hyper(make_finite([point(0), point(1)]))],
+                             ids=["interval", "2d", "hyper"])
+    def test_negative_tolerance_and_wrong_dimension_refused(self, space):
+        p = space.net[0]
+        with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+            membership(space, p, F(-1, 8))
+        wrong = point(*([0] * (space.dimension + 1)))
+        with pytest.raises(SpaceMismatch, match="^point of dimension"):
+            membership(space, wrong)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_net_order_is_point_order(dim):
+    rng = random.Random(dim)
+    for _ in range(40):
+        pts = [Point(tuple(F(rng.randint(0, d), d) for d in rng.sample([1, 3, 7, 8, 97], dim)))
+               for _ in range(rng.randint(1, 9))]
+        space = ValueSpace(dim, tuple(pts), F(0), "s")
+        assert space.net == tuple(sorted(set(pts)))
