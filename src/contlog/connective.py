@@ -440,17 +440,15 @@ def _steepest_table(doms: tuple[ValueSpace, ...], keys: Sequence[tuple[Point, ..
     """_steepest_pair of a table's entries over its keys, under the codomain's
     metric (l-infinity without one) and the product of the domain metrics.
 
-    When every space is plain l-infinity, every value is one-dimensional
-    and every key fits the domains, the scan runs on one integer table over
-    a common denominator (`_integer_table`, `_steepest_entry`).  The
+    Every key must fit the domains.  When every space is plain l-infinity
+    and every value is one-dimensional, the scan runs on one integer table
+    over a common denominator (`_integer_table`, `_steepest_entry`).  The
     denominator cancels from every slope, so it returns the same first
     steepest pair as the Fraction scan, with the same gap and distance.
     """
     if ((codomain is None or codomain.standard_metric)
             and all(s.standard_metric for s in doms)
-            and all(entries[k].dimension == 1 and len(k) == len(doms)
-                    and all(p.dimension == s.dimension for p, s in zip(k, doms))
-                    for k in keys)):
+            and all(entries[k].dimension == 1 for k in keys)):
         den, rows = _integer_table([(flat_coords(k), entries[k].coords[0]) for k in keys])
         steep = _steepest_entry([(*row, k) for row, k in zip(rows, keys)])
         if steep is None:
@@ -466,6 +464,10 @@ def tight_lipschitz(domains: SpaceOrSpaces, mapping: Mapping, codomain: ValueSpa
     """Smallest constant valid for the mapping on the product net."""
     doms = _spaces(domains)
     entries = {_normalize_key(k): as_point(v) for k, v in mapping.items()}
+    for k in entries:
+        if len(k) != len(doms) or any(p.dimension != s.dimension for p, s in zip(k, doms)):
+            fits = ", ".join(f"{s.dimension}-dimensional {s.label}" for s in doms)
+            raise ValidationError(f"mapping key {tuple(map(str, k))} does not fit [{fits}]")
     steep = _steepest_table(doms, list(entries), entries, codomain)
     if steep is not None and steep[3] == ZERO:
         raise ValidationError("mapping differs on points at distance zero")

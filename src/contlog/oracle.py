@@ -22,7 +22,7 @@ from .connective import (Connective, _tabulated, affine, clamp01, identity,
                          max_of, min_of, mul, neg, tight_lipschitz,
                          truncated_sub, bounded_add, const)
 from .errors import EvalError, ValidationError
-from .formula import (Apply, CauchyLimit, Formula, Quant, QuantKind,
+from .formula import (Apply, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
 from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset,
                          inf_theta, sup_theta)
@@ -529,8 +529,6 @@ def _bump_first_apply(node: Formula, delta: Fraction, grid: ValueSpace) -> Formu
         return Apply(_bump(node.conn, delta, grid), node.children)
     if isinstance(node, Quant):
         return Quant(node.kind, node.var, _bump_first_apply(node.body, delta, grid))
-    if isinstance(node, CauchyLimit):
-        return _bump_first_apply(node.body, delta, grid)
     raise EvalError(f"nothing to corrupt under {node}")
 
 

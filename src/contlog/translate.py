@@ -22,12 +22,12 @@ coded by one min-max connective.  Its inputs are the codings of
 "sup x. hit_j(body)", one per base net point j that the observable's values
 depend on; each reads membership of that point.  Its value is the lattice
 interpolant of the observable over these point hits: the min over net sets
-k of the max of affines in the hits.  `hit_lattice` builds it as
-closed-form integer row tables.  `lattice_approx` keeps the general
-interpolation as a flat table with one row of affine terms per net set; it
+k of the max of affines in the hits.  One type, `LatticeApprox`, holds every
+such interpolant as an integer min-of-max table over a common denominator.
+The set coder builds its table in closed form from the point hits;
+`lattice_approx` builds one for any function on a hyperspace net,
 synthesizes separators on the base space when supplied generators cannot
-tell two sets apart, and it is the exactly checked reference for the
-connective.
+tell two sets apart, and checks it exactly on every net set.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .errors import (NESTED_TOO_DEEPLY, CapacityError, EvalError, SpaceMismatch,
                      ValidationError)
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
-from .hyperspace import HyperSpace, decode_subset, hyper, urysohn_separator
+from .hyperspace import HyperSpace, decode_subset, urysohn_separator
 from .semantics import CheckReport, Structure, _target_points
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, linf_coords,
                          make_finite, make_interval, nearest, point, tolerance)
@@ -259,32 +259,37 @@ def sup_generator(H: HyperSpace, theta: Connective) -> Generator:
     return Generator(theta, dict(zip(H.net, sups)))
 
 
-Term = tuple[Fraction, Fraction, int | None]
+Term = tuple[int, int, int | None]
+FracTerm = tuple[Fraction, Fraction, int | None]
 
 
 @dataclass(frozen=True, eq=False)
 class LatticeApprox:
-    """Exact min-max-affine reproduction of a function on a hyperspace net.
+    """Exact min-max-affine interpolant over generator sups.
 
-    `rows` holds one tuple of terms (a, b, j) per net set.  A term reads
-    a * x_j + b, with x_j the sup of the j-th generator, or the constant b
-    when j is None.  The interpolant is the min over the rows of the max over
-    each row's terms.
+    `rows` holds tuples of integer terms (A, B, j) over the common
+    denominator `scale`.  A term reads (A * x_j + B) / scale, with x_j the
+    sup of the j-th generator, or B / scale when j is None.  The interpolant
+    is the min over the rows of the max over each row's terms.
     """
 
-    space: HyperSpace
+    scale: int
     rows: tuple[tuple[Term, ...], ...]
-    generators: tuple[Generator, ...]
+    generators: tuple[Generator, ...] = ()
 
     @cached_property
     def lipschitz(self) -> Fraction:
         """Constant as a map from generator vectors (sup metric)."""
-        return max((abs(a) for row in self.rows for a, _, _ in row), default=ZERO)
+        return Fraction(max((abs(a) for row in self.rows for a, _, _ in row), default=0),
+                        self.scale)
 
     def value(self, xs: Sequence[Fraction]) -> Fraction:
         """The interpolant at the sups xs of the generators."""
-        return min(max(b if j is None else a * xs[j] + b for a, b, j in row)
+        den = lcm(*(x.denominator for x in xs))
+        up = [x.numerator * (den // x.denominator) for x in xs]
+        best = min(max(b * den if j is None else a * up[j] + b * den for a, b, j in row)
                    for row in self.rows)
+        return Fraction(best, self.scale * den)
 
     def evaluate(self, k: Point) -> Fraction:
         return self.value([g.values[k] for g in self.generators])
@@ -323,7 +328,7 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
             if k not in gen.values:
                 raise ValidationError("generator sup table misses a net point")
 
-    def fit(j: int, k: Point, f: Point) -> Term | None:
+    def fit(j: int, k: Point, f: Point) -> FracTerm | None:
         # the affine through (x_j(k), g(k)) and (x_j(f), g(f)), if x_j
         # tells k and f apart
         wk, wf = gens[j].values[k], gens[j].values[f]
@@ -332,7 +337,7 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
         a = (gvals[f] - gvals[k]) / (wf - wk)
         return a, gvals[k] - a * wk, j
 
-    def term(k: Point, f: Point) -> Term:
+    def term(k: Point, f: Point) -> FracTerm:
         if gvals[k] == gvals[f]:
             return ZERO, gvals[k], None
         for j in range(len(gens)):
@@ -347,9 +352,12 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
             raise ValidationError("separator failed to separate two distinct net sets")
         return t
 
-    rows = tuple(tuple(term(k, f) for f in H.net if f != k) or ((ZERO, gvals[k], None),)
-                 for k in H.net)
-    approx = LatticeApprox(H, rows, tuple(gens))
+    fracs = [tuple(term(k, f) for f in H.net if f != k) or ((ZERO, gvals[k], None),)
+             for k in H.net]
+    scale = lcm(*(c.denominator for row in fracs for a, b, _ in row for c in (a, b)))
+    rows = tuple(tuple((int(a * scale), int(b * scale), j) for a, b, j in row)
+                 for row in fracs)
+    approx = LatticeApprox(scale, rows, tuple(gens))
     for k in H.net:
         got = approx.evaluate(k)
         if got != gvals[k]:
@@ -359,10 +367,10 @@ def lattice_approx(H: HyperSpace, g: Mapping[Point, Fraction],
     return approx
 
 
-@dataclass(frozen=True, eq=False)
-class HitLattice:
-    """The rows lattice_approx builds from point-hit generators, in closed
-    form.
+def _hit_lattice(n: int, gs: Sequence[Fraction]) -> tuple[tuple[int, ...], LatticeApprox]:
+    """lattice_approx on the point hits in closed form, from g by subset mask
+    (gs[m - 1] at mask m, base index j at bit n - 1 - j): the hits it reads,
+    ascending, and the interpolant over their sups in that order.
 
     With x_j the sup of the j-th point hit, the term of row k for a net set
     f != k reads the lowest base index j at which k and f differ: it is
@@ -370,53 +378,9 @@ class HitLattice:
     if it is (the constant g(k) when g(f) = g(k)).  Because u lies in
     [0,1], the f that share one j contribute g(k) + u * D, D the largest
     g(f) - g(k) among them, so a row has at most one term per base index.
-    Values are integers over the common denominator `scale`.
-    """
-
-    used: tuple[int, ...]  # the hits the interpolant reads, ascending
-    lipschitz: Fraction
-    scale: int
-    # per row: g(k) * scale, whether g(k) itself is a term, and one
-    # (slot, D * scale) per other term; slot i reads x of used[i] and slot
-    # i + len(used) reads 1 - x of used[i]
-    rows: tuple[tuple[int, bool, tuple[tuple[int, int], ...]], ...]
-
-    def value(self, xs: Sequence[Fraction]) -> Fraction:
-        """The interpolant at the sups xs (in [0,1]) of the used hits."""
-        den = lcm(*(x.denominator for x in xs))
-        up = [x.numerator * (den // x.denominator) for x in xs]
-        us = up + [den - u for u in up]
-        best = None
-        for gk, flat, terms in self.rows:
-            top = 0 if flat else None
-            for slot, d in terms:
-                t = us[slot] * d
-                if top is None or t > top:
-                    top = t
-            row = gk * den + top
-            if best is None or row < best:
-                best = row
-        return Fraction(best, self.scale * den)
-
-
-def hit_lattice(H: HyperSpace, g: Mapping[Point, Fraction]) -> HitLattice:
-    """The interpolant lattice_approx(H, g, hits) reads off the point hits.
-
-    hits[j] is the sup generator of the j-th point hit of the base.  The
-    result agrees with `LatticeApprox.value` on every vector of sups in
-    [0,1], reads the same generators and has the same constant, max |g(f) -
-    g(k)|.
-    """
-    return _hit_lattice(len(H.base.net), [g[k] for k in H.net])
-
-
-def _hit_lattice(n: int, gs: Sequence[Fraction]) -> HitLattice:
-    """hit_lattice from g by subset mask: gs[m - 1] is g at mask m, in which
-    base index j is bit n - 1 - j.
-
-    Built from the largest and smallest g over the sets that share their
-    lowest j + 1 base indices, the top j + 1 bits of their masks, so it
-    costs O(|H| * n) rather than O(|H|^2).
+    The rows are built from the largest and smallest g over the sets that
+    share their lowest j + 1 base indices, the top j + 1 bits of their
+    masks, so they cost O(|H| * n) rather than O(|H|^2).
     """
     gvals = [frac(v) for v in gs]
     for v in gvals:
@@ -441,7 +405,7 @@ def _hit_lattice(n: int, gs: Sequence[Fraction]) -> HitLattice:
         for j in range(n):
             # the sets whose lowest difference from m is at base index j
             prefix = m >> (n - 1 - j)
-            bit, p = prefix & 1, prefix ^ 1
+            p = prefix ^ 1
             top = hi[j].get(p)
             if top is None:
                 continue
@@ -450,17 +414,18 @@ def _hit_lattice(n: int, gs: Sequence[Fraction]) -> HitLattice:
             if top == gk:
                 flat = True
             else:
-                terms.append((j, bit, top - gk))
+                # g(k) + D * x_j, or g(k) + D * (1 - x_j) when j is in k
+                d = top - gk
+                terms.append((j, -d, gk + d) if prefix & 1 else (j, d, gk))
         raw.append((gk, flat, terms))
 
     order = tuple(sorted(used))
     slot = {j: i for i, j in enumerate(order)}
     rows = dict.fromkeys(
-        (gk, flat, tuple((slot[j] + bit * len(order), d) for j, bit, d in terms))
+        ((0, gk, None),) * flat + tuple((a, b, slot[j]) for j, a, b in terms)
         for gk, flat, terms in raw
     )
-    lip = Fraction(max(gint) - min(gint), scale)
-    return HitLattice(order, lip, scale, tuple(rows))
+    return order, LatticeApprox(scale, tuple(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -589,11 +554,8 @@ class CodedFormula:
             return Coded(Apply(const(point(v), ctx.grid), ()), ZERO)
 
         child_spaces = [c.value_space for c in phi.children]
-        for s in child_spaces:
-            if isinstance(s, HyperSpace):
-                _check_set_capacity(s.base)
-
-        # every child enters through its coordinates
+        # every child enters through its coordinates; a child valued in a
+        # hyperspace over the cap is refused by its own coding
         coded_children = [self._code(child, obs)
                           for child, s in zip(phi.children, child_spaces)
                           for obs in ctx.coordinates(s)]
@@ -616,7 +578,6 @@ class CodedFormula:
             return Coded(Quant(phi.kind, phi.var, inner.formula), inner.budget)
         # theta(extremum of the collected values) factors through the value set
         _check_set_capacity(body_space)
-        H = hyper(body_space)
         # the body net is sorted by value, so a set's largest member is its
         # highest base index (the lowest set bit of its mask) and its
         # smallest is its lowest base index (the highest set bit)
@@ -626,31 +587,30 @@ class CodedFormula:
             g = [tv[n - (m & -m).bit_length()] for m in range(1, 1 << n)]
         else:
             g = [tv[n - m.bit_length()] for m in range(1, 1 << n)]
-        virtual = Quant(QuantKind.SET, phi.var, phi.body)
-        coded = self._build_from_lattice(virtual, H, g,
+        coded = self._build_from_lattice(phi, body_space, g,
                                          f"~{theta.name}@{phi.kind.keyword}")
         return Coded(coded.formula, coded.budget + theta.lipschitz * body_space.resolution)
 
     def _build_set(self, phi: Quant, theta: Connective) -> Coded:
         H = phi.value_space
         g = [theta(k).scalar for k in H.net]
-        return self._build_from_lattice(phi, H, g, f"~{theta.name}@Q")
+        return self._build_from_lattice(phi, H.base, g, f"~{theta.name}@Q")
 
-    def _build_from_lattice(self, phi: Quant, H: HyperSpace,
+    def _build_from_lattice(self, phi: Quant, base: ValueSpace,
                             g: Sequence[Fraction], name: str) -> Coded:
-        """Code phi through the lattice of g, given by subset mask (g[m - 1]
-        at mask m) so that no indicator point is needed."""
+        """Code g of the set of values of phi's body through the lattice of
+        g, given by subset mask of the base (g[m - 1] at mask m) so that no
+        indicator point is needed."""
         ctx = self.ctx
-        base = H.base
         # the point-hit observables separate any two distinct sets, so the
         # body is only ever coded against len(base.net) distinct observables
         # (shared via memo); building every hit refuses a base net with a
         # point no observable can single out, whichever hits are read
         hits = [ctx.point_hit(base, i) for i in range(len(base.net))]
-        lattice = _hit_lattice(len(base.net), g)
+        used, lattice = _hit_lattice(len(base.net), g)
         children = []
         drift = ZERO
-        for j in lattice.used:
+        for j in used:
             inner = self._code(phi.body, hits[j])
             children.append(Quant(QuantKind.SUP, phi.var, inner.formula))
             drift = max(drift, inner.budget + hits[j].lipschitz * base.resolution)

@@ -552,12 +552,17 @@ class TestIntegerTableScan:
                 assert str(caught.value) == text
 
     def test_distance_zero_and_other_metrics_keep_their_texts(self):
-        X = make_finite([point(0), point(1)])
-        # keys longer than the domains: the product distance reads only the
-        # first point, so two keys lie at distance zero
-        clash = {(point(0), point(0)): point(0), (point(0), point(1)): point(1)}
+        class Flat(ValueSpace):
+            standard_metric = False
+
+            def metric(self, p, q):
+                return F(0)
+
+        # two net points at distance zero under a degenerate metric
+        flat = Flat(1, (point(0), point(1)), F(0), "flat")
+        clash = {(point(0),): point(0), (point(1),): point(1)}
         with pytest.raises(ValidationError, match="^mapping differs on points at distance zero$"):
-            tight_lipschitz([X], clash)
+            tight_lipschitz([flat], clash)
         # a hyperspace domain is scanned under the Hausdorff metric
         H = hyper(make_finite([point(0), point(F(1, 4)), point(1)]))
         mapping = {(k,): point(max(c for c, b in zip((F(0), F(1, 4), F(1)), k.coords) if b))
@@ -565,3 +570,22 @@ class TestIntegerTableScan:
         assert tight_lipschitz([H], mapping) == F(1)
         assert _steepest_table((H,), list(mapping), mapping, None) == _fraction_steepest(
             (H,), list(mapping), mapping)
+
+    def test_keys_that_do_not_fit_the_domains_are_refused(self):
+        X = make_finite([point(0), point(1)], label="X")
+        assert tight_lipschitz([X], {(point(0),): point(0), (point(1),): point(1)}) == 1
+        # one point too many: a truncated product distance would read only
+        # the first
+        longer = {(point(0), point(0)): point(0), (point(1), point(1)): point(1)}
+        with pytest.raises(ValidationError) as caught:
+            tight_lipschitz([X], longer)
+        assert str(caught.value) == "mapping key ('(0)', '(0)') does not fit [1-dimensional X]"
+        with pytest.raises(ValidationError, match=r"^mapping key \(\) does not fit"):
+            tight_lipschitz([X], {(): point(0)})
+        # a point of the wrong dimension
+        wide = {(point(0, 1),): point(0), (point(1, 0),): point(1)}
+        with pytest.raises(ValidationError) as caught:
+            tight_lipschitz([X], wide)
+        assert str(caught.value) == "mapping key ('(0, 1)',) does not fit [1-dimensional X]"
+        with pytest.raises(ValidationError, match=r"does not fit \[1-dimensional X, 1-dim"):
+            tight_lipschitz([X, X], {(point(0), point(0, 1)): point(0)})

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from contlog import semantics
+from contlog import oracle, semantics
 from contlog.errors import ValidationError
 from contlog.formula import QuantKind, Relation, atom, signature
 from contlog.connective import table, tight_lipschitz
@@ -34,8 +34,8 @@ from contlog.oracle import (
     verify_quantifier_identity,
     verify_primordial_bounds,
 )
-from contlog.semantics import check_pseudometric, structure, zero_distance_classes
-from contlog.translate import TranslationContext
+from contlog.semantics import Structure, check_pseudometric, structure, zero_distance_classes
+from contlog.translate import TranslationContext, transport_structure
 from contlog.valuespace import Point, make_finite, point
 
 
@@ -173,6 +173,26 @@ class TestVerifiers:
         assert verify_quantifier_identity(M, body, var="q").ok
         assert verify_primordial_bounds(M, body, var="q").ok
 
+    def test_coding_faults_are_witnessed(self, monkeypatch):
+        # plant a fault: transport snaps every value one grid step down
+        def faulty(ctx, M):
+            N = transport_structure(ctx, M)
+            down = {name: {t: point(max(F(0), v.scalar - ctx.step)) for t, v in rows.items()}
+                    for name, rows in N.interp.items()}
+            return Structure(N.signature, N.universe, down)
+
+        monkeypatch.setattr(oracle, "transport_structure", faulty)
+        ctx = TranslationContext(self.sig, EXACT_STEP)
+        phi = atom(self.sig, "P", "x")
+        check = verify_coding(ctx, self.M, phi)
+        assert not check.ok and check.checked == 2
+        assert check.budget == 0 and check.max_difference == F(1, 8)
+        # a reads 1/4, transported to 1/8; the coded identity reads it back
+        assert check.witness == {"assignment": {"x": "a"}, "target_value": "1/8",
+                                 "source_value": "1/4", "difference": "1/8", "budget": "0"}
+        monkeypatch.undo()
+        assert verify_coding(ctx, self.M, phi).ok
+
     @pytest.mark.parametrize("verify", [verify_coding, verify_corruption_detected])
     def test_negative_tolerance_rejected(self, verify):
         ctx = TranslationContext(self.sig, EXACT_STEP)
@@ -191,6 +211,24 @@ class TestDrivers:
             records = run(cfg)
             bad = [r for r in records if not r.ok]
             assert not bad, (run.__name__, bad[0].as_json() if bad else None)
+
+    def test_exact_coding_must_have_zero_budget(self, monkeypatch):
+        # plant a fault: the coder charges half a grid step of snap on nets
+        # that sit on the grid, so exact trials pass their check with a
+        # positive budget
+        monkeypatch.setattr(TranslationContext, "space_snap_bound",
+                            lambda self, space: self.step / 2)
+        cfg = FuzzConfig(seed=11, trials=8)
+        records = run_coding_trials(cfg)
+        bad = [r for r in records if not r.ok]
+        assert [r.trial for r in bad] == [0, 3, 4, 7]
+        assert bad[0].witness == {"budget": "1/2", "difference": "0"}
+        for r in bad:
+            assert r.detail == "exact trial must have zero budget and zero difference"
+            assert set(r.witness) == {"budget", "difference"}
+            assert F(r.witness["budget"]) > 0 and r.witness["difference"] == "0"
+        monkeypatch.undo()
+        assert all(r.ok for r in run_coding_trials(cfg))
 
     def test_grid_coding_runs_clean(self):
         records = run_coding_trials(FuzzConfig(seed=12, trials=8), grid=True)

@@ -4,10 +4,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from contlog.connective import (identity, max_of, mcshane_extend, neg, proj, table,
+from contlog.connective import (const, identity, max_of, mcshane_extend, neg, proj, table,
                                 tight_lipschitz, unit_interval)
 from contlog.errors import CapacityError, EvalError, SpaceMismatch, ValidationError
-from contlog.formula import Apply, Atomic, Quant, QuantKind, Relation, parse, signature
+from contlog.formula import (Apply, Atomic, CauchyLimit, Quant, QuantKind, Relation,
+                             cauchy_limit, parse, signature)
 from contlog.hyperspace import compact, hyper, inf_theta, sup_theta
 from contlog.oracle import verify_coding
 from contlog.semantics import Structure, check_condition, evaluate, structure
@@ -17,8 +18,8 @@ from contlog.translate import (
     check_T0,
     code_condition,
     code_formula,
+    _hit_lattice,
     decode_structure,
-    hit_lattice,
     lattice_approx,
     snap_to_grid,
     sup_generator,
@@ -212,15 +213,17 @@ class TestTransport:
 class TestLatticeExpressions:
     def test_eval_expr(self):
         vals = [F(1, 3), F(2, 3)]
-        rows = (((F(1, 2), F(1, 4), 0), (F(0), F(1, 8), None)), ((F(1), F(0), 1),))
-        ap = LatticeApprox(hyper(ALIGNED_X), rows, ())
+        # (1/2 x0 + 1/4, 1/8) and (x1) over the common denominator 8
+        rows = (((4, 2, 0), (0, 1, None)), ((8, 0, 1),))
+        ap = LatticeApprox(8, rows)
         want = min(max(F(1, 2) * F(1, 3) + F(1, 4), F(1, 8)), F(2, 3))
         assert ap.value(vals) == want
 
     def test_expr_lipschitz(self):
-        rows = (((F(3), F(0), 0), (F(1), F(0), 1)), ((F(-5), F(1), 1), (F(0), F(7), None)))
-        assert LatticeApprox(hyper(ALIGNED_X), rows, ()).lipschitz == 5
-        constant = LatticeApprox(hyper(ALIGNED_X), (((F(0), F(1, 2), None),),), ())
+        rows = (((3, 0, 0), (1, 0, 1)), ((-5, 1, 1), (0, 7, None)))
+        assert LatticeApprox(1, rows).lipschitz == 5
+        assert LatticeApprox(2, rows).lipschitz == F(5, 2)
+        constant = LatticeApprox(2, (((0, 1, None),),))
         assert constant.lipschitz == 0
 
     def test_interpolates_min_member(self):
@@ -422,20 +425,56 @@ class TestCoding:
         ctx = translate_signature(sig, F(1, 4))
         top = Quant(QuantKind.SET, "x", Atomic("R", ("x",), big))
         ident = table([big], {(p,): p for p in big.net}, F(1), codomain=big)
-        with pytest.raises(CapacityError):
+        with pytest.raises(CapacityError,
+                           match="set-quantifier coding is capped at base nets of size 8"):
             code_formula(ctx, Apply(sup_theta(ident), (top,))).codes()
 
+    def test_constant_codes_exactly(self):
+        X = make_finite([point(0), point(F(1, 2)), point(1)], label="X")
+        sig = signature([Relation("P", 1, X)])
+        M = structure(sig, ["a"], {"P": {"a": 0}})
+        ctx = translate_signature(sig, F(1, 4))
+        phi = Apply(const(point(F(1, 2)), X), ())
+        flip = table([X], {(q,): point(1 - q.scalar) for q in X.net}, 1, codomain=X)
+        for theta in (None, flip):
+            check = verify_coding(ctx, M, phi, theta)
+            assert check.ok and check.checked == 1
+            assert check.budget == check.max_difference == 0
 
-def dag_size(phi) -> int:
-    seen = set()
+    def test_cauchy_limit_codes_as_its_chosen_body(self):
+        sig, ctx, M = aligned_setup()
+        N = transport_structure(ctx, M)
+        X = sig.by_name["P"].space
+        bodies = [parse(text, sig) for text in ("P(x)", "sup y. P(y)", "inf y. P(y)")]
+        lim = cauchy_limit([1, F(1, 8), 0], bodies, F(1, 4))
+        assert lim.body is bodies[1]
+        flip = table([X], {(q,): point(1 - q.scalar) for q in X.net}, 1,
+                     codomain=make_finite([point(1 - q.scalar) for q in X.net]))
+        for theta in (ctx.identity_on(X), flip):
+            coder = code_formula(ctx, lim)
+            coded = coder.codes(theta)
+            assert coder._code(lim, theta) is coder._code(lim.body, theta)
+            alone = code_formula(ctx, lim.body)
+            assert str(alone.codes(theta)) == str(coded)
+            assert alone.budget_of(theta) == coder.budget_of(theta)
+            assert not any(isinstance(node, CauchyLimit) for node in dag_nodes(coded))
+            assert evaluate(N, coded).value == theta(evaluate(M, lim).value)
+
+
+def dag_nodes(phi) -> list:
+    seen = {}
     stack = [phi]
     while stack:
         node = stack.pop()
         if id(node) not in seen:
-            seen.add(id(node))
+            seen[id(node)] = node
             stack.extend(getattr(node, "children", None) or
                          ([node.body] if hasattr(node, "body") else []))
-    return len(seen)
+    return list(seen.values())
+
+
+def dag_size(phi) -> int:
+    return len(dag_nodes(phi))
 
 
 # base nets of 1-4 points on a grid of step 1/4: on the grid (quarters) and
@@ -470,15 +509,15 @@ class TestSetConnective:
         approx = lattice_approx(H, g, [sup_generator(H, h) for h in hits])
         assert len(approx.generators) == size  # the hits separate every pair
         used = sorted({j for row in approx.rows for _, _, j in row if j is not None})
-        lattice = hit_lattice(H, g)
-        assert lattice.used == tuple(used)
+        lattice_used, lattice = _hit_lattice(size, [g[k] for k in H.net])
+        assert lattice_used == tuple(used)
         assert lattice.lipschitz == approx.lipschitz
         assert isinstance(coded, Apply) and len(coded.children) == len(used)
 
         grid = [p.scalar for p in ctx.grid.net]
         for v in itertools.product(grid, repeat=size):
             got = coded.conn(*(point(v[j]) for j in used)).scalar
-            assert got == approx.value(v), v
+            assert got == approx.value(v) == lattice.value([v[j] for j in used]), v
 
         drift = max((code_formula(ctx, body).budget_of(hits[j])
                      + hits[j].lipschitz * base.resolution for j in used),
