@@ -30,6 +30,7 @@ from .formula import parse as parse_formula
 from .hyperspace import CompactSet
 from .semantics import (
     Structure,
+    _checked_function_table,
     check_pseudometric,
     encode_function,
     eval_error_bound,
@@ -305,16 +306,8 @@ def _function_table(args) -> dict[str, str]:
 def cmd_encode_fn(args) -> int:
     M = _load_structure(args.structure)
     table = _function_table(args)
-    if not table:
-        raise FormatError("function table is empty")
-    arities = {len(k.split(",")) for k in table}
-    if len(arities) > 1:
-        raise FormatError("function table keys have mixed arities")
-    known = set(M.universe)
-    for key, out in table.items():
-        for e in key.split(",") + [out]:
-            if e.strip() not in known:
-                raise FormatError(f"function table mentions unknown element {e.strip()!r}")
+    # a malformed table exits 2; only a failed constant check exits 1
+    _checked_function_table(M, args.name, table)
     modulus = None if args.modulus is None else rational_from_str(args.modulus)
     try:
         extended = encode_function(M, args.name, table, modulus)

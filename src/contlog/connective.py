@@ -384,10 +384,16 @@ def _steepest_entry(rows: Sequence) -> tuple | None:
                           lambda a, b: linf_coords(a[0], b[0]))
 
 
-def _normalize_key(key) -> tuple[Point, ...]:
-    if isinstance(key, Point):
-        return (key,)
-    return tuple(key)
+def _misfit(key: str, doms: tuple[ValueSpace, ...]) -> ValidationError:
+    fits = ", ".join(f"{s.dimension}-dimensional {s.label}" for s in doms)
+    return ValidationError(f"mapping key {key} does not fit [{fits}]")
+
+
+def _normalize_key(key, doms: tuple[ValueSpace, ...]) -> tuple[Point, ...]:
+    k = (key,) if isinstance(key, Point) else key
+    if isinstance(k, tuple) and all(isinstance(p, Point) for p in k):
+        return k
+    raise _misfit(repr(key), doms)
 
 
 def table(domains: SpaceOrSpaces, mapping: Mapping, lipschitz: Rational,
@@ -400,7 +406,7 @@ def table(domains: SpaceOrSpaces, mapping: Mapping, lipschitz: Rational,
     """
     doms = _spaces(domains)
     lip = frac(lipschitz)
-    entries = {_normalize_key(k): as_point(v) for k, v in mapping.items()}
+    entries = {_normalize_key(k, doms): as_point(v) for k, v in mapping.items()}
     keys = list(product_net(doms))
     for k in keys:
         if k not in entries:
@@ -463,11 +469,10 @@ def _steepest_table(doms: tuple[ValueSpace, ...], keys: Sequence[tuple[Point, ..
 def tight_lipschitz(domains: SpaceOrSpaces, mapping: Mapping, codomain: ValueSpace | None = None) -> Fraction:
     """Smallest constant valid for the mapping on the product net."""
     doms = _spaces(domains)
-    entries = {_normalize_key(k): as_point(v) for k, v in mapping.items()}
+    entries = {_normalize_key(k, doms): as_point(v) for k, v in mapping.items()}
     for k in entries:
         if len(k) != len(doms) or any(p.dimension != s.dimension for p, s in zip(k, doms)):
-            fits = ", ".join(f"{s.dimension}-dimensional {s.label}" for s in doms)
-            raise ValidationError(f"mapping key {tuple(map(str, k))} does not fit [{fits}]")
+            raise _misfit(str(tuple(map(str, k))), doms)
     steep = _steepest_table(doms, list(entries), entries, codomain)
     if steep is not None and steep[3] == ZERO:
         raise ValidationError("mapping differs on points at distance zero")
@@ -495,7 +500,7 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
     if xdim != adim:
         raise SpaceMismatch(f"net dimension {xdim} does not match ambient dimension {adim}")
 
-    entries = {_normalize_key(k): as_scalar(v) for k, v in theta.items()}
+    entries = {_normalize_key(k, xs): as_scalar(v) for k, v in theta.items()}
     keys = list(product_net(xs))
     for k in keys:
         if k not in entries:

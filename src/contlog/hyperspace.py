@@ -21,8 +21,8 @@ These do:
 - coding a set quantifier, which works on masks and builds the points only
   to apply an observable to them;
 - `lattice_approx`, and exhaustive checks over the whole hyperspace;
-- `nearest` on a hyperspace, and so decoding a transported structure and
-  its T0 check.
+- `nearest` on a hyperspace, and decoding a transported structure and its
+  T0 check, which scan the net in flat l-infinity (`translate._nearest_net_points`).
 
 Open behaviour is visible through the two generating families of the Vietoris
 topology: "every member inside U" and "some member meets V".

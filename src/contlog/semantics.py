@@ -501,12 +501,9 @@ def _tight_function_lipschitz(M: Structure, f: Mapping[ElementTuple, str]) -> Fr
     return gap / move
 
 
-def encode_function(M: Structure, name: str, f_table: Mapping, modulus: Rational | None = None) -> Structure:
-    """Add a function to a structure as its graph relation name(x.., y) = d(f(x..), y).
-
-    The new symbol's modulus is L + 1 where L is the function's own constant
-    (supplied, or the tightest one measured from the table).
-    """
+def _checked_function_table(M: Structure, name: str, f_table: Mapping) -> dict[ElementTuple, str]:
+    """The table of a function to encode as name, keyed by element tuples;
+    refuses a malformed table, a taken name and a structure with no distance."""
     sig = M.signature
     if sig.distance_symbol is None:
         raise ValidationError("encoding a function needs a distance symbol")
@@ -531,7 +528,17 @@ def encode_function(M: Structure, name: str, f_table: Mapping, modulus: Rational
         f[t] = out
     if set(f) != set(M._tuples(k)):
         raise ValidationError("function table is not total over the universe")
+    return f
 
+
+def encode_function(M: Structure, name: str, f_table: Mapping, modulus: Rational | None = None) -> Structure:
+    """Add a function to a structure as its graph relation name(x.., y) = d(f(x..), y).
+
+    The new symbol's modulus is L + 1 where L is the function's own constant
+    (supplied, or the tightest one measured from the table).
+    """
+    f = _checked_function_table(M, name, f_table)
+    k = len(next(iter(f)))
     tight = _tight_function_lipschitz(M, f)
     if modulus is None:
         lip = tight
@@ -542,6 +549,7 @@ def encode_function(M: Structure, name: str, f_table: Mapping, modulus: Rational
                 f"declared function constant {lip} is violated (needs {tight})"
             )
 
+    sig = M.signature
     dspace = sig.by_name[sig.distance_symbol].space
     graph: dict[ElementTuple, Point] = {}
     for t in M._tuples(k + 1):

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 from .connective import (Connective, add, affine, bounded_add, clamp01, const,
                          identity, max_of, min_of, mul, neg, proj, table,
                          truncated_sub)
-from .errors import ContlogError, FormatError
+from .errors import ContlogError, FormatError, ValidationError
 from .formula import Relation, Signature
 from .hyperspace import hyper, inf_theta, lift, sup_theta
 from .semantics import Structure
@@ -39,8 +39,8 @@ def rational_from_str(s: Any) -> Fraction:
         raise FormatError(f"rationals must be strings or integers, got {s!r}")
     try:
         return frac(s)
-    except (ValueError, ZeroDivisionError, TypeError) as err:
-        raise FormatError(f"bad rational {s!r}: {err}") from None
+    except ValidationError as err:
+        raise FormatError(str(err)) from None
 
 
 def _expect_map(doc: Any, what: str) -> Mapping:

@@ -17,17 +17,20 @@ theta(value of phi) within an explicit budget.  The budget is zero whenever
 the source nets already sit on the grid, so on aligned instances the
 translation is exact and the two semantics are interchangeable.
 
-Set quantifiers, and sup/inf read through a non-identity observable, are
-coded by one min-max connective.  Its inputs are the codings of
-"sup x. hit_j(body)", one per base net point j that the observable's values
-depend on; each reads membership of that point.  Its value is the lattice
-interpolant of the observable over these point hits: the min over net sets
-k of the max of affines in the hits.  One type, `LatticeApprox`, holds every
-such interpolant as an integer min-of-max table over a common denominator.
-The set coder builds its table in closed form from the point hits;
-`lattice_approx` builds one for any function on a hyperspace net,
-synthesizes separators on the base space when supplied generators cannot
-tell two sets apart, and checks it exactly on every net set.
+The coder has one builder per node kind.  Atomic formulas and connective
+applications are both coded by a McShane extension of the observable over
+their children's coordinates, a Cauchy limit by its body, and every
+quantifier, except a sup/inf read through the identity, by one min-max
+connective over the codings of "sup x. hit_j(body)", one per base net point
+j that the observable's values depend on; each reads membership of that
+point.  Its value is the lattice interpolant of the observable over these
+point hits: the min over net sets k of the max of affines in the hits.  One
+type, `LatticeApprox`, holds every such interpolant as an integer min-of-max
+table over a common denominator.  The quantifier coder builds its table in
+closed form from the point hits; `lattice_approx` builds one for any
+function on a hyperspace net, synthesizes separators on the base space when
+supplied generators cannot tell two sets apart, and checks it exactly on
+every net set.
 """
 
 from __future__ import annotations
@@ -36,12 +39,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .connective import (Connective, _integer_table, _mcshane, _steepest_entry, const,
-                         flat_coords, identity, proj, table)
-from .errors import (NESTED_TOO_DEEPLY, CapacityError, EvalError, SpaceMismatch,
-                     ValidationError)
+from .connective import (Connective, _integer_table, _mcshane, _steepest_entry, _tabulated,
+                         const, flat_coords, identity, product_net, proj, table)
+from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import HyperSpace, decode_subset, urysohn_separator
@@ -118,33 +120,22 @@ class TranslationContext:
         Its sup over a set reads off membership of that point, so the family
         over all i separates any two distinct sets.  Its gap is 1 only
         between the i-th point and another, so its tight constant is the
-        closed form 1 / (distance to the nearest other net point) and needs
-        no pairwise scan.
+        closed form 1 / (distance to the nearest other net point), read from
+        the distance matrix like `proj`'s, and needs no pairwise scan.
         """
         key = (space, i)
         conn = self._hits.get(key)
         if conn is None:
-            target = space.net[i]
-            if len(space.net) > 1:
-                sep = min(space.metric(target, p) for p in space.net if p != target)
-                if sep == 0:
-                    raise ValidationError(
-                        f"{space.label}: net point {target} is at distance zero "
-                        f"from another net point; no observable can single it out"
-                    )
-                lip = Fraction(1) / sep
-            else:
-                lip = ZERO
-            name = f"hit[{i}]"
+            gaps = [d for j, d in enumerate(space.distance_matrix[i]) if j != i]
+            if gaps and min(gaps) == 0:
+                raise ValidationError(
+                    f"{space.label}: net point {space.net[i]} is at distance zero "
+                    f"from another net point; no observable can single it out"
+                )
             hit, miss = point(1), point(0)
-
-            def run(p: Point) -> Point:
-                try:
-                    return hit if space.net_index(p) == i else miss
-                except SpaceMismatch:
-                    raise EvalError(f"{name}: input {(str(p),)} is off the table net") from None
-
-            conn = Connective(name, (space,), _BIT, lip, run)
+            entries = {(p,): hit if j == i else miss for j, p in enumerate(space.net)}
+            conn = _tabulated(f"hit[{i}]", (space,), entries,
+                              ONE / min(gaps) if gaps else ZERO, _BIT)
             self._hits[key] = conn
         return conn
 
@@ -380,14 +371,11 @@ def _hit_lattice(n: int, gs: Sequence[Fraction]) -> tuple[tuple[int, ...], Latti
     g(f) - g(k) among them, so a row has at most one term per base index.
     The rows are built from the largest and smallest g over the sets that
     share their lowest j + 1 base indices, the top j + 1 bits of their
-    masks, so they cost O(|H| * n) rather than O(|H|^2).
+    masks, so they cost O(|H| * n) rather than O(|H|^2).  The gs are the
+    scalars of points, so they are Fractions in [0,1] already.
     """
-    gvals = [frac(v) for v in gs]
-    for v in gvals:
-        if not ZERO <= v <= ONE:
-            raise ValidationError(f"g value {v} is outside [0,1]")
-    scale = lcm(*(v.denominator for v in gvals))
-    gint = [v.numerator * (scale // v.denominator) for v in gvals]
+    scale = lcm(*(v.denominator for v in gs))
+    gint = [v.numerator * (scale // v.denominator) for v in gs]
 
     hi: list[dict[int, int]] = [{} for _ in range(n)]
     lo: list[dict[int, int]] = [{} for _ in range(n)]
@@ -463,31 +451,23 @@ class CodedFormula:
         return self._root(theta).budget
 
     def _root(self, theta: Connective | None) -> Coded:
-        theta = self._default(theta)
+        space = self.source.value_space
+        if theta is None:
+            if space.dimension != 1 or not space.standard_metric:
+                raise ValidationError(
+                    "a real-valued observable is required for set-valued formulas"
+                )
+            theta = self.ctx.identity_on(space)
+        elif theta.arity != 1 or theta.domain[0] != space:
+            raise SpaceMismatch(
+                f"observable {theta.name} does not accept values of {space.label}"
+            )
+        elif theta.codomain.dimension != 1:
+            raise SpaceMismatch(f"observable {theta.name} is not real-valued")
         try:
             return self._code(self.source, theta)
         except RecursionError:
             raise CapacityError(NESTED_TOO_DEEPLY) from None
-
-    def _default(self, theta: Connective | None) -> Connective:
-        if theta is not None:
-            self._check_observable(self.source, theta)
-            return theta
-        space = self.source.value_space
-        if space.dimension != 1 or not space.standard_metric:
-            raise ValidationError(
-                "a real-valued observable is required for set-valued formulas"
-            )
-        return self.ctx.identity_on(space)
-
-    @staticmethod
-    def _check_observable(phi: Formula, theta: Connective):
-        if theta.arity != 1 or theta.domain[0] != phi.value_space:
-            raise SpaceMismatch(
-                f"observable {theta.name} does not accept values of {phi.value_space.label}"
-            )
-        if theta.codomain.dimension != 1:
-            raise SpaceMismatch(f"observable {theta.name} is not real-valued")
 
     def _code(self, phi: Formula, theta: Connective) -> Coded:
         key = (phi, theta)
@@ -510,16 +490,15 @@ class CodedFormula:
         if isinstance(phi, CauchyLimit):
             return self._code(phi.body, theta)
         if isinstance(phi, Quant):
-            if phi.kind is QuantKind.SET:
-                return self._build_set(phi, theta)
-            return self._build_extremum(phi, theta)
+            return self._build_quant(phi, theta)
         raise ValidationError(f"cannot code {type(phi).__name__}")
 
-    def _extension(self, keys: Sequence[tuple[Point, ...]],
-                   values: Mapping[tuple[Point, ...], Fraction],
-                   name: str) -> tuple[Connective, Fraction]:
-        """McShane-extend a finite table over the flat grid cube; returns the
-        connective and its (tight) constant.
+    def _extend(self, name: str, keys: Sequence[tuple[Point, ...]],
+                value: Callable[[tuple[Point, ...]], Fraction],
+                children: tuple[Formula, ...], error: Fraction) -> Coded:
+        """Apply the McShane extension of value on keys to the children, which
+        code the keys' coordinates within error: the budget is its constant
+        times error.
 
         The table is scaled to integers over one common denominator once; the
         scan for the constant and the extension's integer kernel, which
@@ -528,30 +507,27 @@ class CodedFormula:
         distance below is positive.  The constant is tight by construction,
         so mcshane_extend's re-check of the same pairs is skipped.
         """
-        den, rows = _integer_table([(flat_coords(k), values[k]) for k in keys])
+        den, rows = _integer_table([(flat_coords(k), value(k)) for k in keys])
         steep = _steepest_entry(rows)
         lip = ZERO if steep is None else Fraction(steep[2], steep[3])
         grid = self.ctx.grid
-        return _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name), lip
+        ext = _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name)
+        return Coded(Apply(ext, children), lip * error)
 
     def _build_atomic(self, phi: Atomic, theta: Connective) -> Coded:
         ctx = self.ctx
-        keys = [(q,) for q in phi.space.net]
-        values = {k: theta(k[0]).scalar for k in keys}
-        ext, lip = self._extension(keys, values, f"~{theta.name}@{phi.symbol}")
         children = tuple(
             Atomic(nm, phi.args, ctx.grid) for nm in ctx.components[phi.symbol]
         )
-        formula = Apply(ext, children)
-        budget = lip * ctx.space_snap_bound(phi.space)
-        return Coded(formula, budget)
+        return self._extend(f"~{theta.name}@{phi.symbol}", [(q,) for q in phi.space.net],
+                            lambda k: theta(k[0]).scalar, children,
+                            ctx.space_snap_bound(phi.space))
 
     def _build_apply(self, phi: Apply, theta: Connective) -> Coded:
         ctx = self.ctx
         conn = phi.conn
         if conn.arity == 0:
-            v = theta(conn()).scalar
-            return Coded(Apply(const(point(v), ctx.grid), ()), ZERO)
+            return Coded(Apply(const(theta(conn()), ctx.grid), ()), ZERO)
 
         child_spaces = [c.value_space for c in phi.children]
         # every child enters through its coordinates; a child valued in a
@@ -561,47 +537,36 @@ class CodedFormula:
                           for obs in ctx.coordinates(s)]
 
         # tabulate theta(conn(..)) over the product of the child nets
-        keys = [()]
-        for s in child_spaces:
-            keys = [t + (q,) for t in keys for q in s.net]
-        values = {k: theta(conn(*k)).scalar for k in keys}
-        ext, lip = self._extension(keys, values, f"~{theta.name}@{conn.name}")
-        formula = Apply(ext, tuple(c.formula for c in coded_children))
-        budget = lip * sum((c.budget for c in coded_children), start=ZERO)
-        return Coded(formula, budget)
+        return self._extend(f"~{theta.name}@{conn.name}", list(product_net(child_spaces)),
+                            lambda k: theta(conn(*k)).scalar,
+                            tuple(c.formula for c in coded_children),
+                            sum((c.budget for c in coded_children), start=ZERO))
 
-    def _build_extremum(self, phi: Quant, theta: Connective) -> Coded:
+    def _build_quant(self, phi: Quant, theta: Connective) -> Coded:
+        """Code theta of a quantifier's value through the lattice of g, which
+        reads it off the set of the body's values, by subset mask of the base
+        (g[m - 1] at mask m) so that no indicator point is needed."""
         ctx = self.ctx
-        body_space = phi.body.value_space
-        if _is_identity(theta):
-            inner = self._code(phi.body, ctx.identity_on(body_space))
+        base = phi.body.value_space
+        if phi.kind is not QuantKind.SET and _is_identity(theta):
+            inner = self._code(phi.body, ctx.identity_on(base))
             return Coded(Quant(phi.kind, phi.var, inner.formula), inner.budget)
-        # theta(extremum of the collected values) factors through the value set
-        _check_set_capacity(body_space)
-        # the body net is sorted by value, so a set's largest member is its
-        # highest base index (the lowest set bit of its mask) and its
-        # smallest is its lowest base index (the highest set bit)
-        n = len(body_space.net)
-        tv = [theta(p).scalar for p in body_space.net]
-        if phi.kind is QuantKind.SUP:
-            g = [tv[n - (m & -m).bit_length()] for m in range(1, 1 << n)]
+        if phi.kind is QuantKind.SET:
+            g = [theta(k).scalar for k in phi.value_space.net]
+            slack = ZERO
         else:
-            g = [tv[n - m.bit_length()] for m in range(1, 1 << n)]
-        coded = self._build_from_lattice(phi, body_space, g,
-                                         f"~{theta.name}@{phi.kind.keyword}")
-        return Coded(coded.formula, coded.budget + theta.lipschitz * body_space.resolution)
-
-    def _build_set(self, phi: Quant, theta: Connective) -> Coded:
-        H = phi.value_space
-        g = [theta(k).scalar for k in H.net]
-        return self._build_from_lattice(phi, H.base, g, f"~{theta.name}@Q")
-
-    def _build_from_lattice(self, phi: Quant, base: ValueSpace,
-                            g: Sequence[Fraction], name: str) -> Coded:
-        """Code g of the set of values of phi's body through the lattice of
-        g, given by subset mask of the base (g[m - 1] at mask m) so that no
-        indicator point is needed."""
-        ctx = self.ctx
+            # theta(extremum of the collected values) factors through the value set
+            _check_set_capacity(base)
+            # the body net is sorted by value, so a set's largest member is
+            # its highest base index (the lowest set bit of its mask) and its
+            # smallest is its lowest base index (the highest set bit)
+            n = len(base.net)
+            tv = [theta(p).scalar for p in base.net]
+            if phi.kind is QuantKind.SUP:
+                g = [tv[n - (m & -m).bit_length()] for m in range(1, 1 << n)]
+            else:
+                g = [tv[n - m.bit_length()] for m in range(1, 1 << n)]
+            slack = theta.lipschitz * base.resolution
         # the point-hit observables separate any two distinct sets, so the
         # body is only ever coded against len(base.net) distinct observables
         # (shared via memo); building every hit refuses a base net with a
@@ -614,10 +579,11 @@ class CodedFormula:
             inner = self._code(phi.body, hits[j])
             children.append(Quant(QuantKind.SUP, phi.var, inner.formula))
             drift = max(drift, inner.budget + hits[j].lipschitz * base.resolution)
-        conn = Connective(name, tuple(c.value_space for c in children), ctx.grid,
+        conn = Connective(f"~{theta.name}@{phi.kind.keyword}",
+                          tuple(c.value_space for c in children), ctx.grid,
                           lattice.lipschitz,
                           lambda *pts: point(lattice.value([p.scalar for p in pts])))
-        return Coded(Apply(conn, tuple(children)), lattice.lipschitz * drift)
+        return Coded(Apply(conn, tuple(children)), lattice.lipschitz * drift + slack)
 
 
 def code_formula(ctx: TranslationContext, phi: Formula) -> CodedFormula:

@@ -40,7 +40,10 @@ ONE = Fraction(1)
 
 def frac(x: Rational) -> Fraction:
     """Coerce an int, a string like '2/3', or a Fraction to a Fraction."""
-    return x if isinstance(x, Fraction) else Fraction(x)
+    try:
+        return x if isinstance(x, Fraction) else Fraction(x)
+    except (ValueError, ZeroDivisionError, TypeError) as err:
+        raise ValidationError(f"bad rational {x!r}: {err}") from None
 
 
 @dataclass(frozen=True, order=True)

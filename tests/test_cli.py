@@ -351,6 +351,24 @@ class TestEncodeFn:
                            "--name", "f", "--table", "{not json")
         assert code == 2 and "not valid JSON" in err
 
+    DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+
+    @pytest.mark.parametrize("structure, name, table, message", [
+        ("places.json", "best", '{"cafe": "cafe"}',
+         "function table is not total over the universe"),
+        ("places.json", "d", '{"cafe": "cafe", "annex": "cafe", "library": "cafe",'
+                             ' "gym": "cafe"}',
+         "symbol 'd' already exists"),
+        ("mood.json", "f", '{"a": "a", "b": "b"}',
+         "encoding a function needs a distance symbol"),
+    ], ids=["not-total", "taken-name", "no-distance"])
+    def test_malformed_input_exits_2(self, capsys, structure, name, table, message):
+        # a malformed table or target is refused like any bad input, not
+        # reported as a failed check
+        code, out, err = run(capsys, "encode-fn", "--structure", str(self.DATA / structure),
+                             "--name", name, "--table", table)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestFuzz:
     def test_json_lines_and_summary(self, files, capsys):

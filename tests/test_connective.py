@@ -589,3 +589,15 @@ class TestIntegerTableScan:
         assert str(caught.value) == "mapping key ('(0, 1)',) does not fit [1-dimensional X]"
         with pytest.raises(ValidationError, match=r"does not fit \[1-dimensional X, 1-dim"):
             tight_lipschitz([X, X], {(point(0), point(0, 1)): point(0)})
+
+    @pytest.mark.parametrize("call, key", [
+        (lambda X: tight_lipschitz([X], {(0,): point(0), (1,): point(1)}), "(0,)"),
+        (lambda X: tight_lipschitz([X], {0: point(0), 1: point(1)}), "0"),
+        (lambda X: table([X], {0: point(0), 1: point(1)}, 1, codomain=X), "0"),
+        (lambda X: mcshane_extend({0: 0, 1: 1}, 1, X, X), "0"),
+    ], ids=["tight-tuple-of-ints", "tight-int", "table-int", "mcshane-int"])
+    def test_keys_that_are_not_points_are_refused(self, call, key):
+        X = make_finite([point(0), point(1)], label="X")
+        with pytest.raises(ValidationError) as caught:
+            call(X)
+        assert str(caught.value) == f"mapping key {key} does not fit [1-dimensional X]"

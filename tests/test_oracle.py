@@ -1,12 +1,13 @@
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from contlog import oracle, semantics
 from contlog.errors import ValidationError
-from contlog.formula import QuantKind, Relation, atom, signature
-from contlog.connective import table, tight_lipschitz
+from contlog.formula import Apply, QuantKind, Relation, atom, signature
+from contlog.connective import const, table, tight_lipschitz
 from contlog.oracle import (
     EXACT_STEP,
     PSEUDOMETRIC_LAWS,
@@ -31,6 +32,7 @@ from contlog.oracle import (
     summarize,
     verify_coding,
     verify_corruption_detected,
+    verify_limit_declaration,
     verify_quantifier_identity,
     verify_primordial_bounds,
 )
@@ -199,6 +201,115 @@ class TestVerifiers:
         phi = atom(self.sig, "P", "x")
         with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
             verify(ctx, self.M, phi, tol=F(-1, 4))
+
+
+class TestWitnesses:
+    """Each witness of the limit, quotient and refinement checks, reached by
+    a planted fault."""
+
+    # the limit trial's sequence: c +- 1/2^(k+3) around c = 1/2, at rate
+    # 1/2^(n+2); at tolerance 1/16 the least adequate index is 2
+    LIMIT_VALUES = [F(5, 8), F(7, 16), F(17, 32), F(31, 64), F(65, 128)]
+
+    def limit_instance(self):
+        space = make_finite([point(v) for v in self.LIMIT_VALUES])
+        formulas = [Apply(const(point(v), space), ()) for v in self.LIMIT_VALUES]
+        M = structure(signature([Relation("R", 1, space)]), ["e0"], {"R": {"e0": F(5, 8)}})
+        return M, formulas
+
+    def verify_limit(self, rate=lambda n: F(1, 2 ** (n + 2))):
+        M, formulas = self.limit_instance()
+        return verify_limit_declaration(M, formulas, rate, F(1, 16), true_limit=F(1, 2))
+
+    def test_an_honest_limit_passes(self):
+        check = self.verify_limit()
+        assert check.ok and check.checked == 5 and check.witness is None
+
+    def test_limit_pair_gap_above_the_rate(self):
+        # a declared rate four times too fast: the first pair already breaks it
+        check = self.verify_limit(lambda n: F(1, 2 ** (n + 4)))
+        assert not check.ok
+        assert check.witness == {"pair": "0,1", "gap": "3/16", "rate": "1/16"}
+
+    @staticmethod
+    def plant_truncation(monkeypatch, body_at, index_at):
+        # plant a fault: the truncation wraps formula body_at(N) at index
+        # index_at(N), where N is the least adequate index
+        real = oracle.cauchy_limit
+
+        def faulty(rate, formulas, tol):
+            lim = real(rate, formulas, tol)
+            return replace(lim, body=formulas[body_at(lim.index)], index=index_at(lim.index))
+
+        monkeypatch.setattr(oracle, "cauchy_limit", faulty)
+
+    def test_limit_wrong_index(self, monkeypatch):
+        self.plant_truncation(monkeypatch, lambda n: n + 1, lambda n: n + 1)
+        check = self.verify_limit()
+        assert not check.ok and check.witness == {"index": "3", "expected": "2"}
+
+    def test_limit_wrapped_value_differs_from_the_direct_one(self, monkeypatch):
+        self.plant_truncation(monkeypatch, lambda n: n + 1, lambda n: n)
+        check = self.verify_limit()
+        assert not check.ok and check.witness == {"wrapped": "31/64", "direct": "17/32"}
+
+    def test_limit_value_off_the_true_limit(self, monkeypatch):
+        # plant a fault: evaluation reads every value 1/8 too high, so the
+        # gaps, the index and the wrapper all still agree
+        real = oracle.evaluate
+        monkeypatch.setattr(oracle, "evaluate",
+                            lambda M, phi: point(real(M, phi).scalar + F(1, 8)))
+        check = self.verify_limit()
+        assert not check.ok
+        assert check.witness == {"value": "21/32", "limit": "1/2", "tol": "1/16"}
+
+    def test_quotient_value_witness(self, monkeypatch):
+        # plant a fault: the quotient reads R as the least pool value at
+        # every class; the trial's formula is R(x)
+        real = oracle.quotient
+
+        def faulty(M):
+            Mq = real(M)
+            low = Mq.signature.by_name["R"].space.net[0]
+            interp = {**Mq.interp, "R": {t: low for t in Mq.interp["R"]}}
+            return Structure(Mq.signature, Mq.universe, interp)
+
+        monkeypatch.setattr(oracle, "random_formula",
+                            lambda cfg, sig, rng, **kw: atom(sig, "R", "x"))
+        records = run_quotient_trials(FuzzConfig(seed=11), trials=2)
+        assert all(r.ok for r in records)
+        monkeypatch.setattr(oracle, "quotient", faulty)
+        records = run_quotient_trials(FuzzConfig(seed=11), trials=2)
+        assert [r.ok for r in records] == [False, False]
+        assert [r.witness for r in records] == [
+            {"assignment": {"x": "e0"}, "value": "(1)", "quotient_value": "(0)"},
+            {"assignment": {"x": "e0"}, "value": "(5/8)", "quotient_value": "(0)"},
+        ]
+
+    def test_quotient_without_a_collapse_is_witnessed(self, monkeypatch):
+        # plant a fault: the generator no longer forces a zero-distance
+        # class, so a trial can pass without collapsing anything
+        real = oracle.random_metric_structure
+        monkeypatch.setattr(oracle, "random_metric_structure",
+                            lambda cfg, rng, **kw: real(cfg, rng))
+        records = run_quotient_trials(FuzzConfig(seed=11), trials=2)
+        assert [r.ok for r in records] == [False, True]
+        assert records[0].witness == {"classes": "(('e0',), ('e1',), ('e2',))"}
+
+    def test_refinement_drift_witness(self, monkeypatch):
+        # plant a fault: the coarse error bound reads zero; the trial's
+        # formula is its first relation at its variables
+        monkeypatch.setattr(oracle, "random_formula", lambda cfg, sig, rng, **kw: atom(
+            sig, sig.relations[0].name, *("x", "y")[:sig.relations[0].arity]))
+        records = run_refinement_trials(FuzzConfig(seed=11), trials=2)
+        assert all(r.ok for r in records)
+        monkeypatch.setattr(oracle, "eval_error_bound", lambda phi: F(0))
+        records = run_refinement_trials(FuzzConfig(seed=11), trials=2)
+        assert [r.ok for r in records] == [False, False]
+        assert [r.witness for r in records] == [
+            {"assignment": {"x": "e0", "y": "e1"}, "drift": "1/6", "bound": "0"},
+            {"assignment": {"x": "e3"}, "drift": "1/4", "bound": "0"},
+        ]
 
 
 class TestDrivers:

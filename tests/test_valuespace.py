@@ -6,7 +6,9 @@ from math import gcd
 import pytest
 
 from contlog.errors import SpaceMismatch, ValidationError
+from contlog.formula import Relation, signature
 from contlog.hyperspace import hyper
+from contlog.semantics import structure
 from contlog.valuespace import (
     Point,
     ValueSpace,
@@ -27,6 +29,19 @@ def test_frac_coercions():
     assert frac("2/3") == F(2, 3)
     assert frac(1) == F(1)
     assert frac(F(1, 2)) == F(1, 2)
+
+
+@pytest.mark.parametrize("build, bad", [
+    (lambda: point("zz"), "'zz'"),
+    (lambda: point("1/0"), "'1/0'"),
+    (lambda: point(None), "None"),
+    (lambda: make_interval(0, 1, "abc"), "'abc'"),
+    (lambda: structure(signature([Relation("P", 1, make_interval(0, 1, F(1, 2)))]),
+                       ["a"], {"P": {"a": "zz"}}), "'zz'"),
+], ids=["garbage", "zero-denominator", "none", "interval-step", "structure-value"])
+def test_malformed_rationals_are_refused(build, bad):
+    with pytest.raises(ValidationError, match=f"^bad rational {re.escape(bad)}: "):
+        build()
 
 
 def test_tolerance_coercion():
