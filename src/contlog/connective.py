@@ -117,17 +117,18 @@ class Connective:
         return len(self.domain)
 
     def __call__(self, *points: Point) -> Point:
-        if len(points) != len(self.domain):
+        domain = self.domain
+        if len(points) != len(domain):
             raise EvalError(
-                f"{self.name} expects {len(self.domain)} arguments, got {len(points)}"
+                f"{self.name} expects {len(domain)} arguments, got {len(points)}"
             )
-        for p, s in zip(points, self.domain):
-            if p.dimension != s.dimension:
+        for p, s in zip(points, domain):
+            if len(p.coords) != s.dimension:
                 raise EvalError(
                     f"{self.name}: argument {p} does not fit {s.dimension}-dimensional {s.label}"
                 )
         out = self.evaluator(*points)
-        if out.dimension != self.codomain.dimension:
+        if len(out.coords) != self.codomain.dimension:
             raise EvalError(
                 f"{self.name}: output {out} does not fit codomain {self.codomain.label}"
             )
@@ -484,7 +485,8 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
                    name: str | None = None) -> Connective:
     """Extend a real-valued map from a net to an ambient cube, keeping its constant.
 
-    theta maps the product net of x into [0,1]; the extension is
+    theta maps the product net of x, and nothing off it, into [0,1]; the
+    extension is
 
         y  ->  clamp01( min over net points p of  theta(p) + L * d(p, y) )
 
@@ -505,6 +507,9 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
     for k in keys:
         if k not in entries:
             raise ValidationError(f"extension: no value for net point {tuple(map(str, k))}")
+    if len(entries) != len(keys):
+        raise ValidationError(
+            f"extension: {len(entries) - len(keys)} entries are off the product net")
     _check_unit_range(entries.values(), "extension values")
 
     den, rows = _integer_table([(flat_coords(k), entries[k]) for k in keys])

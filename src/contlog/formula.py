@@ -117,25 +117,86 @@ class QuantKind(enum.Enum):
         return self.value
 
 
+def _postorder(roots: Sequence[Formula], cached: str | None = None) -> list[Formula]:
+    """Every node under the roots once, children first and the leftmost
+    subtree first, without recursion.  With `cached` the name of a derived
+    property, a node that already holds it is left out with everything below
+    it, which holds it too.  A node with no `children` is a leaf."""
+    order: list[Formula] = []
+    seen: set[Formula] = set()
+    for root in roots:
+        if root in seen or cached is not None and cached in root.__dict__:
+            continue
+        seen.add(root)
+        # each entry is a node and the iterator over its children not yet walked
+        stack = [(root, iter(getattr(root, "children", ())))]
+        while stack:
+            node, kids = stack[-1]
+            for child in kids:
+                if child not in seen and (cached is None or cached not in child.__dict__):
+                    seen.add(child)
+                    stack.append((child, iter(getattr(child, "children", ()))))
+                    break
+            else:
+                stack.pop()
+                order.append(node)
+    return order
+
+
+class _derived:
+    """A node property derived from its children's, computed once per node
+    and kept in the node's `__dict__`, which answers every later read.
+
+    A read that misses fills every node below that misses too, children
+    first and without recursion, so the wrapped method's reads of its
+    children's values are all hits and a formula of any depth is fine.  A
+    method that raises leaves its node unfilled and the nodes below filled.
+    """
+
+    def __init__(self, method):
+        self.method = method
+        self.name = method.__name__
+        self.__doc__ = method.__doc__
+
+    def __get__(self, node, owner=None):
+        if node is None:
+            return self
+        name, method = self.name, self.method
+        for child in getattr(node, "children", ()):
+            if name not in child.__dict__:
+                break
+        else:  # the common miss, on a node built over derived children
+            value = node.__dict__[name] = method(node)
+            return value
+        for n in _postorder((node,), name):
+            n.__dict__[name] = method(n)
+        return node.__dict__[name]
+
+
 class Formula:
     """Base class; concrete nodes are Atomic, Apply, Quant and CauchyLimit.
 
-    Each concrete node has `children`, its direct subformulas in order.
+    Each concrete node has `children`, its direct subformulas in order.  Its
+    value space, free variables and error bound are derived on first read,
+    children first (`_derived`), and `str()` renders bottom-up as well, so
+    none of them recurses.
     """
 
-    @cached_property
+    @_derived
     def value_space(self) -> ValueSpace:
         return self._space()
 
-    @cached_property
+    @_derived
     def free_vars(self) -> frozenset[str]:
         return self._free()
 
-    @cached_property
+    @_derived
     def error_bound(self) -> Fraction:
         """Worst-case drift of the computed value under net refinement.
 
         Zero whenever every value space in the formula has resolution zero.
+        Derived on first read, bottom-up from the nodes below that have none
+        yet, without recursion.
         """
         return self._error_bound()
 
@@ -147,6 +208,16 @@ class Formula:
 
     def _free(self) -> frozenset[str]:
         raise NotImplementedError
+
+    def __str__(self) -> str:
+        text: dict[Formula, str] = {}
+        for node in _postorder((self,)):
+            text[node] = node._render(text)
+        return text[self]
+
+    def _render(self, text: Mapping[Formula, str]) -> str:
+        """The node's concrete syntax, given its children's in `text`."""
+        return repr(self)
 
 
 @dataclass(frozen=True, eq=False)
@@ -166,7 +237,7 @@ class Atomic(Formula):
     def _error_bound(self) -> Fraction:
         return self.space.resolution
 
-    def __str__(self) -> str:
+    def _render(self, text: Mapping[Formula, str]) -> str:
         return f"{self.symbol}({', '.join(self.args)})"
 
 
@@ -183,7 +254,7 @@ class Apply(Formula):
             )
         for i, (child, want) in enumerate(zip(self.children, self.conn.domain)):
             got = child.value_space
-            if got != want:
+            if got is not want and got != want:
                 raise TypeCheckError(
                     f"argument {i} of {self.conn.name} has value space {got.label} "
                     f"(dim {got.dimension}), expected {want.label} (dim {want.dimension})"
@@ -200,8 +271,8 @@ class Apply(Formula):
         total = sum((c.error_bound for c in self.children), start=Fraction(0))
         return self.conn.lipschitz * total + self.conn.codomain.resolution
 
-    def __str__(self) -> str:
-        return f"{self.conn.name}({', '.join(str(c) for c in self.children)})"
+    def _render(self, text: Mapping[Formula, str]) -> str:
+        return f"{self.conn.name}({', '.join([text[c] for c in self.children])})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,10 +280,10 @@ class Quant(Formula):
     kind: QuantKind
     var: str
     body: Formula
+    children: tuple[Formula, ...] = field(init=False, repr=False)
 
-    @property
-    def children(self) -> tuple[Formula, ...]:
-        return (self.body,)
+    def __post_init__(self):
+        object.__setattr__(self, "children", (self.body,))
 
     def _space(self) -> ValueSpace:
         inner = self.body.value_space
@@ -232,8 +303,8 @@ class Quant(Formula):
             return self.body.error_bound + self.body.value_space.resolution
         return self.body.error_bound
 
-    def __str__(self) -> str:
-        return f"{self.kind.keyword} {self.var}. {self.body}"
+    def _render(self, text: Mapping[Formula, str]) -> str:
+        return f"{self.kind.keyword} {self.var}. {text[self.body]}"
 
 
 @dataclass(frozen=True, eq=False)
@@ -249,10 +320,10 @@ class CauchyLimit(Formula):
     rate_at_index: Fraction
     tol: Fraction
     rate: Callable[[int], Fraction] = field(repr=False)
+    children: tuple[Formula, ...] = field(init=False, repr=False)
 
-    @property
-    def children(self) -> tuple[Formula, ...]:
-        return (self.body,)
+    def __post_init__(self):
+        object.__setattr__(self, "children", (self.body,))
 
     def _space(self) -> ValueSpace:
         return self.body.value_space
@@ -263,8 +334,8 @@ class CauchyLimit(Formula):
     def _error_bound(self) -> Fraction:
         return self.body.error_bound
 
-    def __str__(self) -> str:
-        return str(self.body)
+    def _render(self, text: Mapping[Formula, str]) -> str:
+        return text[self.body]
 
 
 def atom(sig: Signature, name: str, *variables: str) -> Atomic:

@@ -44,6 +44,16 @@ from .valuespace import ONE, ZERO, Point, Rational, ValueSpace, frac, nearest, p
 MAX_BASE_POINTS = 16
 
 
+_COORDS = (ZERO, ONE)
+_DIGITS = {"0": 0, "1": 1}
+
+
+def _indicator(bits: tuple[int, ...]) -> Point:
+    """The indicator point of a tuple of 0/1 ints.  An integral Fraction
+    hashes as its integer, so the point's hash is that of the ints."""
+    return Point._unchecked(tuple(map(_COORDS.__getitem__, bits)), hash((bits,)))
+
+
 class SubsetNet(Sequence):
     """The net of a hyperspace over an n-point base, without building it.
 
@@ -66,13 +76,13 @@ class SubsetNet(Sequence):
     def __getitem__(self, k):
         if self._points is not None or isinstance(k, slice):
             return self.points[k]
-        size = len(self)
+        size = (1 << self.n) - 1
         if k < 0:
             k += size
         if not 0 <= k < size:
             raise IndexError("subset net index out of range")
-        n, mask = self.n, k + 1
-        return Point(tuple(ONE if mask >> (n - 1 - i) & 1 else ZERO for i in range(n)))
+        # the mask's n binary digits, base index 0 the most significant
+        return _indicator(tuple(map(_DIGITS.__getitem__, format(k + 1, f"0{self.n}b"))))
 
     def __iter__(self):
         return iter(self.points)
@@ -81,9 +91,9 @@ class SubsetNet(Sequence):
     def points(self) -> tuple[Point, ...]:
         """The indicator points in net order, built on first use and kept."""
         if self._points is None:
-            bits = itertools.product((ZERO, ONE), repeat=self.n)
+            bits = itertools.product((0, 1), repeat=self.n)
             next(bits)  # the empty set
-            self._points = tuple(Point(b) for b in bits)
+            self._points = tuple(map(_indicator, bits))
         return self._points
 
     def __eq__(self, other) -> bool:
@@ -130,19 +140,21 @@ class HyperSpace(ValueSpace):
             raise SpaceMismatch(f"indicator {p} does not fit {self.label}")
         idx = []
         for i, c in enumerate(p.coords):
-            if c == ONE:
+            # the indicator points built here share ONE and ZERO, so most
+            # coordinates are told apart without a Fraction comparison
+            if c is ONE or c is not ZERO and c == ONE:
                 idx.append(i)
-            elif c != ZERO:
+            elif c is not ZERO and c != ZERO:
                 raise SpaceMismatch(f"{p} is not a 0/1 indicator point")
         if not idx:
             raise SpaceMismatch("indicator encodes the empty set")
         return frozenset(idx)
 
-    def _has(self, p: Point) -> bool:
-        """Every nonempty 0/1 vector is an indicator point.  `member_indices`
+    def _position(self, p: Point) -> int:
+        """Every nonempty 0/1 vector is an indicator point, whose position
+        is read off its mask without building the net.  `member_indices`
         refuses any other point, with the text the Hausdorff metric gives."""
-        self.member_indices(p)
-        return True
+        return self.net_index(p)
 
     def coordinate_values(self, i: int) -> tuple[Fraction, ...]:
         """Coordinate i of an indicator point says whether base point i is a
@@ -222,7 +234,7 @@ def encode_subset(h: HyperSpace, members: Iterable[Point]) -> Point:
     idx = {h.base.net_index(p) for p in members}
     if not idx:
         raise ValidationError("cannot encode the empty set")
-    return Point(tuple(ONE if i in idx else ZERO for i in range(len(h.base.net))))
+    return _indicator(tuple([int(i in idx) for i in range(len(h.base.net))]))
 
 
 def decode_subset(h: HyperSpace, p: Point) -> CompactSet:

@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Sequence
 from .connective import (Connective, _tabulated, affine, clamp01, identity,
                          max_of, min_of, mul, neg, tight_lipschitz,
                          truncated_sub, bounded_add, const)
-from .errors import EvalError, ValidationError
+from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
 from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset,
@@ -446,10 +446,13 @@ def verify_quantifier_identity(M: Structure, body: Formula,
                                var: str | None = None) -> IdentityCheck:
     """sup of theta over the set quantifier's value equals the direct sup.
 
-    One pass tabulates `Q var. body` and the body together.  Per assignment,
-    the left side takes the maximum of theta over the members of the set
-    row, once per distinct set; the right side maximizes theta over the body
-    rows along the `var` axis.  Exact equality.
+    One pass tabulates `Q var. body`, the body, `theta(body)` and the direct
+    `sup var. theta(body)`, so theta runs once per distinct body value.  Per
+    assignment, the left side takes the maximum of theta over the members of
+    the set row, once per distinct set, reading theta at a member the body
+    takes from the pass; the right side is the direct sup's row.  Exact
+    equality.  An observable must accept the body's values and be
+    real-valued.
     """
     var = _single_free_var(body, var)
     space = body.value_space
@@ -457,20 +460,33 @@ def verify_quantifier_identity(M: Structure, body: Formula,
         if space.dimension != 1 or not space.standard_metric:
             raise ValidationError("a non-real body needs an explicit observable")
         theta = identity(space)
-    q = Quant(QuantKind.SET, var, body)
-    sets, values = tabulate(M, [q, body])
+    elif theta.arity != 1 or theta.domain[0] != space:
+        raise SpaceMismatch(f"observable {theta.name} does not accept values of {space.label}")
+    elif theta.codomain.dimension != 1 or not theta.codomain.standard_metric:
+        raise SpaceMismatch(f"observable {theta.name} is not real-valued")
+    observed = Apply(theta, (body,))
+    sets, values, thetas, direct = tabulate(M, [Quant(QuantKind.SET, var, body), body, observed,
+                                                Quant(QuantKind.SUP, var, observed)])
+    # theta at each value the body takes, from the pass: the tables share rows
+    theta_at = dict(zip(values.rows.values(), thetas.rows.values()))
+
+    def observe(m: Point) -> Fraction:
+        t = theta_at.get(m)
+        if t is None:  # a member the body reaches only by snapping
+            t = theta_at[m] = theta(m)
+        return t.scalar
+
+    net, member_indices = space.net, sets.space.member_indices
     witness = None
     via_set: dict[Point, Fraction] = {}
-    asgs = _assignments(M, body.free_vars - {var}, None)
-    for asg in asgs:
-        k = sets.at(asg)
+    for (key, k), rhs in zip(sets.rows.items(), direct.rows.values()):
         lhs = via_set.get(k)
         if lhs is None:
-            lhs = via_set[k] = max(theta(m).scalar for m in sets.value(asg).members)
-        rhs = max(theta(values.at({**asg, var: a})).scalar for a in M.universe)
-        if lhs != rhs and witness is None:
-            witness = {"assignment": dict(asg), "via_set": str(lhs), "direct": str(rhs)}
-    return IdentityCheck(witness is None, len(asgs), witness)
+            lhs = via_set[k] = max([observe(net[i]) for i in member_indices(k)])
+        if lhs != rhs.scalar and witness is None:
+            witness = {"assignment": dict(zip(sets.vars, key)), "via_set": str(lhs),
+                       "direct": str(rhs.scalar)}
+    return IdentityCheck(witness is None, len(sets.rows), witness)
 
 
 def verify_primordial_bounds(M: Structure, body: Formula,
@@ -488,24 +504,24 @@ def verify_primordial_bounds(M: Structure, body: Formula,
     q = Quant(QuantKind.SET, var, body)
     sets, sups, infs = tabulate(M, [q, Quant(QuantKind.SUP, var, body),
                                     Quant(QuantKind.INF, var, body)])
+    net, member_indices = space.net, sets.space.member_indices
     witness = None
     extremes: dict[Point, tuple[Fraction, Fraction]] = {}
-    asgs = _assignments(M, body.free_vars - {var}, None)
-    for asg in asgs:
-        k = sets.at(asg)
+    for (key, k), sup, inf in zip(sets.rows.items(), sups.rows.values(), infs.rows.values()):
         bounds = extremes.get(k)
         if bounds is None:
-            members = [m.scalar for m in sets.value(asg).members]
-            bounds = extremes[k] = max(members), min(members)
+            # a one-dimensional net rises: its extreme members sit at the extreme indices
+            idx = member_indices(k)
+            bounds = extremes[k] = net[max(idx)].scalar, net[min(idx)].scalar
         set_max, set_min = bounds
-        sup_val, inf_val = sups.at(asg).scalar, infs.at(asg).scalar
+        sup_val, inf_val = sup.scalar, inf.scalar
         if (set_max != sup_val or set_min != inf_val) and witness is None:
             witness = {
-                "assignment": dict(asg),
+                "assignment": dict(zip(sets.vars, key)),
                 "set_max": str(set_max), "sup": str(sup_val),
                 "set_min": str(set_min), "inf": str(inf_val),
             }
-    return IdentityCheck(witness is None, len(asgs), witness)
+    return IdentityCheck(witness is None, len(sets.rows), witness)
 
 
 # ---------------------------------------------------------------------------

@@ -22,25 +22,31 @@ directly.  A quantifier reduces its body's table along one axis:
 
 Within the pass the tables hold interned int ids, one per distinct Point,
 so a connective runs once per distinct tuple of argument ids, sup and inf
-compare int ranks and Q ORs subset bitmasks; Points are decoded only into
+compare exact integer keys and Q ORs subset bitmasks, a body value that is a
+net point taking its bit from its net position; Points are decoded only into
 the tables of the roots.  `evaluate` looks one row up and decodes a set
 value into a `CompactSet`.
+
+The pass fills each node's value space and free variables, which it reads.
+It leaves error bounds alone: a node's bound derives on first read, from the
+nodes below bottom-up and without recursion (`Formula.error_bound`), so a
+check that never reads one never pays for its Fraction arithmetic.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
-from itertools import product
-from operator import or_
+from functools import partial, reduce
+from itertools import chain, product, repeat, starmap
+from math import lcm, prod
+from operator import itemgetter, or_
 from typing import Iterable, Mapping, Sequence, Union
 
 from .connective import _steepest_pair
 from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
-                      Relation, Signature)
+                      Relation, Signature, _postorder)
 from .hyperspace import CompactSet, HyperSpace, decode_subset, encode_subset
 from .valuespace import (ZERO, Point, Rational, ValueSpace, _member, frac,
                          nearest, point, tolerance)
@@ -70,10 +76,13 @@ def _as_value(space: ValueSpace, raw) -> Point:
 
 
 def _normalize_tuple(key, arity: int) -> ElementTuple:
+    """A table key as a tuple of element ids, each part stripped of blanks:
+    a string key is split at its commas.  Element ids carry no blanks at
+    their ends and no commas (`Structure`), so stripping is never ambiguous."""
     if isinstance(key, str):
-        parts = tuple(s.strip() for s in key.split(",")) if "," in key else (key,)
+        parts = tuple([part.strip() for part in key.split(",")])
     else:
-        parts = tuple(key)
+        parts = tuple([part.strip() if isinstance(part, str) else part for part in key])
     if len(parts) != arity:
         raise ValidationError(f"key {key!r} does not have arity {arity}")
     return parts
@@ -153,10 +162,12 @@ def structure(sig: Signature, universe: Sequence[str],
         rel = sig.by_name.get(name)
         if rel is None:
             raise ValidationError(f"unknown relation {name!r} in interpretation")
-        cooked[name] = {
-            _normalize_tuple(k, rel.arity): _as_value(rel.space, v)
-            for k, v in entries.items()
-        }
+        cooked[name] = table = {}
+        for k, v in entries.items():
+            t = _normalize_tuple(k, rel.arity)
+            if t in table:
+                raise ValidationError(f"{name}: two keys name the tuple {t}")
+            table[t] = _as_value(rel.space, v)
     return Structure(sig, tuple(universe), cooked)
 
 
@@ -178,7 +189,8 @@ class EvalResult:
 
 def eval_error_bound(phi: Formula) -> Fraction:
     """Worst-case drift of the computed value under net refinement; see
-    Formula.error_bound, which caches it on the node."""
+    Formula.error_bound, which derives it bottom-up and caches it on the
+    node."""
     return phi.error_bound
 
 
@@ -196,7 +208,7 @@ class Table:
     space: ValueSpace
 
     def at(self, assignment: Mapping[str, str]) -> Point:
-        return self.rows[tuple(assignment[v] for v in self.vars)]
+        return self.rows[tuple([assignment[v] for v in self.vars])]
 
     def value(self, assignment: Mapping[str, str]) -> Value:
         """The row's value, a set value decoded into a CompactSet."""
@@ -210,70 +222,98 @@ def _check_symbol(node: Atomic, sig: Signature):
         raise EvalError(f"structure does not interpret {node.symbol!r}")
     if rel.arity != len(node.args):
         raise EvalError(f"{node.symbol} arity mismatch")
-    if rel.space != node.space:
+    if rel.space is not node.space and rel.space != node.space:
         raise EvalError(
             f"{node.symbol} is valued in {rel.space.label} in the structure "
             f"but {node.space.label} in the formula"
         )
 
 
-def _postorder(roots: Sequence[Formula]) -> list[Formula]:
-    """Every node under the roots once, children first and the leftmost
-    subtree first, without recursion."""
-    order: list[Formula] = []
-    seen: set[Formula] = set()
-    stack = [(root, False) for root in reversed(roots)]
-    while stack:
-        node, ready = stack.pop()
-        if ready:
-            order.append(node)
-        elif node not in seen:
-            if not isinstance(node, (Atomic, Apply, Quant, CauchyLimit)):
-                raise EvalError(f"unknown formula node {type(node).__name__}")
-            seen.add(node)
-            stack.append((node, True))
-            stack.extend((child, False) for child in reversed(node.children))
-    return order
-
-
 def _picker(src: tuple[str, ...], dst: Sequence[str]):
-    """The map from a row over the variables `src` to its entries at `dst`."""
-    if tuple(dst) == src:
-        return lambda row: row
+    """The map from a row over the variables `src` to its entries at `dst`:
+    an `itemgetter`, so it runs in C.  For one entry or none it takes a
+    slice, which keeps the row a tuple."""
     idx = [src.index(v) for v in dst]
-    return lambda row: tuple([row[i] for i in idx])
+    if len(idx) > 1:
+        return itemgetter(*idx)
+    i = idx[0] if idx else 0
+    return itemgetter(slice(i, i + len(idx)))
+
+
+def _column(variables: tuple[str, ...], rows: Sequence[ElementTuple],
+            sub: tuple[str, ...], table: Mapping[ElementTuple, object]) -> Iterable:
+    """The entries of `table`, keyed over the variables `sub`, along `rows`
+    over `variables`."""
+    if sub == variables:
+        return map(table.__getitem__, rows)
+    return map(table.__getitem__, map(_picker(variables, sub), rows))
+
+
+def _snap_index(base: ValueSpace, p: Point) -> int:
+    """The net position of p snapped onto the base space's net.
+
+    A net point takes its own position (`ValueSpace._position`): a set
+    value, in a hyperspace base, reads it off its 0/1 mask without the net
+    being built.  Only a point off the net goes through `nearest`.
+    """
+    i = base._position(p)
+    return base._index[nearest(base, p)[0]] if i is None else i
+
+
+def _grouped(column: list[int], size: int, inner: int) -> Iterable[tuple[int, ...]]:
+    """The entries of a column over a product of domains, grouped along one
+    axis of `size` steps with `inner` rows per step, one tuple per group in
+    row order: the column splits into chunks of `inner` entries, one per
+    step, and each run of `size` chunks, one block of the axes before it,
+    transposes into that block's groups."""
+    if inner == 1:
+        return zip(*[iter(column)] * size)
+    chunks = zip(*[iter(column)] * inner)
+    return chain.from_iterable(starmap(zip, zip(*[chunks] * size)))
 
 
 def _reduce(node: Quant, body_vars: tuple[str, ...], body: dict[ElementTuple, int],
             values: list[Point], intern) -> dict[ElementTuple, int]:
     """Reduce the body's rows of value ids along the quantified variable's
-    axis; `values` maps an id to its Point and `intern` a Point to its id."""
+    axis; `values` maps an id to its Point and `intern` a Point to its id.
+
+    The body's rows run through the product of its variables' domains in
+    order (see `tabulate`), so each group is read off by `_grouped`, without
+    a loop per row.
+    """
+    ids, is_set = list(body.values()), node.kind is QuantKind.SET
     if node.var not in body_vars:
-        if node.kind is not QuantKind.SET:
+        if not is_set:
             return body
-        groups = {key: [i] for key, i in body.items()}
+        keys, size, inner = list(body), 1, 1  # each row is its own group
+    elif len(body_vars) == 1:
+        keys, size, inner = [()], len(ids), 1  # one group
     else:
         k = body_vars.index(node.var)
-        groups = {}
-        for key, i in body.items():
-            groups.setdefault(key[:k] + key[k + 1:], []).append(i)
-    distinct = dict.fromkeys(body.values())
-    if node.kind is QuantKind.SET:
+        # each variable's domain, in the order the rows run through it
+        domains = [tuple(dict.fromkeys(column)) for column in zip(*body)]
+        size, inner = len(domains[k]), prod(map(len, domains[k + 1:]))
+        keys = list(product(*domains[:k], *domains[k + 1:]))
+    distinct = dict.fromkeys(ids)
+    if is_set:
         # each distinct body value is snapped once onto the body space's net
         # and becomes its bit of a subset mask; each distinct mask is then
         # one indicator point, net entry mask - 1 of the hyperspace
         space, base = node.value_space, node.body.value_space
         top = space.dimension - 1
-        bit = {i: 1 << top - base.net_index(nearest(base, values[i])[0]) for i in distinct}
-        masks = {key: reduce(or_, map(bit.__getitem__, ids)) for key, ids in groups.items()}
-        sets = {m: intern(space.net[m - 1]) for m in set(masks.values())}
-        return {key: sets[m] for key, m in masks.items()}
-    # a one-dimensional space has one point per scalar, so ranking the
-    # distinct values once leaves only ints to compare per group
-    order = sorted(distinct, key=lambda i: values[i].scalar)
-    rank = {i: r for r, i in enumerate(order)}
-    extreme = max if node.kind is QuantKind.SUP else min
-    return {key: order[extreme(map(rank.__getitem__, ids))] for key, ids in groups.items()}
+        bit = {i: 1 << top - _snap_index(base, values[i]) for i in distinct}
+        column = list(map(bit.__getitem__, ids))
+        masks = list(map(partial(reduce, or_), _grouped(column, size, inner)))
+        sets = {m: intern(space.net[m - 1]) for m in set(masks)}
+        return dict(zip(keys, map(sets.__getitem__, masks)))
+    # a one-dimensional space has one point per scalar: over one common
+    # denominator each distinct value gets an exact integer key, so groups
+    # compare ints
+    xs = [values[i].coords[0] for i in distinct]
+    den = lcm(*[x.denominator for x in xs])
+    key = {i: x.numerator * (den // x.denominator) for i, x in zip(distinct, xs)}
+    extreme = partial(max if node.kind is QuantKind.SUP else min, key=key.__getitem__)
+    return dict(zip(keys, map(extreme, _grouped(ids, size, inner))))
 
 
 def tabulate(M: Structure, roots: Sequence[Formula],
@@ -285,8 +325,9 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     its children's tables, and a quantifier reduces its body's table along
     one axis.  A variable the assignment fixes is a one-row axis, unless
     some quantifier in the formulas rebinds it; every other variable ranges
-    over the universe.  Intermediate tables are dropped once every parent
-    has read them.
+    over the universe.  Every table's rows run through the product of its
+    variables' domains in order.  Intermediate tables are dropped once every
+    parent has read them.
 
     Inside the pass a row holds an int id: each distinct Point gets one the
     first time it appears, so a connective runs once per distinct tuple of
@@ -294,58 +335,72 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     decoded back into Points.
 
     Before any table is built the assignment's elements are checked against
-    the universe, then every atomic symbol against the signature (leftmost
-    first), then the formulas are typechecked; each node's cached value
-    space, free variables and error bound are filled children first, so
-    none of those recurse.
+    the universe, then every node's kind and every atomic symbol against the
+    signature (leftmost first), then the formulas are typechecked.  The pass
+    fills each node's cached value space and free variables, which it reads;
+    error bounds are left to derive on first read, bottom-up and without
+    recursion (`Formula.error_bound`).
     """
     asg = dict(assignment or {})
+    universe = M.universe
     for var, e in asg.items():
-        if e not in M.universe:
+        if e not in universe:
             raise EvalError(f"assignment sends {var} to {e!r}, not a universe element")
     order = _postorder(roots)
+    rebound = set()
+    readers: dict[Formula, int] = {}  # parents that have yet to read a node's table
     for node in order:
         if isinstance(node, Atomic):
             _check_symbol(node, M.signature)
-    for node in order:
-        node.value_space, node.free_vars, node.error_bound
-    rebound = {node.var for node in order if isinstance(node, Quant)}
+            continue
+        if isinstance(node, Quant):
+            rebound.add(node.var)
+        elif not isinstance(node, (Apply, CauchyLimit)):
+            raise EvalError(f"unknown formula node {type(node).__name__}")
+        for child in node.children:
+            readers[child] = readers.get(child, 0) + 1
+    for root in roots:
+        root.value_space, root.free_vars
     domains = {v: (e,) for v, e in asg.items() if v not in rebound}
     keep = set(roots)
-    readers = Counter(child for node in order for child in node.children)
     values: list[Point] = []
     ids: dict[Point, int] = {}
 
     def intern(p: Point) -> int:
-        i = ids.setdefault(p, len(values))
-        if i == len(values):
+        i = ids.get(p)
+        if i is None:
+            i = ids[p] = len(values)
             values.append(p)
         return i
 
     # a node's (variables, rows), each row holding a value id
     tables: dict[Formula, tuple[tuple[str, ...], dict[ElementTuple, int]]] = {}
     for node in order:
-        kids = [tables[child] for child in node.children]
+        kids = list(map(tables.__getitem__, node.children))
         variables = tuple(sorted(node.free_vars))
         if isinstance(node, CauchyLimit):
             table = kids[0]
         elif isinstance(node, Quant):
             table = variables, _reduce(node, *kids[0], values, intern)
+        elif isinstance(node, Atomic):
+            rows = list(product(*map(domains.get, variables, repeat(universe))))
+            points = list(_column(variables, rows, node.args, M.interp[node.symbol]))
+            for p in dict.fromkeys(points):
+                intern(p)
+            table = variables, dict(zip(rows, map(ids.__getitem__, points)))
         else:
-            rows = product(*(domains.get(v, M.universe) for v in variables))
-            if isinstance(node, Atomic):
-                col, pick = M.interp[node.symbol], _picker(variables, node.args)
-                table = variables, {r: intern(col[pick(r)]) for r in rows}
+            # the connective runs once per distinct tuple of argument ids
+            conn = node.conn
+            if len(kids) == 1:  # its rows are its child's
+                [(_, kid_rows)] = kids
+                memo = {i: intern(conn(values[i])) for i in dict.fromkeys(kid_rows.values())}
+                table = variables, dict(zip(kid_rows, map(memo.__getitem__, kid_rows.values())))
             else:
-                conn, memo, out = node.conn, {}, {}
-                picks = [(kid_rows, _picker(variables, kid_vars)) for kid_vars, kid_rows in kids]
-                for r in rows:
-                    args = tuple([t[pick(r)] for t, pick in picks])
-                    i = memo.get(args)
-                    if i is None:
-                        i = memo[args] = intern(conn(*[values[a] for a in args]))
-                    out[r] = i
-                table = variables, out
+                rows = list(product(*map(domains.get, variables, repeat(universe))))
+                cols = [_column(variables, rows, *kid) for kid in kids]
+                args = list(zip(*cols)) if cols else [()] * len(rows)
+                memo = {a: intern(conn(*map(values.__getitem__, a))) for a in dict.fromkeys(args)}
+                table = variables, dict(zip(rows, map(memo.__getitem__, args)))
         tables[node] = table
         for child in node.children:
             readers[child] -= 1
@@ -354,7 +409,7 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     decoded = []
     for root in roots:
         variables, rows = tables[root]
-        decoded.append(Table(variables, {k: values[i] for k, i in rows.items()},
+        decoded.append(Table(variables, dict(zip(rows, map(values.__getitem__, rows.values()))),
                              root.value_space))
     return decoded
 
@@ -522,9 +577,13 @@ def _checked_function_table(M: Structure, name: str, f_table: Mapping) -> dict[E
     f: dict[ElementTuple, str] = {}
     for key, out in f_table.items():
         t = _normalize_tuple(key, k)
+        if isinstance(out, str):
+            out = out.strip()
         for e in t + (out,):
             if e not in M.universe:
                 raise ValidationError(f"function table mentions unknown element {e!r}")
+        if t in f:
+            raise ValidationError(f"function table has two keys for the tuple {t}")
         f[t] = out
     if set(f) != set(M._tuples(k)):
         raise ValidationError("function table is not total over the universe")

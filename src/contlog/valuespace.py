@@ -15,7 +15,7 @@ common denominator.
 `membership` answers a net point from its position in the net, with no
 scan and no Fraction: a one-dimensional net bisects its integer scalars,
 any other plain net looks the point up in its index, and a hyperspace reads
-the point's 0/1 mask (`ValueSpace._has`).  Only a point off the net falls
+the point's 0/1 mask (`ValueSpace._position`).  Only a point off the net falls
 through to `nearest`.
 """
 
@@ -66,6 +66,16 @@ class Point:
             if not 0 <= c.numerator <= c.denominator:
                 raise ValidationError(f"coordinate {c} lies outside [0,1]")
         object.__setattr__(self, "_hash", hash((self.coords,)))
+
+    @classmethod
+    def _unchecked(cls, coords: tuple[Fraction, ...], coords_hash: int) -> Point:
+        """A point built without `__post_init__`, for callers whose
+        coordinates are Fractions in [0,1] and who pass `hash((coords,))`,
+        which they may compute more cheaply than by hashing the Fractions."""
+        p = object.__new__(cls)
+        object.__setattr__(p, "coords", coords)
+        object.__setattr__(p, "_hash", coords_hash)
+        return p
 
     def __hash__(self) -> int:
         return self._hash
@@ -166,19 +176,19 @@ class ValueSpace:
         except KeyError:
             raise SpaceMismatch(f"{p} is not a net point of {self.label}") from None
 
-    def _has(self, p: Point) -> bool:
-        """Whether p, of the space's dimension, is a net point: for a
-        one-dimensional net by an integer bisection of `_int_scalars`, for
-        any other net through `_index`."""
+    def _position(self, p: Point) -> int | None:
+        """The position of p, of the space's dimension, in the net, or None
+        when p is not a net point: for a one-dimensional net by an integer
+        bisection of `_int_scalars`, for any other net through `_index`."""
         if self.dimension == 1:
             den, xs = self._int_scalars
             x = p.coords[0]
             t, r = divmod(x.numerator * den, x.denominator)
             if r:
-                return False
+                return None
             i = bisect_left(xs, t)
-            return i < len(xs) and xs[i] == t
-        return p in self._index
+            return i if i < len(xs) and xs[i] == t else None
+        return self._index.get(p)
 
     def coordinate_values(self, i: int) -> tuple[Fraction, ...]:
         """The distinct values of coordinate i over the net, rising."""
@@ -332,5 +342,5 @@ def _member(space: ValueSpace, p: Point, tol: Fraction) -> bool:
         raise SpaceMismatch(
             f"point of dimension {p.dimension} in {space.dimension}-dimensional space"
         )
-    return space._has(p) or nearest(space, p)[1] <= space.resolution + tol
+    return space._position(p) is not None or nearest(space, p)[1] <= space.resolution + tol
 

@@ -353,6 +353,19 @@ class TestEncodeFn:
 
     DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
 
+    def test_blanks_around_elements_are_stripped(self, capsys):
+        # every key part and every output element is read without its blanks
+        padded = '{" cafe":"cafe ","annex ":" cafe","library":"cafe","gym":" library "}'
+        plain = '{"cafe":"cafe","annex":"cafe","library":"cafe","gym":"library"}'
+        outputs = []
+        for table in (padded, plain):
+            code, out, err = run(capsys, "encode-fn", "--structure",
+                                 str(self.DATA / "places.json"), "--name", "best",
+                                 "--table", table)
+            assert (code, err) == (0, "")
+            outputs.append(out)
+        assert outputs[0] == outputs[1]
+
     @pytest.mark.parametrize("structure, name, table, message", [
         ("places.json", "best", '{"cafe": "cafe"}',
          "function table is not total over the universe"),

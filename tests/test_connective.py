@@ -345,6 +345,16 @@ class TestMcShane:
         with pytest.raises(ValidationError):
             mcshane_extend(theta, F(1, 2), net, EIGHTHS)
 
+    def test_keys_off_the_net_are_refused(self):
+        # as `table` refuses them, rather than dropping the value given there
+        net = make_finite([point(0), point(1)])
+        theta = {(point(0),): F(0), (point(1),): F(1), (point(F(1, 2)),): F(1)}
+        with pytest.raises(ValidationError,
+                           match="^extension: 1 entries are off the product net$"):
+            mcshane_extend(theta, 1, net, EIGHTHS)
+        with pytest.raises(ValidationError, match="1 entries are off the product net$"):
+            table([net], {k: point(v) for k, v in theta.items()}, 1, net)
+
 
 def _random_fraction(rng, dens=(1, 2, 3, 5, 7, 8, 12)):
     d = rng.choice(dens)

@@ -101,6 +101,64 @@ class TestNodes:
             top.value_space
 
 
+class TestDeepFormulas:
+    """A node's derived properties and its text come bottom-up, without
+    recursion, on a chain far deeper than the recursion limit."""
+
+    DEPTH = 5000
+
+    def chain(self):
+        phi = atom(SIG, "E", "x", "y")
+        for _ in range(self.DEPTH):
+            phi = Quant(QuantKind.SUP, "x", phi)
+        return phi
+
+    def test_value_space(self):
+        phi = self.chain()
+        assert phi.value_space == X
+        node = phi
+        while isinstance(node, Quant):  # every node below is filled on the way
+            assert node.__dict__["value_space"] == X
+            node = node.body
+
+    def test_free_vars(self):
+        assert self.chain().free_vars == frozenset({"y"})
+
+    def test_error_bound(self):
+        assert self.chain().error_bound == F(1, 8)
+        phi = atom(SIG, "P", "x")
+        for _ in range(self.DEPTH):
+            phi = Apply(neg(X), (phi,))
+        # each neg adds its codomain's resolution to the bound below it
+        assert phi.error_bound == F(1, 8) * (self.DEPTH + 1)
+
+    def test_str(self):
+        assert str(self.chain()) == "sup x. " * self.DEPTH + "E(x, y)"
+
+    def test_shared_subformulas_are_derived_once(self, monkeypatch):
+        calls = []
+        free = Apply._free
+
+        def counted(node):
+            calls.append(node)
+            return free(node)
+
+        monkeypatch.setattr(Apply, "_free", counted)
+        inner = min_of(X, X)
+        phi = Apply(inner, (atom(SIG, "P", "x"),) * 2)
+        for _ in range(self.DEPTH):
+            phi = Apply(inner, (phi, phi))  # a DAG with 2^5000 paths to the atom
+        assert phi.free_vars == frozenset({"x"})
+        assert len(calls) == len(set(calls)) == self.DEPTH + 1
+
+    def test_a_failing_node_leaves_the_nodes_below_filled(self):
+        bad = Apply(neg(make_finite([point(0)])), (self.chain(),))
+        with pytest.raises(TypeCheckError):
+            bad.value_space
+        assert "value_space" not in bad.__dict__
+        assert bad.children[0].__dict__["value_space"] == X
+
+
 class TestParse:
     def test_roundtrip_through_str(self):
         for text in [

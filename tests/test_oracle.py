@@ -5,9 +5,9 @@ from fractions import Fraction as F
 import pytest
 
 from contlog import oracle, semantics
-from contlog.errors import ValidationError
+from contlog.errors import SpaceMismatch, ValidationError
 from contlog.formula import Apply, QuantKind, Relation, atom, signature
-from contlog.connective import const, table, tight_lipschitz
+from contlog.connective import Connective, const, identity, table, tight_lipschitz
 from contlog.oracle import (
     EXACT_STEP,
     PSEUDOMETRIC_LAWS,
@@ -119,6 +119,33 @@ class TestVerifiers:
         check = verify_quantifier_identity(self.M, body)
         assert check.ok and check.checked == 1
         assert verify_primordial_bounds(self.M, body).ok
+
+    def test_theta_runs_once_per_distinct_body_value(self):
+        X = self.sig.by_name["P"].space
+        sig = signature([Relation("R", 2, X)])
+        # R takes the values 0, 1/4 and 3/4 over its nine rows
+        M = structure(sig, ["a", "b", "c"], {"R": {
+            "a,a": F(1, 4), "a,b": F(3, 4), "a,c": F(1, 4),
+            "b,a": 0, "b,b": F(3, 4), "b,c": F(3, 4),
+            "c,a": 0, "c,b": 0, "c,c": F(1, 4)}})
+        flip = {point(0): point(F(1, 4)), point(F(1, 4)): point(F(3, 4)),
+                point(F(3, 4)): point(F(1, 4))}
+        calls = []
+
+        def run(p):
+            calls.append(p)
+            return flip[p]
+
+        theta = Connective("count", (X,), X, F(2), run)
+        check = verify_quantifier_identity(M, atom(sig, "R", "p", "q"), theta, var="q")
+        assert check.ok and check.checked == 3
+        assert sorted(calls) == [point(0), point(F(1, 4)), point(F(3, 4))]
+
+    def test_identity_refuses_an_observable_off_the_body_space(self):
+        other = make_finite([point(0), point(1)])
+        body = atom(self.sig, "P", "q")
+        with pytest.raises(SpaceMismatch, match="does not accept values of"):
+            verify_quantifier_identity(self.M, body, identity(other))
 
     def test_identity_needs_a_lone_variable(self):
         from contlog.connective import max_of

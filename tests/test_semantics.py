@@ -2,10 +2,12 @@ import json
 import random
 import re
 from fractions import Fraction as F
+from operator import itemgetter
 from pathlib import Path
 
 import pytest
 
+from contlog import semantics
 from contlog.connective import Connective, identity, max_of, min_of, neg
 from contlog.errors import EvalError, SpaceMismatch, TypeCheckError, ValidationError
 from contlog.hyperspace import (MAX_BASE_POINTS, encode_subset, hyper, inf_theta,
@@ -26,6 +28,7 @@ from contlog.formula import (
 from contlog.hyperspace import CompactSet, compact
 from contlog.semantics import (
     Structure,
+    _picker,
     check_condition,
     check_function_axioms,
     check_pseudometric,
@@ -73,6 +76,19 @@ class TestStructure:
     def test_totality_enforced(self):
         with pytest.raises(ValidationError, match="not total"):
             structure(SIG, ["a", "b"], {"P": {"a": F(1, 4)}})
+
+    def test_blanks_around_key_parts_are_stripped(self):
+        # with or without a comma, every part of a key loses its blanks
+        N = structure(SIG, ["a", "b"], {"P": {" a": F(1, 4), "b ": F(3, 4)}})
+        assert N.interp == M.interp
+        sig = signature([Relation("R", 2, G)])
+        N = structure(sig, ["a", "b"], {"R": {" a , b": 0, ("a ", " a"): 0,
+                                              "b,a": 1, "b, b ": 1}})
+        assert set(N.interp["R"]) == {("a", "b"), ("a", "a"), ("b", "a"), ("b", "b")}
+
+    def test_keys_naming_one_tuple_are_refused(self):
+        with pytest.raises(ValidationError, match=r"^P: two keys name the tuple \('a',\)$"):
+            structure(SIG, ["a", "b"], {"P": {"a": F(1, 4), " a": F(1, 4), "b": 0}})
 
     def test_values_must_sit_near_net(self):
         exact = signature([Relation("P", 1, make_finite([point(0), point(1)]))])
@@ -327,6 +343,97 @@ class TestInterning:
         assert [table.rows[(y,)] for y in SET_M.universe] == rows
 
 
+class TestQuantifierAxes:
+    """A quantifier reduces the axis of its variable wherever that axis sits
+    among the body's variables, over any universe order and with some
+    variables fixed."""
+
+    SPACE = make_interval(0, 1, F(1, 4))
+    SIG = signature([Relation("T", 3, SPACE)])
+
+    def structure(self):
+        rng = random.Random("axes")
+        universe = ["c", "a", "b"]  # not sorted: rows follow the universe's order
+        values = {f"{x},{y},{z}": rng.choice(self.SPACE.net)
+                  for x in universe for y in universe for z in universe}
+        return structure(self.SIG, universe, {"T": values})
+
+    @pytest.mark.parametrize("kind", list(QuantKind))
+    @pytest.mark.parametrize("var", ["x", "y", "z"])
+    @pytest.mark.parametrize("fixed", [{}, {"x": "a"}, {"z": "b"}, {"x": "b", "y": "c"}])
+    def test_every_axis(self, kind, var, fixed):
+        N = self.structure()
+        phi = Quant(kind, var, atom(self.SIG, "T", "z", "x", "y"))
+        assert_rows_match(N, phi, fixed)
+
+
+class TestPickers:
+    @pytest.mark.parametrize("dst, want", [
+        ((), ()), (("y",), ("b",)), (("z", "x", "y"), ("c", "a", "b")),
+    ])
+    def test_arities(self, dst, want):
+        pick = _picker(("x", "y", "z"), dst)
+        assert isinstance(pick, itemgetter)  # runs in C
+        assert pick(("a", "b", "c")) == want
+
+
+class TestLazyErrorBounds:
+    def test_tabulate_leaves_error_bounds_underived(self):
+        body = Apply(min_of(G, G), (atom(SIG, "P", "x"), atom(SIG, "P", "y")))
+        phi = Quant(QuantKind.SUP, "x", body)
+        nodes = (phi, body, *body.children)
+        tabulate(M, [phi])
+        for node in nodes:
+            assert "value_space" in node.__dict__ and "free_vars" in node.__dict__
+            assert "error_bound" not in node.__dict__
+        # L * (1/8 + 1/8) + 1/8, derived when the result reads it
+        assert evaluate(M, phi, {"y": "a"}).error_bound == F(3, 8)
+        assert all("error_bound" in node.__dict__ for node in nodes)
+
+
+class TestSnapByIndex:
+    """Q snaps a body value that is a net point by its index; only a value
+    off the net goes through `nearest`."""
+
+    @pytest.fixture
+    def nearest_calls(self, monkeypatch):
+        calls = []
+
+        def counted(space, p):
+            calls.append(p)
+            return nearest(space, p)
+
+        monkeypatch.setattr(semantics, "nearest", counted)
+        return calls
+
+    def test_net_values_need_no_nearest(self, nearest_calls):
+        res = evaluate(M, parse("Q x. P(x)", SIG))
+        assert res.value.members == (point(F(1, 4)), point(F(3, 4)))
+        assert nearest_calls == []
+
+    def test_off_net_values_snap_as_nearest_does(self, nearest_calls):
+        # P(a) = 1/4 moves to 3/8, midway between the net points 1/4 and
+        # 1/2, and snaps to the smaller; P(b) = 3/4 stays on the net
+        up = Connective("up", (G,), G, F(1),
+                        lambda p: point(p.scalar + F(1, 8)) if p.scalar < F(1, 2) else p)
+        phi = Quant(QuantKind.SET, "x", Apply(up, (atom(SIG, "P", "x"),)))
+        res = evaluate(M, phi)
+        assert res.value.members == (point(F(1, 4)), point(F(3, 4)))
+        assert nearest_calls == [point(F(3, 8))]
+        nearest_calls.clear()
+        assert_rows_match(M, phi)
+
+    def test_set_values_snap_without_building_the_net(self, nearest_calls):
+        base = make_interval(0, 1, F(1, 3))
+        sig = signature([Relation("S", 1, hyper(base))])
+        ind = lambda *ks: [int(k in ks) for k in range(4)]  # noqa: E731
+        N = structure(sig, ["a", "b", "c"], {"S": {"a": ind(0, 3), "b": ind(1), "c": ind(0, 3)}})
+        phi = parse("Q x. S(x)", sig)
+        assert evaluate(N, phi).value.members == (point(*ind(1)), point(*ind(0, 3)))
+        assert phi.body.value_space.net._points is None
+        assert nearest_calls == []
+
+
 class TestCheckSymbols:
     def test_unknown_symbol(self):
         other = signature([Relation("T", 1, G)])
@@ -521,6 +628,14 @@ class TestFunctions:
         assert check_function_axioms(N2, "f").ok
         decoded = decode_function(N2, "f")
         assert decoded == {("a",): "b", ("b",): "c", ("c",): "c"}
+
+    def test_blanks_around_elements_are_stripped(self):
+        N = metric_structure((0, F(1, 2), 1))
+        padded = encode_function(N, "f", {" a": "b ", "b ": " c", " c ": "c"})
+        plain = encode_function(N, "f", {"a": "b", "b": "c", "c": "c"})
+        assert padded.interp == plain.interp
+        with pytest.raises(ValidationError, match=r"^function table has two keys for the tuple"):
+            encode_function(N, "f", {"a": "b", " a": "b", "b": "c", "c": "c"})
 
     def test_modulus_is_function_constant_plus_one(self):
         N = metric_structure((0, F(1, 2), 1))

@@ -628,10 +628,14 @@ class TestDeepFormulas:
                 phi.value_space  # typecheck as it grows, so no read recurses
         return ctx, phi
 
-    def test_construction(self):
+    @pytest.mark.parametrize("read", ["codes", "budget_of"])
+    def test_untyped_formula_constructs_and_fails_at_coding(self, read):
+        # the value space derives without recursion, so construction
+        # typechecks the chain; the coder itself is what refuses the depth
         ctx, phi = self.deep(5000, typed=False)
+        coder = code_formula(ctx, phi)
         with pytest.raises(CapacityError, match=self.MESSAGE):
-            code_formula(ctx, phi)
+            getattr(coder, read)()
 
     @pytest.mark.parametrize("read", ["codes", "budget_of"])
     def test_coding(self, read):
