@@ -7,9 +7,11 @@ either derive the constant structurally or validate a declared one
 exhaustively on the net, each in one scan of its pairs (`_steepest_pair`).
 A table of real values on plain l-infinity spaces (`table`,
 `tight_lipschitz`, `validate_lipschitz`) is scanned as one integer table
-over a common denominator (`_steepest_table`), like the coder's tables.  Projections of a
-hyperspace use a closed form from the base distances, and their codomains
-the closed-form coordinate values of the net.
+over a common denominator (`_steepest_table`), like the coder's tables,
+whose tight constant on one-dimensional keys is one linear scan between
+neighbours (`_tight_constant`).  Projections of a hyperspace use a closed
+form from the base distances, and their codomains the closed-form
+coordinate values of the net.
 
 The nine stock scalar connectives (`neg`, `clamp01`, `affine`, `add`,
 `bounded_add`, `truncated_sub`, `mul`, `max_of`, `min_of`) each state their
@@ -24,9 +26,11 @@ constant.
 McShane extensions (`mcshane_extend`, and `_mcshane` for the coder) scale
 their table of net coordinates and values to integers over one common
 denominator once.  The constant's scan and every evaluation then run on
-that integer table in plain ints, and each evaluation builds a single
+that integer table in plain ints, and each evaluation builds at most one
 Fraction, memoized per input tuple on the connective that owns it.  Values
-are exact, so they equal the Fraction definition bit for bit.
+are exact, so they equal the Fraction definition bit for bit.  The stock
+connectives, projections and McShane extensions return their codomain's own
+net point when their value lies on that net (`valuespace._net_point`).
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
+from operator import sub
 from typing import Callable, Mapping, Sequence, Union
 
 from .errors import EvalError, SpaceMismatch, ValidationError
@@ -45,9 +50,10 @@ from .valuespace import (
     Rational,
     ValueSpace,
     _member,
+    _nearest_gap,
+    _net_point,
     frac,
     linf,
-    linf_coords,
     make_interval,
     membership,
     point,
@@ -171,7 +177,7 @@ def const(value, space: ValueSpace, name: str | None = None) -> Connective:
 
 
 def identity(space: ValueSpace, name: str = "id") -> Connective:
-    return Connective(name, (space,), space, Fraction(1), lambda p: p)
+    return Connective(name, (space,), space, Fraction(1), _same_point)
 
 
 def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
@@ -181,26 +187,38 @@ def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
     is the indicator of base point b_i: it changes only between sets K with
     b_i and F without, where d_H(K, F) >= d(b_i, F), and {b_i, b_j}, {b_j}
     attain that for b_j nearest b_i.  So the tight constant is
-    1 / min_{j != i} d(b_i, b_j), and 0 on a one-point base.
+    1 / min_{j != i} d(b_i, b_j), and 0 on a one-point base; on a plain
+    one-dimensional base b_j is a neighbour of b_i (`_nearest_gap`).
+
+    On a plain one-dimensional space the projection is the identity: its
+    codomain's points are the net's own, and it returns its argument.
     """
     if not (0 <= i < space.dimension):
         raise SpaceMismatch(f"no coordinate {i} in {space.dimension}-dimensional space")
+    if name is None:
+        name = f"pi{i}"
+    label = f"{space.label}[{i}]"
+    if space.standard_metric and space.dimension == 1:
+        codomain = ValueSpace._unchecked(1, space.net, space.resolution, label)
+        return Connective(name, (space,), codomain, ONE, _same_point)
     if space.standard_metric:
-        lip = Fraction(1)
+        lip = ONE
     else:
-        row = space.base.distance_matrix[i]
-        gaps = [d for j, d in enumerate(row) if j != i]
-        lip = ONE / min(gaps) if gaps else ZERO
+        gap = _nearest_gap(space.base, i)
+        lip = ZERO if gap is None else ONE / gap
     # the coordinate values rise strictly: the net is canonical
     codomain = ValueSpace._unchecked(
         1,
         tuple(Point((c,)) for c in space.coordinate_values(i)),
         lip * space.resolution,
-        f"{space.label}[{i}]",
+        label,
     )
-    if name is None:
-        name = f"pi{i}"
-    return Connective(name, (space,), codomain, lip, lambda p, _i=i: point(p.coords[_i]))
+    return Connective(name, (space,), codomain, lip,
+                      lambda p: _value_point(codomain, p.coords[i]))
+
+
+def _same_point(p: Point) -> Point:
+    return p
 
 
 def _pointwise(who: str, spaces: tuple[ValueSpace, ...], f: Callable, lip: Rational,
@@ -231,10 +249,15 @@ def _pointwise(who: str, spaces: tuple[ValueSpace, ...], f: Callable, lip: Ratio
                     f"{who}: image point {e} is not within resolution of {codomain.label}"
                 )
     if len(spaces) == 1:
-        run = lambda p: point(f(p.scalar))  # noqa: E731
+        run = lambda p: _value_point(codomain, f(p.scalar))  # noqa: E731
     else:
-        run = lambda p, q: point(f(p.scalar, q.scalar))  # noqa: E731
+        run = lambda p, q: _value_point(codomain, f(p.scalar, q.scalar))  # noqa: E731
     return Connective(name, spaces, codomain, Fraction(lip), run)
+
+
+def _value_point(space: ValueSpace, v: Fraction) -> Point:
+    """The point of value v: the space's own net point when v is on its net."""
+    return _net_point(space, v.numerator, v.denominator)
 
 
 def neg(space: ValueSpace, codomain: ValueSpace | None = None, name: str = "neg") -> Connective:
@@ -380,9 +403,42 @@ def _integer_table(flats: Sequence[tuple[Sequence[Fraction], Fraction]]) -> tupl
 
 
 def _steepest_entry(rows: Sequence) -> tuple | None:
-    """_steepest_pair of an integer table: value gap over l-infinity distance."""
-    return _steepest_pair(rows, lambda a, b: abs(a[1] - b[1]),
-                          lambda a, b: linf_coords(a[0], b[0]))
+    """_steepest_pair of an integer table, rows (coordinates, value, ...):
+    value gap over l-infinity distance, each pair's in ints without a call
+    per pair."""
+    best = None
+    for i, p in enumerate(rows):
+        fp, vp = p[0], p[1]
+        for q in rows[i + 1:]:
+            g = abs(vp - q[1])
+            if g:
+                d = max(map(abs, map(sub, fp, q[0])))
+                if not d:
+                    return p, q, g, d
+                if best is None or g * best[3] > best[2] * d:
+                    best = p, q, g, d
+    return best
+
+
+def _tight_constant(rows: Sequence) -> Fraction:
+    """The smallest Lipschitz constant of an integer table with distinct keys.
+
+    On one-dimensional keys a slope between two keys is at most the largest
+    between neighbours in key order, whose gaps sum to the pair's, so one
+    linear scan of the sorted table finds it; keys of more dimensions take
+    the pair scan (`_steepest_entry`).  Either way the constant is the
+    steepest slope as one Fraction, and 0 when every value is equal.
+    """
+    if len(rows[0][0]) == 1:
+        line = sorted(rows)
+        g, d = 0, 1
+        for ((x0,), v0), ((x1,), v1) in zip(line, line[1:]):
+            gap = abs(v1 - v0)
+            if gap * d > g * (x1 - x0):
+                g, d = gap, x1 - x0
+        return Fraction(g, d)
+    steep = _steepest_entry(rows)
+    return ZERO if steep is None else Fraction(steep[2], steep[3])
 
 
 def _misfit(key: str, doms: tuple[ValueSpace, ...]) -> ValidationError:
@@ -534,9 +590,10 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
 
 
 def _mcshane(den: int, rows: Sequence, lip: Fraction, ambient: tuple[ValueSpace, ...],
-             codomain: ValueSpace, name: str) -> Connective:
+             codomain: ValueSpace, name: str, tight: bool = False) -> Connective:
     """mcshane_extend without its checks, on an integer table over den (see
-    `_integer_table`) whose values lie in [0,1] and satisfy lip.
+    `_integer_table`) with distinct keys and values in [0,1], for a
+    one-dimensional codomain.
 
     With the input y = Y / b over the lcm b of its coordinates' denominators
     and lip = n / m, the candidate of the row (F, V) is
@@ -544,24 +601,39 @@ def _mcshane(den: int, rows: Sequence, lip: Fraction, ambient: tuple[ValueSpace,
         V / den + (n / m) * max |F / den - Y / b|
             = (V * b * m + n * max |F * b - Y * den|) / (den * b * m),
 
-    so each call scans the rows in ints, clamps, and builds one Fraction.
-    Results are memoized by input tuple (points hash by value) for the life
-    of the connective.
+    so each call scans the rows in ints and clamps.  With `tight` the caller
+    vouches that the table satisfies lip, as the coder's tight constant
+    does: then an input at one of the keys, where b divides den and
+    Y * (den / b) is the key, reads that key's value V / den without the
+    scan, since its own candidate is V / den and no other is smaller.  The
+    result is the codomain's own net point when it lands on that net
+    (`_net_point`), else one new point.  Results are memoized by input tuple
+    (points hash by value) for the life of the connective.
     """
     n, m = lip.numerator, lip.denominator
     memo: dict[tuple[Point, ...], Point] = {}
+    at_key = dict(rows) if tight else {}
+
+    def value(y: tuple[Fraction, ...]) -> tuple[int, int]:
+        nums = [c.numerator for c in y]
+        dens = [c.denominator for c in y]
+        b = lcm(*dens)
+        if at_key and not den % b:
+            v = at_key.get(tuple([t * (den // d) for t, d in zip(nums, dens)]))
+            if v is not None:
+                return v, den
+        ys = [t * (b // d) * den for t, d in zip(nums, dens)]
+        vb = b * m
+        # max |F * b - Y * den| over the coordinates, in C
+        best = min(v * vb + n * max(map(abs, map(sub, map(b.__mul__, fs), ys)))
+                   for fs, v in rows)
+        top = den * vb
+        return min(top, max(0, best)), top
 
     def run(*pts: Point) -> Point:
         out = memo.get(pts)
         if out is None:
-            y = flat_coords(pts)
-            b = lcm(*(c.denominator for c in y))
-            ys = [c.numerator * (b // c.denominator) * den for c in y]
-            vb = b * m
-            best = min(v * vb + n * max(abs(f * b - t) for f, t in zip(fs, ys))
-                       for fs, v in rows)
-            top = den * vb
-            out = memo[pts] = point(Fraction(min(top, max(0, best)), top))
+            out = memo[pts] = _net_point(codomain, *value(flat_coords(pts)))
         return out
 
     return Connective(name, ambient, codomain, lip, run)

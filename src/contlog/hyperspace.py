@@ -35,6 +35,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 from .connective import Connective, table
 from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
@@ -45,6 +46,7 @@ MAX_BASE_POINTS = 16
 
 
 _COORDS = (ZERO, ONE)
+_SCALAR = attrgetter("scalar")
 _DIGITS = {"0": 0, "1": 1}
 
 
@@ -352,8 +354,9 @@ def _extremum_theta(theta: Connective, pick, name: str) -> Connective:
     hx = hyper(theta.domain[0])
 
     def run(p: Point) -> Point:
-        vals = [theta.evaluator(hx.base.net[i]).scalar for i in hx.member_indices(p)]
-        return point(pick(vals))
+        # the extreme member's own output point
+        return pick([theta.evaluator(hx.base.net[i]) for i in hx.member_indices(p)],
+                    key=_SCALAR)
 
     return Connective(name, (hx,), theta.codomain, theta.lipschitz, run)
 

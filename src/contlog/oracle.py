@@ -408,19 +408,24 @@ def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
 def _compare(M: Structure, phi: Formula, theta: Connective | None, N: Structure,
              coded: Formula, asgs: Sequence[Mapping[str, str]], limit: Fraction):
     """The largest |coded in N - theta(phi in M)| over the assignments, and
-    the first (assignment, coded, source, difference) beyond limit or None."""
+    the first (assignment, coded, source, difference) beyond limit or None.
+    Each distinct pair of a source and a coded value is compared once."""
     [source] = tabulate(M, [phi])
     [target] = tabulate(N, [coded])
-    worst, first = ZERO, None
+    compared: dict[tuple[Point, Point], tuple] = {}
+    first = None
     for asg in asgs:
-        p = source.at(asg)
-        rhs = theta(p).scalar if theta is not None else p.scalar
-        lhs = target.at(asg).scalar
-        diff = abs(lhs - rhs)
-        worst = max(worst, diff)
-        if diff > limit and first is None:
+        pair = source.at(asg), target.at(asg)
+        row = compared.get(pair)
+        if row is None:
+            p, q = pair
+            rhs = theta(p).scalar if theta is not None else p.scalar
+            diff = abs(q.scalar - rhs)
+            row = compared[pair] = (q.scalar, rhs, diff, diff > limit)
+        lhs, rhs, diff, over = row
+        if over and first is None:
             first = (asg, lhs, rhs, diff)
-    return worst, first
+    return max((diff for _, _, diff, _ in compared.values()), default=ZERO), first
 
 
 @dataclass(frozen=True)

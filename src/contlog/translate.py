@@ -31,25 +31,49 @@ closed form from the point hits; `lattice_approx` builds one for any
 function on a hyperspace net, synthesizes separators on the base space when
 supplied generators cannot tell two sets apart, and checks it exactly on
 every net set.
+
+The coder and its check read per-space facts from net positions and
+integers, not from fresh points and Fractions.  The grid is a
+`make_interval` net, capped at `MAX_NET_POINTS` points, whose integer
+scalars are known when it is built.  On a plain one-dimensional space:
+
+- the snap bound snaps the net's own integer scalars (`space_snap_bound`);
+- a point hit's constant is the gap to a neighbour in the sorted net
+  (`_nearest_gap`), and its outputs are the points of `_BIT`'s net;
+- the coordinate projection is the identity on the net's own points;
+- an atomic or connective table is scaled from the nets' integer scalars
+  (`_net_table`), and its constant is the steepest slope between neighbours,
+  one linear scan (`_tight_constant`; keys of more dimensions take the pair
+  scan).
+
+Transport snaps each coordinate to the grid point at its integer index
+(`_nearest_index`, `nearest`'s bisection).  The McShane extension of a
+coded step, whose constant is tight, reads its value at one of its table
+keys without scanning the table; it and the quantifier's min-max connective
+return the grid's own point when their value lies on the grid
+(`_net_point`).  The grid atoms of one symbol and arguments are shared by
+all of a coder's observables, so a table of the coded formula reads each once.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .connective import (Connective, _integer_table, _mcshane, _steepest_entry, _tabulated,
+from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tight_constant,
                          const, flat_coords, identity, product_net, proj, table)
 from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import HyperSpace, decode_subset, urysohn_separator
 from .semantics import CheckReport, Structure, _target_points
-from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, frac, linf_coords,
-                         make_finite, make_interval, nearest, point, tolerance)
+from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, _nearest_gap, _nearest_index,
+                         _net_point, frac, linf_coords, make_finite, make_interval, nearest,
+                         point, tolerance)
 
 MAX_SET_CODING_POINTS = 8
 
@@ -77,6 +101,7 @@ class TranslationContext:
             raise ValidationError(f"grid step must be in (0,1], got {step}")
         self.source = source
         self.step = step
+        # a step finer than the net cap is refused here, before any point
         self.grid = make_interval(0, 1, step, label=f"grid[{step}]")
         self._coordinates: dict[ValueSpace, tuple[Connective, ...]] = {}
         self._identities: dict[ValueSpace, Connective] = {}
@@ -120,22 +145,24 @@ class TranslationContext:
         Its sup over a set reads off membership of that point, so the family
         over all i separates any two distinct sets.  Its gap is 1 only
         between the i-th point and another, so its tight constant is the
-        closed form 1 / (distance to the nearest other net point), read from
-        the distance matrix like `proj`'s, and needs no pairwise scan.
+        closed form 1 / (distance to the nearest other net point), like
+        `proj`'s on a hyperspace, and needs no pairwise scan: on a plain
+        one-dimensional net that point is a neighbour in the sorted net
+        (`_nearest_gap`).  The two outputs are the points of `_BIT`'s net.
         """
         key = (space, i)
         conn = self._hits.get(key)
         if conn is None:
-            gaps = [d for j, d in enumerate(space.distance_matrix[i]) if j != i]
-            if gaps and min(gaps) == 0:
+            gap = _nearest_gap(space, i)
+            if gap == 0:
                 raise ValidationError(
                     f"{space.label}: net point {space.net[i]} is at distance zero "
                     f"from another net point; no observable can single it out"
                 )
-            hit, miss = point(1), point(0)
+            lip = ZERO if gap is None else ONE / gap
+            miss, hit = _BIT.net
             entries = {(p,): hit if j == i else miss for j, p in enumerate(space.net)}
-            conn = _tabulated(f"hit[{i}]", (space,), entries,
-                              ONE / min(gaps) if gaps else ZERO, _BIT)
+            conn = _tabulated(f"hit[{i}]", (space,), entries, lip, _BIT)
             self._hits[key] = conn
         return conn
 
@@ -145,10 +172,25 @@ class TranslationContext:
         return self.space_snap_bound(rel.space)
 
     def space_snap_bound(self, space: ValueSpace) -> Fraction:
+        """Largest distance from a coordinate value of the space to the grid.
+
+        A plain one-dimensional net snaps its own integer scalars, over one
+        denominator, and builds one Fraction; any other space snaps the
+        distinct values of each coordinate, each in integers
+        (`_nearest_index`), and compares their distances as Fractions.
+        """
         bound = self._snap_bounds.get(space)
         if bound is None:
-            coords = {c for i in range(space.dimension) for c in space.coordinate_values(i)}
-            bound = max(nearest(self.grid, Point((c,)))[1] for c in coords)
+            grid = self.grid
+            gden = grid._int_scalars[0]
+            if space.dimension == 1 and space.standard_metric:
+                # one denominator: the largest distance is one Fraction
+                den, xs = space._int_scalars
+                bound = Fraction(max(_nearest_index(grid, x, den)[1] for x in xs), den * gden)
+            else:
+                bound = max(Fraction(_nearest_index(grid, c.numerator, c.denominator)[1],
+                                     c.denominator * gden)
+                            for i in range(space.dimension) for c in space.coordinate_values(i))
             self._snap_bounds[space] = bound
         return bound
 
@@ -166,18 +208,22 @@ def transport_structure(ctx: TranslationContext, M: Structure) -> Structure:
     """Snap the coordinates of every value onto the grid."""
     if M.signature != ctx.source:
         raise SpaceMismatch("structure is not over the source signature")
+    grid = ctx.grid
     interp: dict[str, dict] = {name: {} for r in ctx.source.relations
                                for name in ctx.components[r.name]}
-    # values repeat across tuples: snap each distinct coordinate once
-    snapped: dict[Fraction, Point] = {}
+    # values repeat across tuples: snap each distinct value once, each
+    # coordinate to the grid point at its integer index (`nearest`'s)
+    snapped: dict[Point, tuple[Point, ...]] = {}
     for rel in ctx.source.relations:
-        names = ctx.components[rel.name]
+        columns = [interp[name] for name in ctx.components[rel.name]]
         for t, v in M.interp[rel.name].items():
-            for name, c in zip(names, v.coords):
-                q = snapped.get(c)
-                if q is None:
-                    q = snapped[c] = nearest(ctx.grid, Point((c,)))[0]
-                interp[name][t] = q
+            qs = snapped.get(v)
+            if qs is None:
+                qs = snapped[v] = tuple(
+                    grid.net[_nearest_index(grid, c.numerator, c.denominator)[0]]
+                    for c in v.coords)
+            for column, q in zip(columns, qs):
+                column[t] = q
     # M is total over its checked universe and every value is a grid point
     return Structure._unchecked(ctx.target, M.universe, interp)
 
@@ -276,11 +322,15 @@ class LatticeApprox:
 
     def value(self, xs: Sequence[Fraction]) -> Fraction:
         """The interpolant at the sups xs of the generators."""
+        return Fraction(*self._ratio(xs))
+
+    def _ratio(self, xs: Sequence[Fraction]) -> tuple[int, int]:
+        """`value` as an unreduced numerator and denominator."""
         den = lcm(*(x.denominator for x in xs))
         up = [x.numerator * (den // x.denominator) for x in xs]
         best = min(max(b * den if j is None else a * up[j] + b * den for a, b, j in row)
                    for row in self.rows)
-        return Fraction(best, self.scale * den)
+        return best, self.scale * den
 
     def evaluate(self, k: Point) -> Fraction:
         return self.value([g.values[k] for g in self.generators])
@@ -369,55 +419,72 @@ def _hit_lattice(n: int, gs: Sequence[Fraction]) -> tuple[tuple[int, ...], Latti
     if it is (the constant g(k) when g(f) = g(k)).  Because u lies in
     [0,1], the f that share one j contribute g(k) + u * D, D the largest
     g(f) - g(k) among them, so a row has at most one term per base index.
-    The rows are built from the largest and smallest g over the sets that
-    share their lowest j + 1 base indices, the top j + 1 bits of their
-    masks, so they cost O(|H| * n) rather than O(|H|^2).  The gs are the
-    scalars of points, so they are Fractions in [0,1] already.
+    The rows are built from the largest g over the sets that share their
+    lowest j + 1 base indices, the top j + 1 bits of their masks, so they
+    cost O(|H| * n) rather than O(|H|^2); those maxima are lists built level
+    by level from the one below, in O(|H|).  The hits read are the j at
+    which some row has a term.  The smallest g of a block is never needed:
+    where it lies below g(k) for the block's largest g = g(k), the set that
+    holds it sees k's block, at the same j, with a larger g, and has a term
+    there.  The gs are the scalars of points, so they are Fractions in
+    [0,1] already.
     """
     scale = lcm(*(v.denominator for v in gs))
     gint = [v.numerator * (scale // v.denominator) for v in gs]
 
-    hi: list[dict[int, int]] = [{} for _ in range(n)]
-    lo: list[dict[int, int]] = [{} for _ in range(n)]
-    for m, v in enumerate(gint, 1):
-        for j in range(n):
-            p = m >> (n - 1 - j)
-            hi[j][p] = max(hi[j].get(p, v), v)
-            lo[j][p] = min(lo[j].get(p, v), v)
+    # hi[j][p]: the largest g over the sets whose top j + 1 mask bits read p,
+    # or None where no set does.  That is only prefix 0 of level n - 1, the
+    # empty set, whose sibling is mask 1; level j pairs the prefixes 2p and
+    # 2p + 1 of level j + 1
+    hi: list = [None] * n
+    hi[n - 1] = [None, *gint]
+    if n > 1:
+        hi[n - 2] = [gint[0], *map(max, gint[1::2], gint[2::2])]
+    for j in range(n - 3, -1, -1):
+        h = hi[j + 1]
+        hi[j] = list(map(max, h[0::2], h[1::2]))
 
+    lone = len(gint) == 1  # a lone set: its row is the constant g(k)
+    levels = [(j, n - 1 - j, hi[j]) for j in range(n)]
     used: set[int] = set()
-    raw = []
+    # each distinct (g(k), flat, terms) once, in mask order: equal ones give
+    # equal rows, and distinct ones distinct rows
+    raw: dict[tuple, None] = {}
     for m, gk in enumerate(gint, 1):
-        flat = len(gint) == 1  # a lone set: its row is the constant g(k)
+        flat = lone
         terms = []
-        for j in range(n):
+        for j, shift, top_of in levels:
             # the sets whose lowest difference from m is at base index j
-            prefix = m >> (n - 1 - j)
-            p = prefix ^ 1
-            top = hi[j].get(p)
+            prefix = m >> shift
+            top = top_of[prefix ^ 1]
             if top is None:
                 continue
-            if top != gk or lo[j][p] != gk:
-                used.add(j)
             if top == gk:
                 flat = True
             else:
                 # g(k) + D * x_j, or g(k) + D * (1 - x_j) when j is in k
+                used.add(j)
                 d = top - gk
                 terms.append((j, -d, gk + d) if prefix & 1 else (j, d, gk))
-        raw.append((gk, flat, terms))
+        raw[gk, flat, tuple(terms)] = None
 
     order = tuple(sorted(used))
     slot = {j: i for i, j in enumerate(order)}
-    rows = dict.fromkeys(
-        ((0, gk, None),) * flat + tuple((a, b, slot[j]) for j, a, b in terms)
-        for gk, flat, terms in raw
-    )
-    return order, LatticeApprox(scale, tuple(rows))
+    rows = tuple(((0, gk, None),) * flat + tuple((a, b, slot[j]) for j, a, b in terms)
+                 for gk, flat, terms in raw)
+    return order, LatticeApprox(scale, rows)
 
 
 # ---------------------------------------------------------------------------
 # Formula coding
+
+def _typed(node: Formula) -> Formula:
+    """node, with its value space and free variables derived from its
+    children's.  The coder types every node it builds, children first, so
+    each is one step and no later read of a coded formula walks it."""
+    node.value_space, node.free_vars
+    return node
+
 
 @dataclass(frozen=True)
 class Coded:
@@ -443,6 +510,8 @@ class CodedFormula:
         # keyed on the objects, which hash by identity: the memo keeps every
         # observable alive, so a new one can never reuse a stale entry
         self._memo: dict[tuple[Formula, Connective], Coded] = {}
+        # the grid atoms of each (symbol, args), shared by every coding
+        self._leaves: dict[tuple[str, tuple[str, ...]], tuple[Atomic, ...]] = {}
 
     def codes(self, theta: Connective | None = None) -> Formula:
         return self._root(theta).formula
@@ -493,41 +562,45 @@ class CodedFormula:
             return self._build_quant(phi, theta)
         raise ValidationError(f"cannot code {type(phi).__name__}")
 
-    def _extend(self, name: str, keys: Sequence[tuple[Point, ...]],
-                value: Callable[[tuple[Point, ...]], Fraction],
+    def _extend(self, name: str, spaces: Sequence[ValueSpace], values: Sequence[Fraction],
                 children: tuple[Formula, ...], error: Fraction) -> Coded:
-        """Apply the McShane extension of value on keys to the children, which
-        code the keys' coordinates within error: the budget is its constant
-        times error.
+        """Apply the McShane extension of values, one per point of the product
+        net of spaces in its order, to the children, which code the net's
+        coordinates within error: the budget is its constant times error.
 
-        The table is scaled to integers over one common denominator once; the
-        scan for the constant and the extension's integer kernel, which
-        memoizes each input, both run on it.  The keys are distinct tuples of
-        net points, so their flattened coordinates are distinct and every
-        distance below is positive.  The constant is tight by construction,
-        so mcshane_extend's re-check of the same pairs is skipped.
+        The table is scaled to integers over one common denominator once
+        (`_net_table`); the scan for the constant and the extension's integer
+        kernel, which memoizes each input, both run on it.  The keys are
+        distinct tuples of net points, so their flattened coordinates are
+        distinct and every distance below is positive.  The constant is tight
+        by construction (`_tight_constant`), so mcshane_extend's re-check of
+        the same pairs is skipped, and an input at a key reads its value.
         """
-        den, rows = _integer_table([(flat_coords(k), value(k)) for k in keys])
-        steep = _steepest_entry(rows)
-        lip = ZERO if steep is None else Fraction(steep[2], steep[3])
+        den, rows = _net_table(spaces, values)
+        lip = _tight_constant(rows)
         grid = self.ctx.grid
-        ext = _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name)
-        return Coded(Apply(ext, children), lip * error)
+        ext = _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name, tight=True)
+        return Coded(_typed(Apply(ext, children)), lip * error)
 
     def _build_atomic(self, phi: Atomic, theta: Connective) -> Coded:
+        """theta of a symbol's value, through its grid symbols; the grid
+        atoms of one (symbol, args) are shared by every observable, so a
+        table of the coded formula reads each once."""
         ctx = self.ctx
-        children = tuple(
-            Atomic(nm, phi.args, ctx.grid) for nm in ctx.components[phi.symbol]
-        )
-        return self._extend(f"~{theta.name}@{phi.symbol}", [(q,) for q in phi.space.net],
-                            lambda k: theta(k[0]).scalar, children,
+        key = (phi.symbol, phi.args)
+        children = self._leaves.get(key)
+        if children is None:
+            children = self._leaves[key] = tuple(
+                Atomic(nm, phi.args, ctx.grid) for nm in ctx.components[phi.symbol])
+        return self._extend(f"~{theta.name}@{phi.symbol}", (phi.space,),
+                            [theta(q).scalar for q in phi.space.net], children,
                             ctx.space_snap_bound(phi.space))
 
     def _build_apply(self, phi: Apply, theta: Connective) -> Coded:
         ctx = self.ctx
         conn = phi.conn
         if conn.arity == 0:
-            return Coded(Apply(const(theta(conn()), ctx.grid), ()), ZERO)
+            return Coded(_typed(Apply(const(theta(conn()), ctx.grid), ())), ZERO)
 
         child_spaces = [c.value_space for c in phi.children]
         # every child enters through its coordinates; a child valued in a
@@ -536,9 +609,17 @@ class CodedFormula:
                           for child, s in zip(phi.children, child_spaces)
                           for obs in ctx.coordinates(s)]
 
-        # tabulate theta(conn(..)) over the product of the child nets
-        return self._extend(f"~{theta.name}@{conn.name}", list(product_net(child_spaces)),
-                            lambda k: theta(conn(*k)).scalar,
+        # tabulate theta(conn(..)) over the product of the child nets, theta
+        # once per distinct output
+        thetas: dict[Point, Fraction] = {}
+        values = []
+        for k in product_net(child_spaces):
+            out = conn(*k)
+            v = thetas.get(out)
+            if v is None:
+                v = thetas[out] = theta(out).scalar
+            values.append(v)
+        return self._extend(f"~{theta.name}@{conn.name}", child_spaces, values,
                             tuple(c.formula for c in coded_children),
                             sum((c.budget for c in coded_children), start=ZERO))
 
@@ -550,7 +631,7 @@ class CodedFormula:
         base = phi.body.value_space
         if phi.kind is not QuantKind.SET and _is_identity(theta):
             inner = self._code(phi.body, ctx.identity_on(base))
-            return Coded(Quant(phi.kind, phi.var, inner.formula), inner.budget)
+            return Coded(_typed(Quant(phi.kind, phi.var, inner.formula)), inner.budget)
         if phi.kind is QuantKind.SET:
             g = [theta(k).scalar for k in phi.value_space.net]
             slack = ZERO
@@ -577,13 +658,28 @@ class CodedFormula:
         drift = ZERO
         for j in used:
             inner = self._code(phi.body, hits[j])
-            children.append(Quant(QuantKind.SUP, phi.var, inner.formula))
+            children.append(_typed(Quant(QuantKind.SUP, phi.var, inner.formula)))
             drift = max(drift, inner.budget + hits[j].lipschitz * base.resolution)
+        grid = ctx.grid
         conn = Connective(f"~{theta.name}@{phi.kind.keyword}",
-                          tuple(c.value_space for c in children), ctx.grid,
+                          tuple(c.value_space for c in children), grid,
                           lattice.lipschitz,
-                          lambda *pts: point(lattice.value([p.scalar for p in pts])))
-        return Coded(Apply(conn, tuple(children)), lattice.lipschitz * drift + slack)
+                          lambda *pts: _net_point(grid, *lattice._ratio([p.scalar for p in pts])))
+        return Coded(_typed(Apply(conn, tuple(children))), lattice.lipschitz * drift + slack)
+
+
+def _net_table(spaces: Sequence[ValueSpace], values: Sequence[Fraction]) -> tuple[int, list]:
+    """`_integer_table` of values over the product net of spaces, one value
+    per net tuple in product order.  When every space is plain and
+    one-dimensional the coordinates are read from the spaces' integer
+    scalars, so no coordinate of the net is touched."""
+    if all(s.dimension == 1 and s.standard_metric for s in spaces):
+        scalars = [s._int_scalars for s in spaces]
+        den = lcm(*(d for d, _ in scalars), *(v.denominator for v in values))
+        axes = [[x * (den // d) for x in xs] for d, xs in scalars]
+        return den, [(k, v.numerator * (den // v.denominator))
+                     for k, v in zip(itertools.product(*axes), values)]
+    return _integer_table([(flat_coords(k), v) for k, v in zip(product_net(spaces), values)])
 
 
 def code_formula(ctx: TranslationContext, phi: Formula) -> CodedFormula:

@@ -7,10 +7,13 @@ space.  All arithmetic is exact (`fractions.Fraction`); floats never enter.
 
 Values are validated once, at the boundary: `Point`, `point` and
 `ValueSpace` check every input, while `make_interval`, whose grid is sorted
-and distinct by construction, checks its arguments and then builds its space
-through the unchecked `ValueSpace._unchecked`.  A point keeps its hash, and
-one-dimensional `nearest` bisects the net's scalars as integers over one
-common denominator.
+and distinct by construction, checks its arguments, refuses a grid of more
+than `MAX_NET_POINTS` points before building any, and then builds its
+points and space unchecked, with the grid's integer scalars.  A point keeps
+its hash, and one-dimensional `nearest` bisects the net's scalars as
+integers over one common denominator (`_nearest_index`).  A value given as
+integers num/q that lands on a plain one-dimensional net is that net's own
+point (`_net_point`), found by the same bisection.
 
 `membership` answers a net point from its position in the net, with no
 scan and no Fraction: a one-dimensional net bisects its integer scalars,
@@ -30,12 +33,16 @@ from math import lcm
 from operator import attrgetter
 from typing import Iterable, Sequence, Union
 
-from .errors import SpaceMismatch, ValidationError
+from .errors import CapacityError, SpaceMismatch, ValidationError
 
 Rational = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+#: make_interval refuses grids of more points than this (a step of 1/65536
+#: on [0,1] is the finest it accepts)
+MAX_NET_POINTS = 65_537
 
 
 def frac(x: Rational) -> Fraction:
@@ -181,13 +188,8 @@ class ValueSpace:
         when p is not a net point: for a one-dimensional net by an integer
         bisection of `_int_scalars`, for any other net through `_index`."""
         if self.dimension == 1:
-            den, xs = self._int_scalars
             x = p.coords[0]
-            t, r = divmod(x.numerator * den, x.denominator)
-            if r:
-                return None
-            i = bisect_left(xs, t)
-            return i if i < len(xs) and xs[i] == t else None
+            return _scalar_index(self, x.numerator, x.denominator)
         return self._index.get(p)
 
     def coordinate_values(self, i: int) -> tuple[Fraction, ...]:
@@ -233,23 +235,35 @@ def make_interval(lo: Rational, hi: Rational, step: Rational, label: str | None 
     """A one-dimensional grid lo, lo+step, ... with the final point clamped to hi.
 
     The resolution is step/2, even when the grid degenerates to a single point.
+    A grid of more than MAX_NET_POINTS points is refused before any is built.
     """
     lo, hi, step = frac(lo), frac(hi), frac(step)
-    if step <= ZERO:
-        raise ValidationError("step must be positive")
-    if lo > hi:
-        raise ValidationError(f"empty interval: lo={lo} > hi={hi}")
-    if lo < ZERO or hi > ONE:
-        raise ValidationError("interval must sit inside [0,1]")
-    # lo + k*step below hi, then hi itself, in integers over one denominator
+    # the checks, and lo + k*step below hi, then hi itself, in integers over
+    # one common denominator
     den = lcm(lo.denominator, hi.denominator, step.denominator)
     a, b, s = (v.numerator * (den // v.denominator) for v in (lo, hi, step))
-    pts = [Point((Fraction(x, den),)) for x in range(a, b, s)]
-    pts.append(Point((hi,)))
+    if s <= 0:
+        raise ValidationError("step must be positive")
+    if a > b:
+        raise ValidationError(f"empty interval: lo={lo} > hi={hi}")
+    if a < 0 or b > den:
+        raise ValidationError("interval must sit inside [0,1]")
+    steps = range(a, b, s)
+    if len(steps) + 1 > MAX_NET_POINTS:
+        raise CapacityError(
+            f"the interval [{lo},{hi}] with step {step} has {len(steps) + 1} points; "
+            f"the cap is {MAX_NET_POINTS}"
+        )
     if label is None:
         label = f"[{lo},{hi}]/{step}"
-    # the points rise strictly from lo and stop at hi: the net is canonical
-    return ValueSpace._unchecked(1, tuple(pts), step / 2, label)
+    # every point lies in [lo, hi], inside [0,1], and the points rise
+    # strictly from lo and stop at hi: the net is canonical
+    coords = [(Fraction(x, den),) for x in steps] + [(hi,)]
+    net = tuple(Point._unchecked(c, hash((c,))) for c in coords)
+    space = ValueSpace._unchecked(1, net, step / 2, label)
+    # the grid's integer scalars are known: over den, the steps and then b
+    vars(space)["_int_scalars"] = (den, (*steps, b))
+    return space
 
 
 def make_finite(points: Iterable[Point], label: str | None = None) -> ValueSpace:
@@ -298,24 +312,68 @@ def nearest(space: ValueSpace, p: Point) -> tuple[Point, Fraction]:
             f"point of dimension {p.dimension} in {space.dimension}-dimensional space"
         )
     if space.dimension == 1 and space.standard_metric:
-        # the net is sorted: the nearest point is one of the two around
-        # x = num/q.  In integers over the net's denominator den, the first
-        # scalar >= x is the first at least ceil(num*den/q), and the tie
-        # x - xs[i-1] <= xs[i] - x reads 2*num*den <= (xs[i-1] + xs[i])*q
-        den, xs = space._int_scalars
         x = p.coords[0]
-        num, q = x.numerator, x.denominator
-        scaled = num * den
-        i = bisect_left(xs, -(-scaled // q))
-        if i == len(xs) or (i > 0 and 2 * scaled <= (xs[i - 1] + xs[i]) * q):
-            i -= 1
-        return space.net[i], Fraction(abs(scaled - xs[i] * q), q * den)
+        i, gap = _nearest_index(space, x.numerator, x.denominator)
+        return space.net[i], Fraction(gap, x.denominator * space._int_scalars[0])
     best_p, best_d = None, None
     for q in space.net:
         d = space.metric(p, q)
         if best_d is None or d < best_d:
             best_p, best_d = q, d
     return best_p, best_d
+
+
+def _scalar_index(space: ValueSpace, num: int, q: int) -> int | None:
+    """The net index of the scalar num/q on a one-dimensional net, by an
+    integer bisection of `_int_scalars`, or None when it is off the net."""
+    den, xs = space._int_scalars
+    t, r = divmod(num * den, q)
+    if r:
+        return None
+    i = bisect_left(xs, t)
+    return i if i < len(xs) and xs[i] == t else None
+
+
+def _net_point(space: ValueSpace, num: int, q: int) -> Point:
+    """The point num/q, for 0 <= num <= q, of a one-dimensional space: the
+    net's own point when the space is plain and num/q is on its net, else a
+    new point.  Outputs that land on a net so share its points."""
+    if space.standard_metric:
+        i = _scalar_index(space, num, q)
+        if i is not None:
+            return space.net[i]
+    return Point((Fraction(num, q),))
+
+
+def _nearest_gap(space: ValueSpace, i: int) -> Fraction | None:
+    """The distance from the i-th net point to the nearest other one, or
+    None on a one-point net.  On a plain one-dimensional net that point is a
+    neighbour in the sorted net, read from the integer scalars; on any other
+    net the distance is read from the distance matrix."""
+    if space.dimension == 1 and space.standard_metric:
+        den, xs = space._int_scalars
+        gaps = [xs[j + 1] - xs[j] for j in (i - 1, i) if 0 <= j < len(xs) - 1]
+        return Fraction(min(gaps), den) if gaps else None
+    gaps = [d for j, d in enumerate(space.distance_matrix[i]) if j != i]
+    return min(gaps) if gaps else None
+
+
+def _nearest_index(space: ValueSpace, num: int, q: int) -> tuple[int, int]:
+    """`nearest` on a plain one-dimensional net for the scalar num/q, in
+    integers: the net index i of the nearest point, and the distance times
+    q * den, with den the net's common denominator (`_int_scalars`).
+
+    The net is sorted, so the nearest point is one of the two around
+    x = num/q.  Over den, the first scalar >= x is the first at least
+    ceil(num*den/q), and the tie x - xs[i-1] <= xs[i] - x, which goes to the
+    smaller point, reads 2*num*den <= (xs[i-1] + xs[i])*q.
+    """
+    den, xs = space._int_scalars
+    scaled = num * den
+    i = bisect_left(xs, -(-scaled // q))
+    if i == len(xs) or (i > 0 and 2 * scaled <= (xs[i - 1] + xs[i]) * q):
+        i -= 1
+    return i, abs(scaled - xs[i] * q)
 
 
 def tolerance(tol: Rational) -> Fraction:

@@ -465,6 +465,26 @@ class TestWriteFailures:
             "error: cannot write output: stdout was closed by its reader\n")
 
 
+class TestNetCap:
+    """A value-space grid beyond the net cap is refused before any point is
+    built: exit 2 with one error line, at once and in little memory."""
+
+    MESSAGE = ("error: the interval [0,1] with step 1/1000000000000 has "
+               "1000000000001 points; the cap is 65537\n")
+
+    def test_translate_step(self, files, capsys):
+        assert run(capsys, "translate", "--structure", files["m"],
+                   "--step", "1/1000000000000") == (2, "", self.MESSAGE)
+
+    def test_structure_interval(self, files, capsys):
+        doc = json.loads(json.dumps(M_DOC))
+        doc["signature"]["relations"][0]["space"] = {"interval": ["0", "1", "1/1000000000000"]}
+        path = files["dir"] / "fine.json"
+        path.write_text(json.dumps(doc))
+        assert run(capsys, "eval", "--structure", str(path), "--formula", "sup x. P(x)") == (
+            2, "", self.MESSAGE)
+
+
 class TestUnexpectedErrors:
     def test_deep_formula_exits_2(self, files, capsys):
         formula = "sup x. " * 1500 + "P(x)"

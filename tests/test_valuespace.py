@@ -5,11 +5,12 @@ from math import gcd
 
 import pytest
 
-from contlog.errors import SpaceMismatch, ValidationError
+from contlog.errors import CapacityError, SpaceMismatch, ValidationError
 from contlog.formula import Relation, signature
 from contlog.hyperspace import hyper
 from contlog.semantics import structure
 from contlog.valuespace import (
+    MAX_NET_POINTS,
     Point,
     ValueSpace,
     distance,
@@ -196,6 +197,18 @@ class TestMakeInterval:
             assert got == want and hash(got) == hash(want)
             uneven += (hi - lo) % step != 0
         assert uneven > 100
+
+    def test_net_cap(self):
+        # the cap admits a 1/65536 grid on [0,1] and nothing finer
+        assert len(make_interval(0, 1, F(1, 65536)).net) == MAX_NET_POINTS == 65_537
+        assert len(make_interval(F(1, 2), 1, F(1, 131072)).net) == MAX_NET_POINTS
+        for lo, hi, step, count in ((0, 1, F(1, 65537), 65538),
+                                    (F(1, 2), 1, F(1, 131074), 65538),
+                                    (0, 1, F(1, 10**12), 10**12 + 1)):
+            with pytest.raises(CapacityError, match=(
+                    rf"^the interval \[{lo},{hi}\] with step {step} has {count} points; "
+                    rf"the cap is 65537$")):
+                make_interval(lo, hi, step)
 
 
 @pytest.mark.parametrize("build, error, message", [

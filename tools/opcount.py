@@ -1,6 +1,7 @@
 """Count the bytecode instructions one benchmark batch executes.
 
     python3 tools/opcount.py --workload quantifier --seed 4203 --batch 0
+    python3 tools/opcount.py --workload coding --seed 4101 --batch 0 --top 20
 
 Prints one JSON line: the instructions executed by `Workload.batch(P)`
 (building the batch's ops) and by `Workload.run` over every op of that
@@ -9,6 +10,12 @@ frame, so they are deterministic for a given Python version and do not drift
 with the machine's load the way wall-clock times do; time spent inside C
 code is not counted.  The workloads are the in-process ones of
 `perfbench/oracle_workloads.py`, read as they are.
+
+With `--top N`, the run's instructions are also attributed to the functions
+that execute them, and two tables precede the JSON line: the N functions
+with the most instructions of their own ("self"), and the N with the most
+instructions executed while they were on the stack ("cumulative", counting
+a recursive function once per outermost call).
 """
 from __future__ import annotations
 
@@ -16,6 +23,7 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 WORKLOADS = ("coding", "quantifier")
@@ -42,14 +50,67 @@ class OpcodeCounter:
             sys.settrace(None)
 
 
-def count(name: str, seed: int, p: int) -> dict:
+class ProfileCounter(OpcodeCounter):
+    """An `OpcodeCounter` that also counts opcodes per code object: `own`
+    those a function executes itself, `cumulative` those executed between
+    the outermost call of a function and its return."""
+
+    def __init__(self):
+        super().__init__()
+        self.own: Counter = Counter()
+        self.cumulative: Counter = Counter()
+        self._active: Counter = Counter()
+        self._entered: list[tuple[object, int]] = []
+
+    def _trace(self, frame, event, arg):
+        code = frame.f_code
+        if event == "opcode":
+            self.count += 1
+            self.own[code] += 1
+        elif event == "call":
+            frame.f_trace_opcodes = True
+            self._active[code] += 1
+            self._entered.append((code, self.count))
+        elif event == "return":
+            _, start = self._entered.pop()
+            self._active[code] -= 1
+            if not self._active[code]:
+                self.cumulative[code] += self.count - start
+        return self._trace
+
+
+def _label(code) -> str:
+    """`file:qualified name`, the file relative to the repository when it lies
+    inside it, else by its base name."""
+    path = code.co_filename
+    path = (os.path.relpath(path, ROOT) if path.startswith(ROOT + os.sep)
+            else os.path.basename(path))
+    return f"{path}:{getattr(code, 'co_qualname', code.co_name)}"
+
+
+def top_table(counts: Counter, n: int, title: str) -> str:
+    """The n largest counts as aligned text lines under a title."""
+    lines = [f"{title}:"]
+    for code, c in counts.most_common(n):
+        lines.append(f"{c:>12,}  {_label(code)}")
+    return "\n".join(lines)
+
+
+def workload(name: str, seed: int | None):
     from oracle_workloads import Coding, Quantifier
-    wl = {"coding": Coding, "quantifier": Quantifier}[name](seed)
+    cls = {"coding": Coding, "quantifier": Quantifier}[name]
+    return cls(cls.default_seed if seed is None else seed)
+
+
+def count(name: str, seed: int | None, p: int, run: OpcodeCounter | None = None) -> dict:
+    """The opcodes of batch p's build and of its run; `run` counts the run
+    (a plain `OpcodeCounter` by default)."""
+    wl = workload(name, seed)
     build = OpcodeCounter()
     ops = build.run(wl.batch, p)
-    run = OpcodeCounter()
+    run = OpcodeCounter() if run is None else run
     run.run(lambda: [wl.run(op) for op in ops])
-    return {"workload": name, "seed": seed, "batch": p, "ops": len(ops),
+    return {"workload": name, "seed": wl.seed, "batch": p, "ops": len(ops),
             "batch_opcodes": build.count, "run_opcodes": run.count,
             "python": sys.version.split()[0]}
 
@@ -59,12 +120,19 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", choices=WORKLOADS, required=True)
     ap.add_argument("--seed", type=int, help="default: the workload's default seed")
     ap.add_argument("--batch", type=int, default=0)
+    ap.add_argument("--top", type=int, metavar="N",
+                    help="also print the N functions with the most run opcodes, "
+                         "self and cumulative")
     args = ap.parse_args(argv)
+    if args.top is not None and args.top < 1:
+        ap.error("--top needs a positive count")
     sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
-    if args.seed is None:
-        from oracle_workloads import Coding, Quantifier
-        args.seed = {"coding": Coding, "quantifier": Quantifier}[args.workload].default_seed
-    print(json.dumps(count(args.workload, args.seed, args.batch)))
+    profile = ProfileCounter() if args.top else None
+    result = count(args.workload, args.seed, args.batch, profile)
+    if profile is not None:
+        print(top_table(profile.own, args.top, "self"))
+        print(top_table(profile.cumulative, args.top, "cumulative"))
+    print(json.dumps(result))
     return 0
 
 
