@@ -63,10 +63,21 @@ SUITE_NAMES = ("coding-exact", "coding-grid", "quantifier", "roundtrip",
 # Input loading
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's pairs as a dict, refusing a repeated key, of which
+    `json` would silently keep the last."""
+    out: dict = {}
+    for key, value in pairs:
+        if key in out:
+            raise FormatError(f"repeated JSON key {key!r}")
+        out[key] = value
+    return out
+
+
 def _read_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            return json.load(fh, object_pairs_hook=_unique_keys)
     except OSError as err:
         raise FormatError(f"cannot read {path}: {err}") from None
     except json.JSONDecodeError as err:
@@ -289,7 +300,7 @@ def cmd_quotient(args) -> int:
 def _function_table(args) -> dict[str, str]:
     if args.table is not None:
         try:
-            raw = json.loads(args.table)
+            raw = json.loads(args.table, object_pairs_hook=_unique_keys)
         except json.JSONDecodeError as err:
             raise FormatError(f"--table is not valid JSON: {err}") from None
     else:

@@ -27,10 +27,11 @@ McShane extensions (`mcshane_extend`, and `_mcshane` for the coder) scale
 their table of net coordinates and values to integers over one common
 denominator once.  The constant's scan and every evaluation then run on
 that integer table in plain ints, and each evaluation builds at most one
-Fraction, memoized per input tuple on the connective that owns it.  Values
-are exact, so they equal the Fraction definition bit for bit.  The stock
-connectives, projections and McShane extensions return their codomain's own
-net point when their value lies on that net (`valuespace._net_point`).
+Fraction.  Values are exact, so they equal the Fraction definition bit for
+bit.  The stock connectives, projections and McShane extensions return
+their codomain's own net point when their value lies on that net
+(`valuespace._net_point`).  `observable` is the one check that a connective
+reads a space's values as reals.
 """
 
 from __future__ import annotations
@@ -145,6 +146,15 @@ class Connective:
         return f"Connective({self.name!r}: [{doms}] -> {self.codomain.label}, L={self.lipschitz})"
 
 
+def observable(space: ValueSpace, theta: Connective) -> None:
+    """Refuse theta unless it is an observable on space: unary on it and
+    real-valued, the only way a set value is read."""
+    if theta.arity != 1 or theta.domain[0] != space:
+        raise SpaceMismatch(f"observable {theta.name} does not accept values of {space.label}")
+    if not theta.codomain.real_valued:
+        raise SpaceMismatch(f"observable {theta.name} is not real-valued")
+
+
 def unit_interval() -> ValueSpace:
     """The default real codomain: a net of {0,1} whose resolution 1/2 covers [0,1]."""
     return make_interval(0, 1, 1, label="[0,1]")
@@ -198,7 +208,7 @@ def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
     if name is None:
         name = f"pi{i}"
     label = f"{space.label}[{i}]"
-    if space.standard_metric and space.dimension == 1:
+    if space.real_valued:
         codomain = ValueSpace._unchecked(1, space.net, space.resolution, label)
         return Connective(name, (space,), codomain, ONE, _same_point)
     if space.standard_metric:
@@ -607,11 +617,9 @@ def _mcshane(den: int, rows: Sequence, lip: Fraction, ambient: tuple[ValueSpace,
     Y * (den / b) is the key, reads that key's value V / den without the
     scan, since its own candidate is V / den and no other is smaller.  The
     result is the codomain's own net point when it lands on that net
-    (`_net_point`), else one new point.  Results are memoized by input tuple
-    (points hash by value) for the life of the connective.
+    (`_net_point`), else one new point.
     """
     n, m = lip.numerator, lip.denominator
-    memo: dict[tuple[Point, ...], Point] = {}
     at_key = dict(rows) if tight else {}
 
     def value(y: tuple[Fraction, ...]) -> tuple[int, int]:
@@ -631,10 +639,7 @@ def _mcshane(den: int, rows: Sequence, lip: Fraction, ambient: tuple[ValueSpace,
         return min(top, max(0, best)), top
 
     def run(*pts: Point) -> Point:
-        out = memo.get(pts)
-        if out is None:
-            out = memo[pts] = _net_point(codomain, *value(flat_coords(pts)))
-        return out
+        return _net_point(codomain, *value(flat_coords(pts)))
 
     return Connective(name, ambient, codomain, lip, run)
 

@@ -289,7 +289,7 @@ class Quant(Formula):
         inner = self.body.value_space
         if self.kind is QuantKind.SET:
             return hyper(inner)
-        if inner.dimension != 1 or not inner.standard_metric:
+        if not inner.real_valued:
             raise TypeCheckError(
                 f"{self.kind.keyword} needs a real-valued body, got {inner.label}"
             )
@@ -373,10 +373,8 @@ def cauchy_limit(rate: RateLike, formulas: Sequence[Formula], tol: Rational) -> 
             raise ValidationError("rate sequence shorter than the formula list")
         rate_fn = lambda n: seq[n]  # noqa: E731
 
-    for phi in formulas:
-        space = phi.value_space
-        if space.dimension != 1 or not space.standard_metric:
-            raise TypeCheckError("cauchy_limit needs real-valued formulas")
+    if not all(phi.value_space.real_valued for phi in formulas):
+        raise TypeCheckError("cauchy_limit needs real-valued formulas")
 
     prev = None
     for n in range(len(formulas)):

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 
-from .connective import Connective, table
+from .connective import Connective, observable, table
 from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from .valuespace import ONE, ZERO, Point, Rational, ValueSpace, frac, nearest, point
 
@@ -152,21 +152,20 @@ class HyperSpace(ValueSpace):
             raise SpaceMismatch("indicator encodes the empty set")
         return frozenset(idx)
 
-    def _position(self, p: Point) -> int:
-        """Every nonempty 0/1 vector is an indicator point, whose position
-        is read off its mask without building the net.  `member_indices`
+    def net_index(self, p: Point) -> int:
+        """Position of an indicator point in the net, its subset mask minus
+        1, read without building the net.  Every nonempty 0/1 vector is an
+        indicator point, so this is also `_position`; `member_indices`
         refuses any other point, with the text the Hausdorff metric gives."""
-        return self.net_index(p)
+        n = self.dimension
+        return sum(1 << (n - 1 - i) for i in self.member_indices(p)) - 1
+
+    _position = net_index
 
     def coordinate_values(self, i: int) -> tuple[Fraction, ...]:
         """Coordinate i of an indicator point says whether base point i is a
         member: always on a one-point base, either way on a larger one."""
         return (ONE,) if self.dimension == 1 else (ZERO, ONE)
-
-    def net_index(self, p: Point) -> int:
-        """Position of an indicator point in the net: its subset mask minus 1."""
-        n = self.dimension
-        return sum(1 << (n - 1 - i) for i in self.member_indices(p)) - 1
 
     def metric(self, p: Point, q: Point) -> Fraction:
         return _hausdorff_by_index(self.base, self.member_indices(p), self.member_indices(q))
@@ -349,8 +348,7 @@ def inf_theta(theta: Connective, name: str | None = None) -> Connective:
 def _extremum_theta(theta: Connective, pick, name: str) -> Connective:
     if theta.arity != 1:
         raise SpaceMismatch("hyperspace extrema need a unary connective")
-    if theta.codomain.dimension != 1:
-        raise SpaceMismatch("hyperspace extrema need a real-valued connective")
+    observable(theta.domain[0], theta)
     hx = hyper(theta.domain[0])
 
     def run(p: Point) -> Point:

@@ -19,14 +19,14 @@ from fractions import Fraction
 from typing import Callable, Mapping, Sequence
 
 from .connective import (Connective, _tabulated, affine, clamp01, identity,
-                         max_of, min_of, mul, neg, tight_lipschitz,
+                         max_of, min_of, mul, neg, observable, tight_lipschitz,
                          truncated_sub, bounded_add, const)
-from .errors import EvalError, SpaceMismatch, ValidationError
+from .errors import EvalError, ValidationError
 from .formula import (Apply, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
 from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset,
                          inf_theta, sup_theta)
-from .semantics import (Structure, check_pseudometric, evaluate,
+from .semantics import (Structure, Table, _snap_index, check_pseudometric, evaluate,
                         eval_error_bound, quotient, structure, tabulate,
                         zero_distance_classes)
 from .translate import TranslationContext, code_formula, t0_violations, \
@@ -282,7 +282,7 @@ class _FormulaBuilder:
 
     def _unary(self, child: Formula) -> Formula:
         space = child.value_space
-        if not space.standard_metric or space.dimension > 1:
+        if not space.real_valued:
             return self._as_real(child)
         if self.stable:
             return Apply(self.rng.choice((neg, clamp01))(space), (child,))
@@ -308,7 +308,7 @@ class _FormulaBuilder:
     def _as_real(self, node: Formula) -> Formula:
         """Coerce any node to a real-valued one with a random observable."""
         space = node.value_space
-        if space.standard_metric and space.dimension == 1:
+        if space.real_valued:
             return self._shrink(node)
         wrapped = Apply(random_theta(self.rng, space, stable=self.stable), (node,))
         return self._shrink(wrapped)
@@ -323,7 +323,7 @@ class _FormulaBuilder:
         stable callers evaluate only and face no coding caps.
         """
         space = node.value_space
-        if self.stable or not space.standard_metric or space.dimension != 1:
+        if self.stable or not space.real_valued:
             return node
         if len(space.net) <= MAX_SET_BODY_POINTS:
             return node
@@ -383,9 +383,6 @@ def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
     free variables reads one row of each table.
     """
     tol = tolerance(tol)
-    space = phi.value_space
-    if theta is None and (space.dimension != 1 or not space.standard_metric):
-        raise ValidationError("a formula that is not real-valued needs an observable")
     coded = code_formula(ctx, phi)
     target = coded.codes(theta)
     budget = coded.budget_of(theta)
@@ -446,6 +443,14 @@ def _single_free_var(body: Formula, var: str | None) -> str:
     return frees[0]
 
 
+def _snapped(M: Structure, body: Table, var: str, asg: Mapping[str, str]) -> list[Point]:
+    """The body's values as var ranges over the universe under asg, each
+    snapped onto the body space's net as `Q` snaps it (`_snap_index`: the
+    nearest net point, ties down)."""
+    space = body.space
+    return [space.net[_snap_index(space, body.at({**asg, var: e}))] for e in M.universe]
+
+
 def verify_quantifier_identity(M: Structure, body: Formula,
                                theta: Connective | None = None,
                                var: str | None = None) -> IdentityCheck:
@@ -456,19 +461,19 @@ def verify_quantifier_identity(M: Structure, body: Formula,
     assignment, the left side takes the maximum of theta over the members of
     the set row, once per distinct set, reading theta at a member the body
     takes from the pass; the right side is the direct sup's row.  Exact
-    equality.  An observable must accept the body's values and be
-    real-valued.
+    equality.  A row that differs is checked again against the direct sup
+    over the body's values snapped as `Q` snaps them (`_snapped`), which
+    differ only off the net; the witness reports that sup.  An observable
+    must accept the body's values and be real-valued.
     """
     var = _single_free_var(body, var)
     space = body.value_space
     if theta is None:
-        if space.dimension != 1 or not space.standard_metric:
+        if not space.real_valued:
             raise ValidationError("a non-real body needs an explicit observable")
         theta = identity(space)
-    elif theta.arity != 1 or theta.domain[0] != space:
-        raise SpaceMismatch(f"observable {theta.name} does not accept values of {space.label}")
-    elif theta.codomain.dimension != 1 or not theta.codomain.standard_metric:
-        raise SpaceMismatch(f"observable {theta.name} is not real-valued")
+    else:
+        observable(space, theta)
     observed = Apply(theta, (body,))
     sets, values, thetas, direct = tabulate(M, [Quant(QuantKind.SET, var, body), body, observed,
                                                 Quant(QuantKind.SUP, var, observed)])
@@ -489,8 +494,10 @@ def verify_quantifier_identity(M: Structure, body: Formula,
         if lhs is None:
             lhs = via_set[k] = max([observe(net[i]) for i in member_indices(k)])
         if lhs != rhs.scalar and witness is None:
-            witness = {"assignment": dict(zip(sets.vars, key)), "via_set": str(lhs),
-                       "direct": str(rhs.scalar)}
+            asg = dict(zip(sets.vars, key))
+            snapped = max(map(observe, _snapped(M, values, var, asg)))
+            if lhs != snapped:
+                witness = {"assignment": asg, "via_set": str(lhs), "direct": str(snapped)}
     return IdentityCheck(witness is None, len(sets.rows), witness)
 
 
@@ -500,17 +507,20 @@ def verify_primordial_bounds(M: Structure, body: Formula,
 
     One pass tabulates `Q var. body`, `sup var. body` and `inf var. body`,
     three reductions of the one body table; each assignment reads a row of
-    each, and each distinct set row is decoded once.
+    each, and each distinct set row is decoded once.  A row that differs is
+    checked again against the sup and inf of the body's values snapped as
+    `Q` snaps them (`_snapped`), which differ only off the net; the witness
+    reports those.
     """
     var = _single_free_var(body, var)
     space = body.value_space
-    if space.dimension != 1 or not space.standard_metric:
+    if not space.real_valued:
         raise ValidationError("sup/inf comparison needs a real-valued body")
     q = Quant(QuantKind.SET, var, body)
     sets, sups, infs = tabulate(M, [q, Quant(QuantKind.SUP, var, body),
                                     Quant(QuantKind.INF, var, body)])
     net, member_indices = space.net, sets.space.member_indices
-    witness = None
+    witness = values = None
     extremes: dict[Point, tuple[Fraction, Fraction]] = {}
     for (key, k), sup, inf in zip(sets.rows.items(), sups.rows.values(), infs.rows.values()):
         bounds = extremes.get(k)
@@ -521,11 +531,14 @@ def verify_primordial_bounds(M: Structure, body: Formula,
         set_max, set_min = bounds
         sup_val, inf_val = sup.scalar, inf.scalar
         if (set_max != sup_val or set_min != inf_val) and witness is None:
-            witness = {
-                "assignment": dict(zip(sets.vars, key)),
-                "set_max": str(set_max), "sup": str(sup_val),
-                "set_min": str(set_min), "inf": str(inf_val),
-            }
+            asg = dict(zip(sets.vars, key))
+            if values is None:
+                [values] = tabulate(M, [body])
+            snapped = [p.scalar for p in _snapped(M, values, var, asg)]
+            sup_val, inf_val = max(snapped), min(snapped)
+            if set_max != sup_val or set_min != inf_val:
+                witness = {"assignment": asg, "set_max": str(set_max), "sup": str(sup_val),
+                           "set_min": str(set_min), "inf": str(inf_val)}
     return IdentityCheck(witness is None, len(sets.rows), witness)
 
 

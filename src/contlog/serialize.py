@@ -18,7 +18,7 @@ from .connective import (Connective, add, affine, bounded_add, clamp01, const,
 from .errors import ContlogError, FormatError, ValidationError
 from .formula import Relation, Signature
 from .hyperspace import hyper, inf_theta, lift, sup_theta
-from .semantics import Structure
+from .semantics import Structure, structure
 from .valuespace import Point, ValueSpace, frac, make_finite, make_interval
 
 if TYPE_CHECKING:
@@ -178,21 +178,14 @@ def structure_from_json(doc: Any) -> Structure:
     if not isinstance(universe, list) or not universe:
         raise FormatError('structure needs a nonempty "universe" list')
     raw = _expect_map(doc.get("interp", {}), '"interp"')
-    interp: dict[str, dict[tuple[str, ...], Point]] = {}
+    interp: dict[str, dict[str, Point]] = {}
     for name, entries in raw.items():
         entries = _expect_map(entries, f"interpretation of {name!r}")
-        rel = sig.by_name.get(name)
-        if rel is None:
+        if name not in sig.by_name:
             raise FormatError(f"interpretation of unknown symbol {name!r}")
-        tab = {}
-        for key, val in entries.items():
-            t = tuple(s.strip() for s in key.split(",")) if key else ()
-            if len(t) != rel.arity:
-                raise FormatError(f"{name}: key {key!r} does not have arity {rel.arity}")
-            tab[t] = point_from_json(val)
-        interp[name] = tab
+        interp[name] = {key: point_from_json(val) for key, val in entries.items()}
     try:
-        return Structure(sig, tuple(universe), interp)
+        return structure(sig, universe, interp)
     except ContlogError as err:
         raise FormatError(str(err)) from None
 
@@ -214,6 +207,8 @@ def _table_from_json(entry: Mapping) -> Connective:
         if len(parts) != len(doms):
             raise FormatError(f"table key {key!r} does not have {len(doms)} arguments")
         pts = tuple(point_from_json(p.split(",") if "," in p else p) for p in parts)
+        if pts in mapping:
+            raise FormatError(f"table key {key!r} names a point tuple an earlier key names")
         mapping[pts] = point_from_json(val)
     return table(doms, mapping, lip, codomain, name=str(entry.get("name", "table")))
 

@@ -65,7 +65,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tight_constant,
-                         const, flat_coords, identity, product_net, proj, table)
+                         const, flat_coords, identity, observable, product_net, proj, table)
 from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
@@ -183,7 +183,7 @@ class TranslationContext:
         if bound is None:
             grid = self.grid
             gden = grid._int_scalars[0]
-            if space.dimension == 1 and space.standard_metric:
+            if space.real_valued:
                 # one denominator: the largest distance is one Fraction
                 den, xs = space._int_scalars
                 bound = Fraction(max(_nearest_index(grid, x, den)[1] for x in xs), den * gden)
@@ -283,8 +283,7 @@ class Generator:
 
 def sup_generator(H: HyperSpace, theta: Connective) -> Generator:
     """Tabulate max of theta over the members of every point of H."""
-    if theta.arity != 1 or theta.domain[0] != H.base or theta.codomain.dimension != 1:
-        raise SpaceMismatch("generator observable must be real-valued on the base space")
+    observable(H.base, theta)
     n = len(H.base.net)
     tv = [theta(p).scalar for p in H.base.net]
     sups: list[Fraction] = []
@@ -503,10 +502,7 @@ class CodedFormula:
     def __init__(self, ctx: TranslationContext, source: Formula):
         self.ctx = ctx
         self.source = source
-        try:
-            source.value_space
-        except RecursionError:
-            raise CapacityError(NESTED_TOO_DEEPLY) from None
+        source.value_space  # typecheck the source now
         # keyed on the objects, which hash by identity: the memo keeps every
         # observable alive, so a new one can never reuse a stale entry
         self._memo: dict[tuple[Formula, Connective], Coded] = {}
@@ -522,17 +518,13 @@ class CodedFormula:
     def _root(self, theta: Connective | None) -> Coded:
         space = self.source.value_space
         if theta is None:
-            if space.dimension != 1 or not space.standard_metric:
+            if not space.real_valued:
                 raise ValidationError(
                     "a real-valued observable is required for set-valued formulas"
                 )
             theta = self.ctx.identity_on(space)
-        elif theta.arity != 1 or theta.domain[0] != space:
-            raise SpaceMismatch(
-                f"observable {theta.name} does not accept values of {space.label}"
-            )
-        elif theta.codomain.dimension != 1:
-            raise SpaceMismatch(f"observable {theta.name} is not real-valued")
+        else:
+            observable(space, theta)
         try:
             return self._code(self.source, theta)
         except RecursionError:
@@ -570,7 +562,7 @@ class CodedFormula:
 
         The table is scaled to integers over one common denominator once
         (`_net_table`); the scan for the constant and the extension's integer
-        kernel, which memoizes each input, both run on it.  The keys are
+        kernel both run on it.  The keys are
         distinct tuples of net points, so their flattened coordinates are
         distinct and every distance below is positive.  The constant is tight
         by construction (`_tight_constant`), so mcshane_extend's re-check of
@@ -673,7 +665,7 @@ def _net_table(spaces: Sequence[ValueSpace], values: Sequence[Fraction]) -> tupl
     per net tuple in product order.  When every space is plain and
     one-dimensional the coordinates are read from the spaces' integer
     scalars, so no coordinate of the net is touched."""
-    if all(s.dimension == 1 and s.standard_metric for s in spaces):
+    if all(s.real_valued for s in spaces):
         scalars = [s._int_scalars for s in spaces]
         den = lcm(*(d for d, _ in scalars), *(v.denominator for v in values))
         axes = [[x * (den // d) for x in xs] for d, xs in scalars]

@@ -140,6 +140,11 @@ class ValueSpace:
     #: with an overridden metric (hyperspaces) set this to False.
     standard_metric = True
 
+    @property
+    def real_valued(self) -> bool:
+        """A one-dimensional space with the plain metric; never a hyperspace."""
+        return self.standard_metric and self.dimension == 1
+
     def __post_init__(self):
         if self.dimension < 1:
             raise ValidationError("dimension must be a positive integer")
@@ -311,7 +316,7 @@ def nearest(space: ValueSpace, p: Point) -> tuple[Point, Fraction]:
         raise SpaceMismatch(
             f"point of dimension {p.dimension} in {space.dimension}-dimensional space"
         )
-    if space.dimension == 1 and space.standard_metric:
+    if space.real_valued:
         x = p.coords[0]
         i, gap = _nearest_index(space, x.numerator, x.denominator)
         return space.net[i], Fraction(gap, x.denominator * space._int_scalars[0])
@@ -350,7 +355,7 @@ def _nearest_gap(space: ValueSpace, i: int) -> Fraction | None:
     None on a one-point net.  On a plain one-dimensional net that point is a
     neighbour in the sorted net, read from the integer scalars; on any other
     net the distance is read from the distance matrix."""
-    if space.dimension == 1 and space.standard_metric:
+    if space.real_valued:
         den, xs = space._int_scalars
         gaps = [xs[j + 1] - xs[j] for j in (i - 1, i) if 0 <= j < len(xs) - 1]
         return Fraction(min(gaps), den) if gaps else None

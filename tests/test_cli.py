@@ -383,6 +383,42 @@ class TestEncodeFn:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
+class TestRepeatedKeys:
+    """A key given twice is refused as bad input, never read as the last one."""
+
+    STRUCTURE = ('{"schema": "contlog.structure/1", "signature": {"relations": '
+                 '[{"name": "P", "arity": 1, "space": {"finite": ["0", "1"]}}]}, '
+                 '"universe": ["a", "b"], "interp": {"P": {"a": "0", "b": "1", %s: "1"}}}')
+
+    @pytest.mark.parametrize("key, message", [
+        ('"a"', "repeated JSON key 'a'"),
+        ('" a"', "P: two keys name the tuple ('a',)"),
+    ], ids=["raw", "padded"])
+    def test_structure_file(self, tmp_path, capsys, key, message):
+        path = tmp_path / "twice.json"
+        path.write_text(self.STRUCTURE % key)
+        code, out, err = run(capsys, "eval", "--structure", str(path),
+                             "--formula", "Q x. P(x)")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_library_file(self, files, tmp_path, capsys):
+        path = tmp_path / "lib.json"
+        path.write_text('{"connectives": {"not": {"kind": "neg", "space": {"finite": ["0"]}},'
+                        ' "not": {"kind": "neg", "space": {"finite": ["1"]}}}}')
+        code, out, err = run(capsys, "eval", "--structure", files["m"], "--library", str(path),
+                             "--formula", "sup x. P(x)")
+        assert (code, out, err) == (2, "", "error: repeated JSON key 'not'\n")
+
+    def test_function_table(self, files, tmp_path, capsys):
+        table = '{"a": "b", "b": "a", "c": "a", "a": "c"}'
+        path = tmp_path / "table.json"
+        path.write_text(table)
+        for source in (("--table", table), ("--table-file", str(path))):
+            code, out, err = run(capsys, "encode-fn", "--structure", files["metric"],
+                                 "--name", "f", *source)
+            assert (code, out, err) == (2, "", "error: repeated JSON key 'a'\n")
+
+
 class TestFuzz:
     def test_json_lines_and_summary(self, files, capsys):
         code, out, _ = run(capsys, "fuzz", "--seed", "7", "--trials", "10",

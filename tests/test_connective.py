@@ -32,7 +32,11 @@ from contlog.connective import (
     validate_lipschitz,
 )
 from contlog.errors import EvalError, SpaceMismatch, ValidationError
-from contlog.hyperspace import hyper
+from contlog.formula import Relation, atom, signature
+from contlog.hyperspace import hyper, sup_theta
+from contlog.oracle import verify_quantifier_identity
+from contlog.semantics import structure
+from contlog.translate import CodedFormula, TranslationContext, sup_generator
 from contlog.valuespace import (ValueSpace, linf, linf_coords, make_finite, make_interval,
                                 point, product)
 
@@ -611,3 +615,51 @@ class TestIntegerTableScan:
         with pytest.raises(ValidationError) as caught:
             call(X)
         assert str(caught.value) == f"mapping key {key} does not fit [1-dimensional X]"
+
+
+class TestObservableContract:
+    """Every reader of a value through an observable refuses a bad one alike.
+
+    The coder, the quantifier identity check and a lattice generator read a
+    space's values through theta; `sup_theta` reads its own domain's, so it
+    has no other space to refuse and is held to the codomain cases only.
+    """
+
+    X = make_finite([point(0), point(F(1, 2)), point(1)], label="X")
+
+    @staticmethod
+    def readers(X):
+        sig = signature([Relation("P", 1, X)])
+        M = structure(sig, ["a", "b"], {"P": {"a": 0, "b": 1}})
+        coder = CodedFormula(TranslationContext(sig, F(1, 2)), atom(sig, "P", "x"))
+        return {
+            "coder": coder.codes,
+            "identity-check": lambda theta: verify_quantifier_identity(
+                M, atom(sig, "P", "q"), theta),
+            "sup-generator": lambda theta: sup_generator(hyper(X), theta),
+        }
+
+    @pytest.mark.parametrize("case", ["wrong-space", "plane-valued", "one-point-hyperspace"])
+    def test_bad_observables_are_refused_with_one_text(self, case):
+        X = self.X
+        if case == "wrong-space":
+            theta = identity(make_finite([point(0), point(1)]), name="other")
+            message = "observable other does not accept values of X"
+        elif case == "plane-valued":
+            diagonal = make_finite([point(c, c) for c in (0, F(1, 2), 1)])
+            theta = table([X], {(p,): point(p.scalar, p.scalar) for p in X.net}, 1,
+                          diagonal, name="diag")
+            message = "observable diag is not real-valued"
+        else:
+            # a one-point hyperspace is one-dimensional, but its values are sets
+            single = hyper(make_finite([point(1)]))
+            theta = table([X], {(p,): single.net[0] for p in X.net}, 0, single,
+                          name="single")
+            message = "observable single is not real-valued"
+        readers = self.readers(X)
+        if case != "wrong-space":
+            readers["sup_theta"] = sup_theta
+        for name, read in readers.items():
+            with pytest.raises(SpaceMismatch) as caught:
+                read(theta)
+            assert str(caught.value) == message, name

@@ -7,7 +7,7 @@ import pytest
 from contlog import oracle, semantics
 from contlog.errors import SpaceMismatch, ValidationError
 from contlog.formula import Apply, QuantKind, Relation, atom, signature
-from contlog.connective import Connective, const, identity, table, tight_lipschitz
+from contlog.connective import Connective, const, identity, neg, table, tight_lipschitz
 from contlog.oracle import (
     EXACT_STEP,
     PSEUDOMETRIC_LAWS,
@@ -38,7 +38,7 @@ from contlog.oracle import (
 )
 from contlog.semantics import Structure, check_pseudometric, structure, zero_distance_classes
 from contlog.translate import TranslationContext, transport_structure
-from contlog.valuespace import Point, make_finite, point
+from contlog.valuespace import Point, make_finite, make_interval, point
 
 
 CFG = FuzzConfig(seed=20260816)
@@ -201,6 +201,61 @@ class TestVerifiers:
         monkeypatch.undo()
         assert verify_quantifier_identity(M, body, var="q").ok
         assert verify_primordial_bounds(M, body, var="q").ok
+
+    def test_values_off_the_net_pass_both_checks(self):
+        # 1/6 and 1/2 lie within resolution 1/6 of the thirds, and Q snaps
+        # them down to 0 and 1/3, where sup and inf read them as they are
+        X = make_interval(0, 1, F(1, 3))
+        sig = signature([Relation("P", 1, X)])
+        M = structure(sig, ["a", "b"], {"P": {"a": F(1, 6), "b": F(1, 2)}})
+        body = atom(sig, "P", "x")
+        calls = []
+
+        def run(p):
+            calls.append(p)
+            return neg(X).evaluator(p)
+
+        theta = Connective("neg", (X,), X, F(1), run)
+        assert verify_quantifier_identity(M, body, theta, var="x").ok
+        # theta was read at the snapped members, which the body never takes
+        assert {point(0), point(F(1, 3))} <= set(calls)
+        assert verify_primordial_bounds(M, body, var="x").ok
+
+    def test_set_quantifier_faults_are_witnessed_off_the_net(self, monkeypatch):
+        # the fault of the test above, on values Q snaps: p = a has the set
+        # {0, 1} (1/6 snaps to 0), which the fault cuts to {0}; p = b has
+        # {1/3} (1/2 snaps down), which differs from sup and inf unsnapped
+        reduce = semantics._reduce
+
+        def faulty(node, body_vars, body, values, intern):
+            out = reduce(node, body_vars, body, values, intern)
+            if node.kind is not QuantKind.SET:
+                return out
+
+            def drop_largest(i):
+                coords = list(values[i].coords)
+                members = [j for j, c in enumerate(coords) if c == 1]
+                if len(members) > 1:
+                    coords[members[-1]] = F(0)
+                return intern(Point(tuple(coords)))
+
+            return {key: drop_largest(i) for key, i in out.items()}
+
+        X = make_interval(0, 1, F(1, 3))
+        sig = signature([Relation("R", 2, X)])
+        M = structure(sig, ["a", "b"], {"R": {"a,a": F(1, 6), "a,b": 1,
+                                              "b,a": F(1, 2), "b,b": F(1, 2)}})
+        body = atom(sig, "R", "p", "q")
+        assert verify_quantifier_identity(M, body, var="q").ok
+        assert verify_primordial_bounds(M, body, var="q").ok
+        monkeypatch.setattr(semantics, "_reduce", faulty)
+        identity = verify_quantifier_identity(M, body, var="q")
+        assert not identity.ok and identity.checked == 2
+        assert identity.witness == {"assignment": {"p": "a"}, "via_set": "0", "direct": "1"}
+        bounds = verify_primordial_bounds(M, body, var="q")
+        assert not bounds.ok and bounds.checked == 2
+        assert bounds.witness == {"assignment": {"p": "a"}, "set_max": "0", "sup": "1",
+                                  "set_min": "0", "inf": "0"}
 
     def test_coding_faults_are_witnessed(self, monkeypatch):
         # plant a fault: transport snaps every value one grid step down

@@ -226,6 +226,13 @@ class TestStructures:
         with pytest.raises(FormatError, match="arity"):
             structure_from_json(doc)
 
+    def test_two_keys_naming_one_tuple_are_refused(self):
+        # " a" names the tuple ('a',) as "a" does; the later one used to win
+        doc = structure_to_json(self.make())
+        doc["interp"]["P"][" a"] = "3/4"
+        with pytest.raises(FormatError, match=r"^P: two keys name the tuple \('a',\)$"):
+            structure_from_json(doc)
+
     def test_off_net_value_is_a_format_error(self):
         doc = structure_to_json(self.make())
         doc["interp"]["P"]["a"] = "1/2"  # X has no point near 1/2
@@ -288,6 +295,21 @@ class TestLibraries:
             },
         })
         assert lib["sq"](point(F(1, 2))) == point(F(1, 4))
+
+    def test_table_keys_naming_one_point_are_refused(self):
+        # "0" and "0/1" both name point(0); the later one used to win
+        with pytest.raises(FormatError, match="^connective 'sq': table key '0/1' names a point"):
+            library_from_json({
+                "connectives": {
+                    "sq": {
+                        "kind": "table",
+                        "domains": [self.unit_doc()],
+                        "codomain": self.unit_doc(),
+                        "lipschitz": 2,
+                        "mapping": {"0": "0", "1/2": "1/2", "1": "1", "0/1": "1"},
+                    },
+                },
+            })
 
     def test_table_key_arity(self):
         with pytest.raises(FormatError, match="2 arguments"):
