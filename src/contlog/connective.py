@@ -146,13 +146,16 @@ class Connective:
         return f"Connective({self.name!r}: [{doms}] -> {self.codomain.label}, L={self.lipschitz})"
 
 
-def observable(space: ValueSpace, theta: Connective) -> None:
-    """Refuse theta unless it is an observable on space: unary on it and
+def observable(space: ValueSpace | None, theta: Connective) -> ValueSpace:
+    """Theta's input space, once theta is checked as an observable on space
+    (on a space of its own, when space is None): unary on it and
     real-valued, the only way a set value is read."""
-    if theta.arity != 1 or theta.domain[0] != space:
-        raise SpaceMismatch(f"observable {theta.name} does not accept values of {space.label}")
+    if theta.arity != 1 or space not in (None, theta.domain[0]):
+        on = "a single space" if space is None else space.label
+        raise SpaceMismatch(f"observable {theta.name} does not accept values of {on}")
     if not theta.codomain.real_valued:
         raise SpaceMismatch(f"observable {theta.name} is not real-valued")
+    return theta.domain[0]
 
 
 def unit_interval() -> ValueSpace:

@@ -346,10 +346,7 @@ def inf_theta(theta: Connective, name: str | None = None) -> Connective:
 
 
 def _extremum_theta(theta: Connective, pick, name: str) -> Connective:
-    if theta.arity != 1:
-        raise SpaceMismatch("hyperspace extrema need a unary connective")
-    observable(theta.domain[0], theta)
-    hx = hyper(theta.domain[0])
+    hx = hyper(observable(None, theta))
 
     def run(p: Point) -> Point:
         # the extreme member's own output point

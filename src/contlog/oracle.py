@@ -16,6 +16,7 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Mapping, Sequence
 
 from .connective import (Connective, _tabulated, affine, clamp01, identity,
@@ -26,7 +27,7 @@ from .formula import (Apply, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
 from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset,
                          inf_theta, sup_theta)
-from .semantics import (Structure, Table, _snap_index, check_pseudometric, evaluate,
+from .semantics import (Structure, Table, check_pseudometric, evaluate,
                         eval_error_bound, quotient, structure, tabulate,
                         zero_distance_classes)
 from .translate import TranslationContext, code_formula, t0_violations, \
@@ -443,12 +444,21 @@ def _single_free_var(body: Formula, var: str | None) -> str:
     return frees[0]
 
 
-def _snapped(M: Structure, body: Table, var: str, asg: Mapping[str, str]) -> list[Point]:
-    """The body's values as var ranges over the universe under asg, each
-    snapped onto the body space's net as `Q` snaps it (`_snap_index`: the
-    nearest net point, ties down)."""
+def _body_rows(M: Structure, body: Table, var: str):
+    """A reader of the body's values as var ranges over the universe, under
+    an assignment to the other variables: as the body takes them, and each
+    snapped onto the net as `Q` snaps it, to the nearest net point, ties to
+    the earlier (the smaller, on a rising one-dimensional net).  The snap is
+    a scan of the metric, apart from `semantics`' own, so that a fault there
+    shows here."""
     space = body.space
-    return [space.net[_snap_index(space, body.at({**asg, var: e}))] for e in M.universe]
+    snap = {v: min(space.net, key=partial(space.metric, v)) for v in set(body.rows.values())}
+
+    def row(asg: Mapping[str, str]) -> tuple[list[Point], list[Point]]:
+        raw = [body.at({**asg, var: e}) for e in M.universe]
+        return raw, [snap[v] for v in raw]
+
+    return row
 
 
 def verify_quantifier_identity(M: Structure, body: Formula,
@@ -461,10 +471,11 @@ def verify_quantifier_identity(M: Structure, body: Formula,
     assignment, the left side takes the maximum of theta over the members of
     the set row, once per distinct set, reading theta at a member the body
     takes from the pass; the right side is the direct sup's row.  Exact
-    equality.  A row that differs is checked again against the direct sup
-    over the body's values snapped as `Q` snaps them (`_snapped`), which
-    differ only off the net; the witness reports that sup.  An observable
-    must accept the body's values and be real-valued.
+    equality.  A row that differs passes only if the set side is the sup
+    over the body's values snapped as `Q` snaps them, and the direct side
+    the sup over them as they are (`_body_rows`): the two differ only off
+    the net.  An observable must accept the body's values and be
+    real-valued.
     """
     var = _single_free_var(body, var)
     space = body.value_space
@@ -487,7 +498,7 @@ def verify_quantifier_identity(M: Structure, body: Formula,
         return t.scalar
 
     net, member_indices = space.net, sets.space.member_indices
-    witness = None
+    witness = rows = None
     via_set: dict[Point, Fraction] = {}
     for (key, k), rhs in zip(sets.rows.items(), direct.rows.values()):
         lhs = via_set.get(k)
@@ -495,9 +506,11 @@ def verify_quantifier_identity(M: Structure, body: Formula,
             lhs = via_set[k] = max([observe(net[i]) for i in member_indices(k)])
         if lhs != rhs.scalar and witness is None:
             asg = dict(zip(sets.vars, key))
-            snapped = max(map(observe, _snapped(M, values, var, asg)))
-            if lhs != snapped:
-                witness = {"assignment": asg, "via_set": str(lhs), "direct": str(snapped)}
+            if rows is None:
+                rows = _body_rows(M, values, var)
+            raw, snapped = rows(asg)
+            if (lhs, rhs.scalar) != (max(map(observe, snapped)), max(map(observe, raw))):
+                witness = {"assignment": asg, "via_set": str(lhs), "direct": str(rhs.scalar)}
     return IdentityCheck(witness is None, len(sets.rows), witness)
 
 
@@ -507,10 +520,10 @@ def verify_primordial_bounds(M: Structure, body: Formula,
 
     One pass tabulates `Q var. body`, `sup var. body` and `inf var. body`,
     three reductions of the one body table; each assignment reads a row of
-    each, and each distinct set row is decoded once.  A row that differs is
-    checked again against the sup and inf of the body's values snapped as
-    `Q` snaps them (`_snapped`), which differ only off the net; the witness
-    reports those.
+    each, and each distinct set row is decoded once.  A row that differs
+    passes only if the set's bounds are those of the body's values snapped
+    as `Q` snaps them, and the sup and inf those of the values as they are
+    (`_body_rows`): the two differ only off the net.
     """
     var = _single_free_var(body, var)
     space = body.value_space
@@ -520,7 +533,7 @@ def verify_primordial_bounds(M: Structure, body: Formula,
     sets, sups, infs = tabulate(M, [q, Quant(QuantKind.SUP, var, body),
                                     Quant(QuantKind.INF, var, body)])
     net, member_indices = space.net, sets.space.member_indices
-    witness = values = None
+    witness = rows = None
     extremes: dict[Point, tuple[Fraction, Fraction]] = {}
     for (key, k), sup, inf in zip(sets.rows.items(), sups.rows.values(), infs.rows.values()):
         bounds = extremes.get(k)
@@ -532,11 +545,12 @@ def verify_primordial_bounds(M: Structure, body: Formula,
         sup_val, inf_val = sup.scalar, inf.scalar
         if (set_max != sup_val or set_min != inf_val) and witness is None:
             asg = dict(zip(sets.vars, key))
-            if values is None:
+            if rows is None:
                 [values] = tabulate(M, [body])
-            snapped = [p.scalar for p in _snapped(M, values, var, asg)]
-            sup_val, inf_val = max(snapped), min(snapped)
-            if set_max != sup_val or set_min != inf_val:
+                rows = _body_rows(M, values, var)
+            raw, snapped = ([p.scalar for p in ps] for ps in rows(asg))
+            if ((set_max, set_min, sup_val, inf_val)
+                    != (max(snapped), min(snapped), max(raw), min(raw))):
                 witness = {"assignment": asg, "set_max": str(set_max), "sup": str(sup_val),
                            "set_min": str(set_min), "inf": str(inf_val)}
     return IdentityCheck(witness is None, len(sets.rows), witness)

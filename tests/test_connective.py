@@ -663,3 +663,12 @@ class TestObservableContract:
             with pytest.raises(SpaceMismatch) as caught:
                 read(theta)
             assert str(caught.value) == message, name
+
+    @pytest.mark.parametrize("arity", [0, 2])
+    def test_sup_theta_refuses_a_connective_that_is_not_unary(self, arity):
+        X = self.X
+        theta = const(0, X, name="c") if arity == 0 else max_of(X, X)
+        with pytest.raises(SpaceMismatch) as caught:
+            sup_theta(theta)
+        assert str(caught.value) == (
+            f"observable {theta.name} does not accept values of a single space")

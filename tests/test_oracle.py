@@ -255,7 +255,69 @@ class TestVerifiers:
         bounds = verify_primordial_bounds(M, body, var="q")
         assert not bounds.ok and bounds.checked == 2
         assert bounds.witness == {"assignment": {"p": "a"}, "set_max": "0", "sup": "1",
-                                  "set_min": "0", "inf": "0"}
+                                  "set_min": "0", "inf": "1/6"}
+
+    @pytest.mark.parametrize("net", ["on", "off"])
+    @pytest.mark.parametrize("kind", [QuantKind.SUP, QuantKind.INF])
+    def test_sup_and_inf_faults_are_witnessed(self, monkeypatch, kind, net):
+        # plant a fault: the direct quantifier of one kind reduces as the
+        # other; p = a takes two values, so its row swaps its sup and inf
+        reduce = semantics._reduce
+        other = QuantKind.INF if kind is QuantKind.SUP else QuantKind.SUP
+
+        def faulty(node, body_vars, body, values, intern):
+            if node.kind is kind:
+                node = replace(node, kind=other)
+            return reduce(node, body_vars, body, values, intern)
+
+        if net == "on":
+            X = self.sig.by_name["P"].space
+            low, high, b = F(1, 4), F(3, 4), F(1, 4)
+        else:
+            # 1/6 snaps to 0 for Q, and 1/2 to 1/3
+            X = make_interval(0, 1, F(1, 3))
+            low, high, b = F(1, 6), F(1), F(1, 2)
+        sig = signature([Relation("R", 2, X)])
+        M = structure(sig, ["a", "b"], {"R": {"a,a": low, "a,b": high, "b,a": b, "b,b": b}})
+        body = atom(sig, "R", "p", "q")
+        set_min = low if net == "on" else F(0)
+        monkeypatch.setattr(semantics, "_reduce", faulty)
+        sup, inf = (low, low) if kind is QuantKind.SUP else (high, high)
+        bounds = verify_primordial_bounds(M, body, var="q")
+        assert not bounds.ok and bounds.checked == 2
+        assert bounds.witness == {"assignment": {"p": "a"}, "set_max": str(high),
+                                  "sup": str(sup), "set_min": str(set_min), "inf": str(inf)}
+        # the identity check reads the direct sup only
+        identity = verify_quantifier_identity(M, body, var="q")
+        if kind is QuantKind.SUP:
+            assert not identity.ok
+            assert identity.witness == {"assignment": {"p": "a"}, "via_set": str(high),
+                                        "direct": str(low)}
+        else:
+            assert identity.ok
+
+    def test_snapping_faults_are_witnessed(self, monkeypatch):
+        # plant a fault: Q breaks a tie between two net points upward; 1/6
+        # and 1/2 lie halfway between thirds, so the set is {1/3, 2/3}
+        snap = semantics._snap_index
+
+        def ties_up(base, p):
+            i = snap(base, p)
+            q, up = base.net[i], base.net[i + 1:i + 2]
+            if q != p and up and base.metric(p, up[0]) == base.metric(p, q):
+                return i + 1
+            return i
+
+        X = make_interval(0, 1, F(1, 3))
+        sig = signature([Relation("P", 1, X)])
+        M = structure(sig, ["a", "b"], {"P": {"a": F(1, 6), "b": F(1, 2)}})
+        body = atom(sig, "P", "x")
+        monkeypatch.setattr(semantics, "_snap_index", ties_up)
+        identity = verify_quantifier_identity(M, body, neg(X), var="x")
+        assert identity.witness == {"assignment": {}, "via_set": "2/3", "direct": "5/6"}
+        bounds = verify_primordial_bounds(M, body, var="x")
+        assert bounds.witness == {"assignment": {}, "set_max": "2/3", "sup": "1/2",
+                                  "set_min": "1/3", "inf": "1/6"}
 
     def test_coding_faults_are_witnessed(self, monkeypatch):
         # plant a fault: transport snaps every value one grid step down
