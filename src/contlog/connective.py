@@ -17,11 +17,12 @@ The nine stock scalar connectives (`neg`, `clamp01`, `affine`, `add`,
 `bounded_add`, `truncated_sub`, `mul`, `max_of`, `min_of`) each state their
 map once, to `_pointwise`: the same function yields the image that is
 checked, the default codomain and the evaluator (the image is the default
-codomain's net, so only an explicit codomain is checked against it).
-Outputs must always stay inside the unit cube, so the maps that could leave
-it (`affine`, `add`) reject domains whose image escapes.  `table` is the
-general escape hatch: any map on a finite net, with any valid declared
-constant.
+codomain's net, so only an explicit codomain is checked against it); the
+evaluator reads an input on the product net, of at most
+`MAX_PRODUCT_POINTS` inputs, from the image it keeps.  Outputs must always
+stay inside the unit cube, so the maps that could leave it (`affine`,
+`add`) reject domains whose image escapes.  `table` is the general escape
+hatch: any map on a finite net, with any valid declared constant.
 
 McShane extensions (`mcshane_extend`, and `_mcshane` for the coder) scale
 their table of net coordinates and values to integers over one common
@@ -39,11 +40,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 from operator import sub
 from typing import Callable, Mapping, Sequence, Union
 
-from .errors import EvalError, SpaceMismatch, ValidationError
+from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from .valuespace import (
     ONE,
     ZERO,
@@ -61,6 +62,10 @@ from .valuespace import (
 )
 
 SpaceOrSpaces = Union[ValueSpace, Sequence[ValueSpace]]
+
+#: the most inputs a stock connective computes: a unary one fits on any
+#: interval `make_interval` builds, a binary one on two of 362 points each
+MAX_PRODUCT_POINTS = 1 << 17
 
 
 def _spaces(x: SpaceOrSpaces) -> tuple[ValueSpace, ...]:
@@ -124,6 +129,8 @@ class Connective:
         return len(self.domain)
 
     def __call__(self, *points: Point) -> Point:
+        """The output at the points, every dimension checked; `tabulate`
+        calls the evaluator and checks only each distinct output."""
         domain = self.domain
         if len(points) != len(domain):
             raise EvalError(
@@ -136,10 +143,12 @@ class Connective:
                 )
         out = self.evaluator(*points)
         if len(out.coords) != self.codomain.dimension:
-            raise EvalError(
-                f"{self.name}: output {out} does not fit codomain {self.codomain.label}"
-            )
+            raise self._misfit(out)
         return out
+
+    def _misfit(self, out: Point) -> EvalError:
+        """The error for an output that does not fit the codomain."""
+        return EvalError(f"{self.name}: output {out} does not fit codomain {self.codomain.label}")
 
     def __repr__(self) -> str:
         doms = ", ".join(s.label for s in self.domain)
@@ -239,32 +248,43 @@ def _pointwise(who: str, spaces: tuple[ValueSpace, ...], f: Callable, lip: Ratio
                unit_range: str | None = None) -> Connective:
     """The stock connective that applies the scalar map f to one-dimensional spaces.
 
-    The image of f over the product net is checked against [0,1] when
-    `unit_range` names the map, and either fills the default codomain (with
-    the given resolution and label) or must fit the given codomain; the
-    evaluator applies the same f.
+    The image of f over the product net, of at most MAX_PRODUCT_POINTS
+    inputs, is checked against [0,1] when `unit_range` names the map, and
+    either fills the default codomain (with the given resolution and label)
+    or must fit the given codomain.  The evaluator reads a net input's
+    output point from the image, and applies f only off the net.
     """
     for s in spaces:
         if s.dimension != 1:
             raise SpaceMismatch(f"{who} needs a one-dimensional space, got {s.label}")
+    size = prod(len(s.net) for s in spaces)
+    if size > MAX_PRODUCT_POINTS:
+        raise CapacityError(f"{who} over {' x '.join(s.label for s in spaces)} has "
+                            f"{size} inputs; the cap is {MAX_PRODUCT_POINTS}")
     scalars = [[p.coords[0] for p in s.net] for s in spaces]
     image = [f(*k) for k in itertools.product(*scalars)]
     if unit_range is not None:
         _check_unit_range(image, unit_range)
     # each distinct image value once, in the order it first appears
-    pts = [point(v) for v in dict.fromkeys(image)]
+    slots: dict[Fraction, int] = {}
+    positions = [slots.setdefault(v, len(slots)) for v in image]
+    points = [point(v) for v in slots]
     if codomain is None:
-        codomain = ValueSpace(1, tuple(pts), resolution, label)
+        # the net keeps these points, so they are its own
+        codomain = ValueSpace(1, tuple(points), resolution, label)
     else:
-        for e in pts:
+        for e in points:
             if not _member(codomain, e, ZERO):
                 raise ValidationError(
                     f"{who}: image point {e} is not within resolution of {codomain.label}"
                 )
-    if len(spaces) == 1:
-        run = lambda p: _value_point(codomain, f(p.scalar))  # noqa: E731
-    else:
-        run = lambda p, q: _value_point(codomain, f(p.scalar, q.scalar))  # noqa: E731
+        points = [_value_point(codomain, v) for v in slots]
+    outputs = dict(zip(product_net(spaces), map(points.__getitem__, positions)))
+
+    def run(*pts: Point) -> Point:
+        out = outputs.get(pts)
+        return _value_point(codomain, f(*[p.scalar for p in pts])) if out is None else out
+
     return Connective(name, spaces, codomain, Fraction(lip), run)
 
 

@@ -73,7 +73,7 @@ class Signature:
             d = self.by_name.get(self.distance_symbol)
             if d is None:
                 raise ValidationError(f"distance symbol {self.distance_symbol!r} is not a relation")
-            if d.arity != 2 or d.space.dimension != 1:
+            if d.arity != 2 or not d.space.real_valued:
                 raise ValidationError("the distance symbol must be binary and real-valued")
             expected = {n for n in names if n != self.distance_symbol}
             got = {n for n, _ in self.moduli}
@@ -121,7 +121,8 @@ def _postorder(roots: Sequence[Formula], cached: str | None = None) -> list[Form
     """Every node under the roots once, children first and the leftmost
     subtree first, without recursion.  With `cached` the name of a derived
     property, a node that already holds it is left out with everything below
-    it, which holds it too.  A node with no `children` is a leaf."""
+    it, which holds it too.  A node with no `children` is a leaf, listed when
+    reached."""
     order: list[Formula] = []
     seen: set[Formula] = set()
     for root in roots:
@@ -135,8 +136,11 @@ def _postorder(roots: Sequence[Formula], cached: str | None = None) -> list[Form
             for child in kids:
                 if child not in seen and (cached is None or cached not in child.__dict__):
                     seen.add(child)
-                    stack.append((child, iter(getattr(child, "children", ()))))
-                    break
+                    grandchildren = getattr(child, "children", ())
+                    if grandchildren:
+                        stack.append((child, iter(grandchildren)))
+                        break
+                    order.append(child)
             else:
                 stack.pop()
                 order.append(node)

@@ -193,7 +193,8 @@ def hyper(space: ValueSpace) -> HyperSpace:
             f"hyperspace of {space.label} would enumerate 2^{n} subsets; "
             f"the cap is 2^{MAX_BASE_POINTS}"
         )
-    return HyperSpace(n, SubsetNet(n), space.resolution, f"K({space.label})", space)
+    # the SubsetNet of the base is what `HyperSpace.__post_init__` checks for
+    return HyperSpace._unchecked(n, SubsetNet(n), space.resolution, f"K({space.label})", base=space)
 
 
 @dataclass(frozen=True)

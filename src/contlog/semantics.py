@@ -330,9 +330,10 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     parent has read them.
 
     Inside the pass a row holds an int id: each distinct Point gets one the
-    first time it appears, so a connective runs once per distinct tuple of
-    argument ids and a quantifier compares ints.  Only the roots' rows are
-    decoded back into Points.
+    first time it appears, so a connective's evaluator runs once per
+    distinct tuple of argument ids, each distinct output's dimension checked
+    (the typecheck settled the arguments'), and a quantifier compares ints.
+    Only the roots' rows are decoded back into Points.
 
     Before any table is built the assignment's elements are checked against
     the universe, then every node's kind and every atomic symbol against the
@@ -348,7 +349,7 @@ def tabulate(M: Structure, roots: Sequence[Formula],
             raise EvalError(f"assignment sends {var} to {e!r}, not a universe element")
     order = _postorder(roots)
     rebound = set()
-    readers: dict[Formula, int] = {}  # parents that have yet to read a node's table
+    last: dict[Formula, Formula] = {}  # the last node to read each table
     for node in order:
         if isinstance(node, Atomic):
             _check_symbol(node, M.signature)
@@ -358,7 +359,7 @@ def tabulate(M: Structure, roots: Sequence[Formula],
         elif not isinstance(node, (Apply, CauchyLimit)):
             raise EvalError(f"unknown formula node {type(node).__name__}")
         for child in node.children:
-            readers[child] = readers.get(child, 0) + 1
+            last[child] = node
     for root in roots:
         root.value_space, root.free_vars
     domains = {v: (e,) for v, e in asg.items() if v not in rebound}
@@ -373,45 +374,53 @@ def tabulate(M: Structure, roots: Sequence[Formula],
             values.append(p)
         return i
 
+    grids: dict[tuple[str, ...], list[ElementTuple]] = {}  # rows over variables, once a pass
+    unfixed = repeat(universe)  # the domain of a variable the assignment does not fix
     # a node's (variables, rows), each row holding a value id
     tables: dict[Formula, tuple[tuple[str, ...], dict[ElementTuple, int]]] = {}
     for node in order:
-        kids = list(map(tables.__getitem__, node.children))
-        variables = tuple(sorted(node.free_vars))
-        if isinstance(node, CauchyLimit):
-            table = kids[0]
-        elif isinstance(node, Quant):
-            table = variables, _reduce(node, *kids[0], values, intern)
-        elif isinstance(node, Atomic):
-            rows = list(product(*map(domains.get, variables, repeat(universe))))
+        if isinstance(node, Atomic):  # a leaf: it reads no table
+            variables = tuple(sorted(node.free_vars))
+            rows = grids.get(variables)
+            if rows is None:
+                rows = grids[variables] = list(product(*map(domains.get, variables, unfixed)))
             points = list(_column(variables, rows, node.args, M.interp[node.symbol]))
             for p in dict.fromkeys(points):
                 intern(p)
-            table = variables, dict(zip(rows, map(ids.__getitem__, points)))
+            tables[node] = variables, dict(zip(rows, map(ids.__getitem__, points)))
+            continue
+        if isinstance(node, CauchyLimit):
+            table = tables[node.body]
+        elif isinstance(node, Quant):
+            body_vars, body = tables[node.body]
+            table = tuple(sorted(node.free_vars)), _reduce(node, body_vars, body, values, intern)
         else:
             # the connective runs once per distinct tuple of argument ids
-            conn = node.conn
+            conn, run = node.conn, node.conn.evaluator
+            kids = list(map(tables.__getitem__, node.children))
             if len(kids) == 1:  # its rows are its child's
-                [(_, kid_rows)] = kids
-                memo = {i: intern(conn(values[i])) for i in dict.fromkeys(kid_rows.values())}
+                [(variables, kid_rows)] = kids
+                memo = {i: intern(run(values[i])) for i in dict.fromkeys(kid_rows.values())}
                 table = variables, dict(zip(kid_rows, map(memo.__getitem__, kid_rows.values())))
             else:
-                rows = list(product(*map(domains.get, variables, repeat(universe))))
+                variables = tuple(sorted(node.free_vars))
+                rows = grids.get(variables)
+                if rows is None:
+                    rows = grids[variables] = list(product(*map(domains.get, variables, unfixed)))
                 cols = [_column(variables, rows, *kid) for kid in kids]
                 args = list(zip(*cols)) if cols else [()] * len(rows)
-                memo = {a: intern(conn(*map(values.__getitem__, a))) for a in dict.fromkeys(args)}
+                memo = {a: intern(run(*map(values.__getitem__, a))) for a in dict.fromkeys(args)}
                 table = variables, dict(zip(rows, map(memo.__getitem__, args)))
+            for out in map(values.__getitem__, dict.fromkeys(memo.values())):
+                if len(out.coords) != conn.codomain.dimension:  # the typecheck settled the rest
+                    raise conn._misfit(out)
         tables[node] = table
         for child in node.children:
-            readers[child] -= 1
-            if not readers[child] and child not in keep:
-                del tables[child]
-    decoded = []
-    for root in roots:
-        variables, rows = tables[root]
-        decoded.append(Table(variables, dict(zip(rows, map(values.__getitem__, rows.values()))),
-                             root.value_space))
-    return decoded
+            if last[child] is node and child not in keep:
+                tables.pop(child, None)  # a child read twice is dropped once
+    return [Table(variables, dict(zip(rows, map(values.__getitem__, rows.values()))),
+                  root.value_space)
+            for root, (variables, rows) in zip(roots, map(tables.__getitem__, roots))]
 
 
 def _assigned_table(M: Structure, phi: Formula, asg: Mapping[str, str]) -> Table:

@@ -164,13 +164,17 @@ class ValueSpace:
 
     @classmethod
     def _unchecked(cls, dimension: int, net: tuple[Point, ...], resolution: Fraction,
-                   label: str) -> ValueSpace:
+                   label: str, **fields) -> ValueSpace:
         """A space built without `__post_init__`, for callers whose net is
         already sorted, distinct and of the right dimension, and whose
-        resolution is a nonnegative Fraction."""
+        resolution is a nonnegative Fraction; `fields` fill a subclass's
+        own fields."""
         space = object.__new__(cls)
-        for name, value in (("dimension", dimension), ("net", net),
-                            ("resolution", resolution), ("label", label)):
+        object.__setattr__(space, "dimension", dimension)
+        object.__setattr__(space, "net", net)
+        object.__setattr__(space, "resolution", resolution)
+        object.__setattr__(space, "label", label)
+        for name, value in fields.items():
             object.__setattr__(space, name, value)
         return space
 

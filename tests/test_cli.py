@@ -149,6 +149,17 @@ class TestEval:
                            "--assign", "x=a")
         assert code == 0 and out == "0.3\n"  # min(0.3, 0.7)
 
+    def test_library_connective_past_the_product_cap(self, files, tmp_path, capsys):
+        fine = {"interval": ["0", "1", "1/400"]}
+        lib = tmp_path / "fine.json"
+        lib.write_text(json.dumps({"schema": "contlog.library/1", "connectives": {
+            "and": {"kind": "min", "x": fine, "y": fine}}}))
+        code, out, err = run(capsys, "eval", "--structure", files["m"], "--library", str(lib),
+                             "--formula", "P(x)", "--assign", "x=a")
+        assert (code, out) == (2, "")
+        assert err == ("error: connective 'and': min over [0,1]/1/400 x [0,1]/1/400 has "
+                       "160801 inputs; the cap is 131072\n")
+
     def test_unassigned_variable(self, files, capsys):
         code, out, err = run(capsys, "eval", "--structure", files["m"],
                              "--formula", "P(x)")

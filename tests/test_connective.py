@@ -5,7 +5,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from contlog import connective
 from contlog.connective import (
+    MAX_PRODUCT_POINTS,
     Connective,
     _integer_table,
     _mcshane,
@@ -31,14 +33,14 @@ from contlog.connective import (
     unit_interval,
     validate_lipschitz,
 )
-from contlog.errors import EvalError, SpaceMismatch, ValidationError
+from contlog.errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from contlog.formula import Relation, atom, signature
 from contlog.hyperspace import hyper, sup_theta
 from contlog.oracle import verify_quantifier_identity
 from contlog.semantics import structure
 from contlog.translate import CodedFormula, TranslationContext, sup_generator
-from contlog.valuespace import (ValueSpace, linf, linf_coords, make_finite, make_interval,
-                                point, product)
+from contlog.valuespace import (MAX_NET_POINTS, ValueSpace, linf, linf_coords, make_finite,
+                                make_interval, point, product)
 
 Q = make_interval(0, 1, F(1, 4), label="quarters")
 EIGHTHS = make_interval(0, 1, F(1, 8))
@@ -250,6 +252,83 @@ class TestStockConstructors:
             affine(SPARSE, -1, F(1, 2))
         assert str(err.value) == (
             "affine(-1,1/2) on eighths leaves the unit interval (value -1/8)")
+
+
+# constructor, further arguments, scalar map, the largest input drawn
+IMAGE_MAPS = {
+    "neg": (neg, (), lambda x: 1 - x, 1),
+    "clamp01": (clamp01, (), lambda x: x, 1),
+    "affine": (affine, (F(1, 2), F(1, 4)), lambda x: x / 2 + F(1, 4), 1),
+    "add": (add, (), lambda x, y: x + y, F(1, 2)),
+    "bounded_add": (bounded_add, (), lambda x, y: min(1, x + y), 1),
+    "truncated_sub": (truncated_sub, (), lambda x, y: max(0, x - y), 1),
+    "mul": (mul, (), lambda x, y: x * y, 1),
+    "max_of": (max_of, (), max, 1),
+    "min_of": (min_of, (), min, 1),
+}
+
+
+class TestImageTable:
+    """A stock connective reads an input on its product net from the image it
+    computed, and applies its map only to an input off the net: both agree
+    with the map, and an output on the codomain's net is that net's own
+    point, the same object."""
+
+    @staticmethod
+    def random_space(rng, top):
+        xs = {F(rng.randint(0, int(16 * top)), 16) for _ in range(rng.randint(1, 5))}
+        return ValueSpace(1, tuple(map(point, xs)), F(1, 32), "net")
+
+    @staticmethod
+    def off_net(rng, space, top):
+        """Points off the net, each within the resolution of a net point."""
+        out = []
+        for p in space.net:
+            x = min(top, max(0, p.scalar + rng.choice((-1, 1)) * F(rng.randint(1, 2), 64)))
+            if point(x) not in space.net:
+                out.append(point(x))
+        return out
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("explicit", [False, True], ids=["default", "explicit"])
+    @pytest.mark.parametrize("case", IMAGE_MAPS)
+    def test_table_agrees_with_the_map(self, case, explicit, seed):
+        ctor, extra, f, top = IMAGE_MAPS[case]
+        rng = random.Random(f"image:{case}:{explicit}:{seed}")
+        arity = 1 if ctor in (neg, clamp01, affine) else 2
+        spaces = [self.random_space(rng, top) for _ in range(arity)]
+        codomain = make_interval(0, 1, F(1, 64)) if explicit else None
+        c = ctor(*spaces, *extra, codomain=codomain)
+        on_net = list(itertools.product(*(s.net for s in spaces)))
+        near = [[*s.net, *self.off_net(rng, s, top)] for s in spaces]
+        off_net = [k for k in itertools.product(*near) if k not in on_net]
+        for k in on_net + off_net:
+            out = c(*k)
+            assert out == c.evaluator(*k) == point(f(*(p.scalar for p in k)))
+            own = [q for q in c.codomain.net if q == out]
+            assert own == [] or own[0] is out
+            if not explicit and k in on_net:
+                assert own  # the image is the default codomain's net
+
+
+class TestProductCap:
+    """A stock connective counts its product net before computing any of it."""
+
+    def test_a_unary_connective_fits_on_the_finest_interval(self):
+        assert MAX_NET_POINTS <= MAX_PRODUCT_POINTS
+
+    def test_a_product_past_the_cap_is_refused(self):
+        fine = make_interval(0, 1, F(1, 362), label="fine")
+        with pytest.raises(CapacityError) as err:
+            min_of(fine, fine)
+        assert str(err.value) == "min over fine x fine has 131769 inputs; the cap is 131072"
+
+    def test_the_cap_is_counted_before_the_map_runs(self, monkeypatch):
+        monkeypatch.setattr(connective, "MAX_PRODUCT_POINTS", 11)
+        assert mul(GRID, SPARSE).arity == 2  # 3 x 3 inputs
+        with pytest.raises(CapacityError, match="^add over quarters x grid has 15 inputs; "
+                                                "the cap is 11$"):
+            add(Q, GRID)  # its sums would leave [0,1]: the cap comes first
 
 
 class TestCompose:

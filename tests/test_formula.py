@@ -15,7 +15,7 @@ from contlog.formula import (
     parse,
     signature,
 )
-from contlog.hyperspace import HyperSpace
+from contlog.hyperspace import HyperSpace, hyper
 from contlog.valuespace import make_finite, make_interval, point
 
 X = make_interval(0, 1, F(1, 4), label="X")
@@ -36,6 +36,14 @@ class TestSignature:
             signature([Relation("d", 1, X)], distance_symbol="d")
         with pytest.raises(ValidationError):
             signature([Relation("P", 1, X)], distance_symbol="d")
+
+    def test_distance_in_one_point_hyperspace_refused(self):
+        # one-dimensional, but a set value is not a real distance
+        H = hyper(make_finite([point(1)]))
+        assert H.dimension == 1
+        with pytest.raises(ValidationError,
+                           match="the distance symbol must be binary and real-valued"):
+            signature([Relation("d", 2, H)], distance_symbol="d")
 
     def test_moduli_must_cover_non_distance_symbols(self):
         with pytest.raises(ValidationError):

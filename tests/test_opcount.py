@@ -1,5 +1,6 @@
 """tools/opcount.py: the per-function tables of `--top` account for every
-counted instruction, and the default output stays one JSON line."""
+counted instruction, the per-op percentiles rank each op's own count, and
+the default output stays one JSON line."""
 import importlib.util
 import json
 import subprocess
@@ -52,6 +53,34 @@ def test_self_counts_add_up_and_cumulative_nests(opcount):
     assert own["_recursive"] < cumulative["_recursive"] < cumulative["_outer"]
     assert cumulative["_leaf"] == own["_leaf"]
     assert cumulative["_failing"] == own["_failing"] > 0
+
+
+class _Steps:
+    """A workload whose op k runs a loop of k steps, so later ops count more."""
+
+    def batch(self, p):
+        return [7, 3, 9, 1, 5, 0, 8, 2, 6, 4]
+
+    def run(self, k):
+        total = 0
+        for i in range(k):
+            total += i
+        return total
+
+
+def test_per_op_percentiles_rank_each_ops_own_count(opcount):
+    wl = _Steps()
+    result = opcount.measure(wl, 0)
+    per_op = []
+    for k in sorted(wl.batch(0)):
+        counter = opcount.OpcodeCounter()
+        counter.run(wl.run, k)
+        per_op.append(counter.count)
+    assert per_op == sorted(set(per_op))  # one more step, more instructions
+    assert result["ops"] == 10 and result["run_opcodes"] == sum(per_op)
+    # nearest rank over 10 ops: the 5th and the 9th smallest
+    assert (result["op_p50_opcodes"], result["op_p90_opcodes"]) == (per_op[4], per_op[8])
+    assert opcount.percentile([5], 50) == opcount.percentile([5], 90) == 5
 
 
 def test_top_table_lists_the_largest(opcount):

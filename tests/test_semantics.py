@@ -343,6 +343,61 @@ class TestInterning:
         assert [table.rows[(y,)] for y in SET_M.universe] == rows
 
 
+    def test_roots_sharing_a_dag_run_each_connective_once_per_argument_tuple(self):
+        calls = {"min": [], "neg": []}
+
+        def counting(conn, key):
+            def run(*pts):
+                calls[key].append(pts)
+                return conn.evaluator(*pts)
+            return Connective(key, conn.domain, conn.codomain, conn.lipschitz, run)
+
+        lo = min_of(G3, G3)
+        shared = Apply(counting(lo, "min"), (self.PX, self.PY))
+        flipped = Apply(counting(neg(lo.codomain), "neg"), (shared,))
+        roots = [Quant(QuantKind.SUP, "x", shared), flipped, Quant(QuantKind.INF, "y", flipped)]
+        tables = tabulate(SET_M, roots)
+        # P reads 0, 1/2, 1/2: 4 distinct argument tuples of min, whose
+        # outputs 0 and 1/2 are the 2 distinct arguments of neg
+        assert len(calls["min"]) == len(set(calls["min"])) == 4
+        assert len(calls["neg"]) == len(set(calls["neg"])) == 2
+        for phi, table in zip(roots, tables):
+            assert table.rows == assert_rows_match(SET_M, phi).rows
+
+
+class TestOutputDimension:
+    """An output that does not fit the codomain is refused with one text,
+    however the connective is reached."""
+
+    TEXT = "bad: output (0, 0) does not fit codomain G3"
+
+    def bad(self, arity):
+        def run(*pts):
+            return point(0, 0)
+        return Connective("bad", (G3,) * arity, G3, F(1), run)
+
+    @pytest.mark.parametrize("arity", [1, 2])
+    def test_every_path_raises_the_same_error(self, arity):
+        conn = self.bad(arity)
+        phi = Apply(conn, (atom(SET_SIG, "P", "x"),) * arity)
+        calls = [lambda: conn(*[point(0)] * arity), lambda: tabulate(SET_M, [phi]),
+                 lambda: evaluate(SET_M, phi, {"x": "a"})]
+        for call in calls:
+            with pytest.raises(EvalError) as err:
+                call()
+            assert str(err.value) == self.TEXT
+
+    def test_a_misfit_equal_to_an_earlier_value_is_refused(self):
+        # the point (0, 0) is already a value of the pass when `bad` returns it
+        plane = make_finite([point(0, 0)], label="plane")
+        sig = signature([Relation("P", 1, G3), Relation("R", 1, plane)])
+        N = structure(sig, ["a"], {"P": {"a": 0}, "R": {"a": (0, 0)}})
+        phi = Apply(self.bad(1), (atom(sig, "P", "x"),))
+        with pytest.raises(EvalError) as err:
+            tabulate(N, [atom(sig, "R", "x"), phi])
+        assert str(err.value) == self.TEXT
+
+
 class TestQuantifierAxes:
     """A quantifier reduces the axis of its variable wherever that axis sits
     among the body's variables, over any universe order and with some

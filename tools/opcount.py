@@ -4,12 +4,16 @@
     python3 tools/opcount.py --workload coding --seed 4101 --batch 0 --top 20
 
 Prints one JSON line: the instructions executed by `Workload.batch(P)`
-(building the batch's ops) and by `Workload.run` over every op of that
-batch.  Counts are taken with `sys.settrace` opcode events in every Python
-frame, so they are deterministic for a given Python version and do not drift
-with the machine's load the way wall-clock times do; time spent inside C
-code is not counted.  The workloads are the in-process ones of
-`perfbench/oracle_workloads.py`, read as they are.
+(building the batch's ops), by `Workload.run` over every op of that batch,
+and by one op at the 50th and 90th percentiles (nearest rank, as
+`perfbench/run.py` takes its op latencies).  Counts are taken with
+`sys.settrace` opcode events in every Python frame, so they are
+deterministic for a given Python version and do not drift with the machine's
+load the way wall-clock times do; time spent inside C code is not counted.
+The per-op percentiles so stand in for the benchmark's op_p50_ms and
+op_p90_ms where run-to-run noise hides a shift of a few percent.  The
+workloads are the in-process ones of `perfbench/oracle_workloads.py`, read
+as they are.
 
 With `--top N`, the run's instructions are also attributed to the functions
 that execute them, and two tables precede the JSON line: the N functions
@@ -21,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from collections import Counter
@@ -102,16 +107,32 @@ def workload(name: str, seed: int | None):
     return cls(cls.default_seed if seed is None else seed)
 
 
-def count(name: str, seed: int | None, p: int, run: OpcodeCounter | None = None) -> dict:
-    """The opcodes of batch p's build and of its run; `run` counts the run
-    (a plain `OpcodeCounter` by default)."""
-    wl = workload(name, seed)
+def percentile(sorted_counts: list[int], q: int) -> int:
+    """The q-th percentile by nearest rank, as `perfbench/run.py` takes it."""
+    return sorted_counts[max(1, math.ceil(len(sorted_counts) * q / 100)) - 1]
+
+
+def measure(wl, p: int, run: OpcodeCounter | None = None) -> dict:
+    """The opcodes of the workload's batch p: its build, its run (the sum of
+    each op's own count, traced on its own) and the per-op percentiles.
+    `run` counts the run (a plain `OpcodeCounter` by default)."""
     build = OpcodeCounter()
     ops = build.run(wl.batch, p)
     run = OpcodeCounter() if run is None else run
-    run.run(lambda: [wl.run(op) for op in ops])
-    return {"workload": name, "seed": wl.seed, "batch": p, "ops": len(ops),
-            "batch_opcodes": build.count, "run_opcodes": run.count,
+    per_op = []
+    for op in ops:
+        start = run.count
+        run.run(wl.run, op)
+        per_op.append(run.count - start)
+    per_op.sort()
+    return {"ops": len(ops), "batch_opcodes": build.count, "run_opcodes": run.count,
+            "op_p50_opcodes": percentile(per_op, 50), "op_p90_opcodes": percentile(per_op, 90)}
+
+
+def count(name: str, seed: int | None, p: int, run: OpcodeCounter | None = None) -> dict:
+    """`measure` of batch p of a named workload, labelled."""
+    wl = workload(name, seed)
+    return {"workload": name, "seed": wl.seed, "batch": p, **measure(wl, p, run),
             "python": sys.version.split()[0]}
 
 
