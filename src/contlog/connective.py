@@ -623,10 +623,12 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
 
 
 def _mcshane(den: int, rows: Sequence, lip: Fraction, ambient: tuple[ValueSpace, ...],
-             codomain: ValueSpace, name: str, tight: bool = False) -> Connective:
+             codomain: ValueSpace, name: str) -> Connective:
     """mcshane_extend without its checks, on an integer table over den (see
     `_integer_table`) with distinct keys and values in [0,1], for a
-    one-dimensional codomain.
+    one-dimensional codomain, where lip is at least the table's steepest
+    slope (`mcshane_extend` refuses a smaller one, and the coder passes the
+    tight constant).
 
     With the input y = Y / b over the lcm b of its coordinates' denominators
     and lip = n / m, the candidate of the row (F, V) is
@@ -634,22 +636,21 @@ def _mcshane(den: int, rows: Sequence, lip: Fraction, ambient: tuple[ValueSpace,
         V / den + (n / m) * max |F / den - Y / b|
             = (V * b * m + n * max |F * b - Y * den|) / (den * b * m),
 
-    so each call scans the rows in ints and clamps.  With `tight` the caller
-    vouches that the table satisfies lip, as the coder's tight constant
-    does: then an input at one of the keys, where b divides den and
-    Y * (den / b) is the key, reads that key's value V / den without the
-    scan, since its own candidate is V / den and no other is smaller.  The
-    result is the codomain's own net point when it lands on that net
-    (`_net_point`), else one new point.
+    so each call scans the rows in ints and clamps.  An input at one of the
+    keys, where b divides den and Y * (den / b) is the key, reads that key's
+    value V / den without the scan: its own candidate is V / den, and since
+    the table satisfies lip no other is smaller.  The result is the
+    codomain's own net point when it lands on that net (`_net_point`), else
+    one new point.
     """
     n, m = lip.numerator, lip.denominator
-    at_key = dict(rows) if tight else {}
+    at_key = dict(rows)
 
     def value(y: tuple[Fraction, ...]) -> tuple[int, int]:
         nums = [c.numerator for c in y]
         dens = [c.denominator for c in y]
         b = lcm(*dens)
-        if at_key and not den % b:
+        if not den % b:
             v = at_key.get(tuple([t * (den // d) for t, d in zip(nums, dens)]))
             if v is not None:
                 return v, den

@@ -5,7 +5,11 @@ direct sides as loops over the universe, set values as explicit member
 lists, budgets compared against exhaustively evaluated differences — sharing
 nothing with the translation pipeline except the evaluator itself.  Each
 check tabulates every formula it compares once (`tabulate`) and reads one
-row per assignment.  The generators produce well-typed formulas and
+row per assignment.  The `quantifier` suite runs both set-quantifier checks
+(sup theta over `Q`'s set against `sup theta(phi)`, and `Q`'s extreme
+members against `sup`/`inf`) from one tabulation, `verify_quantifier`;
+`verify_quantifier_identity` and `verify_primordial_bounds` are its views,
+one check each.  The generators produce well-typed formulas and
 structures by construction; all randomness flows from explicit seeds, so
 every trial is reproducible from its record.
 """
@@ -17,6 +21,7 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 from .connective import (Connective, _tabulated, affine, clamp01, identity,
@@ -27,7 +32,7 @@ from .formula import (Apply, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
 from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset,
                          inf_theta, sup_theta)
-from .semantics import (Structure, Table, check_pseudometric, evaluate,
+from .semantics import (Structure, check_pseudometric, evaluate,
                         eval_error_bound, quotient, structure, tabulate,
                         zero_distance_classes)
 from .translate import TranslationContext, code_formula, t0_violations, \
@@ -375,6 +380,19 @@ class CodingCheck:
     witness: dict | None = None
 
 
+def _coding_setup(ctx: TranslationContext, M: Structure, phi: Formula,
+                  theta: Connective | None, tol: Rational):
+    """What both coding checks start from: the coded formula of theta(phi),
+    its budget, the budget plus tolerance, the transported structure and
+    every assignment of phi's free variables."""
+    tol = tolerance(tol)
+    coded = code_formula(ctx, phi)
+    target = coded.codes(theta)
+    budget = coded.budget_of(theta)
+    return (target, budget, budget + tol, transport_structure(ctx, M),
+            _assignments(M, phi.free_vars, None))
+
+
 def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
                   theta: Connective | None = None, tol: Rational = ZERO) -> CodingCheck:
     """Compare the coded formula against theta of the source value.
@@ -383,13 +401,8 @@ def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
     the coded formula in the transported structure; every assignment of the
     free variables reads one row of each table.
     """
-    tol = tolerance(tol)
-    coded = code_formula(ctx, phi)
-    target = coded.codes(theta)
-    budget = coded.budget_of(theta)
-    N = transport_structure(ctx, M)
-    asgs = _assignments(M, phi.free_vars, None)
-    worst, first = _compare(M, phi, theta, N, target, asgs, budget + tol)
+    target, budget, limit, N, asgs = _coding_setup(ctx, M, phi, theta, tol)
+    worst, first = _compare(M, phi, theta, N, target, asgs, limit)
     witness = None
     if first is not None:
         asg, lhs, rhs, diff = first
@@ -444,116 +457,124 @@ def _single_free_var(body: Formula, var: str | None) -> str:
     return frees[0]
 
 
-def _body_rows(M: Structure, body: Table, var: str):
-    """A reader of the body's values as var ranges over the universe, under
-    an assignment to the other variables: as the body takes them, and each
-    snapped onto the net as `Q` snaps it, to the nearest net point, ties to
-    the earlier (the smaller, on a rising one-dimensional net).  The snap is
-    a scan of the metric, apart from `semantics`' own, so that a fault there
-    shows here."""
-    space = body.space
-    snap = {v: min(space.net, key=partial(space.metric, v)) for v in set(body.rows.values())}
+#: The set quantifier's criteria, in the order `verify_quantifier` checks them.
+QUANTIFIER_CHECKS = ("identity", "primordial")
 
-    def row(asg: Mapping[str, str]) -> tuple[list[Point], list[Point]]:
-        raw = [body.at({**asg, var: e}) for e in M.universe]
-        return raw, [snap[v] for v in raw]
+_scalar = attrgetter("scalar")
 
-    return row
+
+def _extremes(values: Sequence[Point]) -> tuple[Fraction, Fraction]:
+    xs = list(map(_scalar, values))
+    return max(xs), min(xs)
+
+
+def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = None,
+                      var: str | None = None, checks: Sequence[str] = QUANTIFIER_CHECKS,
+                      ) -> dict[str, IdentityCheck]:
+    """The set quantifier's criteria named in `checks`, from one pass.
+
+    `identity`: the sup of theta over the members of `Q var. body` equals
+    the direct `sup var. theta(body)`; theta must accept the body's values,
+    and defaults to the identity on a real-valued body.  `primordial`: the
+    largest and smallest members equal `sup var. body` and `inf var. body`;
+    the body must be real-valued.  Names outside `QUANTIFIER_CHECKS` are
+    ignored, but one of them is needed.
+
+    One `tabulate` pass takes the roots the selected checks need, sharing
+    `Q var. body` and the body, so theta runs once per distinct body value.
+    One row loop then reads each assignment: each distinct set row is
+    decoded once and reduced by every check, and each check compares the
+    result with its direct rows, in exact equality.  A row that differs
+    passes only if the set side is the same reduction of the body's values
+    snapped as `Q` snaps them (to the nearest net point, ties to the
+    earlier, by a scan of the metric apart from `semantics`' own, so that a
+    fault there shows here), and the direct side that of the values as they
+    are: the two differ only off the net.  The body is tabulated for this
+    only if no check needed it already.
+    """
+    chosen = [name for name in QUANTIFIER_CHECKS if name in checks]
+    if not chosen:
+        raise ValidationError(f"no known checks among {checks!r}")
+    var = _single_free_var(body, var)
+    space = body.value_space
+    roots: list[Formula] = [Quant(QuantKind.SET, var, body)]
+    if "identity" in chosen:
+        if theta is None:
+            if not space.real_valued:
+                raise ValidationError("a non-real body needs an explicit observable")
+            theta = identity(space)
+        else:
+            observable(space, theta)
+        observed = Apply(theta, (body,))
+        roots += [body, observed, Quant(QuantKind.SUP, var, observed)]
+    if "primordial" in chosen:
+        if not space.real_valued:
+            raise ValidationError("sup/inf comparison needs a real-valued body")
+        roots += [Quant(QuantKind.SUP, var, body), Quant(QuantKind.INF, var, body)]
+    sets, *tables = tabulate(M, roots)
+
+    # per check: its name, the reduction of a list of values to the numbers
+    # it compares, its direct rows, and the witness labels of (set, direct)
+    # for each number
+    criteria: list[tuple] = []
+    values = None
+    if "identity" in chosen:
+        values, thetas, direct = tables[:3]
+        # theta at each value the body takes, from the pass: the tables share rows
+        theta_at = dict(zip(values.rows.values(), thetas.rows.values()))
+
+        def observe(m: Point) -> Fraction:
+            t = theta_at.get(m)
+            if t is None:  # a member the body reaches only by snapping
+                t = theta_at[m] = theta(m)
+            return t.scalar
+
+        criteria.append(("identity", lambda ps: (max(map(observe, ps)),),
+                         zip(direct.rows.values()), ("via_set", "direct")))
+    if "primordial" in chosen:
+        sups, infs = tables[-2:]
+        criteria.append(("primordial", _extremes, zip(sups.rows.values(), infs.rows.values()),
+                         ("set_max", "sup", "set_min", "inf")))
+
+    net, member_indices = space.net, sets.space.member_indices
+    by_set: dict[Point, list[tuple]] = {}
+    witnesses: dict[str, dict] = {}
+    for key, k in sets.rows.items():
+        on_set = by_set.get(k)
+        if on_set is None:
+            members = [net[i] for i in member_indices(k)]
+            on_set = by_set[k] = [reduce(members) for _, reduce, _, _ in criteria]
+        body_values = None
+        for (name, reduce, direct, labels), lhs in zip(criteria, on_set):
+            rhs = tuple(map(_scalar, next(direct)))
+            if lhs != rhs and name not in witnesses:
+                if body_values is None:
+                    asg = dict(zip(sets.vars, key))
+                    if values is None:
+                        [values] = tabulate(M, [body])
+                    raw = [values.at({**asg, var: e}) for e in M.universe]
+                    body_values = raw, [min(net, key=partial(space.metric, v)) for v in raw]
+                raw, snapped = body_values
+                if (lhs, rhs) != (reduce(snapped), reduce(raw)):
+                    sides = [str(x) for pair in zip(lhs, rhs) for x in pair]
+                    witnesses[name] = {"assignment": asg, **dict(zip(labels, sides))}
+    return {name: IdentityCheck(name not in witnesses, len(sets.rows), witnesses.get(name))
+            for name in chosen}
 
 
 def verify_quantifier_identity(M: Structure, body: Formula,
                                theta: Connective | None = None,
                                var: str | None = None) -> IdentityCheck:
-    """sup of theta over the set quantifier's value equals the direct sup.
-
-    One pass tabulates `Q var. body`, the body, `theta(body)` and the direct
-    `sup var. theta(body)`, so theta runs once per distinct body value.  Per
-    assignment, the left side takes the maximum of theta over the members of
-    the set row, once per distinct set, reading theta at a member the body
-    takes from the pass; the right side is the direct sup's row.  Exact
-    equality.  A row that differs passes only if the set side is the sup
-    over the body's values snapped as `Q` snaps them, and the direct side
-    the sup over them as they are (`_body_rows`): the two differ only off
-    the net.  An observable must accept the body's values and be
-    real-valued.
-    """
-    var = _single_free_var(body, var)
-    space = body.value_space
-    if theta is None:
-        if not space.real_valued:
-            raise ValidationError("a non-real body needs an explicit observable")
-        theta = identity(space)
-    else:
-        observable(space, theta)
-    observed = Apply(theta, (body,))
-    sets, values, thetas, direct = tabulate(M, [Quant(QuantKind.SET, var, body), body, observed,
-                                                Quant(QuantKind.SUP, var, observed)])
-    # theta at each value the body takes, from the pass: the tables share rows
-    theta_at = dict(zip(values.rows.values(), thetas.rows.values()))
-
-    def observe(m: Point) -> Fraction:
-        t = theta_at.get(m)
-        if t is None:  # a member the body reaches only by snapping
-            t = theta_at[m] = theta(m)
-        return t.scalar
-
-    net, member_indices = space.net, sets.space.member_indices
-    witness = rows = None
-    via_set: dict[Point, Fraction] = {}
-    for (key, k), rhs in zip(sets.rows.items(), direct.rows.values()):
-        lhs = via_set.get(k)
-        if lhs is None:
-            lhs = via_set[k] = max([observe(net[i]) for i in member_indices(k)])
-        if lhs != rhs.scalar and witness is None:
-            asg = dict(zip(sets.vars, key))
-            if rows is None:
-                rows = _body_rows(M, values, var)
-            raw, snapped = rows(asg)
-            if (lhs, rhs.scalar) != (max(map(observe, snapped)), max(map(observe, raw))):
-                witness = {"assignment": asg, "via_set": str(lhs), "direct": str(rhs.scalar)}
-    return IdentityCheck(witness is None, len(sets.rows), witness)
+    """sup of theta over the set quantifier's value equals the direct sup:
+    the `identity` check of `verify_quantifier`, alone."""
+    return verify_quantifier(M, body, theta, var, ("identity",))["identity"]
 
 
 def verify_primordial_bounds(M: Structure, body: Formula,
                              var: str | None = None) -> IdentityCheck:
-    """max/min member of the primordial value set equal the sup/inf values.
-
-    One pass tabulates `Q var. body`, `sup var. body` and `inf var. body`,
-    three reductions of the one body table; each assignment reads a row of
-    each, and each distinct set row is decoded once.  A row that differs
-    passes only if the set's bounds are those of the body's values snapped
-    as `Q` snaps them, and the sup and inf those of the values as they are
-    (`_body_rows`): the two differ only off the net.
-    """
-    var = _single_free_var(body, var)
-    space = body.value_space
-    if not space.real_valued:
-        raise ValidationError("sup/inf comparison needs a real-valued body")
-    q = Quant(QuantKind.SET, var, body)
-    sets, sups, infs = tabulate(M, [q, Quant(QuantKind.SUP, var, body),
-                                    Quant(QuantKind.INF, var, body)])
-    net, member_indices = space.net, sets.space.member_indices
-    witness = rows = None
-    extremes: dict[Point, tuple[Fraction, Fraction]] = {}
-    for (key, k), sup, inf in zip(sets.rows.items(), sups.rows.values(), infs.rows.values()):
-        bounds = extremes.get(k)
-        if bounds is None:
-            # a one-dimensional net rises: its extreme members sit at the extreme indices
-            idx = member_indices(k)
-            bounds = extremes[k] = net[max(idx)].scalar, net[min(idx)].scalar
-        set_max, set_min = bounds
-        sup_val, inf_val = sup.scalar, inf.scalar
-        if (set_max != sup_val or set_min != inf_val) and witness is None:
-            asg = dict(zip(sets.vars, key))
-            if rows is None:
-                [values] = tabulate(M, [body])
-                rows = _body_rows(M, values, var)
-            raw, snapped = ([p.scalar for p in ps] for ps in rows(asg))
-            if ((set_max, set_min, sup_val, inf_val)
-                    != (max(snapped), min(snapped), max(raw), min(raw))):
-                witness = {"assignment": asg, "set_max": str(set_max), "sup": str(sup_val),
-                           "set_min": str(set_min), "inf": str(inf_val)}
-    return IdentityCheck(witness is None, len(sets.rows), witness)
+    """max/min member of the primordial value set equal the sup/inf values:
+    the `primordial` check of `verify_quantifier`, alone."""
+    return verify_quantifier(M, body, var=var, checks=("primordial",))["primordial"]
 
 
 # ---------------------------------------------------------------------------
@@ -589,18 +610,12 @@ def verify_corruption_detected(ctx: TranslationContext, M: Structure,
     boundary of the uncorrupted value so extrema cannot mask it.  `ok`
     means the corruption WAS detected.
     """
-    tol = tolerance(tol)
-    coded = code_formula(ctx, phi)
-    target = coded.codes(theta)
-    budget = coded.budget_of(theta)
-    N = transport_structure(ctx, M)
-    asgs = _assignments(M, phi.free_vars, None)
-
+    target, budget, limit, N, asgs = _coding_setup(ctx, M, phi, theta, tol)
     base = evaluate(N, target, asgs[0]).scalar
     delta = Fraction(1, 4) if base <= Fraction(1, 2) else Fraction(-1, 4)
     bad = _bump_first_apply(target, delta, ctx.grid)
 
-    worst, first = _compare(M, phi, theta, N, bad, asgs, budget + tol)
+    worst, first = _compare(M, phi, theta, N, bad, asgs, limit)
     caught = None
     if first is not None:
         asg, _, _, diff = first
@@ -749,7 +764,7 @@ def run_coding_trials(cfg: FuzzConfig, *, grid: bool = False,
 
 
 def run_quantifier_trials(cfg: FuzzConfig, *, trials: int | None = None,
-                          checks: Sequence[str] = ("identity", "primordial"),
+                          checks: Sequence[str] = QUANTIFIER_CHECKS,
                           ) -> list[TrialRecord]:
     """Criteria: the set-quantifier identity and its sup/inf refinements.
 
@@ -770,13 +785,7 @@ def run_quantifier_trials(cfg: FuzzConfig, *, trials: int | None = None,
             extra = builder._as_real(extra)
             body = Apply(max_of(body.value_space, extra.value_space), (body, extra))
         theta = random_theta(rng, body.value_space)
-        results = []
-        if "identity" in checks:
-            results.append(verify_quantifier_identity(M, body, theta, var=var))
-        if "primordial" in checks:
-            results.append(verify_primordial_bounds(M, body, var=var))
-        if not results:
-            raise ValidationError(f"no known checks among {checks!r}")
+        results = list(verify_quantifier(M, body, theta, var, checks).values())
         ok = all(r.ok for r in results)
         witness = next((r.witness for r in results if r.witness), None)
         out.append(TrialRecord("quantifier", i, ok,

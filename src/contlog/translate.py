@@ -566,12 +566,12 @@ class CodedFormula:
         distinct tuples of net points, so their flattened coordinates are
         distinct and every distance below is positive.  The constant is tight
         by construction (`_tight_constant`), so mcshane_extend's re-check of
-        the same pairs is skipped, and an input at a key reads its value.
+        the same pairs is skipped.
         """
         den, rows = _net_table(spaces, values)
         lip = _tight_constant(rows)
         grid = self.ctx.grid
-        ext = _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name, tight=True)
+        ext = _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name)
         return Coded(_typed(Apply(ext, children)), lip * error)
 
     def _build_atomic(self, phi: Atomic, theta: Connective) -> Coded:

@@ -221,18 +221,6 @@ class ValueSpace:
         net = self.net
         return tuple(tuple(self.metric(p, q) for q in net) for p in net)
 
-    @cached_property
-    def separation(self) -> Fraction:
-        """Smallest positive distance between net points (0 for singletons)."""
-        best = None
-        m = self.distance_matrix
-        for i in range(len(self.net)):
-            for j in range(i + 1, len(self.net)):
-                d = m[i][j]
-                if d > ZERO and (best is None or d < best):
-                    best = d
-        return best if best is not None else ZERO
-
     def __repr__(self) -> str:
         return (
             f"ValueSpace({self.label!r}, dim={self.dimension}, "

@@ -235,25 +235,30 @@ def test_transport_snaps_like_nearest(step):
 # the McShane key read
 
 
-def _tight_kernel(keys, values, ambient):
-    den, rows = _integer_table([(flat_coords(k), v) for k, v in zip(keys, values)])
-    lip = _tight_constant(rows)
-    args = (den, rows, lip, ambient, ambient[0], "ext")
-    return _mcshane(*args, tight=True), _mcshane(*args)
+def _mcshane_reference(flats, lip, ys):
+    """The extension in Fractions, every key's candidate scanned."""
+    y = [c for p in ys for c in p.coords]
+    best = min(v + lip * max(abs(a - b) for a, b in zip(f, y)) for f, v in flats)
+    return point(min(F(1), max(F(0), best)))
 
 
 @pytest.mark.parametrize("arity", [1, 2])
 def test_key_read_matches_the_kernel_scan(arity):
+    # the kernel reads an input at a key without its scan; at the tight
+    # constant every other key's candidate is at least the key's value, so
+    # the read is the scan's minimum
     rng = random.Random(f"key-read:{arity}")
     grid = make_interval(0, 1, F(1, 24))
     nets = [make_finite([point(F(k, 8)) for k in (0, 1, 3, 6, 8)]),
             make_finite([point(F(k, 12)) for k in (1, 4, 9, 11)])][:arity]
     keys = list(itertools.product(*(s.net for s in nets)))
     for _ in range(5):
-        values = [_random_fraction(rng) for _ in keys]
-        read, scan = _tight_kernel(keys, values, (grid,) * arity)
-        assert read.lipschitz == scan.lipschitz
-        for k, v in zip(keys, values):
-            assert read(*k) == scan(*k) == point(v)
+        flats = [(flat_coords(k), _random_fraction(rng)) for k in keys]
+        den, rows = _integer_table(flats)
+        lip = _tight_constant(rows)
+        ext = _mcshane(den, rows, lip, (grid,) * arity, grid, "ext")
+        assert ext.lipschitz == lip
+        for k, (_, v) in zip(keys, flats):
+            assert ext(*k) == _mcshane_reference(flats, lip, k) == point(v)
         for ys in itertools.product(grid.net, repeat=arity):
-            assert read(*ys) == scan(*ys)
+            assert ext(*ys) == _mcshane_reference(flats, lip, ys)

@@ -13,6 +13,7 @@ from contlog.connective import (
     _mcshane,
     _steepest_pair,
     _steepest_table,
+    _tight_constant,
     add,
     affine,
     bounded_add,
@@ -499,14 +500,20 @@ class TestIntegerMcShane:
 
     def test_unchecked_kernel_on_several_inputs(self):
         # the coder's form: several one-dimensional inputs, and a constant
-        # whose denominator is not the table's
+        # whose denominator is not the table's; the kernel does not check
+        # the constant, but reads a key's value only if the table satisfies
+        # it, so it is the tight constant scaled up
         rng = random.Random(41)
         keys = list(itertools.product(Q.net, SPARSE.net))
         flats = [(tuple(c for p in k for c in p.coords), _random_fraction(rng)) for k in keys]
         den, rows = _integer_table(flats)
-        lip = F(9, 7)  # any constant: the kernel does not check it
+        lip = _tight_constant(rows) * F(9, 7)
         ext = _mcshane(den, rows, lip, (EIGHTHS, EIGHTHS), EIGHTHS, "ext")
         assert ext.lipschitz == lip
+        for k, (_, v) in zip(keys, flats):
+            assert ext(*k) == _mcshane_reference(flats, lip, k) == point(v)
+        for ys in itertools.product(EIGHTHS.net, repeat=2):
+            assert ext(*ys) == _mcshane_reference(flats, lip, ys)
         for _ in range(60):
             ys = (point(_random_fraction(rng, (5, 9, 16))), point(_random_fraction(rng)))
             assert ext(*ys) == _mcshane_reference(flats, lip, ys)

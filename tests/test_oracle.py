@@ -33,6 +33,7 @@ from contlog.oracle import (
     verify_coding,
     verify_corruption_detected,
     verify_limit_declaration,
+    verify_quantifier,
     verify_quantifier_identity,
     verify_primordial_bounds,
 )
@@ -345,6 +346,123 @@ class TestVerifiers:
         phi = atom(self.sig, "P", "x")
         with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
             verify(ctx, self.M, phi, tol=F(-1, 4))
+
+
+def _plant(monkeypatch, fault):
+    """The planted evaluation faults of `TestVerifiers`, by name."""
+    reduce, snap = semantics._reduce, semantics._snap_index
+    if fault == "drop-largest":  # every set row of `Q` loses its largest member
+        def faulty(node, body_vars, body, values, intern):
+            out = reduce(node, body_vars, body, values, intern)
+            if node.kind is not QuantKind.SET:
+                return out
+
+            def drop_largest(i):
+                coords = list(values[i].coords)
+                members = [j for j, c in enumerate(coords) if c == 1]
+                if len(members) > 1:
+                    coords[members[-1]] = F(0)
+                return intern(Point(tuple(coords)))
+
+            return {key: drop_largest(i) for key, i in out.items()}
+
+        monkeypatch.setattr(semantics, "_reduce", faulty)
+    elif fault in ("sup-as-inf", "inf-as-sup"):  # one direct kind reduces as the other
+        kind, other = ((QuantKind.SUP, QuantKind.INF) if fault == "sup-as-inf"
+                       else (QuantKind.INF, QuantKind.SUP))
+
+        def swapped(node, body_vars, body, values, intern):
+            if node.kind is kind:
+                node = replace(node, kind=other)
+            return reduce(node, body_vars, body, values, intern)
+
+        monkeypatch.setattr(semantics, "_reduce", swapped)
+    elif fault == "ties-up":  # `Q` breaks a tie between two net points upward
+        def ties_up(base, p):
+            i = snap(base, p)
+            q, up = base.net[i], base.net[i + 1:i + 2]
+            if q != p and up and base.metric(p, up[0]) == base.metric(p, q):
+                return i + 1
+            return i
+
+        monkeypatch.setattr(semantics, "_snap_index", ties_up)
+
+
+class TestOneQuantifierCheck:
+    """`verify_quantifier` decides both criteria in one call, and the two
+    verifiers are its views."""
+
+    @staticmethod
+    def views(M, body, theta, var):
+        return {"identity": verify_quantifier_identity(M, body, theta, var),
+                "primordial": verify_primordial_bounds(M, body, var)}
+
+    def test_one_call_equals_the_two_views_on_random_instances(self, monkeypatch):
+        real, instances = oracle.verify_quantifier, []
+
+        def spy(M, body, theta, var, checks):
+            instances.append((M, body, theta, var))
+            return real(M, body, theta, var, checks)
+
+        monkeypatch.setattr(oracle, "verify_quantifier", spy)
+        records = run_quantifier_trials(FuzzConfig(seed=4203, universe_size=5,
+                                                   formula_depth=3), trials=60)
+        monkeypatch.undo()
+        assert len(instances) == len(records) == 60
+        for M, body, theta, var in instances:
+            assert verify_quantifier(M, body, theta, var) == self.views(M, body, theta, var)
+
+    @pytest.mark.parametrize("fault", ["drop-largest", "sup-as-inf", "inf-as-sup", "ties-up"])
+    @pytest.mark.parametrize("net", ["on", "off"])
+    def test_one_call_equals_the_two_views_under_planted_faults(self, monkeypatch, fault, net):
+        if net == "on":
+            X = make_finite([point(0), point(F(1, 4)), point(F(3, 4))])
+            rows = {"a,a": 0, "a,b": F(3, 4), "b,a": F(1, 4), "b,b": F(1, 4)}
+        else:
+            # 1/6 and 1/2 lie halfway between thirds, which `Q` snaps them to
+            X = make_interval(0, 1, F(1, 3))
+            rows = {"a,a": F(1, 6), "a,b": 1, "b,a": F(1, 2), "b,b": F(1, 2)}
+        M = structure(signature([Relation("R", 2, X)]), ["a", "b"], {"R": rows})
+        body = atom(M.signature, "R", "p", "q")
+        _plant(monkeypatch, fault)
+        found = set()
+        for theta in (None, neg(X)):
+            both = verify_quantifier(M, body, theta, "q")
+            assert both == self.views(M, body, theta, "q")
+            found |= {name for name, check in both.items() if not check.ok}
+        # every fault but a tie on the net is witnessed
+        assert found if (fault, net) != ("ties-up", "on") else not found
+
+    def test_a_body_connective_runs_once_per_argument_tuple(self):
+        X = make_finite([point(0), point(F(1, 4)), point(F(3, 4))])
+        M = structure(signature([Relation("R", 2, X)]), ["a", "b", "c"], {"R": {
+            "a,a": F(1, 4), "a,b": F(3, 4), "a,c": F(1, 4),
+            "b,a": 0, "b,b": F(3, 4), "b,c": F(3, 4),
+            "c,a": 0, "c,b": 0, "c,c": F(1, 4)}})
+        calls = []
+
+        def run(p):
+            calls.append(p)
+            return neg(X).evaluator(p)
+
+        flip = neg(X)
+        body = Apply(Connective("count", (X,), flip.codomain, F(1), run),
+                     (atom(M.signature, "R", "p", "q"),))
+        both = verify_quantifier(M, body, var="q")
+        assert all(check.ok for check in both.values())
+        # R takes 0, 1/4 and 3/4: one call each
+        assert sorted(calls) == [point(0), point(F(1, 4)), point(F(3, 4))]
+        calls.clear()
+        assert self.views(M, body, None, "q") == both
+        assert sorted(calls) == sorted([point(0), point(F(1, 4)), point(F(3, 4))] * 2)
+
+    def test_unknown_checks_are_refused_before_any_work(self):
+        X = make_finite([point(0), point(1)])
+        M = structure(signature([Relation("P", 1, X)]), ["a"], {"P": {"a": 1}})
+        body = atom(M.signature, "P", "x")
+        assert set(verify_quantifier(M, body, checks=("primordial", "typo"))) == {"primordial"}
+        with pytest.raises(ValidationError, match="no known checks"):
+            verify_quantifier(M, body, checks=("typo",))
 
 
 class TestWitnesses:

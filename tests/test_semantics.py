@@ -336,11 +336,23 @@ class TestInterning:
     def test_quantifiers_over_equal_points_from_different_objects(self, kind, rows):
         column = SET_M.interp["P"]
         assert column[("b",)] == column[("c",)] and column[("b",)] is not column[("c",)]
-        # max(P(x), P(y)) builds a new 1/2 for each of its argument tuples
-        # (0, 1/2), (1/2, 0) and (1/2, 1/2)
-        phi = Quant(kind, "x", Apply(max_of(G3, G3), (self.PX, self.PY)))
-        table = assert_rows_match(SET_M, phi)
+        # max(P(x), P(y)), rebuilt as a new point on every call: a stock
+        # max returns its codomain's own net point, so the quantifier would
+        # see one 1/2 object; this one sees a new 1/2 for each argument
+        # tuple (0, 1/2), (1/2, 0) and (1/2, 1/2)
+        inner, outs = max_of(G3, G3), []
+
+        def fresh(p, q):
+            outs.append(point(*inner(p, q).coords))
+            return outs[-1]
+
+        conn = Connective("fresh-max", inner.domain, inner.codomain, inner.lipschitz, fresh)
+        phi = Quant(kind, "x", Apply(conn, (self.PX, self.PY)))
+        [table] = tabulate(SET_M, [phi])
+        halves = [p for p in outs if p == point(F(1, 2))]
+        assert len(halves) == 3 and len(set(map(id, halves))) == 3
         assert [table.rows[(y,)] for y in SET_M.universe] == rows
+        assert table.rows == assert_rows_match(SET_M, phi).rows
 
 
     def test_roots_sharing_a_dag_run_each_connective_once_per_argument_tuple(self):

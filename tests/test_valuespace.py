@@ -141,14 +141,10 @@ class TestValueSpace:
         with pytest.raises(SpaceMismatch):
             s.net_index(point(F(1, 3)))
 
-    def test_distance_matrix_and_separation(self):
+    def test_distance_matrix(self):
         s = make_finite([point(0), point(F(1, 4)), point(1)])
         assert s.distance_matrix[0][2] == 1
         assert s.distance_matrix[1][2] == F(3, 4)
-        assert s.separation == F(1, 4)
-
-    def test_separation_singleton(self):
-        assert make_finite([point(F(1, 2))]).separation == 0
 
 
 class TestMakeInterval:
