@@ -114,6 +114,8 @@ def _assignment(pairs: Sequence[str] | None) -> dict[str, str]:
         var, sep, element = item.partition("=")
         if not sep or not var or not element:
             raise FormatError(f"assignments look like VAR=ELEMENT, got {item!r}")
+        if var in out:
+            raise FormatError(f"repeated assignment of {var!r}")
         out[var] = element
     return out
 

@@ -46,7 +46,7 @@ class Relation:
     def __post_init__(self):
         if self.arity < 1:
             raise ValidationError(f"relation {self.name} needs arity >= 1")
-        if not self.name or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
+        if not isinstance(self.name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
             raise ValidationError(f"relation name {self.name!r} is not an identifier")
         if self.name in KEYWORDS:
             raise ValidationError(f"relation name {self.name!r} is a reserved keyword")

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 
-from .connective import Connective, observable, table
+from .connective import Connective, _tabulated, observable
 from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from .valuespace import ONE, ZERO, Point, Rational, ValueSpace, frac, nearest, point
 
@@ -110,7 +110,7 @@ class SubsetNet(Sequence):
         return f"SubsetNet({self.n})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, repr=False)
 class HyperSpace(ValueSpace):
     """The space of nonempty subsets of a base space's net.
 
@@ -392,4 +392,5 @@ def urysohn_separator(space: ValueSpace, k: CompactSet, f: CompactSet) -> Connec
         "sep-values",
     )
     name = f"usep[{'.'.join(map(str, sorted(k.member_indices)))}|{'.'.join(map(str, sorted(f.member_indices)))}]"
-    return table((space,), values, ONE / den, codomain, name=name)
+    # a distance to a set is 1-Lipschitz, so min(1, d(., vanish) / den) is 1/den-Lipschitz
+    return _tabulated(name, (space,), values, ONE / den, codomain)

@@ -1004,8 +1004,9 @@ def fuzz(cfg: FuzzConfig, kinds: Sequence[str] | None = None) -> list[TrialRecor
     """
     chosen = [(name, fn, w) for name, fn, w in SUITES
               if kinds is None or name in kinds]
-    if not chosen:
-        raise ValidationError(f"no such suites: {kinds}")
+    unknown = sorted(set(kinds or ()) - {name for name, _, _ in chosen})
+    if unknown or not chosen:
+        raise ValidationError(f"no such suites: {unknown or kinds}")
     total_weight = sum(w for _, _, w in chosen)
     shares = [max(1, (cfg.trials * w) // total_weight) for _, _, w in chosen]
     slack = cfg.trials - sum(shares)

@@ -103,7 +103,10 @@ def space_from_json(doc: Any) -> ValueSpace:
             raise FormatError('"finite" takes a nonempty list of points')
         return make_finite([point_from_json(p) for p in pts], label=label)
     if "net" in doc:
-        pts = [point_from_json(p) for p in doc["net"]]
+        pts = doc["net"]
+        if not isinstance(pts, list) or not pts:
+            raise FormatError('"net" takes a nonempty list of points')
+        pts = [point_from_json(p) for p in pts]
         res = rational_from_str(doc.get("resolution", 0))
         return ValueSpace(pts[0].dimension, tuple(pts), res,
                           label or f"space({len(pts)}p)")
@@ -141,10 +144,11 @@ def signature_from_json(doc: Any) -> Signature:
             name, arity = entry["name"], entry["arity"]
         except KeyError as err:
             raise FormatError(f"relation entry is missing {err}") from None
-        if not isinstance(arity, int):
+        if not isinstance(arity, int) or isinstance(arity, bool):
             raise FormatError(f"arity of {name!r} must be an integer")
         relations.append(Relation(name, arity, space_from_json(entry.get("space", {}))))
-    moduli = {n: rational_from_str(m) for n, m in doc.get("moduli", {}).items()}
+    moduli = {n: rational_from_str(m)
+              for n, m in _expect_map(doc.get("moduli", {}), '"moduli"').items()}
     try:
         return Signature(tuple(relations), doc.get("distance"),
                          tuple(sorted(moduli.items())))

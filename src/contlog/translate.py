@@ -17,20 +17,21 @@ theta(value of phi) within an explicit budget.  The budget is zero whenever
 the source nets already sit on the grid, so on aligned instances the
 translation is exact and the two semantics are interchangeable.
 
-The coder has one builder per node kind.  Atomic formulas and connective
-applications are both coded by a McShane extension of the observable over
-their children's coordinates, a Cauchy limit by its body, and every
-quantifier, except a sup/inf read through the identity, by one min-max
-connective over the codings of "sup x. hit_j(body)", one per base net point
-j that the observable's values depend on; each reads membership of that
-point.  Its value is the lattice interpolant of the observable over these
-point hits: the min over net sets k of the max of affines in the hits.  One
-type, `LatticeApprox`, holds every such interpolant as an integer min-of-max
-table over a common denominator.  The quantifier coder builds its table in
-closed form from the point hits; `lattice_approx` builds one for any
-function on a hyperspace net, synthesizes separators on the base space when
-supplied generators cannot tell two sets apart, and checks it exactly on
-every net set.
+The coder has one builder per node kind.  An atomic formula and every
+connective application, constants included, are coded by one McShane
+extension of the observable over their children's coordinates, a Cauchy
+limit by its body.  The identity observable is the first coordinate
+projection.  Only `Q`, and a sup/inf read through another observable, are
+coded by one min-max connective over the codings of "sup x. hit_j(body)",
+one per base net point j that the observable's values depend on; each reads
+membership of that point.  Its value is the lattice interpolant of the
+observable over these point hits: the min over net sets k of the max of
+affines in the hits.  One type, `LatticeApprox`, holds every such interpolant
+as an integer min-of-max table over a common denominator.  The quantifier
+coder builds its table in closed form from the point hits; `lattice_approx`
+builds one for any function on a hyperspace net, synthesizes separators on
+the base space when supplied generators cannot tell two sets apart, and
+checks it exactly on every net set.
 
 The coder and its check read per-space facts from net positions and
 integers, not from fresh points and Fractions.  The grid is a
@@ -65,7 +66,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tight_constant,
-                         const, flat_coords, identity, observable, product_net, proj, table)
+                         flat_coords, observable, product_net, proj)
 from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
@@ -104,7 +105,6 @@ class TranslationContext:
         # a step finer than the net cap is refused here, before any point
         self.grid = make_interval(0, 1, step, label=f"grid[{step}]")
         self._coordinates: dict[ValueSpace, tuple[Connective, ...]] = {}
-        self._identities: dict[ValueSpace, Connective] = {}
         self._hits: dict = {}
         self._snap_bounds: dict[ValueSpace, Fraction] = {}
 
@@ -131,13 +131,6 @@ class TranslationContext:
             projs = tuple(proj(space, i) for i in range(space.dimension))
             self._coordinates[space] = projs
         return projs
-
-    def identity_on(self, space: ValueSpace) -> Connective:
-        conn = self._identities.get(space)
-        if conn is None:
-            conn = identity(space)
-            self._identities[space] = conn
-        return conn
 
     def point_hit(self, space: ValueSpace, i: int) -> Connective:
         """Observable that is 1 exactly on the i-th net point and 0 elsewhere.
@@ -519,10 +512,9 @@ class CodedFormula:
         space = self.source.value_space
         if theta is None:
             if not space.real_valued:
-                raise ValidationError(
-                    "a real-valued observable is required for set-valued formulas"
-                )
-            theta = self.ctx.identity_on(space)
+                raise ValidationError(f"a formula valued in {space.label}, which is not "
+                                      f"real-valued, needs a real-valued observable")
+            theta = self.ctx.coordinates(space)[0]
         else:
             observable(space, theta)
         try:
@@ -591,9 +583,6 @@ class CodedFormula:
     def _build_apply(self, phi: Apply, theta: Connective) -> Coded:
         ctx = self.ctx
         conn = phi.conn
-        if conn.arity == 0:
-            return Coded(_typed(Apply(const(theta(conn()), ctx.grid), ())), ZERO)
-
         child_spaces = [c.value_space for c in phi.children]
         # every child enters through its coordinates; a child valued in a
         # hyperspace over the cap is refused by its own coding
@@ -622,7 +611,7 @@ class CodedFormula:
         ctx = self.ctx
         base = phi.body.value_space
         if phi.kind is not QuantKind.SET and _is_identity(theta):
-            inner = self._code(phi.body, ctx.identity_on(base))
+            inner = self._code(phi.body, ctx.coordinates(base)[0])
             return Coded(_typed(Quant(phi.kind, phi.var, inner.formula)), inner.budget)
         if phi.kind is QuantKind.SET:
             g = [theta(k).scalar for k in phi.value_space.net]
@@ -700,7 +689,7 @@ def code_condition(ctx: TranslationContext, phi: Formula, target) -> CodedCondit
         d = min(space.metric(q, m) for m in members)
         mapping[(q,)] = point(min(ONE, d))
     codomain = make_finite(sorted(set(mapping.values())), label="dist-values")
-    dist = table([space], mapping, Fraction(1), codomain=codomain,
-                 name="dist-to-target")
+    # a distance to a set, truncated at 1, is 1-Lipschitz
+    dist = _tabulated("dist-to-target", (space,), mapping, ONE, codomain)
     coder = CodedFormula(ctx, phi)
     return CodedCondition(coder.codes(dist), coder.budget_of(dist), dist)

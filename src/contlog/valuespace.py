@@ -88,8 +88,6 @@ class Point:
         return self._hash
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
         if other.__class__ is not Point:
             return NotImplemented
         return self._hash == other._hash and self.coords == other.coords
@@ -223,7 +221,7 @@ class ValueSpace:
 
     def __repr__(self) -> str:
         return (
-            f"ValueSpace({self.label!r}, dim={self.dimension}, "
+            f"{type(self).__name__}({self.label!r}, dim={self.dimension}, "
             f"|net|={len(self.net)}, resolution={self.resolution})"
         )
 

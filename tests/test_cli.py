@@ -181,6 +181,36 @@ class TestEval:
                            "--formula", "P(x)", "--assign", "x")
         assert code == 2 and "VAR=ELEMENT" in err
 
+    def test_repeated_assignment(self, files, capsys):
+        # like a repeated JSON key: refused, never read as the last value
+        code, out, err = run(capsys, "eval", "--structure", files["m"], "--formula", "P(x)",
+                             "--assign", "x=a", "--assign", "x=b")
+        assert (code, out, err) == (2, "", "error: repeated assignment of 'x'\n")
+
+
+class TestMalformedSignature:
+    """A malformed field of a signature is refused on one error line, not
+    reported as an internal error."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda sig: sig.update(moduli=[]), '"moduli" must be a JSON object, got list'),
+        (lambda sig: sig["relations"][0].update(name=5), "relation name 5 is not an identifier"),
+        (lambda sig: sig["relations"][0].update(space={"net": []}),
+         '"net" takes a nonempty list of points'),
+        (lambda sig: sig["relations"][0].update(space={"net": 5}),
+         '"net" takes a nonempty list of points'),
+        (lambda sig: sig["relations"][0].update(arity=True), "arity of 'P' must be an integer"),
+    ], ids=["moduli-list", "name-int", "net-empty", "net-int", "arity-bool"])
+    def test_structure_file(self, tmp_path, capsys, edit, message):
+        doc = json.loads(json.dumps(M_DOC))
+        edit(doc["signature"])
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--structure", str(path),
+                             "--formula", "sup x. P(x)")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert "internal error" not in err
+
 
 class TestParse:
     def test_human_output(self, files, capsys):
@@ -204,6 +234,13 @@ class TestParse:
         code, out, _ = run(capsys, "parse", "--signature", files["sig"],
                            "--formula-file", str(path))
         assert code == 0
+
+    def test_hyperspace_text(self, files, capsys):
+        # the space's own summary, not the dataclass fields of a hyperspace
+        code, out, _ = run(capsys, "parse", "--signature", files["bitsig"],
+                           "--formula", "Q x. B(x)")
+        assert code == 0
+        assert "space: HyperSpace('K(finite(2p,1d))', dim=2, |net|=3, resolution=0)\n" in out
 
     def test_type_error_exits_2(self, files, capsys):
         code, _, err = run(capsys, "parse", "--signature", files["sig"],

@@ -62,6 +62,11 @@ class TestSignature:
             with pytest.raises(ValidationError):
                 Relation(bad, 1, X)
 
+    @pytest.mark.parametrize("bad", ["", "2P", 5, None])
+    def test_non_identifier_names_rejected(self, bad):
+        with pytest.raises(ValidationError, match="is not an identifier"):
+            Relation(bad, 1, X)
+
 
 class TestNodes:
     def test_atomic(self):

@@ -669,6 +669,11 @@ class TestSuiteRunner:
         with pytest.raises(ValidationError, match="no such suites"):
             fuzz(CFG, kinds=["nonsense"])
 
+    def test_unknown_suite_beside_a_known_one(self):
+        # a typo next to a real suite is refused, not silently dropped
+        with pytest.raises(ValidationError, match=r"no such suites: \['typo'\]"):
+            fuzz(CFG, kinds=["quantifier", "typo"])
+
     def test_summary_shape(self):
         records = fuzz(FuzzConfig(seed=5, trials=10), kinds=["roundtrip"])
         s = summarize(records)

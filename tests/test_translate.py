@@ -1,15 +1,18 @@
 import itertools
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
 
+from contlog import connective
 from contlog.connective import (const, identity, max_of, mcshane_extend, neg, proj, table,
                                 tight_lipschitz, unit_interval)
 from contlog.errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from contlog.formula import (Apply, Atomic, CauchyLimit, Quant, QuantKind, Relation,
                              cauchy_limit, parse, signature)
-from contlog.hyperspace import compact, hyper, inf_theta, sup_theta
+from contlog.hyperspace import (compact, decode_subset, hyper, inf_theta, sup_theta,
+                               urysohn_separator)
 from contlog.oracle import verify_coding
 from contlog.semantics import Structure, check_condition, evaluate, structure
 from contlog.translate import (
@@ -436,10 +439,31 @@ class TestCoding:
         ctx = translate_signature(sig, F(1, 4))
         phi = Apply(const(point(F(1, 2)), X), ())
         flip = table([X], {(q,): point(1 - q.scalar) for q in X.net}, 1, codomain=X)
+        N = transport_structure(ctx, M)
         for theta in (None, flip):
             check = verify_coding(ctx, M, phi, theta)
             assert check.ok and check.checked == 1
             assert check.budget == check.max_difference == 0
+            # a McShane extension over zero coordinates, like any application
+            coder = code_formula(ctx, phi)
+            coded = coder.codes(theta)
+            obs = theta or ctx.coordinates(X)[0]
+            assert isinstance(coded, Apply) and coded.children == ()
+            assert coded.conn.name == f"~{obs.name}@{phi.conn.name}"
+            assert coded.conn.lipschitz == coder.budget_of(theta) == 0
+            assert evaluate(N, coded).value == obs(point(F(1, 2)))
+
+    @pytest.mark.parametrize("text", ["Q x. P(x)", "V(x)"])
+    def test_identity_needs_a_real_valued_space(self, text):
+        V = make_finite([point(0, F(1, 2)), point(1, 0)], label="plane")
+        sig = signature([Relation("P", 1, ALIGNED_X), Relation("V", 1, V)])
+        ctx = translate_signature(sig, F(1, 4))
+        phi = parse(text, sig)
+        label = phi.value_space.label
+        with pytest.raises(ValidationError, match=re.escape(
+                f"a formula valued in {label}, which is not real-valued, needs a real-valued "
+                f"observable")):
+            code_formula(ctx, phi).codes()
 
     def test_cauchy_limit_codes_as_its_chosen_body(self):
         sig, ctx, M = aligned_setup()
@@ -450,7 +474,7 @@ class TestCoding:
         assert lim.body is bodies[1]
         flip = table([X], {(q,): point(1 - q.scalar) for q in X.net}, 1,
                      codomain=make_finite([point(1 - q.scalar) for q in X.net]))
-        for theta in (ctx.identity_on(X), flip):
+        for theta in (ctx.coordinates(X)[0], flip):
             coder = code_formula(ctx, lim)
             coded = coder.codes(theta)
             assert coder._code(lim, theta) is coder._code(lim.body, theta)
@@ -597,7 +621,75 @@ class TestPointHit:
             ctx.point_hit(flat, 0)
 
 
+class TestClosedFormConstants:
+    """The distance observable of `code_condition` and the separators of
+    `urysohn_separator` declare their constants in closed form; a scan of
+    every pair of net points finds no steeper slope."""
+
+    @staticmethod
+    def random_base(rng):
+        dim = rng.choice([1, 2])
+        pts = {tuple(F(rng.randint(0, 8), 8) for _ in range(dim))
+               for _ in range(rng.randint(1, 5))}
+        return make_finite([point(*c) for c in pts], label="B")
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_distance_observable_is_1_lipschitz(self, seed):
+        rng = random.Random(seed)
+        base = self.random_base(rng)
+        sig = signature([Relation("P", 1, base)])
+        ctx = translate_signature(sig, F(1, 4))
+        for text in ("P(x)", "Q x. P(x)"):
+            phi = parse(text, sig)
+            space = phi.value_space
+            net = list(space.net)
+            target = rng.sample(net, rng.randint(1, len(net)))
+            dist = code_condition(ctx, phi, target).observable
+            assert dist.lipschitz == 1
+            mapping = {(q,): dist(q) for q in net}
+            assert tight_lipschitz([space], mapping, dist.codomain) <= 1
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_separator_keeps_its_constant(self, seed):
+        rng = random.Random(seed)
+        base = self.random_base(rng)
+        H = hyper(base)
+        net = list(H.net)
+        for _ in range(6):
+            if len(net) < 2:
+                break
+            k, f = rng.sample(net, 2)
+            sep = urysohn_separator(base, decode_subset(H, k), decode_subset(H, f))
+            mapping = {(p,): sep(p) for p in base.net}
+            assert tight_lipschitz([base], mapping, sep.codomain) <= sep.lipschitz
+
+    def test_condition_on_eight_points_scans_no_pair(self, monkeypatch):
+        # the distance observable's constant is taken, not re-checked by a
+        # pair scan over the 255 sets of the base
+        def scan(*args):
+            raise AssertionError("pair scan")
+
+        monkeypatch.setattr(connective, "_steepest_pair", scan)
+        X = make_finite([point(F(i, 8)) for i in range(8)], label="X8")
+        sig = signature([Relation("P", 1, X)])
+        ctx = translate_signature(sig, F(1, 8))
+        M = structure(sig, ["a", "b"], {"P": {"a": F(1, 8), "b": F(3, 4)}})
+        phi = parse("Q x. P(x)", sig)
+        target = compact(X, point(0), point(F(3, 4)))
+        cond = code_condition(ctx, phi, target)
+        assert cond.budget == 0
+        assert (evaluate(transport_structure(ctx, M), cond.formula).scalar
+                == check_condition(M, phi, target).distance == F(1, 8))
+
+
 class TestCodingMemo:
+    def test_identity_is_the_first_coordinate_projection(self):
+        sig, ctx, _ = aligned_setup()
+        coder = code_formula(ctx, parse("sup x. P(x)", sig))
+        pi0 = ctx.coordinates(sig.by_name["P"].space)[0]
+        assert coder._root(None) is coder._root(pi0)
+        assert coder.codes() is coder.codes(pi0)
+
     def test_fresh_observables_never_reuse_a_coding(self):
         # observables that die after use may be reallocated at the same
         # address; a memo keyed on id() then hands out a stale coding
