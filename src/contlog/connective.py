@@ -22,7 +22,9 @@ evaluator reads an input on the product net, of at most
 `MAX_PRODUCT_POINTS` inputs, from the image it keeps.  Outputs must always
 stay inside the unit cube, so the maps that could leave it (`affine`,
 `add`) reject domains whose image escapes.  `table` is the general escape
-hatch: any map on a finite net, with any valid declared constant.
+hatch: any map on a finite net, with any valid declared constant.  It and
+`mcshane_extend` read a mapping through `_net_entries`; the built-in finite
+observables are tables onto the finite space of their values (`_value_table`).
 
 McShane extensions (`mcshane_extend`, and `_mcshane` for the coder) scale
 their table of net coordinates and values to integers over one common
@@ -56,6 +58,7 @@ from .valuespace import (
     _net_point,
     frac,
     linf,
+    make_finite,
     make_interval,
     membership,
     point,
@@ -486,6 +489,20 @@ def _normalize_key(key, doms: tuple[ValueSpace, ...]) -> tuple[Point, ...]:
     raise _misfit(repr(key), doms)
 
 
+def _net_entries(who: str, doms: tuple[ValueSpace, ...], mapping: Mapping,
+                 read: Callable) -> tuple[list, dict]:
+    """The product net's keys, and the mapping's values read by `read` by
+    normalized key; refuses a net point with no entry and entries off the net."""
+    entries = {_normalize_key(k, doms): read(v) for k, v in mapping.items()}
+    keys = list(product_net(doms))
+    for k in keys:
+        if k not in entries:
+            raise ValidationError(f"{who}: no entry for net point {tuple(map(str, k))}")
+    if len(entries) != len(keys):
+        raise ValidationError(f"{who}: {len(entries) - len(keys)} entries are off the product net")
+    return keys, entries
+
+
 def table(domains: SpaceOrSpaces, mapping: Mapping, lipschitz: Rational,
           codomain: ValueSpace, name: str = "table") -> Connective:
     """A connective given pointwise on the product net, with a declared constant.
@@ -496,18 +513,12 @@ def table(domains: SpaceOrSpaces, mapping: Mapping, lipschitz: Rational,
     """
     doms = _spaces(domains)
     lip = frac(lipschitz)
-    entries = {_normalize_key(k, doms): as_point(v) for k, v in mapping.items()}
-    keys = list(product_net(doms))
+    keys, entries = _net_entries(name, doms, mapping, as_point)
     for k in keys:
-        if k not in entries:
-            raise ValidationError(f"{name}: no entry for net point {tuple(map(str, k))}")
         if not _member(codomain, entries[k], ZERO):
             raise ValidationError(
                 f"{name}: entry {entries[k]} is not within resolution of {codomain.label}"
             )
-    if len(entries) != len(keys):
-        extra = set(entries) - set(keys)
-        raise ValidationError(f"{name}: {len(extra)} entries are off the product net")
     steep = _steepest_table(doms, keys, entries, codomain)
     if steep is not None and steep[2] > lip * steep[3]:
         p, q, gap, d = steep
@@ -529,6 +540,11 @@ def _tabulated(name: str, doms: tuple[ValueSpace, ...], entries: Mapping, lip: F
             raise EvalError(f"{name}: input {tuple(map(str, pts))} is off the table net") from None
 
     return Connective(name, doms, codomain, lip, run)
+
+
+def _value_table(name: str, space: ValueSpace, mapping: Mapping, lip: Fraction) -> Connective:
+    """`_tabulated` on one space, onto the finite space of the mapping's values."""
+    return _tabulated(name, (space,), mapping, lip, make_finite(mapping.values()))
 
 
 def _steepest_table(doms: tuple[ValueSpace, ...], keys: Sequence[tuple[Point, ...]],
@@ -591,14 +607,7 @@ def mcshane_extend(theta: Mapping, lipschitz: Rational, x: SpaceOrSpaces,
     if xdim != adim:
         raise SpaceMismatch(f"net dimension {xdim} does not match ambient dimension {adim}")
 
-    entries = {_normalize_key(k, xs): as_scalar(v) for k, v in theta.items()}
-    keys = list(product_net(xs))
-    for k in keys:
-        if k not in entries:
-            raise ValidationError(f"extension: no value for net point {tuple(map(str, k))}")
-    if len(entries) != len(keys):
-        raise ValidationError(
-            f"extension: {len(entries) - len(keys)} entries are off the product net")
+    keys, entries = _net_entries("extension", xs, theta, as_scalar)
     _check_unit_range(entries.values(), "extension values")
 
     den, rows = _integer_table([(flat_coords(k), entries[k]) for k in keys])

@@ -70,8 +70,9 @@ class Signature:
         if len(set(names)) != len(names):
             raise ValidationError("duplicate relation names in signature")
         if self.distance_symbol is not None:
-            d = self.by_name.get(self.distance_symbol)
-            if d is None:
+            # a name that is not a string, such as a JSON list, names no relation
+            d = isinstance(self.distance_symbol, str) and self.by_name.get(self.distance_symbol)
+            if not d:
                 raise ValidationError(f"distance symbol {self.distance_symbol!r} is not a relation")
             if d.arity != 2 or not d.space.real_valued:
                 raise ValidationError("the distance symbol must be binary and real-valued")

@@ -37,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
 
-from .connective import Connective, _tabulated, observable
+from .connective import Connective, _value_table, observable
 from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from .valuespace import ONE, ZERO, Point, Rational, ValueSpace, frac, nearest, point
 
@@ -381,16 +381,8 @@ def urysohn_separator(space: ValueSpace, k: CompactSet, f: CompactSet) -> Connec
     den = min(m[witness][i] for i in vanish_idx)
     if den <= ZERO:
         raise ValidationError("witness at distance zero from the vanishing set")
-    values = {}
-    for j, p in enumerate(space.net):
-        dist = min(m[j][i] for i in vanish_idx)
-        values[(p,)] = point(min(ONE, dist / den))
-    codomain = ValueSpace(
-        1,
-        tuple(sorted(set(values[(p,)] for p in space.net))),
-        ZERO,
-        "sep-values",
-    )
+    values = {(p,): point(min(ONE, min(m[j][i] for i in vanish_idx) / den))
+              for j, p in enumerate(space.net)}
     name = f"usep[{'.'.join(map(str, sorted(k.member_indices)))}|{'.'.join(map(str, sorted(f.member_indices)))}]"
     # a distance to a set is 1-Lipschitz, so min(1, d(., vanish) / den) is 1/den-Lipschitz
-    return _tabulated(name, (space,), values, ONE / den, codomain)
+    return _value_table(name, space, values, ONE / den)

@@ -24,7 +24,7 @@ from functools import partial
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
-from .connective import (Connective, _tabulated, affine, clamp01, identity,
+from .connective import (Connective, _value_table, affine, clamp01, identity,
                          max_of, min_of, mul, neg, observable, tight_lipschitz,
                          truncated_sub, bounded_add, const)
 from .errors import EvalError, ValidationError
@@ -183,9 +183,7 @@ def random_theta(rng: random.Random, space: ValueSpace, *,
     mapping = {(p,): point(rng.choice(EXACT_POOL)) for p in space.net}
     # total on the net, valued on the codomain's net, at the tight constant:
     # every check of `table` holds by construction
-    lip = tight_lipschitz(space, mapping)
-    codomain = make_finite(set(mapping.values()))
-    return _tabulated("obs", (space,), mapping, lip, codomain)
+    return _value_table("obs", space, mapping, tight_lipschitz(space, mapping))
 
 
 # ---------------------------------------------------------------------------
@@ -336,8 +334,7 @@ class _FormulaBuilder:
         vals = self.rng.sample(EXACT_POOL, MAX_SET_BODY_POINTS)
         mapping = {(p,): point(self.rng.choice(vals)) for p in space.net}
         lip = tight_lipschitz(space, mapping)
-        codomain = make_finite(set(mapping.values()))
-        return Apply(_tabulated("squash", (space,), mapping, lip, codomain), (node,))
+        return Apply(_value_table("squash", space, mapping, lip), (node,))
 
 
 def random_formula(cfg: FuzzConfig, sig: Signature,

@@ -99,11 +99,11 @@ class Structure:
     def __post_init__(self):
         if not self.universe:
             raise ValidationError("universe must be nonempty")
-        if len(set(self.universe)) != len(self.universe):
-            raise ValidationError("universe elements must be distinct")
         for e in self.universe:
             if not e or not isinstance(e, str) or "," in e or e != e.strip():
                 raise ValidationError(f"bad element id {e!r}")
+        if len(set(self.universe)) != len(self.universe):
+            raise ValidationError("universe elements must be distinct")
         seen = set(self.interp)
         want = set(self.signature.by_name)
         if seen != want:
@@ -111,9 +111,15 @@ class Structure:
                 f"interpretation keys {sorted(seen)} do not match "
                 f"signature symbols {sorted(want)}"
             )
+        n = len(self.universe)
         for rel in self.signature.relations:
-            entries = self.interp[rel.name]
-            expected = self._tuples(rel.arity)
+            entries, k = self.interp[rel.name], rel.arity
+            # counted before any tuple is listed: for n >= 2, n^k > len(entries)
+            # once k reaches its bit length, and n^k is computed only below that
+            if n > 1 and k >= len(entries).bit_length() or len(entries) != n ** k:
+                raise ValidationError(f"{rel.name}: interpretation is not total over the "
+                                      f"universe ({len(entries)} entries for {n}^{k} tuples)")
+            expected = self._tuples(k)
             got = set(entries)
             if got != set(expected):
                 missing = sorted(set(expected) - got)[:3]
@@ -462,12 +468,8 @@ def check_pseudometric(M: Structure, tol: Rational = 0) -> CheckReport:
     Reports the first counterexample found for each failing law.
     """
     sig = M.signature
-    if sig.distance_symbol is None:
-        raise ValidationError("signature has no distance symbol")
     tol = tolerance(tol)
-    dtab = M.interp[sig.distance_symbol]
-    d = lambda a, b: dtab[(a, b)].scalar  # noqa: E731
-    U = M.universe
+    d, U = M.distance, M.universe
     found = [
         next((f"reflexivity: d({a},{a}) = {d(a, a)}" for a in U if d(a, a) > tol), None),
         next((f"symmetry: d({a},{b}) = {d(a, b)} but d({b},{a}) = {d(b, a)}"
@@ -489,9 +491,6 @@ def check_pseudometric(M: Structure, tol: Rational = 0) -> CheckReport:
 
 def zero_distance_classes(M: Structure) -> tuple[tuple[str, ...], ...]:
     """Partition the universe by distance zero (union-find over d(a,b) == 0)."""
-    sig = M.signature
-    if sig.distance_symbol is None:
-        raise ValidationError("signature has no distance symbol")
     parent = {e: e for e in M.universe}
 
     def find(x):
@@ -682,7 +681,7 @@ def decode_function(M: Structure, symbol: str) -> dict[ElementTuple, str]:
     k = rel.arity - 1
     out = {}
     for xs in M._tuples(k):
-        out[xs] = min(M.universe, key=lambda y: (M.interp[symbol][xs + (y,)].scalar, M.universe.index(y)))
+        out[xs] = min(M.universe, key=lambda y: M.interp[symbol][xs + (y,)].scalar)
     return out
 
 

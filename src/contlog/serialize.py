@@ -74,11 +74,8 @@ def point_from_json(doc: Any) -> Point:
 
 
 def space_to_json(space: ValueSpace) -> dict:
-    if not space.standard_metric:
-        base = getattr(space, "base", None)
-        if base is None:
-            raise FormatError(f"cannot serialize space {space.label!r}")
-        return {"hyper": space_to_json(base), "label": space.label}
+    if not space.standard_metric:  # a hyperspace
+        return {"hyper": space_to_json(space.base), "label": space.label}
     return {
         "net": [point_to_json(p) for p in space.net],
         "resolution": rational_to_str(space.resolution),
@@ -89,6 +86,8 @@ def space_to_json(space: ValueSpace) -> dict:
 def space_from_json(doc: Any) -> ValueSpace:
     doc = _expect_map(doc, "value space")
     label = doc.get("label")
+    if label is not None and not isinstance(label, str):
+        raise FormatError(f"space label must be a string, got {label!r}")
     if "hyper" in doc:
         return hyper(space_from_json(doc["hyper"]))
     if "interval" in doc:
@@ -227,6 +226,8 @@ def connective_from_json(entry: Any, resolved: Mapping[str, Connective]) -> Conn
     """One library entry; `resolved` holds earlier entries for references."""
     entry = _expect_map(entry, "connective")
     kind = entry.get("kind")
+    if not isinstance(kind, str):
+        raise FormatError(f"connective kind must be a string, got {kind!r}")
     if kind == "table":
         return _table_from_json(entry)
     if kind in _UNARY_KINDS:
@@ -243,7 +244,7 @@ def connective_from_json(entry: Any, resolved: Mapping[str, Connective]) -> Conn
         return const(point_from_json(entry.get("value", "0")), space)
     if kind == "proj":
         i = entry.get("index", 0)
-        if not isinstance(i, int):
+        if not isinstance(i, int) or isinstance(i, bool):
             raise FormatError("proj index must be an integer")
         return proj(space_from_json(entry.get("space", {})), i)
     if kind in _LIFT_KINDS:

@@ -17,21 +17,23 @@ theta(value of phi) within an explicit budget.  The budget is zero whenever
 the source nets already sit on the grid, so on aligned instances the
 translation is exact and the two semantics are interchangeable.
 
-The coder has one builder per node kind.  An atomic formula and every
-connective application, constants included, are coded by one McShane
-extension of the observable over their children's coordinates, a Cauchy
-limit by its body.  The identity observable is the first coordinate
+The coder's memo picks one builder per node kind.  The builders read typed
+connectives through their evaluators and check each distinct output of a
+connective application once: the typecheck settled the rest.  An atomic
+formula and every connective application, constants included, are coded by
+one McShane extension of the observable over their children's coordinates, a
+Cauchy limit by its body.  The identity observable is the first coordinate
 projection.  Only `Q`, and a sup/inf read through another observable, are
 coded by one min-max connective over the codings of "sup x. hit_j(body)",
 one per base net point j that the observable's values depend on; each reads
 membership of that point.  Its value is the lattice interpolant of the
 observable over these point hits: the min over net sets k of the max of
-affines in the hits.  One type, `LatticeApprox`, holds every such interpolant
-as an integer min-of-max table over a common denominator.  The quantifier
-coder builds its table in closed form from the point hits; `lattice_approx`
-builds one for any function on a hyperspace net, synthesizes separators on
-the base space when supplied generators cannot tell two sets apart, and
-checks it exactly on every net set.
+affines in the hits.  One type, `LatticeApprox`, holds every such
+interpolant as an integer min-of-max table over a common denominator.  The
+quantifier coder builds its table in closed form from the point hits;
+`lattice_approx` builds one for any function on a hyperspace net,
+synthesizes separators on the base space when supplied generators cannot
+tell two sets apart, and checks it exactly on every net set.
 
 The coder and its check read per-space facts from net positions and
 integers, not from fresh points and Fractions.  The grid is a
@@ -66,7 +68,7 @@ from math import lcm
 from typing import Mapping, Sequence
 
 from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tight_constant,
-                         flat_coords, observable, product_net, proj)
+                         _value_table, flat_coords, observable, product_net, proj)
 from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
@@ -90,7 +92,7 @@ def snap_to_grid(grid: ValueSpace, value: Rational) -> Fraction:
 def _is_identity(conn: Connective) -> bool:
     if conn.arity != 1 or conn.codomain != conn.domain[0]:
         return False
-    return all(conn(p) == p for p in conn.domain[0].net)
+    return all(conn.evaluator(p) == p for p in conn.domain[0].net)
 
 
 class TranslationContext:
@@ -526,25 +528,23 @@ class CodedFormula:
         key = (phi, theta)
         hit = self._memo.get(key)
         if hit is None:
-            hit = self._build(phi, theta)
+            space = phi.value_space
+            if isinstance(space, HyperSpace):
+                # refuse before any coordinate or metric of the hyperspace is
+                # touched: those are exponential in the base net
+                _check_set_capacity(space.base)
+            if isinstance(phi, Atomic):
+                hit = self._build_atomic(phi, theta)
+            elif isinstance(phi, Apply):
+                hit = self._build_apply(phi, theta)
+            elif isinstance(phi, CauchyLimit):
+                hit = self._code(phi.body, theta)
+            elif isinstance(phi, Quant):
+                hit = self._build_quant(phi, theta)
+            else:
+                raise ValidationError(f"cannot code {type(phi).__name__}")
             self._memo[key] = hit
         return hit
-
-    def _build(self, phi: Formula, theta: Connective) -> Coded:
-        space = phi.value_space
-        if isinstance(space, HyperSpace):
-            # refuse before any coordinate or metric of the hyperspace is
-            # touched: those are exponential in the base net
-            _check_set_capacity(space.base)
-        if isinstance(phi, Atomic):
-            return self._build_atomic(phi, theta)
-        if isinstance(phi, Apply):
-            return self._build_apply(phi, theta)
-        if isinstance(phi, CauchyLimit):
-            return self._code(phi.body, theta)
-        if isinstance(phi, Quant):
-            return self._build_quant(phi, theta)
-        raise ValidationError(f"cannot code {type(phi).__name__}")
 
     def _extend(self, name: str, spaces: Sequence[ValueSpace], values: Sequence[Fraction],
                 children: tuple[Formula, ...], error: Fraction) -> Coded:
@@ -577,7 +577,7 @@ class CodedFormula:
             children = self._leaves[key] = tuple(
                 Atomic(nm, phi.args, ctx.grid) for nm in ctx.components[phi.symbol])
         return self._extend(f"~{theta.name}@{phi.symbol}", (phi.space,),
-                            [theta(q).scalar for q in phi.space.net], children,
+                            [theta.evaluator(q).scalar for q in phi.space.net], children,
                             ctx.space_snap_bound(phi.space))
 
     def _build_apply(self, phi: Apply, theta: Connective) -> Coded:
@@ -590,15 +590,18 @@ class CodedFormula:
                           for child, s in zip(phi.children, child_spaces)
                           for obs in ctx.coordinates(s)]
 
-        # tabulate theta(conn(..)) over the product of the child nets, theta
-        # once per distinct output
+        # tabulate theta(conn(..)) over the product of the child nets: each
+        # distinct output's dimension is checked, and theta read, once
+        run, dim = conn.evaluator, conn.codomain.dimension
         thetas: dict[Point, Fraction] = {}
         values = []
         for k in product_net(child_spaces):
-            out = conn(*k)
+            out = run(*k)
             v = thetas.get(out)
             if v is None:
-                v = thetas[out] = theta(out).scalar
+                if len(out.coords) != dim:
+                    raise conn._misfit(out)
+                v = thetas[out] = theta.evaluator(out).scalar
             values.append(v)
         return self._extend(f"~{theta.name}@{conn.name}", child_spaces, values,
                             tuple(c.formula for c in coded_children),
@@ -614,7 +617,7 @@ class CodedFormula:
             inner = self._code(phi.body, ctx.coordinates(base)[0])
             return Coded(_typed(Quant(phi.kind, phi.var, inner.formula)), inner.budget)
         if phi.kind is QuantKind.SET:
-            g = [theta(k).scalar for k in phi.value_space.net]
+            g = [theta.evaluator(k).scalar for k in phi.value_space.net]
             slack = ZERO
         else:
             # theta(extremum of the collected values) factors through the value set
@@ -623,7 +626,7 @@ class CodedFormula:
             # its highest base index (the lowest set bit of its mask) and its
             # smallest is its lowest base index (the highest set bit)
             n = len(base.net)
-            tv = [theta(p).scalar for p in base.net]
+            tv = [theta.evaluator(p).scalar for p in base.net]
             if phi.kind is QuantKind.SUP:
                 g = [tv[n - (m & -m).bit_length()] for m in range(1, 1 << n)]
             else:
@@ -684,12 +687,9 @@ def code_condition(ctx: TranslationContext, phi: Formula, target) -> CodedCondit
     """
     space = phi.value_space
     members = _target_points(space, target)
-    mapping = {}
-    for q in space.net:
-        d = min(space.metric(q, m) for m in members)
-        mapping[(q,)] = point(min(ONE, d))
-    codomain = make_finite(sorted(set(mapping.values())), label="dist-values")
+    mapping = {(q,): point(min(ONE, min(space.metric(q, m) for m in members)))
+               for q in space.net}
     # a distance to a set, truncated at 1, is 1-Lipschitz
-    dist = _tabulated("dist-to-target", (space,), mapping, ONE, codomain)
+    dist = _value_table("dist-to-target", space, mapping, ONE)
     coder = CodedFormula(ctx, phi)
     return CodedCondition(coder.codes(dist), coder.budget_of(dist), dist)

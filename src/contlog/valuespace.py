@@ -58,7 +58,7 @@ class Point:
     """A point of the unit cube with exact rational coordinates.
 
     The hash is computed once, at construction, and equals the dataclass
-    hash of the coordinates; equality compares it before the coordinates.
+    hash of the coordinates; dicts and sets compare it before equality does.
     """
 
     coords: tuple[Fraction, ...]
@@ -90,7 +90,7 @@ class Point:
     def __eq__(self, other) -> bool:
         if other.__class__ is not Point:
             return NotImplemented
-        return self._hash == other._hash and self.coords == other.coords
+        return self.coords == other.coords
 
     @property
     def dimension(self) -> int:

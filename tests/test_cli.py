@@ -212,6 +212,68 @@ class TestMalformedSignature:
         assert "internal error" not in err
 
 
+class TestMalformedFields:
+    """A field of the wrong JSON type is refused on one error line: never
+    reported as an internal error, nor read as a value of another type."""
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(universe=[["a"]]), "bad element id ['a']"),
+        (lambda doc: doc["signature"].update(distance=["P"]),
+         "distance symbol ['P'] is not a relation"),
+        (lambda doc: doc["signature"]["relations"][0]["space"].update(label=5),
+         "space label must be a string, got 5"),
+        (lambda doc: doc["signature"]["relations"][0]["space"].update(label=["x"]),
+         "space label must be a string, got ['x']"),
+    ], ids=["universe-list", "distance-list", "label-int", "label-list"])
+    def test_structure_file(self, tmp_path, capsys, edit, message):
+        doc = json.loads(json.dumps(M_DOC))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--structure", str(path),
+                             "--formula", "sup x. P(x)")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": ["neg"], "space": TENTHS}, "connective kind must be a string, got ['neg']"),
+        ({"kind": "proj", "index": True, "space": {"finite": [["0", "1"]]}},
+         "proj index must be an integer"),
+    ], ids=["kind-list", "index-bool"])
+    def test_library_file(self, files, tmp_path, capsys, entry, message):
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps({"connectives": {"c": entry}}))
+        code, out, err = run(capsys, "eval", "--structure", files["m"], "--library", str(path),
+                             "--formula", "sup x. P(x)")
+        assert (code, out, err) == (2, "", f"error: connective 'c': {message}\n")
+
+    def test_high_arity_is_refused_by_its_entry_count(self, tmp_path):
+        # 2^40 tuples are never listed.  The command runs in a child process
+        # whose address space is capped at 1 GiB, so code that lists them
+        # fails this test instead of exhausting the machine's memory
+        doc = json.loads(json.dumps(M_DOC))
+        doc["signature"]["relations"][0]["arity"] = 40
+        doc["interp"] = {"P": {}}
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(doc))
+        child = ("import resource, sys, time\n"
+                 "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                 "from contlog.cli import main\n"
+                 "start = time.perf_counter()\n"
+                 "code = main(sys.argv[1:])\n"
+                 "print(time.perf_counter() - start)\n"
+                 "sys.exit(code)\n")
+        root = Path(__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(root / "src")}
+        proc = subprocess.run(
+            [sys.executable, "-c", child, "eval", "--structure", str(path),
+             "--formula", "sup x. P(x)"],
+            capture_output=True, text=True, env=env, timeout=60)
+        assert (proc.returncode, proc.stderr) == (
+            2, "error: P: interpretation is not total over the universe "
+               "(0 entries for 2^40 tuples)\n")
+        assert float(proc.stdout) < 1
+
+
 class TestParse:
     def test_human_output(self, files, capsys):
         code, out, _ = run(capsys, "parse", "--signature", files["sig"],

@@ -429,6 +429,17 @@ class TestMcShane:
         with pytest.raises(ValidationError):
             mcshane_extend(theta, F(1, 2), net, EIGHTHS)
 
+    def test_missing_net_point_is_refused(self):
+        # the same text as `table`'s
+        net = make_finite([point(0), point(1)])
+        theta = {(point(0),): F(0)}
+        with pytest.raises(ValidationError,
+                           match=re.escape("extension: no entry for net point ('(1)',)")):
+            mcshane_extend(theta, 1, net, EIGHTHS)
+        with pytest.raises(ValidationError,
+                           match=re.escape("table: no entry for net point ('(1)',)")):
+            table([net], {k: point(v) for k, v in theta.items()}, 1, net)
+
     def test_keys_off_the_net_are_refused(self):
         # as `table` refuses them, rather than dropping the value given there
         net = make_finite([point(0), point(1)])

@@ -268,6 +268,11 @@ class TestUrysohn:
         sup_f = max(theta(p).scalar for p in f.members)
         assert abs(sup_k - sup_f) == 1
 
+    def test_codomain_is_the_finite_space_of_its_values(self):
+        theta = urysohn_separator(B, compact(B, point(0)), compact(B, point(1)))
+        assert theta.codomain == make_finite([theta.evaluator(p) for p in B.net])
+        assert [p.scalar for p in theta.codomain.net] == [0, F(1, 2), 1]
+
     def test_identical_sets_rejected(self):
         k = compact(B, point(0))
         with pytest.raises(ValidationError):

@@ -652,6 +652,14 @@ class TestPseudometric:
         with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
             check_pseudometric(metric_structure(), tol=F(-1, 2))
 
+    def test_no_distance_symbol(self):
+        # distances are read through Structure.distance, so a bad tolerance
+        # is reported before the missing distance symbol
+        with pytest.raises(ValidationError, match="^signature has no distance symbol$"):
+            check_pseudometric(M)
+        with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
+            check_pseudometric(M, tol=F(-1, 2))
+
 
 class TestQuotient:
     def test_classes_and_reps(self):
@@ -667,6 +675,10 @@ class TestQuotient:
         report = check_pseudometric(Z)
         assert report.ok
         assert zero_distance_classes(Z) == (("a",), ("b",))
+
+    def test_classes_need_a_distance_symbol(self):
+        with pytest.raises(ValidationError, match="^signature has no distance symbol$"):
+            zero_distance_classes(M)
 
     def test_requires_pseudometric(self):
         N = metric_structure()
@@ -695,6 +707,11 @@ class TestFunctions:
         assert check_function_axioms(N2, "f").ok
         decoded = decode_function(N2, "f")
         assert decoded == {("a",): "b", ("b",): "c", ("c",): "c"}
+
+    def test_decode_breaks_ties_in_universe_order(self):
+        # b and c sit at distance 0, so every row of the graph is zero at both
+        N2 = encode_function(metric_structure(), "f", {"a": "c", "b": "c", "c": "b"})
+        assert decode_function(N2, "f") == {("a",): "b", ("b",): "b", ("c",): "b"}
 
     def test_blanks_around_elements_are_stripped(self):
         N = metric_structure((0, F(1, 2), 1))

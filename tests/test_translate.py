@@ -372,6 +372,8 @@ class TestCoding:
         N = transport_structure(ctx, M)
         cond = code_condition(ctx, parse("sup x. P(x)", sig), [point(F(3, 4))])
         assert cond.budget == 0
+        dist = cond.observable  # onto the finite space of its values
+        assert dist.codomain == make_finite([dist.evaluator(p) for p in ALIGNED_X.net])
         assert evaluate(N, cond.formula).scalar == 0  # distance to target
         cond2 = code_condition(ctx, parse("inf x. P(x)", sig), [point(F(3, 4))])
         assert evaluate(N, cond2.formula).scalar == F(1, 2)
@@ -705,6 +707,19 @@ class TestCodingMemo:
             assert coder.budget_of(theta) == 0
 
 
+class TestOutputCheck:
+    def test_output_that_does_not_fit_the_codomain_is_refused(self):
+        # the typecheck settles a connective's inputs; the coder checks each
+        # distinct output of an application once
+        sig, ctx, M = aligned_setup()
+        bad = connective.Connective("bad", (ALIGNED_X,), ALIGNED_X, F(1),
+                                    lambda p: point(0, 0))
+        coder = code_formula(ctx, Apply(bad, (Atomic("P", ("x",), ALIGNED_X),)))
+        with pytest.raises(EvalError, match=re.escape(
+                "bad: output (0, 0) does not fit codomain X") + "$"):
+            coder.codes()
+
+
 class TestDeepFormulas:
     """A formula deeper than the recursion limit ends in a CapacityError."""
 
@@ -735,6 +750,13 @@ class TestDeepFormulas:
         coder = code_formula(ctx, phi)
         with pytest.raises(CapacityError, match=self.MESSAGE):
             getattr(coder, read)()
+
+    def test_chain_of_400_extrema_codes(self):
+        # the memo picks each level's builder itself: two frames per level
+        ctx, phi = self.deep(400, typed=True)
+        coder = code_formula(ctx, phi)
+        assert coder.budget_of() == 0
+        assert coder.codes().value_space == ctx.grid
 
     def test_parsed_formula(self):
         sig, ctx, M = aligned_setup()
