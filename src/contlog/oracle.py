@@ -12,6 +12,15 @@ members against `sup`/`inf`) from one tabulation, `verify_quantifier`;
 one check each.  The generators produce well-typed formulas and
 structures by construction; all randomness flows from explicit seeds, so
 every trial is reproducible from its record.
+
+A suite is registered as one entry `(name, trial, weight)` of `SUITES`:
+`trial(cfg, i)` builds and checks trial i alone, from `_rng` streams named
+after the suite, and returns its `(ok, detail, sizes, witness)`.
+`run_suite` runs one suite's trials through the module's one trial loop,
+and `fuzz` runs every suite through it.  `run_coding_trials` and
+`run_quantifier_trials` are views of that loop kept for the benchmark's
+checks under `perfbench/`; the quantifier view also runs one of its two
+checks alone, as acceptance criteria 2 and 3 do.
 """
 
 from __future__ import annotations
@@ -720,7 +729,7 @@ def verify_limit_declaration(M: Structure, formulas: Sequence[Formula],
 
 
 # ---------------------------------------------------------------------------
-# Trial drivers
+# Trials, one function per suite
 
 
 def _sizes(M: Structure, phi: Formula | None = None) -> dict[str, int]:
@@ -731,266 +740,240 @@ def _sizes(M: Structure, phi: Formula | None = None) -> dict[str, int]:
     return out
 
 
-def run_coding_trials(cfg: FuzzConfig, *, grid: bool = False,
-                      trials: int | None = None) -> list[TrialRecord]:
+def coding_trial(cfg: FuzzConfig, i: int, *, grid: bool = False) -> tuple:
     """Criterion: the coded formula tracks theta of the source value.
 
     Exact mode also insists the budget is zero and the agreement literal;
     grid mode checks the difference against the (positive) budget.
     """
-    kind = "coding-grid" if grid else "coding-exact"
-    step = GRID_TRANSLATION_STEP if grid else EXACT_STEP
-    out = []
-    for i in range(trials if trials is not None else cfg.trials):
-        rng = _rng(cfg, kind, i)
-        sig = random_signature(rng, cfg, grid=grid)
-        M = random_structure(cfg, sig, rng)
-        phi = random_formula(cfg, sig, rng, grid=grid)
-        theta = random_theta(rng, phi.value_space)
-        ctx = TranslationContext(sig, step)
-        check = verify_coding(ctx, M, phi, theta, tol=cfg.tol)
-        ok, witness = check.ok, check.witness
-        detail = f"|diff| {check.max_difference} <= budget {check.budget}"
-        if not grid and ok and (check.budget != 0 or check.max_difference != 0):
-            ok = False
-            witness = {"budget": str(check.budget),
-                       "difference": str(check.max_difference)}
-            detail = "exact trial must have zero budget and zero difference"
-        out.append(TrialRecord(kind, i, ok, detail, _sizes(M, phi), witness))
-    return out
+    rng = _rng(cfg, "coding-grid" if grid else "coding-exact", i)
+    sig = random_signature(rng, cfg, grid=grid)
+    M = random_structure(cfg, sig, rng)
+    phi = random_formula(cfg, sig, rng, grid=grid)
+    theta = random_theta(rng, phi.value_space)
+    ctx = TranslationContext(sig, GRID_TRANSLATION_STEP if grid else EXACT_STEP)
+    check = verify_coding(ctx, M, phi, theta, tol=cfg.tol)
+    if not grid and check.ok and (check.budget != 0 or check.max_difference != 0):
+        return (False, "exact trial must have zero budget and zero difference", _sizes(M, phi),
+                {"budget": str(check.budget), "difference": str(check.max_difference)})
+    return (check.ok, f"|diff| {check.max_difference} <= budget {check.budget}",
+            _sizes(M, phi), check.witness)
 
 
-def run_quantifier_trials(cfg: FuzzConfig, *, trials: int | None = None,
-                          checks: Sequence[str] = QUANTIFIER_CHECKS,
-                          ) -> list[TrialRecord]:
+def quantifier_trial(cfg: FuzzConfig, i: int,
+                     checks: Sequence[str] = QUANTIFIER_CHECKS) -> tuple:
     """Criteria: the set-quantifier identity and its sup/inf refinements.
 
-    `checks` selects which verifications run — the instances generated are
+    `checks` selects which verifications run — the instance generated is
     the same either way, so the two criteria can be reported separately.
     """
-    out = []
-    for i in range(trials if trials is not None else cfg.trials):
-        rng = _rng(cfg, "quantifier", i)
-        sig = random_signature(rng, cfg)
-        M = random_structure(cfg, sig, rng)
-        builder = _FormulaBuilder(cfg, sig, rng, grid=False, stable=False)
-        var = "q"
-        body = builder._as_real(builder._node(min(cfg.formula_depth, 2), (var,)))
-        if var not in body.free_vars:  # ensure the quantified variable matters
-            rel = next(r for r in sig.relations)
-            extra = atom(sig, rel.name, *([var] * rel.arity))
-            extra = builder._as_real(extra)
-            body = Apply(max_of(body.value_space, extra.value_space), (body, extra))
-        theta = random_theta(rng, body.value_space)
-        results = list(verify_quantifier(M, body, theta, var, checks).values())
-        ok = all(r.ok for r in results)
-        witness = next((r.witness for r in results if r.witness), None)
-        out.append(TrialRecord("quantifier", i, ok,
-                                f"checked {results[0].checked} assignments",
-                                _sizes(M, body), witness))
-    return out
+    rng = _rng(cfg, "quantifier", i)
+    sig = random_signature(rng, cfg)
+    M = random_structure(cfg, sig, rng)
+    builder = _FormulaBuilder(cfg, sig, rng, grid=False, stable=False)
+    var = "q"
+    body = builder._as_real(builder._node(min(cfg.formula_depth, 2), (var,)))
+    if var not in body.free_vars:  # ensure the quantified variable matters
+        rel = sig.relations[0]
+        extra = builder._as_real(atom(sig, rel.name, *([var] * rel.arity)))
+        body = Apply(max_of(body.value_space, extra.value_space), (body, extra))
+    theta = random_theta(rng, body.value_space)
+    results = list(verify_quantifier(M, body, theta, var, checks).values())
+    return (all(r.ok for r in results), f"checked {results[0].checked} assignments",
+            _sizes(M, body), next((r.witness for r in results if r.witness), None))
 
 
-def run_corruption_trials(cfg: FuzzConfig, *,
-                          trials: int | None = None) -> list[TrialRecord]:
+def corruption_trial(cfg: FuzzConfig, i: int) -> tuple:
     """Criterion: mutated translations are detected on exact spaces."""
-    out = []
-    for i in range(trials if trials is not None else cfg.trials):
-        rng = _rng(cfg, "corruption", i)
-        sig = random_signature(rng, cfg)
-        M = random_structure(cfg, sig, rng)
-        shape = rng.choice(("atomic", "sup", "infsup", "set"))
-        rel = rng.choice([r for r in sig.relations if r.space.dimension == 1]
-                         or list(sig.relations))
-        args = ["u", "w"][: rel.arity]
-        base: Formula = atom(sig, rel.name, *args)
-        theta = None
-        if rel.space.dimension != 1:
-            base = Apply(random_theta(rng, rel.space), (base,))
-        if shape == "sup":
-            phi: Formula = Quant(QuantKind.SUP, "u", base)
-        elif shape == "infsup":
-            phi = Quant(QuantKind.INF, "w", Quant(QuantKind.SUP, "u", base)) \
-                if rel.arity == 2 else Quant(QuantKind.INF, "u", base)
-        elif shape == "set" and len(rel.space.net) <= MAX_SET_BODY_POINTS:
-            phi = Quant(QuantKind.SET, "u", base)
-            theta = sup_theta(identity(base.value_space))
-        else:
-            phi = base
-        ctx = TranslationContext(sig, EXACT_STEP)
-        check = verify_corruption_detected(ctx, M, phi, theta, tol=cfg.tol)
-        out.append(TrialRecord("corruption", i, check.ok,
-                                f"shift detected at difference {check.max_difference}",
-                                _sizes(M, phi), check.witness if check.ok else
-                                {"max_difference": str(check.max_difference)}))
-    return out
+    rng = _rng(cfg, "corruption", i)
+    sig = random_signature(rng, cfg)
+    M = random_structure(cfg, sig, rng)
+    shape = rng.choice(("atomic", "sup", "infsup", "set"))
+    rel = rng.choice([r for r in sig.relations if r.space.dimension == 1]
+                     or list(sig.relations))
+    base: Formula = atom(sig, rel.name, *["u", "w"][: rel.arity])
+    theta = None
+    if rel.space.dimension != 1:
+        base = Apply(random_theta(rng, rel.space), (base,))
+    if shape == "sup":
+        phi: Formula = Quant(QuantKind.SUP, "u", base)
+    elif shape == "infsup":
+        phi = Quant(QuantKind.INF, "w", Quant(QuantKind.SUP, "u", base)) \
+            if rel.arity == 2 else Quant(QuantKind.INF, "u", base)
+    elif shape == "set" and len(rel.space.net) <= MAX_SET_BODY_POINTS:
+        phi = Quant(QuantKind.SET, "u", base)
+        theta = sup_theta(identity(base.value_space))
+    else:
+        phi = base
+    check = verify_corruption_detected(TranslationContext(sig, EXACT_STEP), M, phi, theta,
+                                       tol=cfg.tol)
+    return (check.ok, f"shift detected at difference {check.max_difference}", _sizes(M, phi),
+            check.witness if check.ok else {"max_difference": str(check.max_difference)})
 
 
-def run_metric_violation_trials(cfg: FuzzConfig, *,
-                                trials: int | None = None) -> list[TrialRecord]:
+def metric_violation_trial(cfg: FuzzConfig, i: int) -> tuple:
     """Criterion: broken pseudometric laws are reported with a witness."""
-    out = []
-    for i in range(trials if trials is not None else cfg.trials):
-        rng = _rng(cfg, "metric-violation", i)
-        M, law = pseudometric_violation(cfg, rng)
-        report = check_pseudometric(M)
-        caught = (not report.ok) and any(f.startswith(law) for f in report.failures)
-        witness = {"law": law, "failures": "; ".join(report.failures)}
-        out.append(TrialRecord("metric-violation", i, caught,
-                                f"planted {law} violation", _sizes(M), witness))
-    return out
+    M, law = pseudometric_violation(cfg, _rng(cfg, "metric-violation", i))
+    report = check_pseudometric(M)
+    caught = (not report.ok) and any(f.startswith(law) for f in report.failures)
+    return (caught, f"planted {law} violation", _sizes(M),
+            {"law": law, "failures": "; ".join(report.failures)})
 
 
-def run_roundtrip_trials(cfg: FuzzConfig, *,
-                         trials: int | None = None) -> list[TrialRecord]:
+def roundtrip_trial(cfg: FuzzConfig, i: int) -> tuple:
     """Criterion: aligned transport passes the base-theory check and decodes back."""
-    out = []
-    for i in range(trials if trials is not None else cfg.trials):
-        rng = _rng(cfg, "roundtrip", i)
-        sig = random_signature(rng, cfg)
-        M = random_structure(cfg, sig, rng)
-        ctx = TranslationContext(sig, EXACT_STEP)
-        N = transport_structure(ctx, M)
-        violations = t0_violations(ctx, N, tol=0)
-        back = decode_structure(ctx, N)
-        same = back.universe == M.universe and back.interp == M.interp
-        ok = not violations and same
-        witness = None if ok else {"violations": "; ".join(violations),
-                                   "decoded_equal": str(same)}
-        out.append(TrialRecord("roundtrip", i, ok, "transport, base check, decode",
-                                _sizes(M), witness))
-    return out
+    rng = _rng(cfg, "roundtrip", i)
+    sig = random_signature(rng, cfg)
+    M = random_structure(cfg, sig, rng)
+    ctx = TranslationContext(sig, EXACT_STEP)
+    N = transport_structure(ctx, M)
+    violations = t0_violations(ctx, N, tol=0)
+    back = decode_structure(ctx, N)
+    same = back.universe == M.universe and back.interp == M.interp
+    ok = not violations and same
+    witness = None if ok else {"violations": "; ".join(violations),
+                               "decoded_equal": str(same)}
+    return ok, "transport, base check, decode", _sizes(M), witness
 
 
-def run_quotient_trials(cfg: FuzzConfig, *,
-                        trials: int | None = None) -> list[TrialRecord]:
+def quotient_trial(cfg: FuzzConfig, i: int) -> tuple:
     """Criterion: collapsing zero-distance classes never moves a value."""
-    out = []
-    for i in range(trials if trials is not None else cfg.trials):
-        rng = _rng(cfg, "quotient", i)
-        M = random_metric_structure(cfg, rng, force_classes=True)
-        classes = zero_distance_classes(M)
-        rep = {e: cls[0] for cls in classes for e in cls}
-        Mq = quotient(M)
-        phi = random_formula(cfg, M.signature, rng, set_cap=MAX_BASE_POINTS)
-        [before] = tabulate(M, [phi])
-        [after] = tabulate(Mq, [phi])
-        witness = None
-        for asg in _assignments(M, phi.free_vars, None):
-            asg_q = {k: rep[v] for k, v in asg.items()}
-            if before.at(asg) != after.at(asg_q) and witness is None:
-                witness = {"assignment": dict(asg), "value": str(before.value(asg)),
-                           "quotient_value": str(after.value(asg_q))}
-        ok = witness is None and any(len(c) > 1 for c in classes)
-        if witness is None and ok is False:
-            witness = {"classes": str(classes)}
-        out.append(TrialRecord("quotient", i, ok,
-                                f"{len(M.universe)} elements in {len(classes)} classes",
-                                _sizes(M, phi), witness))
-    return out
+    rng = _rng(cfg, "quotient", i)
+    M = random_metric_structure(cfg, rng, force_classes=True)
+    classes = zero_distance_classes(M)
+    rep = {e: cls[0] for cls in classes for e in cls}
+    Mq = quotient(M)
+    phi = random_formula(cfg, M.signature, rng, set_cap=MAX_BASE_POINTS)
+    [before] = tabulate(M, [phi])
+    [after] = tabulate(Mq, [phi])
+    witness = None
+    for asg in _assignments(M, phi.free_vars, None):
+        asg_q = {k: rep[v] for k, v in asg.items()}
+        if before.at(asg) != after.at(asg_q) and witness is None:
+            witness = {"assignment": dict(asg), "value": str(before.value(asg)),
+                       "quotient_value": str(after.value(asg_q))}
+    ok = witness is None and any(len(c) > 1 for c in classes)
+    if witness is None and ok is False:
+        witness = {"classes": str(classes)}
+    return (ok, f"{len(M.universe)} elements in {len(classes)} classes", _sizes(M, phi),
+            witness)
 
 
-def run_refinement_trials(cfg: FuzzConfig, *,
-                          trials: int | None = None) -> list[TrialRecord]:
+def refinement_trial(cfg: FuzzConfig, i: int) -> tuple:
     """Criterion: halving every grid moves values at most the coarse bound.
 
     The same underlying rational values are presented on a step-s grid and a
     step-s/2 grid; parallel formulas are generated shape-deterministically
     from one seed; the evaluation drift must respect the coarse error bound.
     """
-    out = []
-    for i in range(trials if trials is not None else cfg.trials):
-        srng = _rng(cfg, "refinement-sig", i)
-        step = srng.choice((Fraction(1, 2), Fraction(1, 3)))
-        count = srng.randint(1, 2)
-        arities = [srng.choice((1, 1, 2)) for _ in range(count)]
-        sigs = []
-        for s in (step, step / 2):
-            space = make_interval(0, 1, s)
-            sigs.append(signature([Relation(_NAMES[k], arities[k], space)
-                                   for k in range(count)]))
-        coarse_sig, fine_sig = sigs
+    srng = _rng(cfg, "refinement-sig", i)
+    step = srng.choice((Fraction(1, 2), Fraction(1, 3)))
+    count = srng.randint(1, 2)
+    arities = [srng.choice((1, 1, 2)) for _ in range(count)]
+    coarse_sig, fine_sig = (
+        signature([Relation(_NAMES[k], arities[k], space) for k in range(count)])
+        for space in (make_interval(0, 1, step), make_interval(0, 1, step / 2)))
 
-        phi_c = random_formula(cfg, coarse_sig, _rng(cfg, "refinement-formula", i),
-                               stable=True, set_cap=MAX_BASE_POINTS)
-        phi_f = random_formula(cfg, fine_sig, _rng(cfg, "refinement-formula", i),
-                               stable=True, set_cap=MAX_BASE_POINTS)
+    phi_c, phi_f = (random_formula(cfg, sig, _rng(cfg, "refinement-formula", i),
+                                   stable=True, set_cap=MAX_BASE_POINTS)
+                    for sig in (coarse_sig, fine_sig))
 
-        vrng = _rng(cfg, "refinement-structure", i)
-        n = vrng.randint(1, cfg.universe_size)
-        universe = tuple(f"e{k}" for k in range(n))
-        interp_c: dict = {}
-        interp_f: dict = {}
-        for rel_c, rel_f in zip(coarse_sig.relations, fine_sig.relations):
-            tab_c, tab_f = {}, {}
-            for t in itertools.product(universe, repeat=rel_c.arity):
-                true_value = point(Fraction(vrng.randint(0, 16), 16))
-                tab_c[t] = nearest(rel_c.space, true_value)[0]
-                tab_f[t] = nearest(rel_f.space, true_value)[0]
-            interp_c[rel_c.name] = tab_c
-            interp_f[rel_f.name] = tab_f
-        M_c = Structure(coarse_sig, universe, interp_c)
-        M_f = Structure(fine_sig, universe, interp_f)
+    vrng = _rng(cfg, "refinement-structure", i)
+    universe = tuple(f"e{k}" for k in range(vrng.randint(1, cfg.universe_size)))
+    interp_c: dict = {}
+    interp_f: dict = {}
+    for rel_c, rel_f in zip(coarse_sig.relations, fine_sig.relations):
+        tab_c, tab_f = {}, {}
+        for t in itertools.product(universe, repeat=rel_c.arity):
+            true_value = point(Fraction(vrng.randint(0, 16), 16))
+            tab_c[t] = nearest(rel_c.space, true_value)[0]
+            tab_f[t] = nearest(rel_f.space, true_value)[0]
+        interp_c[rel_c.name] = tab_c
+        interp_f[rel_f.name] = tab_f
+    M_c = Structure(coarse_sig, universe, interp_c)
 
-        bound = eval_error_bound(phi_c)
-        [coarse] = tabulate(M_c, [phi_c])
-        [fine] = tabulate(M_f, [phi_f])
-        witness = None
-        worst = ZERO
-        for asg in _assignments(M_c, phi_c.free_vars, None):
-            drift = abs(coarse.at(asg).scalar - fine.at(asg).scalar)
-            worst = max(worst, drift)
-            if drift > bound and witness is None:
-                witness = {"assignment": dict(asg), "drift": str(drift),
-                           "bound": str(bound)}
-        out.append(TrialRecord("refinement", i, witness is None,
-                                f"drift {worst} <= bound {bound} at step {step}",
-                                _sizes(M_c, phi_c), witness))
-    return out
+    bound = eval_error_bound(phi_c)
+    [coarse] = tabulate(M_c, [phi_c])
+    [fine] = tabulate(Structure(fine_sig, universe, interp_f), [phi_f])
+    witness = None
+    worst = ZERO
+    for asg in _assignments(M_c, phi_c.free_vars, None):
+        drift = abs(coarse.at(asg).scalar - fine.at(asg).scalar)
+        worst = max(worst, drift)
+        if drift > bound and witness is None:
+            witness = {"assignment": dict(asg), "drift": str(drift), "bound": str(bound)}
+    return (witness is None, f"drift {worst} <= bound {bound} at step {step}",
+            _sizes(M_c, phi_c), witness)
 
 
-def run_limit_trials(cfg: FuzzConfig, *,
-                     trials: int | None = None) -> list[TrialRecord]:
+def limit_trial(cfg: FuzzConfig, i: int) -> tuple:
     """Spot-check declared convergence rates of truncated limit formulas."""
-    out = []
-    for i in range(trials if trials is not None else cfg.trials):
-        rng = _rng(cfg, "limit", i)
-        c = Fraction(rng.randint(2, 6), 8)
-        length = rng.randint(3, 6)
-        vals = [c + (1 if k % 2 == 0 else -1) * Fraction(1, 2 ** (k + 3))
-                for k in range(length)]
-        space = make_finite([point(v) for v in vals])
-        formulas = [Apply(const(point(v), space), ()) for v in vals]
-        rate = lambda n: Fraction(1, 2 ** (n + 2))  # noqa: E731
-        tol = rng.choice((Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)))
-        sig = signature([Relation("R", 1, space)])
-        M = structure(sig, ["e0"], {"R": {("e0",): vals[0]}})
-        try:
-            check = verify_limit_declaration(M, formulas, rate, tol, true_limit=c)
-            ok, witness = check.ok, check.witness
-        except ValidationError as err:  # rate never adequate for this prefix
-            ok = frac(rate(length - 1)) > tol
-            witness = None if ok else {"error": str(err)}
-        out.append(TrialRecord("limit", i, ok, f"prefix {length}, tol {tol}",
-                                {"universe": 1, "relations": 1, "net": length}, witness))
-    return out
+    rng = _rng(cfg, "limit", i)
+    c = Fraction(rng.randint(2, 6), 8)
+    length = rng.randint(3, 6)
+    vals = [c + (1 if k % 2 == 0 else -1) * Fraction(1, 2 ** (k + 3))
+            for k in range(length)]
+    space = make_finite([point(v) for v in vals])
+    formulas = [Apply(const(point(v), space), ()) for v in vals]
+    rate = lambda n: Fraction(1, 2 ** (n + 2))  # noqa: E731
+    tol = rng.choice((Fraction(1, 8), Fraction(1, 16), Fraction(1, 32)))
+    M = structure(signature([Relation("R", 1, space)]), ["e0"], {"R": {("e0",): vals[0]}})
+    try:
+        check = verify_limit_declaration(M, formulas, rate, tol, true_limit=c)
+        ok, witness = check.ok, check.witness
+    except ValidationError as err:  # rate never adequate for this prefix
+        ok = frac(rate(length - 1)) > tol
+        witness = None if ok else {"error": str(err)}
+    return ok, f"prefix {length}, tol {tol}", _sizes(M), witness
 
 
 # ---------------------------------------------------------------------------
-# The full suite
+# The suites and their one trial loop
 
 
+#: (name, trial, weight) per suite: `trial(cfg, i)` returns trial i's
+#: (ok, detail, sizes, witness), and `fuzz` gives each suite a share of
+#: cfg.trials in proportion to its weight.
 SUITES: tuple[tuple[str, Callable, int], ...] = (
-    ("coding-exact", run_coding_trials, 30),
-    ("coding-grid", lambda cfg, trials=None: run_coding_trials(cfg, grid=True, trials=trials), 10),
-    ("quantifier", run_quantifier_trials, 20),
-    ("roundtrip", run_roundtrip_trials, 10),
-    ("corruption", run_corruption_trials, 7),
-    ("metric-violation", run_metric_violation_trials, 7),
-    ("quotient", run_quotient_trials, 6),
-    ("refinement", run_refinement_trials, 6),
-    ("limit", run_limit_trials, 4),
+    ("coding-exact", coding_trial, 30),
+    ("coding-grid", partial(coding_trial, grid=True), 10),
+    ("quantifier", quantifier_trial, 20),
+    ("roundtrip", roundtrip_trial, 10),
+    ("corruption", corruption_trial, 7),
+    ("metric-violation", metric_violation_trial, 7),
+    ("quotient", quotient_trial, 6),
+    ("refinement", refinement_trial, 6),
+    ("limit", limit_trial, 4),
 )
+
+
+def _records(kind: str, trial: Callable, cfg: FuzzConfig,
+             trials: int | None) -> list[TrialRecord]:
+    """The one trial loop: a record of `trial(cfg, i)` per i below `trials`."""
+    return [TrialRecord(kind, i, *trial(cfg, i))
+            for i in range(cfg.trials if trials is None else trials)]
+
+
+def run_suite(name: str, cfg: FuzzConfig, trials: int | None = None) -> list[TrialRecord]:
+    """The records of trials 0 .. trials - 1 (cfg.trials by default) of a suite."""
+    trial = next((t for n, t, _ in SUITES if n == name), None)
+    if trial is None:
+        raise ValidationError(f"no such suites: [{name!r}]")
+    return _records(name, trial, cfg, trials)
+
+
+def run_coding_trials(cfg: FuzzConfig, *, grid: bool = False,
+                      trials: int | None = None) -> list[TrialRecord]:
+    """`run_suite` of a coding suite, kept for the benchmark's own checks."""
+    return run_suite("coding-grid" if grid else "coding-exact", cfg, trials)
+
+
+def run_quantifier_trials(cfg: FuzzConfig, *, trials: int | None = None,
+                          checks: Sequence[str] = QUANTIFIER_CHECKS,
+                          ) -> list[TrialRecord]:
+    """`run_suite("quantifier", ...)` running only `checks` on the same
+    instances, kept for the benchmark's own checks."""
+    return _records("quantifier", partial(quantifier_trial, checks=checks), cfg, trials)
 
 
 def fuzz(cfg: FuzzConfig, kinds: Sequence[str] | None = None) -> list[TrialRecord]:
@@ -1011,8 +994,8 @@ def fuzz(cfg: FuzzConfig, kinds: Sequence[str] | None = None) -> list[TrialRecor
         top = max(range(len(shares)), key=lambda j: shares[j])
         shares[top] = max(1, shares[top] + slack)
     records: list[TrialRecord] = []
-    for (name, fn, _), n in zip(chosen, shares):
-        records.extend(fn(cfg, trials=n))
+    for (name, trial, _), n in zip(chosen, shares):
+        records.extend(_records(name, trial, cfg, n))
     return records
 
 

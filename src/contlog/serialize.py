@@ -88,28 +88,32 @@ def space_from_json(doc: Any) -> ValueSpace:
     label = doc.get("label")
     if label is not None and not isinstance(label, str):
         raise FormatError(f"space label must be a string, got {label!r}")
-    if "hyper" in doc:
-        return hyper(space_from_json(doc["hyper"]))
-    if "interval" in doc:
+    shape = next((key for key in ("hyper", "interval", "finite", "net") if key in doc), None)
+    if shape is None:
+        raise FormatError('value space needs one of "interval", "finite", "net", "hyper"')
+    read = {shape, "label", "resolution"} if shape == "net" else {shape, "label"}
+    unread = sorted(set(doc) - read)
+    if unread:
+        raise FormatError(f'a "{shape}" space does not read {", ".join(map(repr, unread))}')
+    if shape == "hyper":
+        space = hyper(space_from_json(doc["hyper"]))
+        if label not in (None, space.label):
+            raise FormatError(f"hyperspace label {label!r} is not the derived {space.label!r}")
+        return space
+    if shape == "interval":
         spec = doc["interval"]
         if not (isinstance(spec, list) and len(spec) == 3):
             raise FormatError('"interval" takes [lo, hi, step]')
         lo, hi, step = (rational_from_str(s) for s in spec)
         return make_interval(lo, hi, step, label=label)
-    if "finite" in doc:
-        pts = doc["finite"]
-        if not isinstance(pts, list) or not pts:
-            raise FormatError('"finite" takes a nonempty list of points')
-        return make_finite([point_from_json(p) for p in pts], label=label)
-    if "net" in doc:
-        pts = doc["net"]
-        if not isinstance(pts, list) or not pts:
-            raise FormatError('"net" takes a nonempty list of points')
-        pts = [point_from_json(p) for p in pts]
-        res = rational_from_str(doc.get("resolution", 0))
-        return ValueSpace(pts[0].dimension, tuple(pts), res,
-                          label or f"space({len(pts)}p)")
-    raise FormatError('value space needs one of "interval", "finite", "net", "hyper"')
+    pts = doc[shape]
+    if not isinstance(pts, list) or not pts:
+        raise FormatError(f'"{shape}" takes a nonempty list of points')
+    pts = [point_from_json(p) for p in pts]
+    if shape == "finite":
+        return make_finite(pts, label=label)
+    res = rational_from_str(doc.get("resolution", 0))
+    return ValueSpace(pts[0].dimension, tuple(pts), res, label or f"space({len(pts)}p)")
 
 
 # ---------------------------------------------------------------------------
@@ -198,6 +202,9 @@ def structure_from_json(doc: Any) -> Structure:
 
 
 def _table_from_json(entry: Mapping) -> Connective:
+    name = entry.get("name", "table")
+    if not isinstance(name, str):
+        raise FormatError(f"table name must be a string, got {name!r}")
     domains = entry.get("domains")
     if not isinstance(domains, list) or not domains:
         raise FormatError('table needs a nonempty "domains" list')
@@ -213,7 +220,7 @@ def _table_from_json(entry: Mapping) -> Connective:
         if pts in mapping:
             raise FormatError(f"table key {key!r} names a point tuple an earlier key names")
         mapping[pts] = point_from_json(val)
-    return table(doms, mapping, lip, codomain, name=str(entry.get("name", "table")))
+    return table(doms, mapping, lip, codomain, name=name)
 
 
 _UNARY_KINDS = {"neg": neg, "clamp01": clamp01, "identity": identity}

@@ -16,10 +16,8 @@ from contlog.connective import (compose, identity, mcshane_extend, neg, table,
 from contlog.hyperspace import (ball, decode_subset, hyper, inf_theta, lift,
                                 sup_theta, urysohn_separator, vietoris_member,
                                 vietoris_slack)
-from contlog.oracle import (FuzzConfig, random_theta, run_coding_trials,
-                            run_corruption_trials, run_metric_violation_trials,
-                            run_quantifier_trials, run_quotient_trials,
-                            run_roundtrip_trials)
+from contlog.oracle import (FuzzConfig, random_theta, run_quantifier_trials,
+                            run_suite)
 from contlog.translate import lattice_approx, sup_generator
 from contlog.valuespace import make_finite, make_interval, point
 
@@ -37,11 +35,10 @@ def eighths_space(rng: random.Random, size: int):
 @pytest.mark.acceptance(1, "coded formulas track the source semantics within budget")
 def test_coding_soundness():
     start = time.monotonic()
-    exact = run_coding_trials(
-        FuzzConfig(seed=4101, universe_size=5, formula_depth=3, trials=1000))
-    grid = run_coding_trials(
-        FuzzConfig(seed=4102, universe_size=5, formula_depth=3, trials=300),
-        grid=True)
+    exact = run_suite(
+        "coding-exact", FuzzConfig(seed=4101, universe_size=5, formula_depth=3, trials=1000))
+    grid = run_suite(
+        "coding-grid", FuzzConfig(seed=4102, universe_size=5, formula_depth=3, trials=300))
     elapsed = time.monotonic() - start
     assert len(exact) == 1000 and len(grid) == 300
     bad = [r.as_json() for r in exact + grid if not r.ok]
@@ -235,7 +232,7 @@ def test_extension_instances():
 
 @pytest.mark.acceptance(9, "quotienting zero-distance classes preserves values")
 def test_quotient_transparency():
-    records = run_quotient_trials(FuzzConfig(seed=4909, trials=200))
+    records = run_suite("quotient", FuzzConfig(seed=4909, trials=200))
     assert len(records) == 200
     bad = [r.as_json() for r in records if not r.ok]
     assert not bad, bad[:3]
@@ -243,7 +240,7 @@ def test_quotient_transparency():
 
 @pytest.mark.acceptance(10, "grid transport round-trips and stays aligned")
 def test_transport_roundtrip():
-    records = run_roundtrip_trials(FuzzConfig(seed=4010, trials=200))
+    records = run_suite("roundtrip", FuzzConfig(seed=4010, trials=200))
     assert len(records) == 200
     bad = [r.as_json() for r in records if not r.ok]
     assert not bad, bad[:3]
@@ -251,8 +248,8 @@ def test_transport_roundtrip():
 
 @pytest.mark.acceptance(11, "corrupted translations and broken metrics are caught")
 def test_negative_controls():
-    corrupted = run_corruption_trials(FuzzConfig(seed=4011, trials=50))
-    broken = run_metric_violation_trials(FuzzConfig(seed=4012, trials=20))
+    corrupted = run_suite("corruption", FuzzConfig(seed=4011, trials=50))
+    broken = run_suite("metric-violation", FuzzConfig(seed=4012, trials=20))
     assert len(corrupted) == 50 and len(broken) == 20
     missed = [r.as_json() for r in corrupted + broken if not r.ok]
     assert not missed, missed[:3]

@@ -224,7 +224,18 @@ class TestMalformedFields:
          "space label must be a string, got 5"),
         (lambda doc: doc["signature"]["relations"][0]["space"].update(label=["x"]),
          "space label must be a string, got ['x']"),
-    ], ids=["universe-list", "distance-list", "label-int", "label-list"])
+        (lambda doc: doc["signature"]["relations"][0]["space"].update(resolution="x"),
+         "a \"interval\" space does not read 'resolution'"),
+        (lambda doc: doc["signature"]["relations"][0].update(
+            space={"finite": ["0", "1"], "resolution": "1/2"}),
+         "a \"finite\" space does not read 'resolution'"),
+        (lambda doc: doc["signature"]["relations"][0]["space"].update(bogus=1),
+         "a \"interval\" space does not read 'bogus'"),
+        (lambda doc: doc["signature"]["relations"][0].update(
+            space={"hyper": TENTHS, "label": "K"}),
+         "hyperspace label 'K' is not the derived 'K([0,1]/1/10)'"),
+    ], ids=["universe-list", "distance-list", "label-int", "label-list", "interval-resolution",
+            "finite-resolution", "interval-bogus", "hyper-label"])
     def test_structure_file(self, tmp_path, capsys, edit, message):
         doc = json.loads(json.dumps(M_DOC))
         edit(doc)
@@ -238,7 +249,9 @@ class TestMalformedFields:
         ({"kind": ["neg"], "space": TENTHS}, "connective kind must be a string, got ['neg']"),
         ({"kind": "proj", "index": True, "space": {"finite": [["0", "1"]]}},
          "proj index must be an integer"),
-    ], ids=["kind-list", "index-bool"])
+        ({"kind": "table", "name": ["x"], "domains": [TENTHS], "codomain": TENTHS,
+          "lipschitz": 1, "mapping": {}}, "table name must be a string, got ['x']"),
+    ], ids=["kind-list", "index-bool", "table-name-list"])
     def test_library_file(self, files, tmp_path, capsys, entry, message):
         path = tmp_path / "lib.json"
         path.write_text(json.dumps({"connectives": {"c": entry}}))
@@ -549,13 +562,17 @@ class TestFuzz:
                            "--suite", "quotient")
         assert first == second
 
-    def test_default_suites_output_is_pinned(self, files, capsys):
+    PINNED = {7: "c970a1bc4b5b18ec82ba2cb4d8531db1d14e386910b4cc86278f39d99eecd55a",
+              4101: "8eb073b4872445d5b537cd0c2a3ae045347dd1fe48757a7e30dfe3f1af1481f2",
+              4102: "f3b4eb9752c42c783dabf092487ef2a06c1796a1e39fcb76a4ee112b1ce10a40"}
+
+    @pytest.mark.parametrize("seed", PINNED)
+    def test_default_suites_output_is_pinned(self, files, capsys, seed):
         # a change that keeps every value and budget keeps this output
         # byte for byte
-        code, out, _ = run(capsys, "fuzz", "--seed", "7", "--trials", "200")
+        code, out, _ = run(capsys, "fuzz", "--seed", str(seed), "--trials", "200")
         assert code == 0
-        assert hashlib.sha256(out.encode()).hexdigest() == (
-            "c970a1bc4b5b18ec82ba2cb4d8531db1d14e386910b4cc86278f39d99eecd55a")
+        assert hashlib.sha256(out.encode()).hexdigest() == self.PINNED[seed]
 
     def test_unknown_suite_rejected_by_argparse(self, files, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -22,13 +22,8 @@ from contlog.oracle import (
     random_structure,
     random_theta,
     run_coding_trials,
-    run_corruption_trials,
-    run_limit_trials,
-    run_metric_violation_trials,
     run_quantifier_trials,
-    run_quotient_trials,
-    run_refinement_trials,
-    run_roundtrip_trials,
+    run_suite,
     summarize,
     verify_coding,
     verify_corruption_detected,
@@ -405,8 +400,8 @@ class TestOneQuantifierCheck:
             return real(M, body, theta, var, checks)
 
         monkeypatch.setattr(oracle, "verify_quantifier", spy)
-        records = run_quantifier_trials(FuzzConfig(seed=4203, universe_size=5,
-                                                   formula_depth=3), trials=60)
+        records = run_suite("quantifier", FuzzConfig(seed=4203, universe_size=5,
+                                                     formula_depth=3), trials=60)
         monkeypatch.undo()
         assert len(instances) == len(records) == 60
         for M, body, theta, var in instances:
@@ -538,10 +533,10 @@ class TestWitnesses:
 
         monkeypatch.setattr(oracle, "random_formula",
                             lambda cfg, sig, rng, **kw: atom(sig, "R", "x"))
-        records = run_quotient_trials(FuzzConfig(seed=11), trials=2)
+        records = run_suite("quotient", FuzzConfig(seed=11), trials=2)
         assert all(r.ok for r in records)
         monkeypatch.setattr(oracle, "quotient", faulty)
-        records = run_quotient_trials(FuzzConfig(seed=11), trials=2)
+        records = run_suite("quotient", FuzzConfig(seed=11), trials=2)
         assert [r.ok for r in records] == [False, False]
         assert [r.witness for r in records] == [
             {"assignment": {"x": "e0"}, "value": "(1)", "quotient_value": "(0)"},
@@ -554,7 +549,7 @@ class TestWitnesses:
         real = oracle.random_metric_structure
         monkeypatch.setattr(oracle, "random_metric_structure",
                             lambda cfg, rng, **kw: real(cfg, rng))
-        records = run_quotient_trials(FuzzConfig(seed=11), trials=2)
+        records = run_suite("quotient", FuzzConfig(seed=11), trials=2)
         assert [r.ok for r in records] == [False, True]
         assert records[0].witness == {"classes": "(('e0',), ('e1',), ('e2',))"}
 
@@ -563,10 +558,10 @@ class TestWitnesses:
         # formula is its first relation at its variables
         monkeypatch.setattr(oracle, "random_formula", lambda cfg, sig, rng, **kw: atom(
             sig, sig.relations[0].name, *("x", "y")[:sig.relations[0].arity]))
-        records = run_refinement_trials(FuzzConfig(seed=11), trials=2)
+        records = run_suite("refinement", FuzzConfig(seed=11), trials=2)
         assert all(r.ok for r in records)
         monkeypatch.setattr(oracle, "eval_error_bound", lambda phi: F(0))
-        records = run_refinement_trials(FuzzConfig(seed=11), trials=2)
+        records = run_suite("refinement", FuzzConfig(seed=11), trials=2)
         assert [r.ok for r in records] == [False, False]
         assert [r.witness for r in records] == [
             {"assignment": {"x": "e0", "y": "e1"}, "drift": "1/6", "bound": "0"},
@@ -577,13 +572,11 @@ class TestWitnesses:
 class TestDrivers:
     def test_each_driver_runs_clean(self):
         cfg = FuzzConfig(seed=11, trials=8)
-        for run in (run_coding_trials, run_quantifier_trials,
-                    run_roundtrip_trials, run_corruption_trials,
-                    run_metric_violation_trials, run_quotient_trials,
-                    run_refinement_trials, run_limit_trials):
-            records = run(cfg)
+        for name, _, _ in SUITES:
+            records = run_suite(name, cfg)
+            assert len(records) == 8
             bad = [r for r in records if not r.ok]
-            assert not bad, (run.__name__, bad[0].as_json() if bad else None)
+            assert not bad, (name, bad[0].as_json() if bad else None)
 
     def test_exact_coding_must_have_zero_budget(self, monkeypatch):
         # plant a fault: the coder charges half a grid step of snap on nets
@@ -592,7 +585,7 @@ class TestDrivers:
         monkeypatch.setattr(TranslationContext, "space_snap_bound",
                             lambda self, space: self.step / 2)
         cfg = FuzzConfig(seed=11, trials=8)
-        records = run_coding_trials(cfg)
+        records = run_suite("coding-exact", cfg)
         bad = [r for r in records if not r.ok]
         assert [r.trial for r in bad] == [0, 3, 4, 7]
         assert bad[0].witness == {"budget": "1/2", "difference": "0"}
@@ -601,22 +594,22 @@ class TestDrivers:
             assert set(r.witness) == {"budget", "difference"}
             assert F(r.witness["budget"]) > 0 and r.witness["difference"] == "0"
         monkeypatch.undo()
-        assert all(r.ok for r in run_coding_trials(cfg))
+        assert all(r.ok for r in run_suite("coding-exact", cfg))
 
     def test_grid_coding_runs_clean(self):
-        records = run_coding_trials(FuzzConfig(seed=12, trials=8), grid=True)
+        records = run_suite("coding-grid", FuzzConfig(seed=12, trials=8))
         assert all(r.ok for r in records)
 
     def test_trials_override(self):
-        assert len(run_roundtrip_trials(CFG, trials=3)) == 3
+        assert len(run_suite("roundtrip", CFG, trials=3)) == 3
 
     def test_determinism(self):
-        a = run_coding_trials(FuzzConfig(seed=99, trials=5))
-        b = run_coding_trials(FuzzConfig(seed=99, trials=5))
+        a = run_suite("coding-exact", FuzzConfig(seed=99, trials=5))
+        b = run_suite("coding-exact", FuzzConfig(seed=99, trials=5))
         assert [r.as_json() for r in a] == [r.as_json() for r in b]
 
     def test_records_shape(self):
-        r = run_quantifier_trials(CFG, trials=1)[0]
+        r = run_suite("quantifier", CFG, trials=1)[0]
         doc = r.as_json()
         assert doc["kind"] == "quantifier" and doc["trial"] == 0
         assert set(doc) >= {"kind", "trial", "ok", "detail", "sizes"}
@@ -634,6 +627,18 @@ class TestDrivers:
     def test_quantifier_checks_must_name_one(self):
         with pytest.raises(ValidationError, match="no known checks"):
             run_quantifier_trials(CFG, trials=1, checks=("typo",))
+
+    def test_unknown_suite(self):
+        with pytest.raises(ValidationError, match=r"no such suites: \['nonsense'\]"):
+            run_suite("nonsense", CFG)
+
+    def test_views_are_the_suites(self):
+        # the two views the benchmark's checks call run the suites' own trials
+        cfg = FuzzConfig(seed=13, trials=4)
+        for name, records in (("coding-exact", run_coding_trials(cfg)),
+                              ("coding-grid", run_coding_trials(cfg, grid=True)),
+                              ("quantifier", run_quantifier_trials(cfg))):
+            assert records == run_suite(name, cfg)
 
 
 class TestPlantedViolations:

@@ -116,11 +116,28 @@ class TestSpaces:
         doc = space_to_json(H)
         assert "hyper" in doc
         back = space_from_json(reencode(doc))
+        assert back == H  # the derived label it writes is read back
         assert back.net == H.net
         assert back.resolution == H.resolution
         assert not back.standard_metric
         k = encode_subset(back, [point(0), point(1)])
         assert back.metric(k, k) == 0
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"interval": ["0", "1", "1/2"], "resolution": "x"},
+         "^a \"interval\" space does not read 'resolution'$"),
+        ({"finite": ["0", "1"], "resolution": "1/2"},
+         "^a \"finite\" space does not read 'resolution'$"),
+        ({"interval": ["0", "1", "1/2"], "bogus": 1, "also": 2},
+         "^a \"interval\" space does not read 'also', 'bogus'$"),
+        ({"net": ["0", "1"], "finite": ["0", "1"]}, "^a \"finite\" space does not read 'net'$"),
+        ({"hyper": {"finite": ["0", "1"]}, "label": "K"},
+         "^hyperspace label 'K' is not the derived 'K\\(finite\\(2p,1d\\)\\)'$"),
+    ], ids=["interval-resolution", "finite-resolution", "interval-bogus", "two-shapes",
+            "hyper-label"])
+    def test_keys_a_shape_does_not_read_are_refused(self, doc, message):
+        with pytest.raises(FormatError, match=message):
+            space_from_json(doc)
 
     def test_unrecognized_shape(self):
         with pytest.raises(FormatError, match="needs one of"):
@@ -310,6 +327,14 @@ class TestLibraries:
                     },
                 },
             })
+
+    def test_table_name_must_be_a_string(self):
+        with pytest.raises(FormatError,
+                           match=r"^connective 'sq': table name must be a string, got \['x'\]$"):
+            library_from_json({"connectives": {"sq": {
+                "kind": "table", "name": ["x"], "domains": [self.unit_doc()],
+                "codomain": self.unit_doc(), "lipschitz": 1,
+                "mapping": {"0": "0", "1/2": "1/2", "1": "1"}}}})
 
     def test_table_key_arity(self):
         with pytest.raises(FormatError, match="2 arguments"):
