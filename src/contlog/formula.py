@@ -455,10 +455,7 @@ class _Parser:
             if var in KEYWORDS:
                 raise ParseError(f"{var!r} cannot be used as a variable", pos, self.text)
             self.take(".", "'.'")
-            body = self.formula()
-            node = Quant(QuantKind(value), var, body)
-            self._typecheck(node, pos)
-            return node
+            return self._typed(pos, Quant, QuantKind(value), var, self.formula())
         if kind == "ident":
             self.i += 1
             self.take("(", "'('")
@@ -468,30 +465,26 @@ class _Parser:
                     self.i += 1
                     args.append(self.take("ident", "a variable")[1])
                 self.take(")", "')' or ','")
-                rel = self.sig.by_name[value]
-                if len(args) != rel.arity:
-                    raise ParseError(
-                        f"{value} has arity {rel.arity}, got {len(args)} arguments",
-                        pos, self.text,
-                    )
-                return Atomic(value, tuple(args), rel.space)
+                return self._typed(pos, atom, self.sig, value, *args)
             if value in self.library:
                 children = [self.formula()]
                 while self.peek()[0] == ",":
                     self.i += 1
                     children.append(self.formula())
                 self.take(")", "')' or ','")
-                node = Apply(self.library[value], tuple(children))
-                self._typecheck(node, pos)
-                return node
+                return self._typed(pos, Apply, self.library[value], tuple(children))
             raise ParseError(f"unknown symbol {value!r}", pos, self.text)
         raise ParseError("expected a formula", pos, self.text)
 
-    def _typecheck(self, node: Formula, pos: int):
+    def _typed(self, pos: int, build: Callable[..., Formula], *args) -> Formula:
+        """The node build(*args), typechecked; a TypeCheckError becomes a
+        ParseError at the node's position pos."""
         try:
+            node = build(*args)
             node.value_space
         except TypeCheckError as err:
             raise ParseError(str(err), pos, self.text) from None
+        return node
 
     def run(self) -> Formula:
         node = self.formula()

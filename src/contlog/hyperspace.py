@@ -14,15 +14,15 @@ built only when a caller iterates the net.  These never do:
 - `membership`, and so a `Structure` with set values, which reads a value's
   0/1 mask in O(n);
 - `proj` and the translation's snap bound, which take the coordinate values
-  {0, 1} in closed form (`coordinate_values`).
+  {0, 1} in closed form (`coordinate_values`);
+- decoding and the T0 check, which round each coordinate (`nearest_indicator`).
 
 These do:
 
 - coding a set quantifier, which works on masks and builds the points only
   to apply an observable to them;
 - `lattice_approx`, and exhaustive checks over the whole hyperspace;
-- `nearest` on a hyperspace, and decoding a transported structure and its
-  T0 check, which scan the net in flat l-infinity (`translate._nearest_net_points`).
+- `nearest` on a hyperspace, which scans the net in the Hausdorff metric.
 
 Open behaviour is visible through the two generating families of the Vietoris
 topology: "every member inside U" and "some member meets V".
@@ -39,7 +39,7 @@ from operator import attrgetter
 
 from .connective import Connective, _value_table, observable
 from .errors import CapacityError, EvalError, SpaceMismatch, ValidationError
-from .valuespace import ONE, ZERO, Point, Rational, ValueSpace, frac, nearest, point
+from .valuespace import ONE, ZERO, Point, Rational, ValueSpace, frac, linf_coords, nearest, point
 
 #: hyper() refuses bases beyond this many net points (2^16 subsets).
 MAX_BASE_POINTS = 16
@@ -239,6 +239,21 @@ def encode_subset(h: HyperSpace, members: Iterable[Point]) -> Point:
     return _indicator(tuple([int(i in idx) for i in range(len(h.base.net))]))
 
 
+def nearest_indicator(h: HyperSpace, p: Point) -> tuple[Point, Fraction]:
+    """`nearest` for a point p of h's dimension in the flat l-infinity
+    distance on coordinates, not h's Hausdorff metric: the indicator point
+    nearest to p and that distance, ties to the first in net order.  Every
+    nonempty 0/1 vector is a net point, so each coordinate rounds to the
+    nearer of 0 and 1, a tie to 0; if all round to 0, the last coordinate
+    holding the largest value becomes 1."""
+    xs = p.coords
+    bits = [int(2 * x > 1) for x in xs]
+    if not any(bits):
+        bits[max(range(len(xs)), key=lambda i: (xs[i], i))] = 1
+    q = _indicator(tuple(bits))
+    return q, linf_coords(q.coords, xs)
+
+
 def decode_subset(h: HyperSpace, p: Point) -> CompactSet:
     idx = h.member_indices(p)
     return CompactSet(h.base, tuple(h.base.net[i] for i in sorted(idx)))
@@ -261,7 +276,7 @@ class OpenRegion:
                 raise ValidationError("ball radius must be positive")
 
     def contains(self, p: Point) -> bool:
-        return any(self.space.metric(p, c) < r for c, r in self.balls)
+        return self.depth(p) > 0
 
     def depth(self, p: Point) -> Fraction:
         """Largest slack r - d(p, center) over the balls; positive iff p is inside."""
@@ -277,10 +292,7 @@ def vietoris_member(k: CompactSet, u: OpenRegion, vs: Sequence[OpenRegion] = ())
 
     True iff every member of k is inside u and k meets every region in vs.
     """
-    _check_region_spaces(k, u, vs)
-    if not all(u.contains(p) for p in k.members):
-        return False
-    return all(any(v.contains(p) for p in k.members) for v in vs)
+    return vietoris_slack(k, u, vs) > 0
 
 
 def vietoris_slack(k: CompactSet, u: OpenRegion, vs: Sequence[OpenRegion] = ()) -> Fraction:
@@ -289,17 +301,12 @@ def vietoris_slack(k: CompactSet, u: OpenRegion, vs: Sequence[OpenRegion] = ()) 
     Any set within Hausdorff distance strictly less than the slack is also a
     member — the stability that makes these sets open in Hausdorff metric.
     """
-    _check_region_spaces(k, u, vs)
+    if any(region.space != k.space for region in (u, *vs)):
+        raise SpaceMismatch("regions must live on the set's space")
     slack = min(u.depth(p) for p in k.members)
     for v in vs:
         slack = min(slack, max(v.depth(p) for p in k.members))
     return slack
-
-
-def _check_region_spaces(k: CompactSet, u: OpenRegion, vs: Sequence[OpenRegion]):
-    for region in (u, *vs):
-        if region.space != k.space:
-            raise SpaceMismatch("regions must live on the set's space")
 
 
 def lift(theta: Connective, name: str | None = None) -> Connective:

@@ -153,11 +153,15 @@ class Structure:
     def value(self, symbol: str, *elements: str) -> Point:
         return self.interp[symbol][tuple(elements)]
 
-    def distance(self, a: str, b: str) -> Fraction:
+    def distance_symbol(self) -> str:
+        """The signature's distance symbol; a signature with none is refused."""
         d = self.signature.distance_symbol
         if d is None:
             raise ValidationError("signature has no distance symbol")
-        return self.interp[d][(a, b)].scalar
+        return d
+
+    def distance(self, a: str, b: str) -> Fraction:
+        return self.interp[self.distance_symbol()][(a, b)].scalar
 
 
 def structure(sig: Signature, universe: Sequence[str],
@@ -566,11 +570,9 @@ def _tight_function_lipschitz(M: Structure, f: Mapping[ElementTuple, str]) -> Fr
 
 def _checked_function_table(M: Structure, name: str, f_table: Mapping) -> dict[ElementTuple, str]:
     """The table of a function to encode as name, keyed by element tuples;
-    refuses a malformed table, a taken name and a structure with no distance."""
-    sig = M.signature
-    if sig.distance_symbol is None:
-        raise ValidationError("encoding a function needs a distance symbol")
-    if name in sig.by_name:
+    refuses a structure with no distance, a taken name and a malformed table."""
+    M.distance_symbol()
+    if name in M.signature.by_name:
         raise ValidationError(f"symbol {name!r} already exists")
 
     def key_len(key) -> int:
@@ -640,9 +642,8 @@ def check_function_axioms(M: Structure, symbol: str, lipschitz: Rational | None 
     Three laws: every input row attains value zero somewhere; the relation is
     1-Lipschitz in its output slot; and L-Lipschitz in the input slots.
     """
+    M.distance_symbol()  # before `sig.modulus`, which a signature with none lacks
     sig = M.signature
-    if sig.distance_symbol is None:
-        raise ValidationError("function axioms need a distance symbol")
     rel = sig.by_name.get(symbol)
     if rel is None:
         raise ValidationError(f"unknown symbol {symbol!r}")

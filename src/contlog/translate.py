@@ -6,8 +6,9 @@ source symbol P valued in X becomes one grid symbol per coordinate of X,
 which already sits in a unit cube, so its coordinate projections separate
 its points.  Structures transport by snapping each coordinate of a value to
 the grid (error at most half the grid step per coordinate), and decode back
-by nearest net point.  Every transported value is a grid point by
-construction, so the transported structure skips `Structure`'s per-value
+by nearest net point, bisecting a one-dimensional net and rounding a set
+value's coordinates (`_read_back`).  Every transported value is a grid point
+by construction, so the transported structure skips `Structure`'s per-value
 membership check; the context keeps each space's snap bound.
 
 Formulas translate by *coding*: for a source formula phi and a real-valued
@@ -72,10 +73,10 @@ from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tigh
 from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
-from .hyperspace import HyperSpace, decode_subset, urysohn_separator
+from .hyperspace import HyperSpace, decode_subset, nearest_indicator, urysohn_separator
 from .semantics import CheckReport, Structure, _target_points
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, _nearest_gap, _nearest_index,
-                         _net_point, frac, linf_coords, make_finite, make_interval, nearest,
+                         _net_point, frac, make_finite, make_interval, nearest,
                          point, tolerance)
 
 MAX_SET_CODING_POINTS = 8
@@ -224,40 +225,37 @@ def transport_structure(ctx: TranslationContext, M: Structure) -> Structure:
 
 
 def decode_structure(ctx: TranslationContext, N: Structure) -> Structure:
-    """Read a source structure back: nearest net point in the flat l-infinity
-    distance on coordinates."""
-    if N.signature != ctx.target:
-        raise SpaceMismatch("structure is not over the target signature")
-    interp = {rel.name: {t: q for t, q, _ in _nearest_net_points(ctx, N, rel)}
-              for rel in ctx.source.relations}
+    """Read a source structure back: each value is the net point nearest to
+    its grid values in the flat l-infinity distance on coordinates."""
+    interp = {rel.name: {t: q for t, q, _ in rows} for rel, rows in _read_back(ctx, N)}
     return Structure(ctx.source, N.universe, interp)
-
-
-def _nearest_net_points(ctx: TranslationContext, N: Structure, rel: Relation):
-    """Per tuple of a source symbol: the first net point in net order nearest
-    to its grid values, in the flat l-infinity distance, and that distance."""
-    names = ctx.components[rel.name]
-    for t in N.interp[names[0]]:
-        vec = tuple(N.interp[name][t].scalar for name in names)
-        q = min(rel.space.net, key=lambda p: linf_coords(p.coords, vec))
-        yield t, q, linf_coords(q.coords, vec)
 
 
 def t0_violations(ctx: TranslationContext, N: Structure, tol: Rational = 0) -> list[str]:
     """Membership conditions: each transported value vector must lie within
     grid resolution (+ tol) of the coordinates of some source net point."""
+    relations = _read_back(ctx, N)
+    bound = ctx.grid.resolution + tolerance(tol)
+    return [f"{rel.name}{t}: embedded distance {d} to the nearest "
+            f"net point of {rel.space.label} exceeds {bound}"
+            for rel, rows in relations for t, _, d in rows if d > bound]
+
+
+def _read_back(ctx: TranslationContext, N: Structure):
+    """Each source symbol with its rows (t, q, d), read as iterated: q is the
+    first net point in net order nearest to tuple t's grid values in the flat
+    l-infinity distance and d that distance, found by `nearest`, or on a
+    hyperspace by `nearest_indicator`.  N's signature is checked at the call."""
     if N.signature != ctx.target:
         raise SpaceMismatch("structure is not over the target signature")
-    bound = ctx.grid.resolution + tolerance(tol)
-    out = []
-    for rel in ctx.source.relations:
-        for t, _, d in _nearest_net_points(ctx, N, rel):
-            if d > bound:
-                out.append(
-                    f"{rel.name}{t}: embedded distance {d} to the nearest "
-                    f"net point of {rel.space.label} exceeds {bound}"
-                )
-    return out
+
+    def rows(rel: Relation):
+        columns = [N.interp[name] for name in ctx.components[rel.name]]
+        read = nearest_indicator if isinstance(rel.space, HyperSpace) else nearest
+        for t in columns[0]:
+            yield t, *read(rel.space, Point(tuple([c[t].scalar for c in columns])))
+
+    return [(rel, rows(rel)) for rel in ctx.source.relations]
 
 
 def check_T0(ctx: TranslationContext, N: Structure, tol: Rational = 0) -> CheckReport:

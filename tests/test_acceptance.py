@@ -28,6 +28,11 @@ def eighths_space(rng: random.Random, size: int):
     return make_finite([point(c) for c in rng.sample(EIGHTHS, size)])
 
 
+def inside(region, p) -> bool:
+    """Whether p lies in some open ball of the region, by its distances."""
+    return any(region.space.metric(p, c) < r for c, r in region.balls)
+
+
 # ---------------------------------------------------------------------------
 # 1-3: randomized soundness of the translation and the set quantifier
 
@@ -126,7 +131,10 @@ def test_hausdorff_axioms_and_slack():
               for _ in range(rng.randint(0, 2))]
         member = vietoris_member(k, u, vs)
         slack = vietoris_slack(k, u, vs)
-        assert member == (slack > 0)
+        # membership read straight off the ball distances, not through slack
+        direct = (all(inside(u, p) for p in k.members)
+                  and all(any(inside(v, p) for p in k.members) for v in vs))
+        assert member == direct == (slack > 0)
         if member:
             for j, q in enumerate(H.net):
                 if D[idx][j] < slack:

@@ -176,6 +176,19 @@ class TestEval:
                            "--formula", "P(x)")
         assert code == 2 and "cannot read" in err
 
+    def test_structure_file_that_is_not_json(self, files, capsys):
+        path = files["dir"] / "garbled.json"
+        path.write_text("not json")
+        code, out, err = run(capsys, "eval", "--structure", str(path), "--formula", "P(x)")
+        assert (code, out, err) == (2, "", f"error: {path} is not valid JSON: "
+                                           "Expecting value: line 1 column 1 (char 0)\n")
+
+    def test_unreadable_formula_file(self, files, capsys):
+        path = files["dir"] / "no-formula.txt"
+        code, out, err = run(capsys, "parse", "--signature", files["sig"],
+                             "--formula-file", str(path))
+        assert (code, out) == (2, "") and err.startswith(f"error: cannot read {path}: ")
+
     def test_bad_assignment_syntax(self, files, capsys):
         code, _, err = run(capsys, "eval", "--structure", files["m"],
                            "--formula", "P(x)", "--assign", "x")
@@ -496,8 +509,11 @@ class TestEncodeFn:
                              ' "gym": "cafe"}',
          "symbol 'd' already exists"),
         ("mood.json", "f", '{"a": "a", "b": "b"}',
-         "encoding a function needs a distance symbol"),
-    ], ids=["not-total", "taken-name", "no-distance"])
+         "signature has no distance symbol"),
+        ("places.json", "best", "[1]", "a function table must be a JSON object"),
+        ("places.json", "best", '{"cafe": 1}',
+         "function table entries map element tuples to elements, got 'cafe': 1"),
+    ], ids=["not-total", "taken-name", "no-distance", "not-an-object", "non-string-output"])
     def test_malformed_input_exits_2(self, capsys, structure, name, table, message):
         # a malformed table or target is refused like any bad input, not
         # reported as a failed check

@@ -88,6 +88,8 @@ class TestNodes:
         bad = Apply(neg(make_finite([point(0)])), (a,))
         with pytest.raises(TypeCheckError):
             bad.value_space
+        with pytest.raises(TypeCheckError, match="^neg expects 1 arguments, got 2$"):
+            Apply(neg(X), (a, atom(SIG, "P", "y"))).value_space
 
     def test_quant_spaces(self):
         a = atom(SIG, "P", "x")
@@ -193,7 +195,7 @@ class TestParse:
         assert phi.free_vars == frozenset({"x", "y"})
 
     def test_error_positions(self):
-        with pytest.raises(ParseError) as err:
+        with pytest.raises(ParseError, match="^P has arity 1, got 2 variables at position 7 ") as err:
             parse("sup x. P(x,y)", SIG)
         assert err.value.position == 7
         with pytest.raises(ParseError):
@@ -204,6 +206,22 @@ class TestParse:
             parse("sup sup. P(x)", SIG)
         with pytest.raises(ParseError):
             parse("@", SIG)
+
+    @pytest.mark.parametrize("text, message", [
+        ("neg(Q x. P(x))", "argument 0 of neg has value space K(X) (dim 5), expected X (dim 1)"),
+        ("sup y. Q x. P(x)", "sup needs a real-valued body, got K(X)"),
+        ("min(P(x))", "min expects 2 arguments, got 1"),
+    ], ids=["argument-space", "set-valued-sup-body", "connective-arity"])
+    def test_type_errors_are_parse_errors_at_the_node(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse(text, SIG, {"neg": neg(X), "min": min_of(X, X)})
+        assert err.value.position == 0
+        assert str(err.value).startswith(message + " at position 0 ")
+
+    def test_deep_connective_chain_parses(self):
+        depth = 900
+        phi = parse("neg(" * depth + "P(x)" + ")" * depth, SIG, {"neg": neg(X)})
+        assert str(phi) == "neg(" * depth + "P(x)" + ")" * depth
 
     @pytest.mark.parametrize("text", ["sup x. " * 5000 + "P(x)",
                                       "neg(" * 5000 + "P(x)" + ")" * 5000],

@@ -17,6 +17,7 @@ from contlog.hyperspace import (
     hyper,
     inf_theta,
     lift,
+    nearest_indicator,
     sup_theta,
     urysohn_separator,
     vietoris_member,
@@ -157,6 +158,18 @@ class TestSubsetNet:
         assert h.net._points is None
 
 
+class TestNearestIndicator:
+    @pytest.mark.parametrize("coords, nearest, distance", [
+        ((F(1, 4), F(3, 4), F(1, 2)), (0, 1, 0), F(1, 2)),  # a tie rounds to 0
+        ((F(1, 4), F(1, 8), F(1, 4)), (0, 0, 1), F(3, 4)),  # the empty set: last largest
+        ((F(1, 2), F(1, 2), F(1, 2)), (0, 0, 1), F(1, 2)),
+        ((1, F(1, 2), F(2, 3)), (1, 0, 1), F(1, 2)),
+    ])
+    def test_rounds_each_coordinate(self, coords, nearest, distance):
+        # in the flat distance on coordinates, not the Hausdorff metric
+        assert nearest_indicator(H, point(*coords)) == (point(*nearest), distance)
+
+
 class TestCompactSet:
     def test_canonicalizes(self):
         k = compact(B, point(1), point(0), point(1))
@@ -201,6 +214,9 @@ class TestVietoris:
         assert vietoris_member(k, u, [v])
         slack = vietoris_slack(k, u, [v])
         assert slack == F(1, 10) > 0
+        # 1/2 lies 1/4 from u's centre and 1 lies 3/4 away; a ball is open
+        assert u.contains(point(F(1, 2))) and not u.contains(point(1))
+        assert not ball(B, point(0), F(1, 2)).contains(point(F(1, 2)))
 
     def test_slack_bounds_perturbation(self):
         k = compact(B, point(0), point(F(1, 2)))

@@ -77,6 +77,13 @@ class TestStructure:
         with pytest.raises(ValidationError, match="not total"):
             structure(SIG, ["a", "b"], {"P": {"a": F(1, 4)}})
 
+    def test_a_key_outside_the_universe_is_refused(self):
+        # the entry count is right, so the refusal names the tuples
+        with pytest.raises(ValidationError, match="^" + re.escape(
+                "P: interpretation is not total over the universe "
+                "(missing [('b',)], extra [('c',)])") + "$"):
+            Structure(SIG, ("a", "b"), {"P": {("a",): point(0), ("c",): point(0)}})
+
     def test_blanks_around_key_parts_are_stripped(self):
         # with or without a comma, every part of a key loses its blanks
         N = structure(SIG, ["a", "b"], {"P": {" a": F(1, 4), "b ": F(3, 4)}})
@@ -745,6 +752,13 @@ class TestFunctions:
             encode_function(M, "f", {"a": "a", "b": "b"})
         with pytest.raises(ValidationError, match="^function table is empty$"):
             encode_function(N, "f", {})
+
+    def test_no_distance_is_refused_first(self):
+        # Structure's one refusal, before the taken name, the empty table and
+        # the arity, and before check_function_axioms reads a modulus
+        for call in (lambda: encode_function(M, "P", {}), lambda: check_function_axioms(M, "P")):
+            with pytest.raises(ValidationError, match="^signature has no distance symbol$"):
+                call()
 
     def test_negative_tolerance_rejected(self):
         N = encode_function(metric_structure((0, F(1, 2), 1)), "f",

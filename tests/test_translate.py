@@ -1,6 +1,7 @@
 import itertools
 import random
 import re
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -11,8 +12,8 @@ from contlog.connective import (const, identity, max_of, mcshane_extend, neg, pr
 from contlog.errors import CapacityError, EvalError, SpaceMismatch, ValidationError
 from contlog.formula import (Apply, Atomic, CauchyLimit, Quant, QuantKind, Relation,
                              cauchy_limit, parse, signature)
-from contlog.hyperspace import (compact, decode_subset, hyper, inf_theta, sup_theta,
-                               urysohn_separator)
+from contlog.hyperspace import (HyperSpace, compact, decode_subset, hyper, inf_theta,
+                               sup_theta, urysohn_separator)
 from contlog.oracle import verify_coding
 from contlog.semantics import Structure, check_condition, evaluate, structure
 from contlog.translate import (
@@ -30,7 +31,8 @@ from contlog.translate import (
     translate_signature,
     transport_structure,
 )
-from contlog.valuespace import ZERO, ValueSpace, make_finite, make_interval, membership, point
+from contlog.valuespace import (ZERO, ValueSpace, linf_coords, make_finite, make_interval,
+                                 membership, point)
 
 
 ALIGNED_X = make_finite([point(0), point(F(1, 4)), point(F(3, 4))], label="X")
@@ -211,6 +213,75 @@ class TestTransport:
         assert snap_to_grid(g, F(5, 6)) == F(19, 24)  # midway to the clamped end
         assert snap_to_grid(g, F(5, 6) + F(1, 1009)) == F(7, 8)
         assert snap_to_grid(g, 0) == F(1, 8) and snap_to_grid(g, 1) == F(7, 8)
+
+
+def flat_scan(space: ValueSpace, vec: tuple) -> tuple:
+    """The reference read-back: the first net point in net order nearest to
+    vec in the flat l-infinity distance on coordinates, and that distance."""
+    q = min(space.net, key=lambda p: linf_coords(p.coords, vec))
+    return q, linf_coords(q.coords, vec)
+
+
+class TestReadBack:
+    """Decoding and the T0 check find each value's nearest net point by the
+    rule of its space; a flat scan of the net is the reference."""
+
+    # spaces whose nets leave ties on the quarter grid: 3/4 between 1/2 and 1,
+    # 1/4 between 0 and 1/2, and a 1/2 coordinate or equal largest
+    # coordinates of an indicator
+    SPACES = (
+        make_finite([point(0), point(F(1, 3)), point(F(1, 2)), point(1)], label="A"),
+        make_finite([point(0, F(1, 2)), point(F(1, 2), 1), point(1, 0), point(F(1, 4), F(1, 4))],
+                    label="B"),
+        make_interval(0, 1, F(1, 2), label="C"),
+        hyper(make_finite([point(F(1, 2))])),
+        hyper(make_interval(0, 1, F(1, 3))),
+        hyper(make_interval(0, 1, F(1, 5))),
+    )
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("tol", [0, F(1, 4)])
+    def test_decode_and_t0_match_a_flat_scan(self, seed, tol):
+        rng = random.Random(seed)
+        sig = signature([Relation(f"R{i}", 1, space) for i, space in enumerate(self.SPACES)])
+        ctx = translate_signature(sig, F(1, 4))
+        universe = [f"e{i}" for i in range(40)]
+        N = structure(ctx.target, universe, {
+            name: {e: rng.choice(ctx.grid.net) for e in universe}
+            for name in ctx.target.by_name})
+        want, violations = {}, []
+        bound = ctx.grid.resolution + tol
+        for rel in sig.relations:
+            names = ctx.components[rel.name]
+            want[rel.name] = {}
+            for e in universe:
+                q, d = flat_scan(rel.space, tuple(N.value(n, e).scalar for n in names))
+                want[rel.name][(e,)] = q
+                if d > bound:
+                    violations.append(f"{rel.name}{(e,)}: embedded distance {d} to the nearest "
+                                      f"net point of {rel.space.label} exceeds {bound}")
+        assert decode_structure(ctx, N).interp == want
+        assert t0_violations(ctx, N, tol) == violations
+        assert violations and len(violations) < len(sig.relations) * len(universe)
+
+    @pytest.mark.parametrize("space, size", [
+        (make_interval(0, 1, F(1, 65536)), 20),
+        (hyper(make_interval(0, 1, F(1, 15))), 3),
+    ], ids=["interval-65537", "hyperspace-16"])
+    def test_read_back_scans_no_net(self, space, size):
+        rng = random.Random(size)
+        sig = signature([Relation("P", 1, space)])
+        ctx = translate_signature(sig, F(1, 4))
+        universe = [f"e{i}" for i in range(size)]
+        N = structure(ctx.target, universe, {
+            name: {e: rng.choice(ctx.grid.net) for e in universe}
+            for name in ctx.components["P"]})
+        for read in (decode_structure, t0_violations):
+            start = time.perf_counter()
+            read(ctx, N)
+            assert time.perf_counter() - start < 0.5
+        if isinstance(space, HyperSpace):  # no indicator point was built
+            assert space.net._points is None
 
 
 class TestLatticeExpressions:
