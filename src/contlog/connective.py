@@ -239,7 +239,7 @@ def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
         label,
     )
     return Connective(name, (space,), codomain, lip,
-                      lambda p: _value_point(codomain, p.coords[i]))
+                      lambda p: _net_point(codomain, *p.coords[i].as_integer_ratio()))
 
 
 def _same_point(p: Point) -> Point:
@@ -281,19 +281,16 @@ def _pointwise(who: str, spaces: tuple[ValueSpace, ...], f: Callable, lip: Ratio
                 raise ValidationError(
                     f"{who}: image point {e} is not within resolution of {codomain.label}"
                 )
-        points = [_value_point(codomain, v) for v in slots]
+        points = [_net_point(codomain, *v.as_integer_ratio()) for v in slots]
     outputs = dict(zip(product_net(spaces), map(points.__getitem__, positions)))
 
     def run(*pts: Point) -> Point:
         out = outputs.get(pts)
-        return _value_point(codomain, f(*[p.scalar for p in pts])) if out is None else out
+        if out is None:
+            return _net_point(codomain, *f(*[p.scalar for p in pts]).as_integer_ratio())
+        return out
 
     return Connective(name, spaces, codomain, Fraction(lip), run)
-
-
-def _value_point(space: ValueSpace, v: Fraction) -> Point:
-    """The point of value v: the space's own net point when v is on its net."""
-    return _net_point(space, v.numerator, v.denominator)
 
 
 def neg(space: ValueSpace, codomain: ValueSpace | None = None, name: str = "neg") -> Connective:

@@ -324,7 +324,6 @@ class CauchyLimit(Formula):
     index: int
     rate_at_index: Fraction
     tol: Fraction
-    rate: Callable[[int], Fraction] = field(repr=False)
     children: tuple[Formula, ...] = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -389,7 +388,7 @@ def cauchy_limit(rate: RateLike, formulas: Sequence[Formula], tol: Rational) -> 
         if prev is not None and r > prev:
             raise ValidationError(f"rate is not nonincreasing at {n}: {prev} then {r}")
         if r <= tol:
-            return CauchyLimit(formulas[n], n, r, tol, rate_fn)
+            return CauchyLimit(formulas[n], n, r, tol)
         prev = r
     raise ValidationError(
         f"rate never reaches tolerance {tol} within the {len(formulas)} provided formulas"

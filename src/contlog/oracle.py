@@ -10,14 +10,15 @@ row per assignment.  The `quantifier` suite runs both set-quantifier checks
 members against `sup`/`inf`) from one tabulation, `verify_quantifier`;
 `verify_quantifier_identity` and `verify_primordial_bounds` are its views,
 one check each.  The generators produce well-typed formulas and
-structures by construction; all randomness flows from explicit seeds, so
-every trial is reproducible from its record.
+structures by construction from the rng they are given; all randomness
+flows from explicit seeds, so every trial is reproducible from its record.
 
 A suite is registered as one entry `(name, trial, weight)` of `SUITES`:
 `trial(cfg, i)` builds and checks trial i alone, from `_rng` streams named
 after the suite, and returns its `(ok, detail, sizes, witness)`.
-`run_suite` runs one suite's trials through the module's one trial loop,
-and `fuzz` runs every suite through it.  `run_coding_trials` and
+`run_suite` runs trials 0 .. cfg.trials - 1 of one suite through the
+module's one trial loop, and `fuzz` runs each suite through it for its
+share, set as the trials of a copy of cfg.  `run_coding_trials` and
 `run_quantifier_trials` are views of that loop kept for the benchmark's
 checks under `perfbench/`; the quantifier view also runs one of its two
 checks alone, as acceptance criteria 2 and 3 do.
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import partial
 from operator import attrgetter
@@ -159,10 +160,8 @@ def random_signature(rng: random.Random, cfg: FuzzConfig, *,
     return signature(relations)
 
 
-def random_structure(cfg: FuzzConfig, sig: Signature,
-                     rng: random.Random | None = None) -> Structure:
-    """Uniform interpretations from each symbol's net; deterministic per seed."""
-    rng = rng or random.Random(f"structure:{cfg.seed}")
+def random_structure(cfg: FuzzConfig, sig: Signature, rng: random.Random) -> Structure:
+    """Uniform interpretations from each symbol's net, drawn from rng."""
     n = rng.randint(1, cfg.universe_size)
     universe = tuple(f"e{i}" for i in range(n))
     interp: dict[str, dict[tuple[str, ...], Point]] = {}
@@ -346,17 +345,15 @@ class _FormulaBuilder:
         return Apply(_value_table("squash", space, mapping, lip), (node,))
 
 
-def random_formula(cfg: FuzzConfig, sig: Signature,
-                   rng: random.Random | None = None, *, grid: bool = False,
-                   stable: bool = False,
+def random_formula(cfg: FuzzConfig, sig: Signature, rng: random.Random, *,
+                   grid: bool = False, stable: bool = False,
                    set_cap: int = MAX_SET_BODY_POINTS) -> Formula:
-    """A well-typed formula of depth at most cfg.formula_depth.
+    """A well-typed formula of depth at most cfg.formula_depth, drawn from rng.
 
     set_cap bounds the net size of set-quantifier bodies; the default keeps
     them codable, while evaluation-only callers may raise it to the
     hyperspace capacity.
     """
-    rng = rng or random.Random(f"formula:{cfg.seed}")
     return _FormulaBuilder(cfg, sig, rng, grid, stable, set_cap=set_cap).build()
 
 
@@ -947,33 +944,36 @@ SUITES: tuple[tuple[str, Callable, int], ...] = (
 )
 
 
-def _records(kind: str, trial: Callable, cfg: FuzzConfig,
-             trials: int | None) -> list[TrialRecord]:
-    """The one trial loop: a record of `trial(cfg, i)` per i below `trials`."""
-    return [TrialRecord(kind, i, *trial(cfg, i))
-            for i in range(cfg.trials if trials is None else trials)]
+def _suites(names: Sequence[str] | None) -> list[tuple[str, Callable, int]]:
+    """The SUITES entries named, all when names is None; refuses none or a typo."""
+    chosen = [entry for entry in SUITES if names is None or entry[0] in names]
+    unknown = sorted(set(names or ()) - {name for name, _, _ in chosen})
+    if unknown or not chosen:
+        raise ValidationError(f"no such suites: {unknown or names}")
+    return chosen
 
 
-def run_suite(name: str, cfg: FuzzConfig, trials: int | None = None) -> list[TrialRecord]:
-    """The records of trials 0 .. trials - 1 (cfg.trials by default) of a suite."""
-    trial = next((t for n, t, _ in SUITES if n == name), None)
-    if trial is None:
-        raise ValidationError(f"no such suites: [{name!r}]")
-    return _records(name, trial, cfg, trials)
+def _records(kind: str, trial: Callable, cfg: FuzzConfig) -> list[TrialRecord]:
+    """The one trial loop: a record of `trial(cfg, i)` per i below cfg.trials."""
+    return [TrialRecord(kind, i, *trial(cfg, i)) for i in range(cfg.trials)]
 
 
-def run_coding_trials(cfg: FuzzConfig, *, grid: bool = False,
-                      trials: int | None = None) -> list[TrialRecord]:
+def run_suite(name: str, cfg: FuzzConfig) -> list[TrialRecord]:
+    """The records of trials 0 .. cfg.trials - 1 of a suite."""
+    [(_, trial, _)] = _suites([name])
+    return _records(name, trial, cfg)
+
+
+def run_coding_trials(cfg: FuzzConfig, *, grid: bool = False) -> list[TrialRecord]:
     """`run_suite` of a coding suite, kept for the benchmark's own checks."""
-    return run_suite("coding-grid" if grid else "coding-exact", cfg, trials)
+    return run_suite("coding-grid" if grid else "coding-exact", cfg)
 
 
-def run_quantifier_trials(cfg: FuzzConfig, *, trials: int | None = None,
-                          checks: Sequence[str] = QUANTIFIER_CHECKS,
-                          ) -> list[TrialRecord]:
-    """`run_suite("quantifier", ...)` running only `checks` on the same
+def run_quantifier_trials(cfg: FuzzConfig, *,
+                          checks: Sequence[str] = QUANTIFIER_CHECKS) -> list[TrialRecord]:
+    """`run_suite("quantifier", cfg)` running only `checks` on the same
     instances, kept for the benchmark's own checks."""
-    return _records("quantifier", partial(quantifier_trial, checks=checks), cfg, trials)
+    return _records("quantifier", partial(quantifier_trial, checks=checks), cfg)
 
 
 def fuzz(cfg: FuzzConfig, kinds: Sequence[str] | None = None) -> list[TrialRecord]:
@@ -982,11 +982,7 @@ def fuzz(cfg: FuzzConfig, kinds: Sequence[str] | None = None) -> list[TrialRecor
     Every selected suite runs at least once; the largest slice absorbs the
     rounding so the total matches cfg.trials whenever that is possible.
     """
-    chosen = [(name, fn, w) for name, fn, w in SUITES
-              if kinds is None or name in kinds]
-    unknown = sorted(set(kinds or ()) - {name for name, _, _ in chosen})
-    if unknown or not chosen:
-        raise ValidationError(f"no such suites: {unknown or kinds}")
+    chosen = _suites(kinds)
     total_weight = sum(w for _, _, w in chosen)
     shares = [max(1, (cfg.trials * w) // total_weight) for _, _, w in chosen]
     slack = cfg.trials - sum(shares)
@@ -995,7 +991,7 @@ def fuzz(cfg: FuzzConfig, kinds: Sequence[str] | None = None) -> list[TrialRecor
         shares[top] = max(1, shares[top] + slack)
     records: list[TrialRecord] = []
     for (name, trial, _), n in zip(chosen, shares):
-        records.extend(_records(name, trial, cfg, n))
+        records.extend(_records(name, trial, replace(cfg, trials=n)))
     return records
 
 

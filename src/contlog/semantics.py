@@ -642,7 +642,7 @@ def check_function_axioms(M: Structure, symbol: str, lipschitz: Rational | None 
     Three laws: every input row attains value zero somewhere; the relation is
     1-Lipschitz in its output slot; and L-Lipschitz in the input slots.
     """
-    M.distance_symbol()  # before `sig.modulus`, which a signature with none lacks
+    M.distance_symbol()  # first: a signature without one has no moduli
     sig = M.signature
     rel = sig.by_name.get(symbol)
     if rel is None:
@@ -650,7 +650,9 @@ def check_function_axioms(M: Structure, symbol: str, lipschitz: Rational | None 
     if rel.arity < 2 or rel.space.dimension != 1:
         raise ValidationError(f"{symbol} cannot be a function graph (needs arity >= 2, real values)")
     tol = tolerance(tol)
-    L = frac(lipschitz) if lipschitz is not None else sig.modulus(symbol)
+    L = frac(lipschitz) if lipschitz is not None else sig.moduli_map.get(symbol)
+    if L is None:  # the distance symbol carries no modulus
+        raise ValidationError(f"{symbol} has no modulus; give its lipschitz constant")
     P = lambda xs, y: M.interp[symbol][xs + (y,)].scalar  # noqa: E731
     d, U, rows = M.distance, M.universe, M._tuples(rel.arity - 1)
     lows = ((xs, min(P(xs, y) for y in U)) for xs in rows)

@@ -24,17 +24,19 @@ connective application once: the typecheck settled the rest.  An atomic
 formula and every connective application, constants included, are coded by
 one McShane extension of the observable over their children's coordinates, a
 Cauchy limit by its body.  The identity observable is the first coordinate
-projection.  Only `Q`, and a sup/inf read through another observable, are
-coded by one min-max connective over the codings of "sup x. hit_j(body)",
-one per base net point j that the observable's values depend on; each reads
-membership of that point.  Its value is the lattice interpolant of the
-observable over these point hits: the min over net sets k of the max of
-affines in the hits.  One type, `LatticeApprox`, holds every such
-interpolant as an integer min-of-max table over a common denominator.  The
-quantifier coder builds its table in closed form from the point hits;
-`lattice_approx` builds one for any function on a hyperspace net,
-synthesizes separators on the base space when supplied generators cannot
-tell two sets apart, and checks it exactly on every net set.
+projection; the sup/inf builder reads its observable on the body net once
+and tells the identity from that one pass.  Only `Q`, and a sup/inf read
+through another observable, are coded by one min-max connective over the
+codings of "sup x. hit_j(body)", one per base net point j that the
+observable's values depend on; each reads membership of that point.  Its
+value is the lattice interpolant of the observable over these point hits:
+the min over net sets k of the max of affines in the hits.  One type,
+`LatticeApprox`, holds every such interpolant as an integer min-of-max table
+over a common denominator.  The quantifier coder builds its table in closed
+form from the point hits; `lattice_approx` builds one for any function on a
+hyperspace net, synthesizes separators on the base space when supplied
+generators cannot tell two sets apart, and checks it exactly on every net
+set.  A generator's sup over each net set is read through `sup_theta`.
 
 The coder and its check read per-space facts from net positions and
 integers, not from fresh points and Fractions.  The grid is a
@@ -73,7 +75,8 @@ from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tigh
 from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
-from .hyperspace import HyperSpace, decode_subset, nearest_indicator, urysohn_separator
+from .hyperspace import (HyperSpace, decode_subset, nearest_indicator, sup_theta,
+                         urysohn_separator)
 from .semantics import CheckReport, Structure, _target_points
 from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, _nearest_gap, _nearest_index,
                          _net_point, frac, make_finite, make_interval, nearest,
@@ -88,12 +91,6 @@ def snap_to_grid(grid: ValueSpace, value: Rational) -> Fraction:
     """Nearest grid value; ties resolve downward."""
     q, _ = nearest(grid, point(frac(value)))
     return q.scalar
-
-
-def _is_identity(conn: Connective) -> bool:
-    if conn.arity != 1 or conn.codomain != conn.domain[0]:
-        return False
-    return all(conn.evaluator(p) == p for p in conn.domain[0].net)
 
 
 class TranslationContext:
@@ -275,17 +272,10 @@ class Generator:
 
 
 def sup_generator(H: HyperSpace, theta: Connective) -> Generator:
-    """Tabulate max of theta over the members of every point of H."""
+    """Tabulate max of theta over the members of every point of H (`sup_theta`)."""
     observable(H.base, theta)
-    n = len(H.base.net)
-    tv = [theta(p).scalar for p in H.base.net]
-    sups: list[Fraction] = []
-    for m in range(1, 1 << n):
-        # the lowest set bit of a mask is its highest base index
-        low = m & -m
-        top = tv[n - low.bit_length()]
-        sups.append(top if m == low else max(sups[(m ^ low) - 1], top))
-    return Generator(theta, dict(zip(H.net, sups)))
+    run = sup_theta(theta).evaluator
+    return Generator(theta, {k: run(k).scalar for k in H.net})
 
 
 Term = tuple[int, int, int | None]
@@ -528,8 +518,8 @@ class CodedFormula:
         if hit is None:
             space = phi.value_space
             if isinstance(space, HyperSpace):
-                # refuse before any coordinate or metric of the hyperspace is
-                # touched: those are exponential in the base net
+                # coordinates and snap bounds are closed forms, but the
+                # atomic, apply and set builders enumerate the hyperspace net
                 _check_set_capacity(space.base)
             if isinstance(phi, Atomic):
                 hit = self._build_atomic(phi, theta)
@@ -611,20 +601,22 @@ class CodedFormula:
         (g[m - 1] at mask m) so that no indicator point is needed."""
         ctx = self.ctx
         base = phi.body.value_space
-        if phi.kind is not QuantKind.SET and _is_identity(theta):
-            inner = self._code(phi.body, ctx.coordinates(base)[0])
-            return Coded(_typed(Quant(phi.kind, phi.var, inner.formula)), inner.budget)
         if phi.kind is QuantKind.SET:
             g = [theta.evaluator(k).scalar for k in phi.value_space.net]
             slack = ZERO
         else:
-            # theta(extremum of the collected values) factors through the value set
+            # theta(extremum of the collected values) factors through the value
+            # set; this one pass also tells the identity, coded by the body's
+            outs = [theta.evaluator(p) for p in base.net]
+            if theta.codomain == base and outs == list(base.net):
+                inner = self._code(phi.body, ctx.coordinates(base)[0])
+                return Coded(_typed(Quant(phi.kind, phi.var, inner.formula)), inner.budget)
             _check_set_capacity(base)
             # the body net is sorted by value, so a set's largest member is
             # its highest base index (the lowest set bit of its mask) and its
             # smallest is its lowest base index (the highest set bit)
             n = len(base.net)
-            tv = [theta.evaluator(p).scalar for p in base.net]
+            tv = [p.scalar for p in outs]
             if phi.kind is QuantKind.SUP:
                 g = [tv[n - (m & -m).bit_length()] for m in range(1, 1 << n)]
             else:

@@ -401,7 +401,7 @@ class TestOneQuantifierCheck:
 
         monkeypatch.setattr(oracle, "verify_quantifier", spy)
         records = run_suite("quantifier", FuzzConfig(seed=4203, universe_size=5,
-                                                     formula_depth=3), trials=60)
+                                                     formula_depth=3, trials=60))
         monkeypatch.undo()
         assert len(instances) == len(records) == 60
         for M, body, theta, var in instances:
@@ -533,10 +533,10 @@ class TestWitnesses:
 
         monkeypatch.setattr(oracle, "random_formula",
                             lambda cfg, sig, rng, **kw: atom(sig, "R", "x"))
-        records = run_suite("quotient", FuzzConfig(seed=11), trials=2)
+        records = run_suite("quotient", FuzzConfig(seed=11, trials=2))
         assert all(r.ok for r in records)
         monkeypatch.setattr(oracle, "quotient", faulty)
-        records = run_suite("quotient", FuzzConfig(seed=11), trials=2)
+        records = run_suite("quotient", FuzzConfig(seed=11, trials=2))
         assert [r.ok for r in records] == [False, False]
         assert [r.witness for r in records] == [
             {"assignment": {"x": "e0"}, "value": "(1)", "quotient_value": "(0)"},
@@ -549,7 +549,7 @@ class TestWitnesses:
         real = oracle.random_metric_structure
         monkeypatch.setattr(oracle, "random_metric_structure",
                             lambda cfg, rng, **kw: real(cfg, rng))
-        records = run_suite("quotient", FuzzConfig(seed=11), trials=2)
+        records = run_suite("quotient", FuzzConfig(seed=11, trials=2))
         assert [r.ok for r in records] == [False, True]
         assert records[0].witness == {"classes": "(('e0',), ('e1',), ('e2',))"}
 
@@ -558,10 +558,10 @@ class TestWitnesses:
         # formula is its first relation at its variables
         monkeypatch.setattr(oracle, "random_formula", lambda cfg, sig, rng, **kw: atom(
             sig, sig.relations[0].name, *("x", "y")[:sig.relations[0].arity]))
-        records = run_suite("refinement", FuzzConfig(seed=11), trials=2)
+        records = run_suite("refinement", FuzzConfig(seed=11, trials=2))
         assert all(r.ok for r in records)
         monkeypatch.setattr(oracle, "eval_error_bound", lambda phi: F(0))
-        records = run_suite("refinement", FuzzConfig(seed=11), trials=2)
+        records = run_suite("refinement", FuzzConfig(seed=11, trials=2))
         assert [r.ok for r in records] == [False, False]
         assert [r.witness for r in records] == [
             {"assignment": {"x": "e0", "y": "e1"}, "drift": "1/6", "bound": "0"},
@@ -601,7 +601,7 @@ class TestDrivers:
         assert all(r.ok for r in records)
 
     def test_trials_override(self):
-        assert len(run_suite("roundtrip", CFG, trials=3)) == 3
+        assert len(run_suite("roundtrip", replace(CFG, trials=3))) == 3
 
     def test_determinism(self):
         a = run_suite("coding-exact", FuzzConfig(seed=99, trials=5))
@@ -609,16 +609,16 @@ class TestDrivers:
         assert [r.as_json() for r in a] == [r.as_json() for r in b]
 
     def test_records_shape(self):
-        r = run_suite("quantifier", CFG, trials=1)[0]
+        r = run_suite("quantifier", replace(CFG, trials=1))[0]
         doc = r.as_json()
         assert doc["kind"] == "quantifier" and doc["trial"] == 0
         assert set(doc) >= {"kind", "trial", "ok", "detail", "sizes"}
         assert "witness" not in doc  # only failures carry one here
 
     def test_quantifier_checks_split(self):
-        both = run_quantifier_trials(CFG, trials=4)
-        ident = run_quantifier_trials(CFG, trials=4, checks=("identity",))
-        prim = run_quantifier_trials(CFG, trials=4, checks=("primordial",))
+        both = run_quantifier_trials(replace(CFG, trials=4))
+        ident = run_quantifier_trials(replace(CFG, trials=4), checks=("identity",))
+        prim = run_quantifier_trials(replace(CFG, trials=4), checks=("primordial",))
         assert all(r.ok for r in both + ident + prim)
         # same instances underneath: the size fingerprints agree
         assert [r.sizes for r in ident] == [r.sizes for r in both]
@@ -626,7 +626,7 @@ class TestDrivers:
 
     def test_quantifier_checks_must_name_one(self):
         with pytest.raises(ValidationError, match="no known checks"):
-            run_quantifier_trials(CFG, trials=1, checks=("typo",))
+            run_quantifier_trials(replace(CFG, trials=1), checks=("typo",))
 
     def test_unknown_suite(self):
         with pytest.raises(ValidationError, match=r"no such suites: \['nonsense'\]"):

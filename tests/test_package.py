@@ -1,6 +1,6 @@
 """The package namespace: every public name resolves, and the coder and the
 fuzz harness load only when a name from them is asked for, and no module
-imports a name it never uses.
+or script under `tools/` and `demos/` imports a name it never uses.
 
 The checks that must see the package before any lazy name is touched run in
 a fresh interpreter, since other tests in the same run load every module
@@ -91,8 +91,13 @@ def unused_imports(path: Path) -> list[str]:
             if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted((ROOT / "src" / "contlog").glob("*.py")),
-                         ids=lambda p: p.name)
+#: the package's modules, by file name, then the scripts, by path from the root
+SCANNED = [*sorted((ROOT / "src" / "contlog").glob("*.py")),
+           *sorted(ROOT.glob("tools/*.py")), *sorted(ROOT.glob("demos/*.py"))]
+
+
+@pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name if p.parent.name == "contlog"
+                         else p.relative_to(ROOT).as_posix())
 def test_no_unused_imports(path):
     assert unused_imports(path) == []
 

@@ -760,6 +760,17 @@ class TestFunctions:
             with pytest.raises(ValidationError, match="^signature has no distance symbol$"):
                 call()
 
+    def test_distance_symbol_needs_a_given_constant(self):
+        # the distance symbol carries no modulus: without a lipschitz
+        # constant both calls refuse it by name, with one d is the graph of
+        # the identity
+        N = metric_structure((0, F(1, 2), 1))
+        for call in (lambda: check_function_axioms(N, "d"), lambda: decode_function(N, "d")):
+            with pytest.raises(ValidationError,
+                               match="^d has no modulus; give its lipschitz constant$"):
+                call()
+        assert check_function_axioms(N, "d", lipschitz=1).ok
+
     def test_negative_tolerance_rejected(self):
         N = encode_function(metric_structure((0, F(1, 2), 1)), "f",
                             {"a": "b", "b": "c", "c": "c"})

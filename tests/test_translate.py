@@ -14,9 +14,11 @@ from contlog.formula import (Apply, Atomic, CauchyLimit, Quant, QuantKind, Relat
                              cauchy_limit, parse, signature)
 from contlog.hyperspace import (HyperSpace, compact, decode_subset, hyper, inf_theta,
                                sup_theta, urysohn_separator)
-from contlog.oracle import verify_coding
+from contlog.oracle import (FuzzConfig, _rng, random_formula, random_signature,
+                            random_structure, random_theta, verify_coding)
 from contlog.semantics import Structure, check_condition, evaluate, structure
 from contlog.translate import (
+    CodedFormula,
     LatticeApprox,
     TranslationContext,
     check_T0,
@@ -776,6 +778,48 @@ class TestCodingMemo:
                           codomain=make_finite([point(c)]), name="c")
             assert evaluate(N, coder.codes(theta)).scalar == c, i
             assert coder.budget_of(theta) == 0
+
+
+class TestResolutionTerms:
+    def test_set_coding_resolution_term_is_load_bearing(self):
+        """Off-net values exercise the set coding's resolution term.
+
+        P lies on the thirds and takes every pair of values on the twelfths,
+        up to the net's resolution 1/6 off it.  Dropping the set coding's
+        term hits[j].lipschitz * base.resolution puts 294 of these 676 cases
+        over budget, the first at step 1/4 with P = (0, 1/6) under
+        inf(neg): |diff| 1/2 > 1/4.  Dropping only the extremum's slack
+        leaves all 676 within budget, so the slack waits for an off-net
+        suite.
+        """
+        X = make_interval(0, 1, F(1, 3))
+        sig = signature([Relation("P", 1, X)])
+        phi = parse("Q x. P(x)", sig)
+        thetas = (sup_theta(neg(X)), inf_theta(neg(X)))
+        for step in (F(1, 4), F(1, 64)):
+            ctx = TranslationContext(sig, step)
+            for a, b in itertools.product(range(13), repeat=2):
+                M = structure(sig, ["a", "b"], {"P": {"a": F(a, 12), "b": F(b, 12)}})
+                for theta in thetas:
+                    check = verify_coding(ctx, M, phi, theta)
+                    assert check.ok, (step, a, b, theta.name, check.witness)
+
+
+class TestRefinement:
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_budgets_never_rise_as_the_grid_refines(self, seed):
+        # the coding-grid suite's instances, each coded at three nested steps
+        cfg = FuzzConfig(seed, universe_size=4, formula_depth=3)
+        steps = (F(1, 8), F(1, 32), F(1, 128))
+        for i in range(500):
+            rng = _rng(cfg, "coding-grid", i)
+            sig = random_signature(rng, cfg, grid=True)
+            random_structure(cfg, sig, rng)  # drawn to keep the suite's stream
+            phi = random_formula(cfg, sig, rng, grid=True)
+            theta = random_theta(rng, phi.value_space)
+            budgets = [CodedFormula(TranslationContext(sig, s), phi).budget_of(theta)
+                       for s in steps]
+            assert budgets == sorted(budgets, reverse=True), (i, budgets)
 
 
 class TestOutputCheck:
