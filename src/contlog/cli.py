@@ -319,9 +319,9 @@ def _function_table(args) -> dict[str, str]:
 def cmd_encode_fn(args) -> int:
     M = _load_structure(args.structure)
     table = _function_table(args)
-    # a malformed table exits 2; only a failed constant check exits 1
-    _checked_function_table(M, args.name, table)
     modulus = None if args.modulus is None else rational_from_str(args.modulus)
+    # a malformed table, name or constant exits 2; only a failed constant check exits 1
+    _checked_function_table(M, args.name, table, modulus)
     try:
         extended = encode_function(M, args.name, table, modulus)
     except ValidationError as err:

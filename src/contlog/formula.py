@@ -46,10 +46,15 @@ class Relation:
     def __post_init__(self):
         if self.arity < 1:
             raise ValidationError(f"relation {self.name} needs arity >= 1")
-        if not isinstance(self.name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", self.name):
-            raise ValidationError(f"relation name {self.name!r} is not an identifier")
-        if self.name in KEYWORDS:
-            raise ValidationError(f"relation name {self.name!r} is a reserved keyword")
+        _check_name(self.name)
+
+
+def _check_name(name) -> None:
+    """Refuse a relation name that is not an identifier or is a keyword."""
+    if not isinstance(name, str) or not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
+        raise ValidationError(f"relation name {name!r} is not an identifier")
+    if name in KEYWORDS:
+        raise ValidationError(f"relation name {name!r} is a reserved keyword")
 
 
 @dataclass(frozen=True, eq=True)

@@ -485,15 +485,16 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
 
     One `tabulate` pass takes the roots the selected checks need, sharing
     `Q var. body` and the body, so theta runs once per distinct body value.
-    One row loop then reads each assignment: each distinct set row is
-    decoded once and reduced by every check, and each check compares the
-    result with its direct rows, in exact equality.  A row that differs
-    passes only if the set side is the same reduction of the body's values
-    snapped as `Q` snaps them (to the nearest net point, ties to the
-    earlier, by a scan of the metric apart from `semantics`' own, so that a
-    fault there shows here), and the direct side that of the values as they
-    are: the two differ only off the net.  The body is tabulated for this
-    only if no check needed it already.
+    One loop then reads the tables' columns, which share their row order:
+    each distinct set value is decoded once and reduced by every check, and
+    each check compares the result with its direct rows, in exact equality.
+    A row that differs, whose assignment is then built, passes only if the
+    set side is the same reduction of the body's values snapped as `Q`
+    snaps them (to the nearest net point, ties to the earlier, by a scan of
+    the metric apart from `semantics`' own, so that a fault there shows
+    here), and the direct side that of the values as they are: the two
+    differ only off the net.  The body is tabulated for this only if no
+    check needed it already.
     """
     chosen = [name for name in QUANTIFIER_CHECKS if name in checks]
     if not chosen:
@@ -523,8 +524,8 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
     values = None
     if "identity" in chosen:
         values, thetas, direct = tables[:3]
-        # theta at each value the body takes, from the pass: the tables share rows
-        theta_at = dict(zip(values.rows.values(), thetas.rows.values()))
+        # theta at each value the body takes, from the pass: the columns share rows
+        theta_at = dict(zip(values.column, thetas.column))
 
         def observe(m: Point) -> Fraction:
             t = theta_at.get(m)
@@ -533,16 +534,16 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
             return t.scalar
 
         criteria.append(("identity", lambda ps: (max(map(observe, ps)),),
-                         zip(direct.rows.values()), ("via_set", "direct")))
+                         zip(direct.column), ("via_set", "direct")))
     if "primordial" in chosen:
         sups, infs = tables[-2:]
-        criteria.append(("primordial", _extremes, zip(sups.rows.values(), infs.rows.values()),
+        criteria.append(("primordial", _extremes, zip(sups.column, infs.column),
                          ("set_max", "sup", "set_min", "inf")))
 
     net, member_indices = space.net, sets.space.member_indices
     by_set: dict[Point, list[tuple]] = {}
     witnesses: dict[str, dict] = {}
-    for key, k in sets.rows.items():
+    for row, k in enumerate(sets.column):
         on_set = by_set.get(k)
         if on_set is None:
             members = [net[i] for i in member_indices(k)]
@@ -552,6 +553,7 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
             rhs = tuple(map(_scalar, next(direct)))
             if lhs != rhs and name not in witnesses:
                 if body_values is None:
+                    key = next(itertools.islice(itertools.product(*sets.domains), row, None))
                     asg = dict(zip(sets.vars, key))
                     if values is None:
                         [values] = tabulate(M, [body])
@@ -561,7 +563,7 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
                 if (lhs, rhs) != (reduce(snapped), reduce(raw)):
                     sides = [str(x) for pair in zip(lhs, rhs) for x in pair]
                     witnesses[name] = {"assignment": asg, **dict(zip(labels, sides))}
-    return {name: IdentityCheck(name not in witnesses, len(sets.rows), witnesses.get(name))
+    return {name: IdentityCheck(name not in witnesses, len(sets.column), witnesses.get(name))
             for name in chosen}
 
 

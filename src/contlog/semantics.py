@@ -11,7 +11,10 @@ Evaluation is one bottom-up pass over the formula DAG (`tabulate`).  Each
 node gets a table over its free variables, with a row per tuple of
 elements; a row's value is a Point, a set value being the 0/1 indicator
 point of its hyperspace (see `hyperspace`), so connectives act on it
-directly.  A quantifier reduces its body's table along one axis:
+directly.  The rows run through the product of the variables' domains in
+order, so a table is a column, one value per row, and a connective reads a
+child over fewer variables through a map from its row positions to the
+child's.  A quantifier reduces its body's column along one axis:
 
     sup x. body     max over the x axis
     inf x. body     min over the x axis
@@ -20,12 +23,13 @@ directly.  A quantifier reduces its body's table along one axis:
                     space's net; the snap distance is charged to the
                     uncertainty bound)
 
-Within the pass the tables hold interned int ids, one per distinct Point,
+Within the pass the columns hold interned int ids, one per distinct Point,
 so a connective runs once per distinct tuple of argument ids, sup and inf
 compare exact integer keys and Q ORs subset bitmasks, a body value that is a
 net point taking its bit from its net position; Points are decoded only into
-the tables of the roots.  `evaluate` looks one row up and decodes a set
-value into a `CompactSet`.
+the columns of the roots, and a root's rows are keyed by element tuples
+only when read.  `evaluate` looks one row up and decodes a set value into a
+`CompactSet`.
 
 The pass fills each node's value space and free variables, which it reads.
 It leaves error bounds alone: a node's bound derives on first read, from the
@@ -37,8 +41,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial, reduce
-from itertools import chain, product, repeat, starmap
+from functools import cached_property, partial, reduce
+from itertools import chain, count, product, repeat, starmap
 from math import lcm, prod
 from operator import itemgetter, or_
 from typing import Iterable, Mapping, Sequence, Union
@@ -46,7 +50,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from .connective import _steepest_pair
 from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
-                      Relation, Signature, _postorder)
+                      Relation, Signature, _check_name, _postorder)
 from .hyperspace import CompactSet, HyperSpace, decode_subset, encode_subset
 from .valuespace import (ZERO, Point, Rational, ValueSpace, _member, frac,
                          nearest, point, tolerance)
@@ -204,18 +208,25 @@ def eval_error_bound(phi: Formula) -> Fraction:
     return phi.error_bound
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class Table:
     """A formula's values under every assignment of its free variables.
 
-    `vars` are the free variables in sorted order and each row is keyed by
-    the elements they take, in that order.  A set value is its indicator
-    point in `space` until `value` decodes it.
+    `vars` are the free variables in sorted order and `domains` the elements
+    each ranges over; `column` holds a value per row, the rows running
+    through the product of the domains in order.  `rows` keys each value by
+    the elements its row takes, and is built on first read.  A set value is
+    its indicator point in `space` until `value` decodes it.
     """
 
     vars: tuple[str, ...]
-    rows: dict[ElementTuple, Point]
+    column: list[Point]
     space: ValueSpace
+    domains: tuple[tuple[str, ...], ...]
+
+    @cached_property
+    def rows(self) -> dict[ElementTuple, Point]:
+        return dict(zip(product(*self.domains), self.column))
 
     def at(self, assignment: Mapping[str, str]) -> Point:
         return self.rows[tuple([assignment[v] for v in self.vars])]
@@ -250,15 +261,6 @@ def _picker(src: tuple[str, ...], dst: Sequence[str]):
     return itemgetter(slice(i, i + len(idx)))
 
 
-def _column(variables: tuple[str, ...], rows: Sequence[ElementTuple],
-            sub: tuple[str, ...], table: Mapping[ElementTuple, object]) -> Iterable:
-    """The entries of `table`, keyed over the variables `sub`, along `rows`
-    over `variables`."""
-    if sub == variables:
-        return map(table.__getitem__, rows)
-    return map(table.__getitem__, map(_picker(variables, sub), rows))
-
-
 def _snap_index(base: ValueSpace, p: Point) -> int:
     """The net position of p snapped onto the base space's net.
 
@@ -282,29 +284,26 @@ def _grouped(column: list[int], size: int, inner: int) -> Iterable[tuple[int, ..
     return chain.from_iterable(starmap(zip, zip(*[chunks] * size)))
 
 
-def _reduce(node: Quant, body_vars: tuple[str, ...], body: dict[ElementTuple, int],
-            values: list[Point], intern) -> dict[ElementTuple, int]:
-    """Reduce the body's rows of value ids along the quantified variable's
-    axis; `values` maps an id to its Point and `intern` a Point to its id.
+def _reduce(node: Quant, body_vars: tuple[str, ...], sizes: Sequence[int], body: list[int],
+            values: list[Point], intern) -> list[int]:
+    """Reduce the body's column of value ids along the quantified variable's
+    axis; `sizes` are the body variables' domain sizes, `values` maps an id
+    to its Point and `intern` a Point to its id.
 
     The body's rows run through the product of its variables' domains in
     order (see `tabulate`), so each group is read off by `_grouped`, without
-    a loop per row.
+    a loop per row, and the groups come out in the order of the result's
+    rows.
     """
-    ids, is_set = list(body.values()), node.kind is QuantKind.SET
+    is_set = node.kind is QuantKind.SET
     if node.var not in body_vars:
         if not is_set:
             return body
-        keys, size, inner = list(body), 1, 1  # each row is its own group
-    elif len(body_vars) == 1:
-        keys, size, inner = [()], len(ids), 1  # one group
+        size, inner = 1, 1  # each row is its own group
     else:
         k = body_vars.index(node.var)
-        # each variable's domain, in the order the rows run through it
-        domains = [tuple(dict.fromkeys(column)) for column in zip(*body)]
-        size, inner = len(domains[k]), prod(map(len, domains[k + 1:]))
-        keys = list(product(*domains[:k], *domains[k + 1:]))
-    distinct = dict.fromkeys(ids)
+        size, inner = sizes[k], prod(sizes[k + 1:])
+    distinct = dict.fromkeys(body)
     if is_set:
         # each distinct body value is snapped once onto the body space's net
         # and becomes its bit of a subset mask; each distinct mask is then
@@ -312,10 +311,10 @@ def _reduce(node: Quant, body_vars: tuple[str, ...], body: dict[ElementTuple, in
         space, base = node.value_space, node.body.value_space
         top = space.dimension - 1
         bit = {i: 1 << top - _snap_index(base, values[i]) for i in distinct}
-        column = list(map(bit.__getitem__, ids))
+        column = list(map(bit.__getitem__, body))
         masks = list(map(partial(reduce, or_), _grouped(column, size, inner)))
         sets = {m: intern(space.net[m - 1]) for m in set(masks)}
-        return dict(zip(keys, map(sets.__getitem__, masks)))
+        return list(map(sets.__getitem__, masks))
     # a one-dimensional space has one point per scalar: over one common
     # denominator each distinct value gets an exact integer key, so groups
     # compare ints
@@ -323,27 +322,28 @@ def _reduce(node: Quant, body_vars: tuple[str, ...], body: dict[ElementTuple, in
     den = lcm(*[x.denominator for x in xs])
     key = {i: x.numerator * (den // x.denominator) for i, x in zip(distinct, xs)}
     extreme = partial(max if node.kind is QuantKind.SUP else min, key=key.__getitem__)
-    return dict(zip(keys, map(extreme, _grouped(ids, size, inner))))
+    return list(map(extreme, _grouped(body, size, inner)))
 
 
 def tabulate(M: Structure, roots: Sequence[Formula],
              assignment: Mapping[str, str] | None = None) -> list[Table]:
     """The tables of several formulas, from one bottom-up pass over their DAG.
 
-    Nodes shared between the roots are tabulated once.  An atomic table
-    reads its rows from the structure, a connective's projects each row onto
-    its children's tables, and a quantifier reduces its body's table along
-    one axis.  A variable the assignment fixes is a one-row axis, unless
-    some quantifier in the formulas rebinds it; every other variable ranges
-    over the universe.  Every table's rows run through the product of its
-    variables' domains in order.  Intermediate tables are dropped once every
-    parent has read them.
+    Nodes shared between the roots are tabulated once.  A variable the
+    assignment fixes is a one-row axis, unless some quantifier in the
+    formulas rebinds it; every other variable ranges over the universe.
+    Every table's rows run through the product of its variables' domains in
+    order, so inside the pass a table is its variables and a column, one
+    entry per row.  An atomic table reads its column from the structure, a
+    connective reads each child's column through the map from its own rows
+    to the child's, and a quantifier reduces its body's column along one
+    axis.  Intermediate tables are dropped once every parent has read them.
 
-    Inside the pass a row holds an int id: each distinct Point gets one the
-    first time it appears, so a connective's evaluator runs once per
-    distinct tuple of argument ids, each distinct output's dimension checked
-    (the typecheck settled the arguments'), and a quantifier compares ints.
-    Only the roots' rows are decoded back into Points.
+    A column holds int ids: each distinct Point gets one the first time it
+    appears, so a connective's evaluator runs once per distinct tuple of
+    argument ids, each distinct output's dimension checked (the typecheck
+    settled the arguments'), and a quantifier compares ints.  Only the
+    roots' columns are decoded back into Points.
 
     Before any table is built the assignment's elements are checked against
     the universe, then every node's kind and every atomic symbol against the
@@ -373,6 +373,7 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     for root in roots:
         root.value_space, root.free_vars
     domains = {v: (e,) for v, e in asg.items() if v not in rebound}
+    unfixed = repeat(universe)  # the domain of a variable the assignment does not fix
     keep = set(roots)
     values: list[Point] = []
     ids: dict[Point, int] = {}
@@ -385,42 +386,49 @@ def tabulate(M: Structure, roots: Sequence[Formula],
         return i
 
     grids: dict[tuple[str, ...], list[ElementTuple]] = {}  # rows over variables, once a pass
-    unfixed = repeat(universe)  # the domain of a variable the assignment does not fix
-    # a node's (variables, rows), each row holding a value id
-    tables: dict[Formula, tuple[tuple[str, ...], dict[ElementTuple, int]]] = {}
+    # for each row over some variables, the position of the row over a
+    # subset of them it projects to, once a pass
+    maps: dict[tuple[tuple[str, ...], tuple[str, ...]], list[int]] = {}
+    tables: dict[Formula, tuple[tuple[str, ...], list[int]]] = {}  # (variables, column)
     for node in order:
         if isinstance(node, Atomic):  # a leaf: it reads no table
             variables = tuple(sorted(node.free_vars))
             rows = grids.get(variables)
             if rows is None:
                 rows = grids[variables] = list(product(*map(domains.get, variables, unfixed)))
-            points = list(_column(variables, rows, node.args, M.interp[node.symbol]))
-            for p in dict.fromkeys(points):
-                intern(p)
-            tables[node] = variables, dict(zip(rows, map(ids.__getitem__, points)))
+            keys = rows if node.args == variables else map(_picker(variables, node.args), rows)
+            tables[node] = variables, list(map(intern, map(M.interp[node.symbol].__getitem__, keys)))
             continue
         if isinstance(node, CauchyLimit):
             table = tables[node.body]
         elif isinstance(node, Quant):
             body_vars, body = tables[node.body]
-            table = tuple(sorted(node.free_vars)), _reduce(node, body_vars, body, values, intern)
+            sizes = list(map(len, map(domains.get, body_vars, unfixed)))
+            table = tuple(sorted(node.free_vars)), _reduce(node, body_vars, sizes, body, values, intern)
         else:
             # the connective runs once per distinct tuple of argument ids
             conn, run = node.conn, node.conn.evaluator
             kids = list(map(tables.__getitem__, node.children))
             if len(kids) == 1:  # its rows are its child's
-                [(variables, kid_rows)] = kids
-                memo = {i: intern(run(values[i])) for i in dict.fromkeys(kid_rows.values())}
-                table = variables, dict(zip(kid_rows, map(memo.__getitem__, kid_rows.values())))
+                [(variables, kid)] = kids
+                memo = {i: intern(run(values[i])) for i in dict.fromkeys(kid)}
+                table = variables, list(map(memo.__getitem__, kid))
             else:
                 variables = tuple(sorted(node.free_vars))
-                rows = grids.get(variables)
-                if rows is None:
-                    rows = grids[variables] = list(product(*map(domains.get, variables, unfixed)))
-                cols = [_column(variables, rows, *kid) for kid in kids]
-                args = list(zip(*cols)) if cols else [()] * len(rows)
+                cols = []
+                for sub, kid in kids:
+                    if sub != variables:
+                        at = maps.get((variables, sub))
+                        if at is None:
+                            index = dict(zip(product(*map(domains.get, sub, unfixed)), count()))
+                            rows = product(*map(domains.get, variables, unfixed))
+                            at = maps[variables, sub] = list(map(index.__getitem__,
+                                                                 map(_picker(variables, sub), rows)))
+                        kid = map(kid.__getitem__, at)
+                    cols.append(kid)
+                args = list(zip(*cols)) if cols else [()]
                 memo = {a: intern(run(*map(values.__getitem__, a))) for a in dict.fromkeys(args)}
-                table = variables, dict(zip(rows, map(memo.__getitem__, args)))
+                table = variables, list(map(memo.__getitem__, args))
             for out in map(values.__getitem__, dict.fromkeys(memo.values())):
                 if len(out.coords) != conn.codomain.dimension:  # the typecheck settled the rest
                     raise conn._misfit(out)
@@ -428,9 +436,9 @@ def tabulate(M: Structure, roots: Sequence[Formula],
         for child in node.children:
             if last[child] is node and child not in keep:
                 tables.pop(child, None)  # a child read twice is dropped once
-    return [Table(variables, dict(zip(rows, map(values.__getitem__, rows.values()))),
-                  root.value_space)
-            for root, (variables, rows) in zip(roots, map(tables.__getitem__, roots))]
+    return [Table(variables, list(map(values.__getitem__, column)), root.value_space,
+                  tuple(map(domains.get, variables, unfixed)))
+            for root, (variables, column) in zip(roots, map(tables.__getitem__, roots))]
 
 
 def _assigned_table(M: Structure, phi: Formula, asg: Mapping[str, str]) -> Table:
@@ -568,12 +576,18 @@ def _tight_function_lipschitz(M: Structure, f: Mapping[ElementTuple, str]) -> Fr
     return gap / move
 
 
-def _checked_function_table(M: Structure, name: str, f_table: Mapping) -> dict[ElementTuple, str]:
-    """The table of a function to encode as name, keyed by element tuples;
-    refuses a structure with no distance, a taken name and a malformed table."""
+def _checked_function_table(M: Structure, name: str, f_table: Mapping,
+                            modulus: Rational | None = None) -> tuple[dict, Fraction | None]:
+    """The table of a function to encode as name, keyed by element tuples,
+    and its declared constant or None; refuses a structure with no distance,
+    a taken or malformed name, a negative constant and a malformed table."""
     M.distance_symbol()
     if name in M.signature.by_name:
         raise ValidationError(f"symbol {name!r} already exists")
+    _check_name(name)
+    lip = None if modulus is None else frac(modulus)
+    if lip is not None and lip < 0:
+        raise ValidationError(f"declared function constant {lip} is negative")
 
     def key_len(key) -> int:
         return len(key.split(",")) if isinstance(key, str) else len(key)
@@ -597,7 +611,7 @@ def _checked_function_table(M: Structure, name: str, f_table: Mapping) -> dict[E
         f[t] = out
     if set(f) != set(M._tuples(k)):
         raise ValidationError("function table is not total over the universe")
-    return f
+    return f, lip
 
 
 def encode_function(M: Structure, name: str, f_table: Mapping, modulus: Rational | None = None) -> Structure:
@@ -606,17 +620,13 @@ def encode_function(M: Structure, name: str, f_table: Mapping, modulus: Rational
     The new symbol's modulus is L + 1 where L is the function's own constant
     (supplied, or the tightest one measured from the table).
     """
-    f = _checked_function_table(M, name, f_table)
+    f, lip = _checked_function_table(M, name, f_table, modulus)
     k = len(next(iter(f)))
     tight = _tight_function_lipschitz(M, f)
-    if modulus is None:
+    if lip is None:
         lip = tight
-    else:
-        lip = frac(modulus)
-        if tight > lip:
-            raise ValidationError(
-                f"declared function constant {lip} is violated (needs {tight})"
-            )
+    elif tight > lip:
+        raise ValidationError(f"declared function constant {lip} is violated (needs {tight})")
 
     sig = M.signature
     dspace = sig.by_name[sig.distance_symbol].space

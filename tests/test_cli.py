@@ -488,6 +488,8 @@ class TestEncodeFn:
         assert code == 2 and "not valid JSON" in err
 
     DATA = Path(__file__).resolve().parents[1] / "demos" / "data"
+    #: a total function on places.json's universe
+    TOTAL = '{"cafe": "cafe", "annex": "cafe", "library": "cafe", "gym": "cafe"}'
 
     def test_blanks_around_elements_are_stripped(self, capsys):
         # every key part and every output element is read without its blanks
@@ -513,13 +515,22 @@ class TestEncodeFn:
         ("places.json", "best", "[1]", "a function table must be a JSON object"),
         ("places.json", "best", '{"cafe": 1}',
          "function table entries map element tuples to elements, got 'cafe': 1"),
-    ], ids=["not-total", "taken-name", "no-distance", "not-an-object", "non-string-output"])
+        ("places.json", "9x", TOTAL, "relation name '9x' is not an identifier"),
+        ("places.json", "sup", TOTAL, "relation name 'sup' is a reserved keyword"),
+    ], ids=["not-total", "taken-name", "no-distance", "not-an-object", "non-string-output",
+            "not-an-identifier", "keyword-name"])
     def test_malformed_input_exits_2(self, capsys, structure, name, table, message):
         # a malformed table or target is refused like any bad input, not
         # reported as a failed check
         code, out, err = run(capsys, "encode-fn", "--structure", str(self.DATA / structure),
                              "--name", name, "--table", table)
         assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    def test_negative_modulus_exits_2(self, capsys):
+        # a constant below zero is malformed, not a constant the table violates
+        code, out, err = run(capsys, "encode-fn", "--structure", str(self.DATA / "places.json"),
+                             "--name", "best", "--table", self.TOTAL, "--modulus", "-1")
+        assert (code, out, err) == (2, "", "error: declared function constant -1 is negative\n")
 
 
 class TestRepeatedKeys:

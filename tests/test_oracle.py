@@ -166,8 +166,8 @@ class TestVerifiers:
         # plant a fault: every set row of `Q` loses its largest member
         reduce = semantics._reduce
 
-        def faulty(node, body_vars, body, values, intern):
-            out = reduce(node, body_vars, body, values, intern)
+        def faulty(node, body_vars, sizes, body, values, intern):
+            out = reduce(node, body_vars, sizes, body, values, intern)
             if node.kind is not QuantKind.SET:
                 return out
 
@@ -178,7 +178,7 @@ class TestVerifiers:
                     coords[members[-1]] = F(0)
                 return intern(Point(tuple(coords)))
 
-            return {key: drop_largest(i) for key, i in out.items()}
+            return [drop_largest(i) for i in out]
 
         monkeypatch.setattr(semantics, "_reduce", faulty)
         X = self.sig.by_name["P"].space
@@ -223,8 +223,8 @@ class TestVerifiers:
         # {1/3} (1/2 snaps down), which differs from sup and inf unsnapped
         reduce = semantics._reduce
 
-        def faulty(node, body_vars, body, values, intern):
-            out = reduce(node, body_vars, body, values, intern)
+        def faulty(node, body_vars, sizes, body, values, intern):
+            out = reduce(node, body_vars, sizes, body, values, intern)
             if node.kind is not QuantKind.SET:
                 return out
 
@@ -235,7 +235,7 @@ class TestVerifiers:
                     coords[members[-1]] = F(0)
                 return intern(Point(tuple(coords)))
 
-            return {key: drop_largest(i) for key, i in out.items()}
+            return [drop_largest(i) for i in out]
 
         X = make_interval(0, 1, F(1, 3))
         sig = signature([Relation("R", 2, X)])
@@ -261,10 +261,10 @@ class TestVerifiers:
         reduce = semantics._reduce
         other = QuantKind.INF if kind is QuantKind.SUP else QuantKind.SUP
 
-        def faulty(node, body_vars, body, values, intern):
+        def faulty(node, body_vars, sizes, body, values, intern):
             if node.kind is kind:
                 node = replace(node, kind=other)
-            return reduce(node, body_vars, body, values, intern)
+            return reduce(node, body_vars, sizes, body, values, intern)
 
         if net == "on":
             X = self.sig.by_name["P"].space
@@ -347,8 +347,8 @@ def _plant(monkeypatch, fault):
     """The planted evaluation faults of `TestVerifiers`, by name."""
     reduce, snap = semantics._reduce, semantics._snap_index
     if fault == "drop-largest":  # every set row of `Q` loses its largest member
-        def faulty(node, body_vars, body, values, intern):
-            out = reduce(node, body_vars, body, values, intern)
+        def faulty(node, body_vars, sizes, body, values, intern):
+            out = reduce(node, body_vars, sizes, body, values, intern)
             if node.kind is not QuantKind.SET:
                 return out
 
@@ -359,17 +359,17 @@ def _plant(monkeypatch, fault):
                     coords[members[-1]] = F(0)
                 return intern(Point(tuple(coords)))
 
-            return {key: drop_largest(i) for key, i in out.items()}
+            return [drop_largest(i) for i in out]
 
         monkeypatch.setattr(semantics, "_reduce", faulty)
     elif fault in ("sup-as-inf", "inf-as-sup"):  # one direct kind reduces as the other
         kind, other = ((QuantKind.SUP, QuantKind.INF) if fault == "sup-as-inf"
                        else (QuantKind.INF, QuantKind.SUP))
 
-        def swapped(node, body_vars, body, values, intern):
+        def swapped(node, body_vars, sizes, body, values, intern):
             if node.kind is kind:
                 node = replace(node, kind=other)
-            return reduce(node, body_vars, body, values, intern)
+            return reduce(node, body_vars, sizes, body, values, intern)
 
         monkeypatch.setattr(semantics, "_reduce", swapped)
     elif fault == "ties-up":  # `Q` breaks a tie between two net points upward

@@ -1,6 +1,7 @@
 """The package namespace: every public name resolves, and the coder and the
 fuzz harness load only when a name from them is asked for, and no module
-or script under `tools/` and `demos/` imports a name it never uses.
+or script under `tools/`, `demos/` and `tests/` imports a name it never
+uses.
 
 The checks that must see the package before any lazy name is touched run in
 a fresh interpreter, since other tests in the same run load every module
@@ -93,7 +94,8 @@ def unused_imports(path: Path) -> list[str]:
 
 #: the package's modules, by file name, then the scripts, by path from the root
 SCANNED = [*sorted((ROOT / "src" / "contlog").glob("*.py")),
-           *sorted(ROOT.glob("tools/*.py")), *sorted(ROOT.glob("demos/*.py"))]
+           *sorted(ROOT.glob("tools/*.py")), *sorted(ROOT.glob("demos/*.py")),
+           *sorted(ROOT.glob("tests/*.py"))]
 
 
 @pytest.mark.parametrize("path", SCANNED, ids=lambda p: p.name if p.parent.name == "contlog"

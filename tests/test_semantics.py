@@ -2,6 +2,7 @@ import json
 import random
 import re
 from fractions import Fraction as F
+from itertools import product
 from operator import itemgetter
 from pathlib import Path
 
@@ -310,6 +311,66 @@ class TestTables:
     def test_deep_formula_evaluates_without_recursion(self):
         phi = parse("sup x. " * 900 + "P(x)", MOOD.signature)
         assert evaluate(MOOD, phi).value.scalar == F(4, 5)
+
+
+class TestPositionMaps:
+    """A connective reads each child's column through the map from its own
+    rows to the child's, over any universe order and any fixed variables."""
+
+    X = make_interval(0, 1, F(1, 4))
+    SIG = signature([Relation("T", 3, X), Relation("P", 1, X)])
+    T, P = atom(SIG, "T", "z", "x", "y"), atom(SIG, "P", "y")
+
+    @classmethod
+    def structure(cls, universe):
+        rng = random.Random(f"maps:{','.join(universe)}")
+        grid = [F(k, 4) for k in range(5)]
+        return structure(cls.SIG, universe, {
+            "T": {t: rng.choice(grid) for t in product(universe, repeat=3)},
+            "P": {(e,): rng.choice(grid) for e in universe}})
+
+    def lo(self, *kids):
+        return Apply(min_of(self.X, self.X), kids)
+
+    def formulas(self):
+        X, T, P = self.X, self.T, self.P
+        # T(y, y, x) repeats a variable; inf y. rebinds y, which P(y) beside
+        # it reads free
+        T_yyx = atom(self.SIG, "T", "y", "y", "x")
+        return [self.lo(T, P), self.lo(atom(self.SIG, "P", "z"), T_yyx),
+                Quant(QuantKind.SUP, "y", self.lo(T, atom(self.SIG, "P", "x"))),
+                self.lo(P, Quant(QuantKind.INF, "y", T)),
+                Apply(max_of(X, X), (self.lo(P, Quant(QuantKind.SUP, "z", T)), T_yyx))]
+
+    @pytest.mark.parametrize("assignment", [
+        None, {"x": "b"}, {"z": "c", "x": "a"}, {"y": "a"}, {"x": "c", "y": "b", "z": "a"},
+    ], ids=["free", "x-fixed", "x-z-fixed", "y-fixed-and-rebound", "all-fixed"])
+    @pytest.mark.parametrize("universe", [("a", "b", "c"), ("c", "a", "b")],
+                             ids=["sorted", "unsorted"])
+    def test_partial_and_permuted_children(self, universe, assignment):
+        N = self.structure(universe)
+        for phi in self.formulas():
+            assert_rows_match(N, phi, assignment)
+
+    def test_a_child_read_by_its_parent_and_its_grandparent(self):
+        # T is read by min and by the max above it; P(y) by min and by a max
+        # four levels up, and min by both roots: none is dropped before its
+        # last reader
+        N = self.structure(("b", "c", "a"))
+        inner = self.lo(self.T, self.P)
+        roots = [Apply(max_of(self.X, self.X), (inner, self.T)),
+                 Apply(max_of(self.X, self.X),
+                       (Quant(QuantKind.SUP, "z", Apply(neg(self.X), (inner,))), self.P))]
+        for phi, table in zip(roots, tabulate(N, roots)):
+            assert table.rows == assert_rows_match(N, phi).rows
+
+    def test_rows_follow_the_universe_order(self):
+        universe = ("c", "a", "b")
+        N = self.structure(universe)
+        for phi in self.formulas():
+            table = assert_rows_match(N, phi)
+            assert list(table.rows) == list(product(universe, repeat=len(table.vars)))
+            assert list(table.rows.values()) == table.column
 
 
 class TestInterning:
@@ -752,6 +813,11 @@ class TestFunctions:
             encode_function(M, "f", {"a": "a", "b": "b"})
         with pytest.raises(ValidationError, match="^function table is empty$"):
             encode_function(N, "f", {})
+        # a bad name or constant is refused before the table is read
+        with pytest.raises(ValidationError, match="^relation name '9x' is not an identifier$"):
+            encode_function(N, "9x", {})
+        with pytest.raises(ValidationError, match="^declared function constant -1 is negative$"):
+            encode_function(N, "f", {}, modulus=-1)
 
     def test_no_distance_is_refused_first(self):
         # Structure's one refusal, before the taken name, the empty table and
