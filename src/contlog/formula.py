@@ -136,13 +136,13 @@ def _postorder(roots: Sequence[Formula], cached: str | None = None) -> list[Form
             continue
         seen.add(root)
         # each entry is a node and the iterator over its children not yet walked
-        stack = [(root, iter(getattr(root, "children", ())))]
+        stack = [(root, iter(root.children))]
         while stack:
             node, kids = stack[-1]
             for child in kids:
                 if child not in seen and (cached is None or cached not in child.__dict__):
                     seen.add(child)
-                    grandchildren = getattr(child, "children", ())
+                    grandchildren = child.children
                     if grandchildren:
                         stack.append((child, iter(grandchildren)))
                         break
@@ -172,7 +172,7 @@ class _derived:
         if node is None:
             return self
         name, method = self.name, self.method
-        for child in getattr(node, "children", ()):
+        for child in node.children:
             if name not in child.__dict__:
                 break
         else:  # the common miss, on a node built over derived children
@@ -186,19 +186,20 @@ class _derived:
 class Formula:
     """Base class; concrete nodes are Atomic, Apply, Quant and CauchyLimit.
 
-    Each concrete node has `children`, its direct subformulas in order.  Its
-    value space, free variables and error bound are derived on first read,
-    children first (`_derived`), and `str()` renders bottom-up as well, so
-    none of them recurses.
+    Each concrete node has `children`, its direct subformulas in order, and
+    is typed when built, from children typed already: its value space and
+    free variables are filled then, and an ill-typed node, or one of no
+    known kind, is refused.  Its error bound derives on first read, children
+    first (`_derived`), and `str()` renders bottom-up, so nothing recurses.
     """
 
-    @_derived
-    def value_space(self) -> ValueSpace:
-        return self._space()
+    children: tuple[Formula, ...] = ()
 
-    @_derived
-    def free_vars(self) -> frozenset[str]:
-        return self._free()
+    def __init__(self):  # a node kind with no dataclass constructor
+        self.__post_init__()
+
+    def __post_init__(self):
+        self.__dict__.update(value_space=self._space(), free_vars=self._free())
 
     @_derived
     def error_bound(self) -> Fraction:
@@ -210,14 +211,10 @@ class Formula:
         """
         return self._error_bound()
 
-    def _space(self) -> ValueSpace:
-        raise NotImplementedError
-
-    def _error_bound(self) -> Fraction:
+    def _unknown(self):
         raise EvalError(f"unknown formula node {type(self).__name__}")
 
-    def _free(self) -> frozenset[str]:
-        raise NotImplementedError
+    _space = _free = _error_bound = _unknown
 
     def __str__(self) -> str:
         text: dict[Formula, str] = {}
@@ -235,8 +232,6 @@ class Atomic(Formula):
     symbol: str
     args: tuple[str, ...]
     space: ValueSpace
-
-    children = ()
 
     def _space(self) -> ValueSpace:
         return self.space
@@ -272,10 +267,7 @@ class Apply(Formula):
         return self.conn.codomain
 
     def _free(self) -> frozenset[str]:
-        out: frozenset[str] = frozenset()
-        for c in self.children:
-            out |= c.free_vars
-        return out
+        return frozenset().union(*[c.free_vars for c in self.children])
 
     def _error_bound(self) -> Fraction:
         total = sum((c.error_bound for c in self.children), start=Fraction(0))
@@ -294,6 +286,7 @@ class Quant(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "children", (self.body,))
+        super().__post_init__()
 
     def _space(self) -> ValueSpace:
         inner = self.body.value_space
@@ -333,6 +326,7 @@ class CauchyLimit(Formula):
 
     def __post_init__(self):
         object.__setattr__(self, "children", (self.body,))
+        super().__post_init__()
 
     def _space(self) -> ValueSpace:
         return self.body.value_space
@@ -481,14 +475,12 @@ class _Parser:
         raise ParseError("expected a formula", pos, self.text)
 
     def _typed(self, pos: int, build: Callable[..., Formula], *args) -> Formula:
-        """The node build(*args), typechecked; a TypeCheckError becomes a
-        ParseError at the node's position pos."""
+        """The node build(*args), typed as it is built; a TypeCheckError
+        becomes a ParseError at the node's position pos."""
         try:
-            node = build(*args)
-            node.value_space
+            return build(*args)
         except TypeCheckError as err:
             raise ParseError(str(err), pos, self.text) from None
-        return node
 
     def run(self) -> Formula:
         node = self.formula()

@@ -9,8 +9,9 @@ The net of 2^n - 1 indicator points is virtual (`SubsetNet`): its length,
 entries and indices come from subset bitmasks, and the points themselves are
 built only when a caller iterates the net.  These never do:
 
-- typechecking and evaluating `Q`, so a `Q` value costs O(|U| * n) for a
-  universe U and an n-point base;
+- typing a `Q` node as it is built, and evaluating it, so a `Q` value
+  costs O(|U| * n) for a universe U and an n-point base; a `Q` root no node
+  reads keeps subset masks and builds no indicator point at all;
 - `membership`, and so a `Structure` with set values, which reads a value's
   0/1 mask in O(n);
 - `proj` and the translation's snap bound, which take the coordinate values

@@ -486,8 +486,9 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
     One `tabulate` pass takes the roots the selected checks need, sharing
     `Q var. body` and the body, so theta runs once per distinct body value.
     One loop then reads the tables' columns, which share their row order:
-    each distinct set value is decoded once and reduced by every check, and
-    each check compares the result with its direct rows, in exact equality.
+    each distinct subset mask of the `Q` root, which no node reads, has its
+    members read off its bits once and reduced by every check, and each
+    check compares the result with its direct rows, in exact equality.
     A row that differs, whose assignment is then built, passes only if the
     set side is the same reduction of the body's values snapped as `Q`
     snaps them (to the nearest net point, ties to the earlier, by a scan of
@@ -540,13 +541,13 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
         criteria.append(("primordial", _extremes, zip(sups.column, infs.column),
                          ("set_max", "sup", "set_min", "inf")))
 
-    net, member_indices = space.net, sets.space.member_indices
-    by_set: dict[Point, list[tuple]] = {}
+    net, digits = space.net, f"0{len(space.net)}b"  # a mask's binary digits, base index 0 first
+    by_set: dict[int, list[tuple]] = {}
     witnesses: dict[str, dict] = {}
-    for row, k in enumerate(sets.column):
+    for row, k in enumerate(sets.masks):
         on_set = by_set.get(k)
         if on_set is None:
-            members = [net[i] for i in member_indices(k)]
+            members = list(itertools.compress(net, map("1".__eq__, format(k, digits))))
             on_set = by_set[k] = [reduce(members) for _, reduce, _, _ in criteria]
         body_values = None
         for (name, reduce, direct, labels), lhs in zip(criteria, on_set):
@@ -563,7 +564,7 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
                 if (lhs, rhs) != (reduce(snapped), reduce(raw)):
                     sides = [str(x) for pair in zip(lhs, rhs) for x in pair]
                     witnesses[name] = {"assignment": asg, **dict(zip(labels, sides))}
-    return {name: IdentityCheck(name not in witnesses, len(sets.column), witnesses.get(name))
+    return {name: IdentityCheck(name not in witnesses, len(sets.masks), witnesses.get(name))
             for name in chosen}
 
 

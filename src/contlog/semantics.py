@@ -26,15 +26,14 @@ child's.  A quantifier reduces its body's column along one axis:
 Within the pass the columns hold interned int ids, one per distinct Point,
 so a connective runs once per distinct tuple of argument ids, sup and inf
 compare exact integer keys and Q ORs subset bitmasks, a body value that is a
-net point taking its bit from its net position; Points are decoded only into
-the columns of the roots, and a root's rows are keyed by element tuples
-only when read.  `evaluate` looks one row up and decodes a set value into a
-`CompactSet`.
+net point taking its bit from its net position.  A Q node becomes indicator
+points only if a node reads it; a Q root nothing reads keeps its masks.
+Points are decoded only into the columns of the roots, and a root's rows
+are keyed by element tuples only when read.  `evaluate` looks one row up
+and decodes a set value into a `CompactSet`.
 
-The pass fills each node's value space and free variables, which it reads.
-It leaves error bounds alone: a node's bound derives on first read, from the
-nodes below bottom-up and without recursion (`Formula.error_bound`), so a
-check that never reads one never pays for its Fraction arithmetic.
+Nodes come typed (`Formula`), and error bounds derive only on first read,
+so a check that never reads one never pays for its Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -50,7 +49,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from .connective import _steepest_pair
 from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
-                      Relation, Signature, _check_name, _postorder)
+                      Relation, Signature, _check_name)
 from .hyperspace import CompactSet, HyperSpace, decode_subset, encode_subset
 from .valuespace import (ZERO, Point, Rational, ValueSpace, _member, frac,
                          nearest, point, tolerance)
@@ -216,13 +215,20 @@ class Table:
     each ranges over; `column` holds a value per row, the rows running
     through the product of the domains in order.  `rows` keys each value by
     the elements its row takes, and is built on first read.  A set value is
-    its indicator point in `space` until `value` decodes it.
+    its indicator point in `space` until `value` decodes it.  A `Q` root
+    that no node of its pass reads has subset `masks` instead (base index 0
+    the most significant bit), from which `column` is built on first read.
     """
 
     vars: tuple[str, ...]
-    column: list[Point]
     space: ValueSpace
     domains: tuple[tuple[str, ...], ...]
+    masks: list[int] | None = None
+
+    @cached_property
+    def column(self) -> list[Point]:
+        points = {m: self.space.net[m - 1] for m in set(self.masks)}
+        return list(map(points.__getitem__, self.masks))
 
     @cached_property
     def rows(self) -> dict[ElementTuple, Point]:
@@ -285,10 +291,10 @@ def _grouped(column: list[int], size: int, inner: int) -> Iterable[tuple[int, ..
 
 
 def _reduce(node: Quant, body_vars: tuple[str, ...], sizes: Sequence[int], body: list[int],
-            values: list[Point], intern) -> list[int]:
+            values: list[Point]) -> list[int]:
     """Reduce the body's column of value ids along the quantified variable's
-    axis; `sizes` are the body variables' domain sizes, `values` maps an id
-    to its Point and `intern` a Point to its id.
+    axis; `sizes` are the body variables' domain sizes and `values` maps an
+    id to its Point.  sup and inf return value ids, `Q` subset masks.
 
     The body's rows run through the product of its variables' domains in
     order (see `tabulate`), so each group is read off by `_grouped`, without
@@ -305,16 +311,12 @@ def _reduce(node: Quant, body_vars: tuple[str, ...], sizes: Sequence[int], body:
         size, inner = sizes[k], prod(sizes[k + 1:])
     distinct = dict.fromkeys(body)
     if is_set:
-        # each distinct body value is snapped once onto the body space's net
-        # and becomes its bit of a subset mask; each distinct mask is then
-        # one indicator point, net entry mask - 1 of the hyperspace
-        space, base = node.value_space, node.body.value_space
-        top = space.dimension - 1
+        # each distinct body value, snapped once onto the body space's net,
+        # becomes its bit of a subset mask, base index 0 the most significant
+        base, top = node.body.value_space, node.value_space.dimension - 1
         bit = {i: 1 << top - _snap_index(base, values[i]) for i in distinct}
         column = list(map(bit.__getitem__, body))
-        masks = list(map(partial(reduce, or_), _grouped(column, size, inner)))
-        sets = {m: intern(space.net[m - 1]) for m in set(masks)}
-        return list(map(sets.__getitem__, masks))
+        return list(map(partial(reduce, or_), _grouped(column, size, inner)))
     # a one-dimensional space has one point per scalar: over one common
     # denominator each distinct value gets an exact integer key, so groups
     # compare ints
@@ -343,38 +345,51 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     appears, so a connective's evaluator runs once per distinct tuple of
     argument ids, each distinct output's dimension checked (the typecheck
     settled the arguments'), and a quantifier compares ints.  Only the
-    roots' columns are decoded back into Points.
+    roots' columns are decoded back into Points, but a `Q` root that no node
+    reads keeps its subset masks (`Table`).
 
-    Before any table is built the assignment's elements are checked against
-    the universe, then every node's kind and every atomic symbol against the
-    signature (leftmost first), then the formulas are typechecked.  The pass
-    fills each node's cached value space and free variables, which it reads;
-    error bounds are left to derive on first read, bottom-up and without
-    recursion (`Formula.error_bound`).
+    Nodes are typed when built.  Before any table is built the assignment's
+    elements are checked against the universe, then each node's kind and
+    each atomic symbol against the signature as one walk lists the nodes,
+    children first and the leftmost subtree first: the leftmost error wins.
     """
     asg = dict(assignment or {})
-    universe = M.universe
+    universe, sig = M.universe, M.signature
     for var, e in asg.items():
         if e not in universe:
             raise EvalError(f"assignment sends {var} to {e!r}, not a universe element")
-    order = _postorder(roots)
-    rebound = set()
-    last: dict[Formula, Formula] = {}  # the last node to read each table
-    for node in order:
-        if isinstance(node, Atomic):
-            _check_symbol(node, M.signature)
-            continue
-        if isinstance(node, Quant):
-            rebound.add(node.var)
-        elif not isinstance(node, (Apply, CauchyLimit)):
-            raise EvalError(f"unknown formula node {type(node).__name__}")
-        for child in node.children:
-            last[child] = node
+    order: list[Formula] = []
+    rebound, seen = set(), set()
+    last: dict[Formula, Formula] = {}  # each table's last reader in `order`, set as it is listed
     for root in roots:
-        root.value_space, root.free_vars
+        if root in seen:
+            continue
+        seen.add(root)
+        stack = [(root, iter(root.children))]  # nodes and their children not yet walked
+        while stack:
+            node, kids = stack[-1]
+            for child in kids:
+                if child not in seen:
+                    seen.add(child)
+                    if child.children or not isinstance(child, Atomic):
+                        stack.append((child, iter(child.children)))
+                        break
+                    _check_symbol(child, sig)  # an atomic leaf, listed when reached
+                    order.append(child)
+            else:
+                stack.pop()
+                if isinstance(node, Quant):
+                    rebound.add(node.var)
+                elif isinstance(node, Atomic):
+                    _check_symbol(node, sig)
+                elif not isinstance(node, (Apply, CauchyLimit)):
+                    raise EvalError(f"unknown formula node {type(node).__name__}")
+                for child in node.children:
+                    last[child] = node
+                order.append(node)
     domains = {v: (e,) for v, e in asg.items() if v not in rebound}
     unfixed = repeat(universe)  # the domain of a variable the assignment does not fix
-    keep = set(roots)
+    keep, masked = set(roots), set()
     values: list[Point] = []
     ids: dict[Point, int] = {}
 
@@ -404,7 +419,15 @@ def tabulate(M: Structure, roots: Sequence[Formula],
         elif isinstance(node, Quant):
             body_vars, body = tables[node.body]
             sizes = list(map(len, map(domains.get, body_vars, unfixed)))
-            table = tuple(sorted(node.free_vars)), _reduce(node, body_vars, sizes, body, values, intern)
+            column = _reduce(node, body_vars, sizes, body, values)
+            if node.kind is QuantKind.SET:
+                if node not in last:  # a root nothing reads keeps its masks
+                    masked.add(node)
+                else:  # its reader takes indicator points, net entry mask - 1
+                    net = node.value_space.net
+                    sets = {m: intern(net[m - 1]) for m in set(column)}
+                    column = list(map(sets.__getitem__, column))
+            table = tuple(sorted(node.free_vars)), column
         else:
             # the connective runs once per distinct tuple of argument ids
             conn, run = node.conn, node.conn.evaluator
@@ -436,9 +459,14 @@ def tabulate(M: Structure, roots: Sequence[Formula],
         for child in node.children:
             if last[child] is node and child not in keep:
                 tables.pop(child, None)  # a child read twice is dropped once
-    return [Table(variables, list(map(values.__getitem__, column)), root.value_space,
-                  tuple(map(domains.get, variables, unfixed)))
-            for root, (variables, column) in zip(roots, map(tables.__getitem__, roots))]
+    out = []
+    for root in roots:
+        variables, column = tables[root]
+        out.append(Table(variables, root.value_space, tuple(map(domains.get, variables, unfixed)),
+                         column if root in masked else None))
+        if root not in masked:
+            out[-1].column = list(map(values.__getitem__, column))
+    return out
 
 
 def _assigned_table(M: Structure, phi: Formula, asg: Mapping[str, str]) -> Table:

@@ -85,11 +85,11 @@ class TestNodes:
         a = atom(SIG, "P", "x")
         good = Apply(neg(X), (a,))
         assert good.value_space.dimension == 1
-        bad = Apply(neg(make_finite([point(0)])), (a,))
+        # a node is typed when it is built
         with pytest.raises(TypeCheckError):
-            bad.value_space
+            Apply(neg(make_finite([point(0)])), (a,))
         with pytest.raises(TypeCheckError, match="^neg expects 1 arguments, got 2$"):
-            Apply(neg(X), (a, atom(SIG, "P", "y"))).value_space
+            Apply(neg(X), (a, atom(SIG, "P", "y")))
 
     def test_quant_spaces(self):
         a = atom(SIG, "P", "x")
@@ -110,10 +110,15 @@ class TestNodes:
         assert str(a) == str(b)
 
     def test_validate_forces_children(self):
-        bad_child = Apply(neg(make_finite([point(0)])), (atom(SIG, "P", "x"),))
-        top = Quant(QuantKind.SUP, "x", bad_child)
+        # an ill-typed child is refused when it is built, so no parent can
+        # be built over it; a parent is built over typed children and typed
+        # with them
         with pytest.raises(TypeCheckError):
-            top.value_space
+            Apply(neg(make_finite([point(0)])), (atom(SIG, "P", "x"),))
+        child = Apply(neg(X), (atom(SIG, "P", "x"),))
+        top = Quant(QuantKind.SUP, "x", child)
+        for node in (top, child, child.children[0]):
+            assert node.__dict__["value_space"] == X
 
 
 class TestDeepFormulas:
@@ -167,11 +172,10 @@ class TestDeepFormulas:
         assert len(calls) == len(set(calls)) == self.DEPTH + 1
 
     def test_a_failing_node_leaves_the_nodes_below_filled(self):
-        bad = Apply(neg(make_finite([point(0)])), (self.chain(),))
+        chain = self.chain()
         with pytest.raises(TypeCheckError):
-            bad.value_space
-        assert "value_space" not in bad.__dict__
-        assert bad.children[0].__dict__["value_space"] == X
+            Apply(neg(make_finite([point(0)])), (chain,))
+        assert chain.__dict__["value_space"] == X
 
 
 class TestParse:

@@ -34,7 +34,7 @@ from contlog.oracle import (
 )
 from contlog.semantics import Structure, check_pseudometric, structure, zero_distance_classes
 from contlog.translate import TranslationContext, transport_structure
-from contlog.valuespace import Point, make_finite, make_interval, point
+from contlog.valuespace import make_finite, make_interval, point
 
 
 CFG = FuzzConfig(seed=20260816)
@@ -166,19 +166,13 @@ class TestVerifiers:
         # plant a fault: every set row of `Q` loses its largest member
         reduce = semantics._reduce
 
-        def faulty(node, body_vars, sizes, body, values, intern):
-            out = reduce(node, body_vars, sizes, body, values, intern)
+        def faulty(node, body_vars, sizes, body, values):
+            out = reduce(node, body_vars, sizes, body, values)
             if node.kind is not QuantKind.SET:
                 return out
-
-            def drop_largest(i):
-                coords = list(values[i].coords)
-                members = [j for j, c in enumerate(coords) if c == 1]
-                if len(members) > 1:
-                    coords[members[-1]] = F(0)
-                return intern(Point(tuple(coords)))
-
-            return [drop_largest(i) for i in out]
+            # a mask of two members or more loses its lowest bit, the
+            # member of the largest base index
+            return [m & m - 1 or m for m in out]
 
         monkeypatch.setattr(semantics, "_reduce", faulty)
         X = self.sig.by_name["P"].space
@@ -223,19 +217,13 @@ class TestVerifiers:
         # {1/3} (1/2 snaps down), which differs from sup and inf unsnapped
         reduce = semantics._reduce
 
-        def faulty(node, body_vars, sizes, body, values, intern):
-            out = reduce(node, body_vars, sizes, body, values, intern)
+        def faulty(node, body_vars, sizes, body, values):
+            out = reduce(node, body_vars, sizes, body, values)
             if node.kind is not QuantKind.SET:
                 return out
-
-            def drop_largest(i):
-                coords = list(values[i].coords)
-                members = [j for j, c in enumerate(coords) if c == 1]
-                if len(members) > 1:
-                    coords[members[-1]] = F(0)
-                return intern(Point(tuple(coords)))
-
-            return [drop_largest(i) for i in out]
+            # a mask of two members or more loses its lowest bit, the
+            # member of the largest base index
+            return [m & m - 1 or m for m in out]
 
         X = make_interval(0, 1, F(1, 3))
         sig = signature([Relation("R", 2, X)])
@@ -261,10 +249,10 @@ class TestVerifiers:
         reduce = semantics._reduce
         other = QuantKind.INF if kind is QuantKind.SUP else QuantKind.SUP
 
-        def faulty(node, body_vars, sizes, body, values, intern):
+        def faulty(node, body_vars, sizes, body, values):
             if node.kind is kind:
                 node = replace(node, kind=other)
-            return reduce(node, body_vars, sizes, body, values, intern)
+            return reduce(node, body_vars, sizes, body, values)
 
         if net == "on":
             X = self.sig.by_name["P"].space
@@ -347,29 +335,23 @@ def _plant(monkeypatch, fault):
     """The planted evaluation faults of `TestVerifiers`, by name."""
     reduce, snap = semantics._reduce, semantics._snap_index
     if fault == "drop-largest":  # every set row of `Q` loses its largest member
-        def faulty(node, body_vars, sizes, body, values, intern):
-            out = reduce(node, body_vars, sizes, body, values, intern)
+        def faulty(node, body_vars, sizes, body, values):
+            out = reduce(node, body_vars, sizes, body, values)
             if node.kind is not QuantKind.SET:
                 return out
-
-            def drop_largest(i):
-                coords = list(values[i].coords)
-                members = [j for j, c in enumerate(coords) if c == 1]
-                if len(members) > 1:
-                    coords[members[-1]] = F(0)
-                return intern(Point(tuple(coords)))
-
-            return [drop_largest(i) for i in out]
+            # a mask of two members or more loses its lowest bit, the
+            # member of the largest base index
+            return [m & m - 1 or m for m in out]
 
         monkeypatch.setattr(semantics, "_reduce", faulty)
     elif fault in ("sup-as-inf", "inf-as-sup"):  # one direct kind reduces as the other
         kind, other = ((QuantKind.SUP, QuantKind.INF) if fault == "sup-as-inf"
                        else (QuantKind.INF, QuantKind.SUP))
 
-        def swapped(node, body_vars, sizes, body, values, intern):
+        def swapped(node, body_vars, sizes, body, values):
             if node.kind is kind:
                 node = replace(node, kind=other)
-            return reduce(node, body_vars, sizes, body, values, intern)
+            return reduce(node, body_vars, sizes, body, values)
 
         monkeypatch.setattr(semantics, "_reduce", swapped)
     elif fault == "ties-up":  # `Q` breaks a tie between two net points upward

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from contlog import semantics
+from contlog import hyperspace, semantics
 from contlog.connective import Connective, identity, max_of, min_of, neg
 from contlog.errors import EvalError, SpaceMismatch, TypeCheckError, ValidationError
 from contlog.hyperspace import (MAX_BASE_POINTS, encode_subset, hyper, inf_theta,
@@ -42,7 +42,8 @@ from contlog.semantics import (
     tabulate,
     zero_distance_classes,
 )
-from contlog.oracle import FuzzConfig, random_formula, random_signature, random_structure
+from contlog.oracle import (FuzzConfig, _FormulaBuilder, random_formula, random_signature,
+                            random_space, random_structure, verify_quantifier)
 from contlog.serialize import structure_from_json
 from contlog.valuespace import make_finite, make_interval, nearest, point
 
@@ -313,6 +314,102 @@ class TestTables:
         assert evaluate(MOOD, phi).value.scalar == F(4, 5)
 
 
+class DagBuilder:
+    """Random well-typed formulas that share subformulas.  Each new node
+    reads nodes built before it, so one node can have several parents, and
+    atoms draw their variables from four names, which quantifiers bind too:
+    a node can range over up to four free variables."""
+
+    VARS = ("w", "x", "y", "z")
+
+    def __init__(self, cfg, sig, rng):
+        self.rng, self.sig, self.nodes = rng, sig, []
+        self.make = _FormulaBuilder(cfg, sig, rng, grid=False, stable=False)
+
+    def atomic(self):
+        rel = self.rng.choice(self.sig.relations)
+        return atom(self.sig, rel.name, *(self.rng.choice(self.VARS) for _ in range(rel.arity)))
+
+    def node(self):
+        rng, make = self.rng, self.make
+        if not self.nodes:
+            return self.atomic()
+        kind = rng.choice(("atomic", "unary", "binary", "binary", "binary", "sup", "inf", "set"))
+        if kind == "atomic":
+            return self.atomic()
+        if kind == "unary":
+            return make._unary(rng.choice(self.nodes))
+        if kind == "binary":
+            return make._binary(rng.choice(self.nodes), rng.choice(self.nodes))
+        body = rng.choice(self.nodes)
+        # mostly a variable the body reads; now and then a vacuous one
+        var = rng.choice(sorted(body.free_vars) if rng.random() < 0.8 and body.free_vars
+                         else self.VARS)
+        space = body.value_space
+        if kind == "set":
+            if not space.standard_metric or len(space.net) > 4:
+                return make._as_real(body)
+            return Quant(QuantKind.SET, var, body)
+        return Quant(QuantKind[kind.upper()], var, make._as_real(body))
+
+    def roots(self, size):
+        """`size` new nodes, then the last of them and up to two others."""
+        for _ in range(size):
+            self.nodes.append(self.node())
+        others = self.rng.sample(self.nodes[:-1], min(len(self.nodes) - 1, self.rng.randint(0, 2)))
+        return [self.nodes[-1], *others]
+
+
+def below(roots):
+    """Every node under the roots, and how many times each is read."""
+    readers, stack, seen = {}, list(roots), set(roots)
+    while stack:
+        for child in stack.pop().children:
+            readers[child] = readers.get(child, 0) + 1
+            if child not in seen:
+                seen.add(child)
+                stack.append(child)
+    return seen, readers
+
+
+class TestRandomDags:
+    """Every row of every root of a pass over random DAGs against the naive
+    recursive reference: several roots per pass, shared subformulas, up to
+    four variables, with and without fixed variables."""
+
+    @pytest.mark.parametrize("seed", [5, 17])
+    def test_rows_match_the_reference(self, seed):
+        cfg = FuzzConfig(seed=seed, universe_size=3, formula_depth=3)
+        formulas = shared = wide = widest = 0
+        for trial in range(120):
+            rng = random.Random(f"dags:{seed}:{trial}")
+            sig = signature([Relation(name, rng.choice((1, 2, 3)),
+                                      random_space(rng, cfg, dim=rng.choice((1, 1, 2))))
+                             for name in ("R", "S", "T")[:rng.randint(1, 3)]])
+            N = random_structure(cfg, sig, rng)
+            roots = DagBuilder(cfg, sig, rng).roots(rng.randint(2, 9))
+            nodes, _ = below(roots)
+            rebound = {n.var for n in nodes if isinstance(n, Quant)}
+            fixed = {v: rng.choice(N.universe)
+                     for v in rng.sample(DagBuilder.VARS, rng.randint(1, 3))}
+            for asg in ({}, fixed):
+                for phi, table in zip(roots, tabulate(N, roots, asg)):
+                    # a fixed variable that some quantifier binds ranges freely
+                    domains = [(asg[v],) if v in asg and v not in rebound else N.universe
+                               for v in sorted(phi.free_vars)]
+                    assert table.vars == tuple(sorted(phi.free_vars))
+                    assert list(table.rows) == list(product(*domains))
+                    for key, value in table.rows.items():
+                        assert value == reference(N, phi, {**asg, **dict(zip(table.vars, key))})
+            for phi in roots:
+                nodes, readers = below([phi])
+                most = max(len(n.free_vars) for n in nodes)
+                formulas, shared = formulas + 1, shared + (max(readers.values(), default=0) > 1)
+                wide, widest = wide + (most >= 3), widest + (most == 4)
+        assert formulas >= 200 and 4 * shared >= formulas
+        assert wide > 0 and widest > 0
+
+
 class TestPositionMaps:
     """A connective reads each child's column through the map from its own
     rows to the child's, over any universe order and any fixed variables."""
@@ -526,6 +623,48 @@ class TestLazyErrorBounds:
         assert all("error_bound" in node.__dict__ for node in nodes)
 
 
+class TestSetMasks:
+    """A `Q` root that no node of its pass reads keeps subset masks and
+    builds no indicator point until its column is read; a `Q` that a node
+    reads becomes indicator points in the pass."""
+
+    PHI = parse("Q x. P(x)", SIG)  # P takes 1/4 and 3/4: net indices 1 and 3 of 5
+
+    @pytest.fixture
+    def indicators(self, monkeypatch):
+        calls, build = [], hyperspace._indicator
+
+        def counted(bits):
+            calls.append(bits)
+            return build(bits)
+
+        monkeypatch.setattr(hyperspace, "_indicator", counted)
+        return calls
+
+    def test_a_root_checked_by_verify_quantifier_builds_none(self, indicators):
+        body = atom(TestPositionMaps.SIG, "T", "z", "x", "y")
+        checks = verify_quantifier(TestPositionMaps.structure(("a", "b", "c")), body, var="y")
+        assert [(c.ok, c.checked) for c in checks.values()] == [(True, 9), (True, 9)]
+        assert indicators == []
+
+    def test_a_root_keeps_masks_until_its_column_is_read(self, indicators):
+        [table] = tabulate(M, [self.PHI])
+        assert table.masks == [0b01010] and indicators == []
+        assert table.column == [point(0, 1, 0, 1, 0)] and len(indicators) == 1
+
+    @pytest.mark.parametrize("roots", [1, 2], ids=["under-sup", "also-a-root"])
+    def test_a_set_read_by_sup_theta_builds_them(self, indicators, roots):
+        top = Apply(sup_theta(identity(G)), (self.PHI,))
+        tables = tabulate(M, [top, self.PHI][:roots])
+        assert tables[0].column == [point(F(3, 4))] and len(indicators) == 1
+        assert all(table.masks is None for table in tables)
+
+    def test_evaluate_decodes_a_masked_root(self, indicators):
+        res = evaluate(M, self.PHI)
+        assert res.value == compact(G, point(F(1, 4)), point(F(3, 4)))
+        assert res.value == semantics.decode_subset(res.space, reference(M, self.PHI, {}))
+
+
 class TestSnapByIndex:
     """Q snaps a body value that is a net point by its index; only a value
     off the net goes through `nearest`."""
@@ -590,14 +729,27 @@ class TestCheckSymbols:
         class Odd(Formula):
             pass
 
-        for phi in (Odd(), Apply(neg(G), (Odd(),)), Quant(QuantKind.SUP, "x", Odd())):
-            with pytest.raises(EvalError, match="^unknown formula node Odd$"):
+        # refused when built; its error bound, derived on read, the same way
+        with pytest.raises(EvalError, match="^unknown formula node Odd$"):
+            Odd()
+        with pytest.raises(EvalError, match="^unknown formula node Odd$"):
+            object.__new__(Odd).error_bound
+
+        class Typed(Formula):  # typed, but of no kind evaluation knows
+            def _space(self):
+                return G
+
+            def _free(self):
+                return frozenset()
+
+        for phi in (Typed(), Apply(neg(G), (Typed(),)), Quant(QuantKind.SUP, "x", Typed())):
+            with pytest.raises(EvalError, match="^unknown formula node Typed$"):
                 tabulate(M, [phi])
 
 
 class TestErrorOrder:
-    """Assignment elements, then symbols left to right, then types, then
-    unassigned variables."""
+    """Types as each node is built; then, in evaluation, assignment
+    elements, then symbols left to right, then unassigned variables."""
 
     OTHER = signature([Relation("T", 1, G), Relation("U", 1, G)])
 
@@ -610,11 +762,13 @@ class TestErrorOrder:
         with pytest.raises(EvalError, match="^structure does not interpret 'T'$"):
             evaluate(M, phi, {"x": "a"})
 
-    def test_symbols_before_types(self):
-        ill_typed = Apply(min_of(G3, G3), (atom(SIG, "P", "x"),) * 2)
+    def test_types_before_symbols(self):
+        # an ill-typed node is refused when built, before the unknown symbol
+        # U beside it could reach evaluation
         with pytest.raises(TypeCheckError, match="^argument 0 of min"):
-            evaluate(M, ill_typed, {"x": "a"})
-        phi = Apply(min_of(G, G), (ill_typed, atom(self.OTHER, "U", "x")))
+            Apply(min_of(G, G), (Apply(min_of(G3, G3), (atom(SIG, "P", "x"),) * 2),
+                                 atom(self.OTHER, "U", "x")))
+        phi = Apply(min_of(G, G), (atom(SIG, "P", "x"), atom(self.OTHER, "U", "x")))
         with pytest.raises(EvalError, match="^structure does not interpret 'U'$"):
             evaluate(M, phi, {"x": "a"})
 
