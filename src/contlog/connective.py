@@ -54,7 +54,7 @@ from .valuespace import (
     Rational,
     ValueSpace,
     _member,
-    _nearest_gap,
+    _separation,
     _net_point,
     frac,
     linf,
@@ -114,7 +114,8 @@ class Connective:
     """A named Lipschitz map from a product of value spaces to a value space.
 
     Compares by identity: two connectives are the same connective only if they
-    are the same object.
+    are the same object.  `extremum` is (max, psi) on `sup_theta(psi)`,
+    (min, psi) on `inf_theta(psi)` and None on every other connective.
     """
 
     name: str
@@ -122,6 +123,7 @@ class Connective:
     codomain: ValueSpace
     lipschitz: Fraction
     evaluator: Callable[..., Point] = field(repr=False)
+    extremum: tuple[Callable, Connective] | None = field(default=None, repr=False)
 
     def __post_init__(self):
         if self.lipschitz < ZERO:
@@ -212,8 +214,9 @@ def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
     is the indicator of base point b_i: it changes only between sets K with
     b_i and F without, where d_H(K, F) >= d(b_i, F), and {b_i, b_j}, {b_j}
     attain that for b_j nearest b_i.  So the tight constant is
-    1 / min_{j != i} d(b_i, b_j), and 0 on a one-point base; on a plain
-    one-dimensional base b_j is a neighbour of b_i (`_nearest_gap`).
+    1 / min_{j != i} d(b_i, b_j), and 0 on a one-point base (`_separation`,
+    which refuses a base point at distance zero from another); on a plain
+    one-dimensional base b_j is a neighbour of b_i.
 
     On a plain one-dimensional space the projection is the identity: its
     codomain's points are the net's own, and it returns its argument.
@@ -226,11 +229,7 @@ def proj(space: ValueSpace, i: int, name: str | None = None) -> Connective:
     if space.real_valued:
         codomain = ValueSpace._unchecked(1, space.net, space.resolution, label)
         return Connective(name, (space,), codomain, ONE, _same_point)
-    if space.standard_metric:
-        lip = ONE
-    else:
-        gap = _nearest_gap(space.base, i)
-        lip = ZERO if gap is None else ONE / gap
+    lip = ONE if space.standard_metric else _separation(space.base, i)
     # the coordinate values rise strictly: the net is canonical
     codomain = ValueSpace._unchecked(
         1,

@@ -48,6 +48,13 @@ class Relation:
             raise ValidationError(f"relation {self.name} needs arity >= 1")
         _check_name(self.name)
 
+    @classmethod
+    def _unchecked(cls, name: str, arity: int, space: ValueSpace) -> Relation:
+        """A relation built unchecked: its name and arity are known valid."""
+        rel = object.__new__(cls)
+        vars(rel).update(name=name, arity=arity, space=space)
+        return rel
+
 
 def _check_name(name) -> None:
     """Refuse a relation name that is not an identifier or is a keyword."""

@@ -16,12 +16,14 @@ built only when a caller iterates the net.  These never do:
   0/1 mask in O(n);
 - `proj` and the translation's snap bound, which take the coordinate values
   {0, 1} in closed form (`coordinate_values`);
-- decoding and the T0 check, which round each coordinate (`nearest_indicator`).
+- decoding and the T0 check, which round each coordinate (`nearest_indicator`);
+- coding a coordinate of a `Q` node, or `sup_theta`/`inf_theta` of a set
+  value (`_extremes_by_mask`), and the coded table over a hyperspace net.
 
 These do:
 
-- coding a set quantifier, which works on masks and builds the points only
-  to apply an observable to them;
+- coding any other observable of a set value, which builds the points only
+  to apply it to them;
 - `lattice_approx`, and exhaustive checks over the whole hyperspace;
 - `nearest` on a hyperspace, which scans the net in the Hausdorff metric.
 
@@ -345,12 +347,13 @@ def sup_theta(theta: Connective, name: str | None = None) -> Connective:
     """K -> max of theta over K, as a connective on the hyperspace.
 
     Keeps theta's Lipschitz constant: sup respects Hausdorff distance.
+    Records (max, theta) as its `extremum`, which the coder reads by mask.
     """
     return _extremum_theta(theta, max, name or f"sup({theta.name})")
 
 
 def inf_theta(theta: Connective, name: str | None = None) -> Connective:
-    """K -> min of theta over K; the dual of sup_theta."""
+    """K -> min of theta over K; the dual of sup_theta, recording (min, theta)."""
     return _extremum_theta(theta, min, name or f"inf({theta.name})")
 
 
@@ -362,7 +365,21 @@ def _extremum_theta(theta: Connective, pick, name: str) -> Connective:
         return pick([theta.evaluator(hx.base.net[i]) for i in hx.member_indices(p)],
                     key=_SCALAR)
 
-    return Connective(name, (hx,), theta.codomain, theta.lipschitz, run)
+    return Connective(name, (hx,), theta.codomain, theta.lipschitz, run, (pick, theta))
+
+
+def _extremes_by_mask(pick, theta: Connective) -> list[Point]:
+    """pick (max or min) of theta over each set of its base net, in net
+    order: theta runs once per base point, and mask m's extreme is read from
+    m without its lowest set bit.  theta is real-valued, so points of equal
+    scalars are equal, and which one a tie keeps does not matter."""
+    outs = [theta.evaluator(p) for p in theta.domain[0].net]
+    n, ext = len(outs), [None]
+    for m in range(1, 1 << n):
+        low = m & -m
+        p = outs[n - low.bit_length()]
+        ext.append(p if m == low else pick(ext[m ^ low], p, key=_SCALAR))
+    return ext[1:]
 
 
 def urysohn_separator(space: ValueSpace, k: CompactSet, f: CompactSet) -> Connective:

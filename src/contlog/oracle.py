@@ -42,7 +42,7 @@ from .formula import (Apply, Formula, Quant, QuantKind,
                       Relation, Signature, atom, cauchy_limit, signature)
 from .hyperspace import (MAX_BASE_POINTS, CompactSet, encode_subset,
                          inf_theta, sup_theta)
-from .semantics import (Structure, check_pseudometric, evaluate,
+from .semantics import (Structure, _picker, check_pseudometric, evaluate,
                         eval_error_bound, quotient, structure, tabulate,
                         zero_distance_classes)
 from .translate import TranslationContext, code_formula, t0_violations, \
@@ -386,14 +386,12 @@ class CodingCheck:
 def _coding_setup(ctx: TranslationContext, M: Structure, phi: Formula,
                   theta: Connective | None, tol: Rational):
     """What both coding checks start from: the coded formula of theta(phi),
-    its budget, the budget plus tolerance, the transported structure and
-    every assignment of phi's free variables."""
+    its budget, the budget plus tolerance and the transported structure."""
     tol = tolerance(tol)
     coded = code_formula(ctx, phi)
     target = coded.codes(theta)
     budget = coded.budget_of(theta)
-    return (target, budget, budget + tol, transport_structure(ctx, M),
-            _assignments(M, phi.free_vars, None))
+    return target, budget, budget + tol, transport_structure(ctx, M)
 
 
 def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
@@ -404,42 +402,46 @@ def verify_coding(ctx: TranslationContext, M: Structure, phi: Formula,
     the coded formula in the transported structure; every assignment of the
     free variables reads one row of each table.
     """
-    target, budget, limit, N, asgs = _coding_setup(ctx, M, phi, theta, tol)
-    worst, first = _compare(M, phi, theta, N, target, asgs, limit)
+    target, budget, limit, N = _coding_setup(ctx, M, phi, theta, tol)
+    checked, worst, first = _compare(M, phi, theta, N, target, limit)
     witness = None
     if first is not None:
         asg, lhs, rhs, diff = first
         witness = {
-            "assignment": dict(asg),
+            "assignment": asg,
             "target_value": str(lhs),
             "source_value": str(rhs),
             "difference": str(diff),
             "budget": str(budget),
         }
-    return CodingCheck(witness is None, len(asgs), budget, worst, witness)
+    return CodingCheck(witness is None, checked, budget, worst, witness)
 
 
 def _compare(M: Structure, phi: Formula, theta: Connective | None, N: Structure,
-             coded: Formula, asgs: Sequence[Mapping[str, str]], limit: Fraction):
-    """The largest |coded in N - theta(phi in M)| over the assignments, and
-    the first (assignment, coded, source, difference) beyond limit or None.
-    Each distinct pair of a source and a coded value is compared once."""
+             coded: Formula, limit: Fraction):
+    """The number of assignments of phi's free variables, the largest
+    |coded in N - theta(phi in M)| over them, and the first (assignment,
+    coded, source, difference) beyond limit or None.  Both tables' rows run
+    through the product of the universe over their sorted variables, so the
+    columns are compared in row order, each distinct pair once, and only the
+    witness's assignment is built.  A coded root over fewer variables (a
+    constant has none) is read through the position of each source row."""
     [source] = tabulate(M, [phi])
     [target] = tabulate(N, [coded])
-    compared: dict[tuple[Point, Point], tuple] = {}
-    first = None
-    for asg in asgs:
-        pair = source.at(asg), target.at(asg)
-        row = compared.get(pair)
-        if row is None:
-            p, q = pair
-            rhs = theta(p).scalar if theta is not None else p.scalar
-            diff = abs(q.scalar - rhs)
-            row = compared[pair] = (q.scalar, rhs, diff, diff > limit)
-        lhs, rhs, diff, over = row
-        if over and first is None:
-            first = (asg, lhs, rhs, diff)
-    return max((diff for _, _, diff, _ in compared.values()), default=ZERO), first
+    column = target.column
+    if target.vars != source.vars:
+        rows = map(_picker(source.vars, target.vars), itertools.product(*source.domains))
+        column = list(map(target.rows.__getitem__, rows))
+    worst, first = ZERO, None
+    for p, q in dict.fromkeys(zip(source.column, column)):
+        rhs = theta(p).scalar if theta is not None else p.scalar
+        diff = abs(q.scalar - rhs)
+        worst = max(worst, diff)
+        if first is None and diff > limit:  # the first pair over: its first row
+            row = list(zip(source.column, column)).index((p, q))
+            elements = next(itertools.islice(itertools.product(*source.domains), row, None))
+            first = (dict(zip(source.vars, elements)), q.scalar, rhs, diff)
+    return len(column), worst, first
 
 
 @dataclass(frozen=True)
@@ -616,18 +618,18 @@ def verify_corruption_detected(ctx: TranslationContext, M: Structure,
     boundary of the uncorrupted value so extrema cannot mask it.  `ok`
     means the corruption WAS detected.
     """
-    target, budget, limit, N, asgs = _coding_setup(ctx, M, phi, theta, tol)
-    base = evaluate(N, target, asgs[0]).scalar
+    target, budget, limit, N = _coding_setup(ctx, M, phi, theta, tol)
+    base = evaluate(N, target, dict.fromkeys(phi.free_vars, M.universe[0])).scalar
     delta = Fraction(1, 4) if base <= Fraction(1, 2) else Fraction(-1, 4)
     bad = _bump_first_apply(target, delta, ctx.grid)
 
-    worst, first = _compare(M, phi, theta, N, bad, asgs, limit)
+    checked, worst, first = _compare(M, phi, theta, N, bad, limit)
     caught = None
     if first is not None:
         asg, _, _, diff = first
-        caught = {"assignment": dict(asg), "difference": str(diff),
+        caught = {"assignment": asg, "difference": str(diff),
                   "budget": str(budget), "shift": str(delta)}
-    return CodingCheck(caught is not None, len(asgs), budget, worst, caught)
+    return CodingCheck(caught is not None, checked, budget, worst, caught)
 
 
 PSEUDOMETRIC_LAWS = ("reflexivity", "symmetry", "triangle", "modulus")

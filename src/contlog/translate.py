@@ -28,8 +28,9 @@ projection; the sup/inf builder reads its observable on the body net once
 and tells the identity from that one pass.  Only `Q`, and a sup/inf read
 through another observable, are coded by one min-max connective over the
 codings of "sup x. hit_j(body)", one per base net point j that the
-observable's values depend on; each reads membership of that point.  Its
-value is the lattice interpolant of the observable over these point hits:
+observable's values depend on; each reads membership of that point, and
+only these are built, one node per variable, body and hit.  Its value is
+the lattice interpolant of the observable over these point hits:
 the min over net sets k of the max of affines in the hits.  One type,
 `LatticeApprox`, holds every such interpolant as an integer min-of-max table
 over a common denominator.  The quantifier coder builds its table in closed
@@ -45,12 +46,18 @@ scalars are known when it is built.  On a plain one-dimensional space:
 
 - the snap bound snaps the net's own integer scalars (`space_snap_bound`);
 - a point hit's constant is the gap to a neighbour in the sorted net
-  (`_nearest_gap`), and its outputs are the points of `_BIT`'s net;
+  (`_separation`), and its outputs are the points of `_BIT`'s net;
 - the coordinate projection is the identity on the net's own points;
 - an atomic or connective table is scaled from the nets' integer scalars
   (`_net_table`), and its constant is the steepest slope between neighbours,
   one linear scan (`_tight_constant`; keys of more dimensions take the pair
   scan).
+
+A set value is read by subset mask: a coordinate of a `Q` node is a bit of
+the mask, `sup_theta(psi)` or `inf_theta(psi)` of a set takes psi on the
+base net and each mask's extreme from the mask without its lowest bit (the
+connective's `extremum`), and a table over a hyperspace net keys each set
+by its mask's bits and takes the spread of its values as its constant.
 
 Transport snaps each coordinate to the grid point at its integer index
 (`_nearest_index`, `nearest`'s bisection).  The McShane extension of a
@@ -75,12 +82,12 @@ from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tigh
 from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
-from .hyperspace import (HyperSpace, decode_subset, nearest_indicator, sup_theta,
-                         urysohn_separator)
+from .hyperspace import (_COORDS, HyperSpace, _extremes_by_mask, decode_subset,
+                         nearest_indicator, sup_theta, urysohn_separator)
 from .semantics import CheckReport, Structure, _target_points
-from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, _nearest_gap, _nearest_index,
-                         _net_point, frac, make_finite, make_interval, nearest,
-                         point, tolerance)
+from .valuespace import (ONE, ZERO, Point, Rational, ValueSpace, _nearest_index, _net_point,
+                         _separation, frac, make_finite, make_interval, nearest, point,
+                         tolerance)
 
 MAX_SET_CODING_POINTS = 8
 
@@ -119,7 +126,7 @@ class TranslationContext:
                         f"target symbol {n!r} collides with an existing name"
                     )
                 taken.add(n)
-                targets.append(Relation(n, rel.arity, self.grid))
+                targets.append(Relation._unchecked(n, rel.arity, self.grid))  # P was checked
             components[rel.name] = names
         self.components = components
         self.target = Signature(tuple(targets), None, ())
@@ -139,20 +146,14 @@ class TranslationContext:
         over all i separates any two distinct sets.  Its gap is 1 only
         between the i-th point and another, so its tight constant is the
         closed form 1 / (distance to the nearest other net point), like
-        `proj`'s on a hyperspace, and needs no pairwise scan: on a plain
-        one-dimensional net that point is a neighbour in the sorted net
-        (`_nearest_gap`).  The two outputs are the points of `_BIT`'s net.
+        `proj`'s on a hyperspace, and needs no pairwise scan
+        (`_separation`, which refuses a point at distance zero from
+        another).  The two outputs are the points of `_BIT`'s net.
         """
         key = (space, i)
         conn = self._hits.get(key)
         if conn is None:
-            gap = _nearest_gap(space, i)
-            if gap == 0:
-                raise ValidationError(
-                    f"{space.label}: net point {space.net[i]} is at distance zero "
-                    f"from another net point; no observable can single it out"
-                )
-            lip = ZERO if gap is None else ONE / gap
+            lip = _separation(space, i)
             miss, hit = _BIT.net
             entries = {(p,): hit if j == i else miss for j, p in enumerate(space.net)}
             conn = _tabulated(f"hit[{i}]", (space,), entries, lip, _BIT)
@@ -460,14 +461,6 @@ def _hit_lattice(n: int, gs: Sequence[Fraction]) -> tuple[tuple[int, ...], Latti
 # ---------------------------------------------------------------------------
 # Formula coding
 
-def _typed(node: Formula) -> Formula:
-    """node, with its value space and free variables derived from its
-    children's.  The coder types every node it builds, children first, so
-    each is one step and no later read of a coded formula walks it."""
-    node.value_space, node.free_vars
-    return node
-
-
 @dataclass(frozen=True)
 class Coded:
     formula: Formula
@@ -486,9 +479,10 @@ class CodedFormula:
         self.ctx = ctx
         self.source = source
         source.value_space  # typecheck the source now
-        # keyed on the objects, which hash by identity: the memo keeps every
+        # keyed on (formula, observable), and on (variable, body, hit) for a
+        # point hit's sup, which hash by identity: the memo keeps every
         # observable alive, so a new one can never reuse a stale entry
-        self._memo: dict[tuple[Formula, Connective], Coded] = {}
+        self._memo: dict[tuple, Coded] = {}
         # the grid atoms of each (symbol, args), shared by every coding
         self._leaves: dict[tuple[str, tuple[str, ...]], tuple[Atomic, ...]] = {}
 
@@ -541,18 +535,17 @@ class CodedFormula:
         coordinates within error: the budget is its constant times error.
 
         The table is scaled to integers over one common denominator once
-        (`_net_table`); the scan for the constant and the extension's integer
-        kernel both run on it.  The keys are
+        (`_net_table`, which also finds the constant); the extension's integer
+        kernel runs on it.  The keys are
         distinct tuples of net points, so their flattened coordinates are
         distinct and every distance below is positive.  The constant is tight
         by construction (`_tight_constant`), so mcshane_extend's re-check of
         the same pairs is skipped.
         """
-        den, rows = _net_table(spaces, values)
-        lip = _tight_constant(rows)
+        den, rows, lip = _net_table(spaces, values)
         grid = self.ctx.grid
         ext = _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name)
-        return Coded(_typed(Apply(ext, children)), lip * error)
+        return Coded(Apply(ext, children), lip * error)
 
     def _build_atomic(self, phi: Atomic, theta: Connective) -> Coded:
         """theta of a symbol's value, through its grid symbols; the grid
@@ -562,6 +555,10 @@ class CodedFormula:
         key = (phi.symbol, phi.args)
         children = self._leaves.get(key)
         if children is None:
+            rel = ctx.source.by_name.get(phi.symbol)  # its first read: is it the source's?
+            if rel is None or rel.arity != len(phi.args) or rel.space != phi.space:
+                raise SpaceMismatch(f"{phi.symbol}: no symbol of arity {len(phi.args)} valued "
+                                    f"in {phi.space.label} in the source signature")
             children = self._leaves[key] = tuple(
                 Atomic(nm, phi.args, ctx.grid) for nm in ctx.components[phi.symbol])
         return self._extend(f"~{theta.name}@{phi.symbol}", (phi.space,),
@@ -578,13 +575,15 @@ class CodedFormula:
                           for child, s in zip(phi.children, child_spaces)
                           for obs in ctx.coordinates(s)]
 
-        # tabulate theta(conn(..)) over the product of the child nets: each
-        # distinct output's dimension is checked, and theta read, once
-        run, dim = conn.evaluator, conn.codomain.dimension
+        # tabulate theta(conn(..)) over the product of the child nets, an
+        # extremum over a set by subset mask: each distinct output's
+        # dimension is checked, and theta read, once
+        dim = conn.codomain.dimension
+        outs = (itertools.starmap(conn.evaluator, product_net(child_spaces))
+                if conn.extremum is None else _extremes_by_mask(*conn.extremum))
         thetas: dict[Point, Fraction] = {}
         values = []
-        for k in product_net(child_spaces):
-            out = run(*k)
+        for out in outs:
             v = thetas.get(out)
             if v is None:
                 if len(out.coords) != dim:
@@ -601,8 +600,15 @@ class CodedFormula:
         (g[m - 1] at mask m) so that no indicator point is needed."""
         ctx = self.ctx
         base = phi.body.value_space
+        n = len(base.net)
         if phi.kind is QuantKind.SET:
-            g = [theta.evaluator(k).scalar for k in phi.value_space.net]
+            coords = ctx._coordinates.get(phi.value_space, ())
+            if theta in coords:
+                # coordinate k, membership of base point k, is mask bit n - 1 - k
+                shift = n - 1 - coords.index(theta)
+                g = [_COORDS[m >> shift & 1] for m in range(1, 1 << n)]
+            else:
+                g = [theta.evaluator(k).scalar for k in phi.value_space.net]
             slack = ZERO
         else:
             # theta(extremum of the collected values) factors through the value
@@ -610,50 +616,63 @@ class CodedFormula:
             outs = [theta.evaluator(p) for p in base.net]
             if theta.codomain == base and outs == list(base.net):
                 inner = self._code(phi.body, ctx.coordinates(base)[0])
-                return Coded(_typed(Quant(phi.kind, phi.var, inner.formula)), inner.budget)
+                return Coded(Quant(phi.kind, phi.var, inner.formula), inner.budget)
             _check_set_capacity(base)
             # the body net is sorted by value, so a set's largest member is
             # its highest base index (the lowest set bit of its mask) and its
             # smallest is its lowest base index (the highest set bit)
-            n = len(base.net)
             tv = [p.scalar for p in outs]
             if phi.kind is QuantKind.SUP:
                 g = [tv[n - (m & -m).bit_length()] for m in range(1, 1 << n)]
             else:
                 g = [tv[n - m.bit_length()] for m in range(1, 1 << n)]
             slack = theta.lipschitz * base.resolution
-        # the point-hit observables separate any two distinct sets, so the
-        # body is only ever coded against len(base.net) distinct observables
-        # (shared via memo); building every hit refuses a base net with a
-        # point no observable can single out, whichever hits are read
-        hits = [ctx.point_hit(base, i) for i in range(len(base.net))]
-        used, lattice = _hit_lattice(len(base.net), g)
-        children = []
-        drift = ZERO
+        # the point hits separate any two distinct sets; a base with a point
+        # no hit singles out is refused even if no hit is read (a sorted
+        # one-dimensional net has none)
+        for i in range(0 if base.real_valued else n):
+            _separation(base, i)
+        used, lattice = _hit_lattice(n, g)
+        sups = []
         for j in used:
-            inner = self._code(phi.body, hits[j])
-            children.append(_typed(Quant(QuantKind.SUP, phi.var, inner.formula)))
-            drift = max(drift, inner.budget + hits[j].lipschitz * base.resolution)
+            # one node sup x. code(body, hit_j) per variable, body and hit
+            hit = ctx.point_hit(base, j)
+            key = (phi.var, phi.body, hit)
+            if key not in self._memo:
+                inner = self._code(phi.body, hit)
+                self._memo[key] = Coded(Quant(QuantKind.SUP, phi.var, inner.formula),
+                                        inner.budget + hit.lipschitz * base.resolution)
+            sups.append(self._memo[key])
         grid = ctx.grid
         conn = Connective(f"~{theta.name}@{phi.kind.keyword}",
-                          tuple(c.value_space for c in children), grid,
+                          tuple(c.formula.value_space for c in sups), grid,
                           lattice.lipschitz,
                           lambda *pts: _net_point(grid, *lattice._ratio([p.scalar for p in pts])))
-        return Coded(_typed(Apply(conn, tuple(children))), lattice.lipschitz * drift + slack)
+        drift = max((c.budget for c in sups), default=ZERO)
+        return Coded(Apply(conn, tuple(c.formula for c in sups)), lattice.lipschitz * drift + slack)
 
 
-def _net_table(spaces: Sequence[ValueSpace], values: Sequence[Fraction]) -> tuple[int, list]:
+def _net_table(spaces: Sequence[ValueSpace], values: Sequence[Fraction]) -> tuple[int, list, Fraction]:
     """`_integer_table` of values over the product net of spaces, one value
-    per net tuple in product order.  When every space is plain and
-    one-dimensional the coordinates are read from the spaces' integer
-    scalars, so no coordinate of the net is touched."""
+    per net tuple in product order, and its tight constant.  When every
+    space is plain and one-dimensional the coordinates are read from the
+    spaces' integer scalars, and a set's are the bits of its mask, so no
+    coordinate of the net is touched.  Two distinct sets lie at flat
+    distance 1, so the constant over a set is the spread of the values."""
+    if len(spaces) == 1 and isinstance(spaces[0], HyperSpace):
+        den = lcm(*(v.denominator for v in values))
+        ints = [v.numerator * (den // v.denominator) for v in values]
+        keys = itertools.islice(itertools.product((0, den), repeat=spaces[0].dimension), 1, None)
+        return den, list(zip(keys, ints)), Fraction(max(ints) - min(ints), den)
     if all(s.real_valued for s in spaces):
         scalars = [s._int_scalars for s in spaces]
         den = lcm(*(d for d, _ in scalars), *(v.denominator for v in values))
         axes = [[x * (den // d) for x in xs] for d, xs in scalars]
-        return den, [(k, v.numerator * (den // v.denominator))
-                     for k, v in zip(itertools.product(*axes), values)]
-    return _integer_table([(flat_coords(k), v) for k, v in zip(product_net(spaces), values)])
+        rows = [(k, v.numerator * (den // v.denominator))
+                for k, v in zip(itertools.product(*axes), values)]
+    else:
+        den, rows = _integer_table([(flat_coords(k), v) for k, v in zip(product_net(spaces), values)])
+    return den, rows, _tight_constant(rows)
 
 
 def code_formula(ctx: TranslationContext, phi: Formula) -> CodedFormula:

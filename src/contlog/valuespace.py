@@ -25,6 +25,7 @@ through to `nearest`.
 from __future__ import annotations
 
 import itertools
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -43,6 +44,8 @@ ONE = Fraction(1)
 #: make_interval refuses grids of more points than this (a step of 1/65536
 #: on [0,1] is the finest it accepts)
 MAX_NET_POINTS = 65_537
+
+_MODULUS = sys.hash_info.modulus
 
 
 def frac(x: Rational) -> Fraction:
@@ -254,7 +257,14 @@ def make_interval(lo: Rational, hi: Rational, step: Rational, label: str | None 
     # every point lies in [lo, hi], inside [0,1], and the points rise
     # strictly from lo and stop at hi: the net is canonical
     coords = [(Fraction(x, den),) for x in steps] + [(hi,)]
-    net = tuple(Point._unchecked(c, hash((c,))) for c in coords)
+    # hash(Fraction(x, den)) is x / den modulo the hash modulus, so each
+    # point's hash comes from its integer, unless the modulus divides den
+    if den % _MODULUS:
+        inv = pow(den, -1, _MODULUS)
+        hashes = [hash(((x * inv % _MODULUS,),)) for x in (*steps, b)]
+    else:
+        hashes = [hash((c,)) for c in coords]
+    net = tuple(map(Point._unchecked, coords, hashes))
     space = ValueSpace._unchecked(1, net, step / 2, label)
     # the grid's integer scalars are known: over den, the steps and then b
     vars(space)["_int_scalars"] = (den, (*steps, b))
@@ -340,17 +350,23 @@ def _net_point(space: ValueSpace, num: int, q: int) -> Point:
     return Point((Fraction(num, q),))
 
 
-def _nearest_gap(space: ValueSpace, i: int) -> Fraction | None:
-    """The distance from the i-th net point to the nearest other one, or
-    None on a one-point net.  On a plain one-dimensional net that point is a
+def _separation(space: ValueSpace, i: int) -> Fraction:
+    """1 / the distance from the i-th net point to the nearest other one, or
+    0 on a one-point net.  On a plain one-dimensional net that point is a
     neighbour in the sorted net, read from the integer scalars; on any other
-    net the distance is read from the distance matrix."""
+    net the distance matrix is read, and a distance of zero refused."""
     if space.real_valued:
+        # the net is sorted and distinct: every gap is positive
         den, xs = space._int_scalars
         gaps = [xs[j + 1] - xs[j] for j in (i - 1, i) if 0 <= j < len(xs) - 1]
-        return Fraction(min(gaps), den) if gaps else None
-    gaps = [d for j, d in enumerate(space.distance_matrix[i]) if j != i]
-    return min(gaps) if gaps else None
+        return Fraction(den, min(gaps)) if gaps else ZERO
+    gap = min((d for j, d in enumerate(space.distance_matrix[i]) if j != i), default=None)
+    if gap == 0:
+        raise ValidationError(
+            f"{space.label}: net point {space.net[i]} is at distance zero "
+            f"from another net point; no observable can single it out"
+        )
+    return ZERO if gap is None else ONE / gap
 
 
 def _nearest_index(space: ValueSpace, num: int, q: int) -> tuple[int, int]:

@@ -6,7 +6,7 @@ import pytest
 
 from contlog import oracle, semantics
 from contlog.errors import SpaceMismatch, ValidationError
-from contlog.formula import Apply, QuantKind, Relation, atom, signature
+from contlog.formula import Apply, QuantKind, Relation, atom, parse, signature
 from contlog.connective import Connective, const, identity, neg, table, tight_lipschitz
 from contlog.oracle import (
     EXACT_STEP,
@@ -701,3 +701,82 @@ class TestDirectTables:
             squashed = builder._shrink(atom(sig, "P", "x"))
             assert squashed.conn.name == "squash"
             self._assert_equals_its_table(squashed.conn)
+
+
+def _compare_by_assignments(M, phi, theta, N, coded, limit):
+    """`oracle._compare` as a loop over the assignments, each reading one
+    row of each table by its elements: (checked, worst, first)."""
+    asgs = oracle._assignments(M, phi.free_vars, None)
+    [source] = semantics.tabulate(M, [phi])
+    [target] = semantics.tabulate(N, [coded])
+    compared, first = {}, None
+    for asg in asgs:
+        pair = source.at(asg), target.at(asg)
+        if pair not in compared:
+            p, q = pair
+            rhs = theta(p).scalar if theta is not None else p.scalar
+            compared[pair] = (q.scalar, rhs, abs(q.scalar - rhs))
+        lhs, rhs, diff = compared[pair]
+        if diff > limit and first is None:
+            first = (asg, lhs, rhs, diff)
+    return len(asgs), max((row[2] for row in compared.values()), default=F(0)), first
+
+
+class TestCompareColumns:
+    """The coding check compares two columns in row order; it equals the
+    loop over assignments field by field, witness included."""
+
+    @pytest.mark.parametrize("seed", [4101, 4102])
+    @pytest.mark.parametrize("grid", [False, True], ids=["exact", "grid"])
+    def test_columns_match_the_assignment_loop(self, seed, grid):
+        cfg = FuzzConfig(seed=seed, universe_size=5, formula_depth=3)
+        fewer = later = 0
+        for i in range(80):
+            rng = oracle._rng(cfg, "coding-grid" if grid else "coding-exact", i)
+            sig = random_signature(rng, cfg, grid=grid)
+            M = random_structure(cfg, sig, rng)
+            phi = oracle.random_formula(cfg, sig, rng, grid=grid)
+            theta = random_theta(rng, phi.value_space)
+            ctx = TranslationContext(sig, oracle.GRID_TRANSLATION_STEP if grid else EXACT_STEP)
+            target, budget, limit, N = oracle._coding_setup(ctx, M, phi, theta, 0)
+            fewer += target.free_vars != phi.free_vars
+            bad = oracle._bump_first_apply(target, F(1, 4), ctx.grid)
+            for coded in (target, bad):
+                checked, worst, _ = oracle._compare(M, phi, theta, N, coded, limit)
+                # the budget, and limits that put the first row over, or a later one
+                for lim in (limit, F(-1), worst / 2, worst):
+                    got = oracle._compare(M, phi, theta, N, coded, lim)
+                    assert got == _compare_by_assignments(M, phi, theta, N, coded, lim), i
+                    later += got[2] is not None and got[2][0] != dict.fromkeys(
+                        phi.free_vars, M.universe[0])
+        assert later > 0
+        assert fewer > 0 or grid
+
+    def test_coded_root_over_fewer_variables(self):
+        # an observable of inf over a one-point net, other than the
+        # identity, codes to a constant, which has no variable
+        S = make_finite([point(F(1, 2))], label="S")
+        sig = signature([Relation("S", 1, S)])
+        M = structure(sig, ["a", "b", "c"], {"S": {e: F(1, 2) for e in "abc"}})
+        phi = parse("inf v1. S(x0)", sig)
+        theta = table([S], {(point(F(1, 2)),): point(F(1, 4))}, 0,
+                      codomain=make_finite([point(F(1, 4))]), name="quarter")
+        ctx = TranslationContext(sig, EXACT_STEP)
+        target, _, limit, N = oracle._coding_setup(ctx, M, phi, theta, 0)
+        assert target.free_vars == frozenset() and phi.free_vars == {"x0"}
+        for lim in (limit, F(-1)):
+            got = oracle._compare(M, phi, theta, N, target, lim)
+            assert got == _compare_by_assignments(M, phi, theta, N, target, lim)
+            assert got[0] == 3
+        assert got[2] == ({"x0": "a"}, F(1, 4), F(1, 4), F(0))
+        check = verify_coding(ctx, M, phi, theta)
+        assert check.ok and check.checked == 3 and check.max_difference == 0
+
+    @pytest.mark.parametrize("seed", [7, 4101])
+    def test_corruption_check_matches_the_assignment_loop(self, seed, monkeypatch):
+        cfg = FuzzConfig(seed=seed, trials=40)
+        records = run_suite("corruption", cfg)
+        monkeypatch.setattr(oracle, "_compare", lambda M, phi, theta, N, coded, limit:
+                            _compare_by_assignments(M, phi, theta, N, coded, limit))
+        assert run_suite("corruption", cfg) == records
+        assert all(r.ok for r in records)

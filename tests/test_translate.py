@@ -6,7 +6,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from contlog import connective
+from contlog import connective, hyperspace
 from contlog.connective import (const, identity, max_of, mcshane_extend, neg, proj, table,
                                 tight_lipschitz, unit_interval)
 from contlog.errors import CapacityError, EvalError, SpaceMismatch, ValidationError
@@ -25,6 +25,7 @@ from contlog.translate import (
     code_condition,
     code_formula,
     _hit_lattice,
+    _net_table,
     decode_structure,
     lattice_approx,
     snap_to_grid,
@@ -878,3 +879,189 @@ class TestDeepFormulas:
         coder = code_formula(ctx, parse("sup x. " * 900 + "P(x)", sig))
         with pytest.raises(CapacityError, match=self.MESSAGE):
             coder.budget_of()
+
+
+def _plain_copy(conn):
+    """conn as a new connective with its evaluator alone: no coordinate of a
+    context and no recorded extremum, so the coder reads it on the net."""
+    return connective.Connective(conn.name, conn.domain, conn.codomain, conn.lipschitz,
+                                 conn.evaluator)
+
+
+def _random_base(rng, size):
+    pool = [F(k, 8) for k in range(9)] + [F(k, 3) for k in (1, 2)]
+    return make_finite([point(v) for v in rng.sample(pool, size)], label="B")
+
+
+class TestSetsByMask:
+    """A coordinate of a `Q` node, an extremum of a set value and a table
+    over a hyperspace net are read from subset masks; each equals what its
+    observable gives over the built net."""
+
+    SIZES = [1, 2, 3, 4, 5, 6, 7, 8]
+
+    @staticmethod
+    def observables(rng, base):
+        """psi on the base: the identity, a negation and a random table."""
+        values = {(p,): point(F(rng.randint(0, 8), 8)) for p in base.net}
+        obs = table([base], values, tight_lipschitz([base], values),
+                    codomain=make_finite(set(values.values())), name="obs")
+        return [identity(base), neg(base), obs]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_extremes_by_mask_match_the_extremum_over_the_net(self, size):
+        rng = random.Random(f"extremes:{size}")
+        for _ in range(4):
+            base = _random_base(rng, size)
+            H = hyper(base)
+            for psi in self.observables(rng, base):
+                for extremum in (sup_theta(psi), inf_theta(psi)):
+                    assert extremum.extremum[1] is psi
+                    got = hyperspace._extremes_by_mask(*extremum.extremum)
+                    assert got == [extremum.evaluator(k) for k in H.net]
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_set_table_matches_the_integer_table_of_the_net(self, size):
+        rng = random.Random(f"set-table:{size}")
+        H = hyper(_random_base(rng, size))
+        for _ in range(4):
+            values = [F(rng.randint(0, 12), 12) for _ in H.net]
+            den, rows = connective._integer_table(
+                [(connective.flat_coords((k,)), v) for k, v in zip(H.net, values)])
+            assert _net_table([H], values) == (den, rows, connective._tight_constant(rows))
+
+    @pytest.mark.parametrize("size", SIZES)
+    def test_coding_by_mask_matches_coding_over_the_net(self, size):
+        # each observable of Q x. P(x) and each extremum of it, read by mask,
+        # codes to the same formula and budget as a plain copy, which the
+        # coder reads on the built net
+        rng = random.Random(f"by-mask:{size}")
+        base = _random_base(rng, size)
+        sig = signature([Relation("P", 1, base)])
+        ctx = TranslationContext(sig, F(1, 4))
+        M = structure(sig, ["a", "b", "c"], {"P": {e: rng.choice(base.net) for e in "abc"}})
+        N = transport_structure(ctx, M)
+        Q = parse("Q x. P(x)", sig)
+        extrema = [f(psi) for psi in self.observables(rng, base) for f in (sup_theta, inf_theta)]
+        cases = [(Q, theta) for theta in ctx.coordinates(Q.value_space) + tuple(extrema)]
+        cases += [(Apply(theta, (Q,)), None) for theta in extrema]
+        for phi, theta in cases:
+            plain = (phi, _plain_copy(theta)) if theta else (
+                Apply(_plain_copy(phi.conn), phi.children), None)
+            coder, other = code_formula(ctx, phi), code_formula(ctx, plain[0])
+            assert str(coder.codes(theta)) == str(other.codes(plain[1]))
+            assert coder.budget_of(theta) == other.budget_of(plain[1])
+            assert (evaluate(N, coder.codes(theta)).value
+                    == evaluate(N, other.codes(plain[1])).value)
+
+    def test_coding_a_set_by_mask_builds_no_indicator_point(self, monkeypatch):
+        calls, build = [], hyperspace._indicator
+
+        def counted(bits):
+            calls.append(bits)
+            return build(bits)
+
+        monkeypatch.setattr(hyperspace, "_indicator", counted)
+        base = make_finite([point(F(k, 8)) for k in (0, 1, 3, 6)], label="B")
+        sig = signature([Relation("P", 1, base)])
+        ctx = TranslationContext(sig, F(1, 8))
+        Q = parse("Q x. P(x)", sig)
+        coder = code_formula(ctx, Q)
+        for theta in ctx.coordinates(Q.value_space):
+            assert coder.budget_of(theta) == 0
+        for extremum in (sup_theta(neg(base)), inf_theta(identity(base))):
+            assert code_formula(ctx, Apply(extremum, (Q,))).budget_of() == 0
+        assert calls == []
+
+    def test_one_sup_node_per_hit_read(self):
+        base = make_finite([point(F(k, 8)) for k in (0, 2, 5, 8)], label="B")
+        sig = signature([Relation("R", 1, base)])
+        ctx = TranslationContext(sig, F(1, 8))
+        Q = parse("Q v. R(v)", sig)
+        obs = table([base], {(p,): point(F(k, 4)) for k, p in zip((1, 3, 0, 2), base.net)},
+                    F(4), codomain=make_finite([point(F(k, 4)) for k in range(4)]), name="obs")
+        n = len(base.net)
+
+        def sups(phi):
+            return {node for node in dag_nodes(phi) if isinstance(node, Quant)
+                    and node.kind is QuantKind.SUP}
+
+        coded = code_formula(ctx, Apply(sup_theta(obs), (Q,))).codes()
+        # the coordinates are coded through the Q node, each through the
+        # hits its lattice reads
+        read = {j for k in range(n)
+                for j in _hit_lattice(n, [F(m >> (n - 1 - k) & 1) for m in range(1, 1 << n)])[0]}
+        assert len(sups(coded)) == len(read) == n
+        assert len({str(s) for s in sups(coded)}) == n
+        # two observables of one Q node that read the same hit share its node
+        coder = code_formula(ctx, Q)
+        top, bottom = (sups(coder.codes(f(obs))) for f in (sup_theta, inf_theta))
+        assert top and bottom and top & bottom
+        assert len({str(s) for s in top | bottom}) == len(top | bottom)
+
+
+class TestSourceSignature:
+    """A formula over another signature is refused at its first symbol."""
+
+    def test_symbol_missing_from_the_source(self):
+        sig, ctx, _ = aligned_setup()
+        other = signature([Relation("R", 1, ALIGNED_X)])
+        with pytest.raises(SpaceMismatch, match="^R: no symbol of arity 1 valued in X in "
+                                                "the source signature$"):
+            code_formula(ctx, parse("sup x. R(x)", other)).codes()
+
+    def test_symbol_valued_in_another_space(self):
+        thirds = make_interval(0, 1, F(1, 3))
+        quarters = make_interval(0, 1, F(1, 4))
+        ctx = TranslationContext(signature([Relation("P", 1, quarters)]), F(1, 4))
+        phi = parse("neg(P(y))", signature([Relation("P", 1, thirds)]),
+                    library={"neg": neg(thirds)})
+        with pytest.raises(SpaceMismatch, match=re.escape(
+                "P: no symbol of arity 1 valued in [0,1]/1/3 in the source signature")):
+            code_formula(ctx, phi).codes()
+
+    def test_symbol_of_another_arity(self):
+        sig, ctx, _ = aligned_setup()
+        other = signature([Relation("P", 2, ALIGNED_X)])
+        with pytest.raises(SpaceMismatch, match="^P: no symbol of arity 2"):
+            code_formula(ctx, parse("sup x. P(x, y)", other)).codes()
+
+
+class TestZeroSeparation:
+    """A base point at distance zero from another has no separation
+    constant: `proj`, `point_hit` and the set coder refuse it with one text."""
+
+    TEXT = "flat: net point (0) is at distance zero from another net point"
+
+    @staticmethod
+    def flat():
+        class Flat(ValueSpace):
+            standard_metric = False
+
+            def metric(self, p, q):
+                return ZERO
+
+        return Flat(1, (point(0), point(1)), ZERO, "flat")
+
+    def test_proj_on_its_hyperspace(self):
+        with pytest.raises(ValidationError, match=re.escape(self.TEXT)):
+            proj(hyper(self.flat()), 0)
+
+    def test_point_hit(self):
+        ctx = TranslationContext(signature([Relation("P", 1, ALIGNED_X)]), F(1, 4))
+        with pytest.raises(ValidationError, match=re.escape(self.TEXT)):
+            ctx.point_hit(self.flat(), 0)
+
+    def test_set_quantifier_coding(self):
+        flat = self.flat()
+        sig = signature([Relation("P", 1, flat)])
+        ctx = TranslationContext(sig, F(1, 4))
+        Q = parse("Q x. P(x)", sig)
+        zero = table([flat], {(p,): point(0) for p in flat.net}, 0,
+                     codomain=make_finite([point(0)]), name="zero")
+        # through a coordinate, and through an observable whose lattice
+        # reads no hit at all
+        for theta in (None, sup_theta(zero)):
+            with pytest.raises(ValidationError, match=re.escape(self.TEXT)):
+                coder = code_formula(ctx, Q)
+                coder.codes(theta or ctx.coordinates(Q.value_space)[0])

@@ -158,6 +158,15 @@ class TestMakeInterval:
         s = make_interval(0, 1, F(2, 5))
         assert [p.scalar for p in s.net] == [0, F(2, 5), F(4, 5), 1]
 
+    @pytest.mark.parametrize("lo, hi, step", [
+        (0, 1, F(1, 8)), (F(1, 3), F(5, 7), F(1, 11)), (0, 1, F(1, 65536)),
+        # a denominator the hash modulus divides hashes its Fractions
+        (F(1, 2**61 - 1), F(3, 2**61 - 1), F(1, 2**61 - 1)),
+    ])
+    def test_point_hashes_from_integers_equal_the_points_own(self, lo, hi, step):
+        for p in make_interval(lo, hi, step).net:
+            assert hash(p) == hash(Point(p.coords)), p
+
     def test_degenerate(self):
         s = make_interval(F(1, 2), F(1, 2), F(1, 4))
         assert [p.scalar for p in s.net] == [F(1, 2)]
