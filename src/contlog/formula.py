@@ -15,6 +15,9 @@ Concrete syntax (also produced by str()):
     quant   := ("sup" | "inf" | "Q") IDENT "." formula
     apply   := IDENT "(" formula ("," formula)* ")"
     atom    := IDENT "(" IDENT ("," IDENT)* ")"
+
+A node is typed when built.  Its text and its error bound fold bottom-up
+over one walk of the nodes below it, so no depth overflows the stack.
 """
 
 from __future__ import annotations
@@ -44,6 +47,8 @@ class Relation:
     space: ValueSpace
 
     def __post_init__(self):
+        if type(self.arity) is not int:  # a bool is refused too
+            raise ValidationError(f"arity of {self.name!r} must be an integer")
         if self.arity < 1:
             raise ValidationError(f"relation {self.name} needs arity >= 1")
         _check_name(self.name)
@@ -130,16 +135,14 @@ class QuantKind(enum.Enum):
         return self.value
 
 
-def _postorder(roots: Sequence[Formula], cached: str | None = None) -> list[Formula]:
+def _postorder(roots: Sequence[Formula]) -> list[Formula]:
     """Every node under the roots once, children first and the leftmost
-    subtree first, without recursion.  With `cached` the name of a derived
-    property, a node that already holds it is left out with everything below
-    it, which holds it too.  A node with no `children` is a leaf, listed when
-    reached."""
+    subtree first, without recursion.  A node with no `children` is a leaf,
+    listed when reached."""
     order: list[Formula] = []
     seen: set[Formula] = set()
     for root in roots:
-        if root in seen or cached is not None and cached in root.__dict__:
+        if root in seen:
             continue
         seen.add(root)
         # each entry is a node and the iterator over its children not yet walked
@@ -147,7 +150,7 @@ def _postorder(roots: Sequence[Formula], cached: str | None = None) -> list[Form
         while stack:
             node, kids = stack[-1]
             for child in kids:
-                if child not in seen and (cached is None or cached not in child.__dict__):
+                if child not in seen:
                     seen.add(child)
                     grandchildren = child.children
                     if grandchildren:
@@ -160,44 +163,14 @@ def _postorder(roots: Sequence[Formula], cached: str | None = None) -> list[Form
     return order
 
 
-class _derived:
-    """A node property derived from its children's, computed once per node
-    and kept in the node's `__dict__`, which answers every later read.
-
-    A read that misses fills every node below that misses too, children
-    first and without recursion, so the wrapped method's reads of its
-    children's values are all hits and a formula of any depth is fine.  A
-    method that raises leaves its node unfilled and the nodes below filled.
-    """
-
-    def __init__(self, method):
-        self.method = method
-        self.name = method.__name__
-        self.__doc__ = method.__doc__
-
-    def __get__(self, node, owner=None):
-        if node is None:
-            return self
-        name, method = self.name, self.method
-        for child in node.children:
-            if name not in child.__dict__:
-                break
-        else:  # the common miss, on a node built over derived children
-            value = node.__dict__[name] = method(node)
-            return value
-        for n in _postorder((node,), name):
-            n.__dict__[name] = method(n)
-        return node.__dict__[name]
-
-
 class Formula:
     """Base class; concrete nodes are Atomic, Apply, Quant and CauchyLimit.
 
     Each concrete node has `children`, its direct subformulas in order, and
     is typed when built, from children typed already: its value space and
     free variables are filled then, and an ill-typed node, or one of no
-    known kind, is refused.  Its error bound derives on first read, children
-    first (`_derived`), and `str()` renders bottom-up, so nothing recurses.
+    known kind, is refused.  `str()` and `error_bound` fold bottom-up
+    (`_fold`), so nothing recurses.
     """
 
     children: tuple[Formula, ...] = ()
@@ -208,26 +181,28 @@ class Formula:
     def __post_init__(self):
         self.__dict__.update(value_space=self._space(), free_vars=self._free())
 
-    @_derived
+    @cached_property
     def error_bound(self) -> Fraction:
-        """Worst-case drift of the computed value under net refinement.
+        """Worst-case drift of the computed value under net refinement: zero
+        whenever every value space in the formula has resolution zero.
+        Derived on first read by one walk of the nodes below, and kept on
+        this node only."""
+        return self._fold("_error_bound")
 
-        Zero whenever every value space in the formula has resolution zero.
-        Derived on first read, bottom-up from the nodes below that have none
-        yet, without recursion.
-        """
-        return self._error_bound()
+    def _fold(self, method: str):
+        """This node's `method(values)`, each node below it called first in one walk."""
+        values: dict[Formula, object] = {}
+        for node in _postorder((self,)):
+            values[node] = getattr(node, method)(values)
+        return values[self]
 
-    def _unknown(self):
+    def _unknown(self, *_):
         raise EvalError(f"unknown formula node {type(self).__name__}")
 
     _space = _free = _error_bound = _unknown
 
     def __str__(self) -> str:
-        text: dict[Formula, str] = {}
-        for node in _postorder((self,)):
-            text[node] = node._render(text)
-        return text[self]
+        return self._fold("_render")
 
     def _render(self, text: Mapping[Formula, str]) -> str:
         """The node's concrete syntax, given its children's in `text`."""
@@ -246,7 +221,7 @@ class Atomic(Formula):
     def _free(self) -> frozenset[str]:
         return frozenset(self.args)
 
-    def _error_bound(self) -> Fraction:
+    def _error_bound(self, bounds: Mapping[Formula, Fraction]) -> Fraction:
         return self.space.resolution
 
     def _render(self, text: Mapping[Formula, str]) -> str:
@@ -276,8 +251,8 @@ class Apply(Formula):
     def _free(self) -> frozenset[str]:
         return frozenset().union(*[c.free_vars for c in self.children])
 
-    def _error_bound(self) -> Fraction:
-        total = sum((c.error_bound for c in self.children), start=Fraction(0))
+    def _error_bound(self, bounds: Mapping[Formula, Fraction]) -> Fraction:
+        total = sum([bounds[c] for c in self.children], start=Fraction(0))
         return self.conn.lipschitz * total + self.conn.codomain.resolution
 
     def _render(self, text: Mapping[Formula, str]) -> str:
@@ -308,10 +283,10 @@ class Quant(Formula):
     def _free(self) -> frozenset[str]:
         return self.body.free_vars - {self.var}
 
-    def _error_bound(self) -> Fraction:
+    def _error_bound(self, bounds: Mapping[Formula, Fraction]) -> Fraction:
         if self.kind is QuantKind.SET:
-            return self.body.error_bound + self.body.value_space.resolution
-        return self.body.error_bound
+            return bounds[self.body] + self.body.value_space.resolution
+        return bounds[self.body]
 
     def _render(self, text: Mapping[Formula, str]) -> str:
         return f"{self.kind.keyword} {self.var}. {text[self.body]}"
@@ -341,8 +316,8 @@ class CauchyLimit(Formula):
     def _free(self) -> frozenset[str]:
         return self.body.free_vars
 
-    def _error_bound(self) -> Fraction:
-        return self.body.error_bound
+    def _error_bound(self, bounds: Mapping[Formula, Fraction]) -> Fraction:
+        return bounds[self.body]
 
     def _render(self, text: Mapping[Formula, str]) -> str:
         return text[self.body]
@@ -376,7 +351,10 @@ def cauchy_limit(rate: RateLike, formulas: Sequence[Formula], tol: Rational) -> 
     if callable(rate):
         rate_fn = lambda n: frac(rate(n))  # noqa: E731
     elif isinstance(rate, Mapping):
-        rate_fn = lambda n: frac(rate[n])  # noqa: E731
+        def rate_fn(n):
+            if n not in rate:
+                raise ValidationError(f"rate has no value at {n}")
+            return frac(rate[n])
     else:
         seq = [frac(r) for r in rate]
         if len(seq) < len(formulas):
@@ -499,6 +477,8 @@ class _Parser:
 
 def parse(text: str, sig: Signature, library: Mapping[str, Connective] | None = None) -> Formula:
     """Parse and typecheck formula text against a signature and connective library."""
+    if not isinstance(text, str):
+        raise ValidationError(f"formula text must be a string, got {type(text).__name__}")
     try:
         return _Parser(text, sig, library or {}).run()
     except RecursionError:

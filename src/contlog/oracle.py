@@ -82,16 +82,16 @@ class FuzzConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "tol", frac(self.tol))
-        if not isinstance(self.seed, int):
+        if type(self.seed) is not int:  # a bool or a float is refused too
             raise ValidationError("seed must be an integer")
-        if not 1 <= self.universe_size <= 6:
+        if type(self.universe_size) is not int or not 1 <= self.universe_size <= 6:
             raise ValidationError("universe_size must be in 1..6")
-        if not 0 <= self.formula_depth <= 4:
+        if type(self.formula_depth) is not int or not 0 <= self.formula_depth <= 4:
             raise ValidationError("formula_depth must be in 0..4")
-        if not 1 <= self.net_size <= 5:
+        if type(self.net_size) is not int or not 1 <= self.net_size <= 5:
             raise ValidationError("net_size must be in 1..5")
-        if self.trials < 1:
-            raise ValidationError("trials must be positive")
+        if type(self.trials) is not int or self.trials < 1:
+            raise ValidationError("trials must be a positive integer")
         if self.tol < 0:
             raise ValidationError("tol must be nonnegative")
 

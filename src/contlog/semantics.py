@@ -85,7 +85,10 @@ def _normalize_tuple(key, arity: int) -> ElementTuple:
     if isinstance(key, str):
         parts = tuple([part.strip() for part in key.split(",")])
     else:
-        parts = tuple([part.strip() if isinstance(part, str) else part for part in key])
+        try:
+            parts = tuple([part.strip() if isinstance(part, str) else part for part in key])
+        except TypeError:
+            raise ValidationError(f"key {key!r} is not a string or a tuple") from None
     if len(parts) != arity:
         raise ValidationError(f"key {key!r} does not have arity {arity}")
     return parts
@@ -202,8 +205,8 @@ class EvalResult:
 
 def eval_error_bound(phi: Formula) -> Fraction:
     """Worst-case drift of the computed value under net refinement; see
-    Formula.error_bound, which derives it bottom-up and caches it on the
-    node."""
+    Formula.error_bound, which folds it bottom-up over one walk on first
+    read and caches it on phi alone."""
     return phi.error_bound
 
 

@@ -49,6 +49,13 @@ def _expect_map(doc: Any, what: str) -> Mapping:
     return doc
 
 
+def _check_read(doc: Mapping, what: str, read) -> None:
+    """Refuse a key the reader of `what` does not read, such as a misspelt one."""
+    unread = sorted(set(doc).difference(read), key=str)
+    if unread:
+        raise FormatError(f'{what} does not read {", ".join(map(repr, unread))}')
+
+
 def _check_schema(doc: Mapping, expected: str):
     tag = doc.get("schema")
     if tag is not None and tag != expected:
@@ -91,10 +98,8 @@ def space_from_json(doc: Any) -> ValueSpace:
     shape = next((key for key in ("hyper", "interval", "finite", "net") if key in doc), None)
     if shape is None:
         raise FormatError('value space needs one of "interval", "finite", "net", "hyper"')
-    read = {shape, "label", "resolution"} if shape == "net" else {shape, "label"}
-    unread = sorted(set(doc) - read)
-    if unread:
-        raise FormatError(f'a "{shape}" space does not read {", ".join(map(repr, unread))}')
+    read = (shape, "label", "resolution") if shape == "net" else (shape, "label")
+    _check_read(doc, f'a "{shape}" space', read)
     if shape == "hyper":
         space = hyper(space_from_json(doc["hyper"]))
         if label not in (None, space.label):
@@ -137,19 +142,23 @@ def signature_to_json(sig: Signature) -> dict:
 def signature_from_json(doc: Any) -> Signature:
     doc = _expect_map(doc, "signature")
     _check_schema(doc, SIGNATURE_SCHEMA)
+    _check_read(doc, "a signature", ("schema", "relations", "distance", "moduli"))
     rels = doc.get("relations")
     if not isinstance(rels, list) or not rels:
         raise FormatError('signature needs a nonempty "relations" list')
     relations = []
     for entry in rels:
         entry = _expect_map(entry, "relation")
+        _check_read(entry, "a relation entry", ("name", "arity", "space"))
         try:
             name, arity = entry["name"], entry["arity"]
         except KeyError as err:
             raise FormatError(f"relation entry is missing {err}") from None
-        if not isinstance(arity, int) or isinstance(arity, bool):
-            raise FormatError(f"arity of {name!r} must be an integer")
-        relations.append(Relation(name, arity, space_from_json(entry.get("space", {}))))
+        space = space_from_json(entry.get("space", {}))
+        try:
+            relations.append(Relation(name, arity, space))
+        except ContlogError as err:
+            raise FormatError(str(err)) from None
     moduli = {n: rational_from_str(m)
               for n, m in _expect_map(doc.get("moduli", {}), '"moduli"').items()}
     try:
@@ -180,6 +189,7 @@ def structure_to_json(M: Structure) -> dict:
 def structure_from_json(doc: Any) -> Structure:
     doc = _expect_map(doc, "structure")
     _check_schema(doc, STRUCTURE_SCHEMA)
+    _check_read(doc, "a structure", ("schema", "signature", "universe", "interp"))
     sig = signature_from_json(doc.get("signature", {}))
     universe = doc.get("universe")
     if not isinstance(universe, list) or not universe:
@@ -227,6 +237,11 @@ _UNARY_KINDS = {"neg": neg, "clamp01": clamp01, "identity": identity}
 _BINARY_KINDS = {"min": min_of, "max": max_of, "add": add, "mul": mul,
                  "bounded_add": bounded_add, "truncated_sub": truncated_sub}
 _LIFT_KINDS = {"sup_theta": sup_theta, "inf_theta": inf_theta, "lift": lift}
+#: the keys besides "kind" that an entry of each kind reads
+_READS = {"table": ("name", "domains", "codomain", "lipschitz", "mapping"),
+          "affine": ("space", "a", "b"), "const": ("space", "value"), "proj": ("space", "index"),
+          **dict.fromkeys(_UNARY_KINDS, ("space",)), **dict.fromkeys(_BINARY_KINDS, ("x", "y")),
+          **dict.fromkeys(_LIFT_KINDS, ("inner",))}
 
 
 def connective_from_json(entry: Any, resolved: Mapping[str, Connective]) -> Connective:
@@ -235,6 +250,9 @@ def connective_from_json(entry: Any, resolved: Mapping[str, Connective]) -> Conn
     kind = entry.get("kind")
     if not isinstance(kind, str):
         raise FormatError(f"connective kind must be a string, got {kind!r}")
+    if kind not in _READS:
+        raise FormatError(f"unknown connective kind {kind!r}")
+    _check_read(entry, f'a "{kind}" connective', ("kind", *_READS[kind]))
     if kind == "table":
         return _table_from_json(entry)
     if kind in _UNARY_KINDS:
@@ -254,18 +272,17 @@ def connective_from_json(entry: Any, resolved: Mapping[str, Connective]) -> Conn
         if not isinstance(i, int) or isinstance(i, bool):
             raise FormatError("proj index must be an integer")
         return proj(space_from_json(entry.get("space", {})), i)
-    if kind in _LIFT_KINDS:
-        inner = entry.get("inner")
-        theta = resolved.get(inner) if isinstance(inner, str) else None
-        if theta is None:
-            raise FormatError(f"{kind} needs \"inner\" naming an earlier entry, got {inner!r}")
-        return _LIFT_KINDS[kind](theta)
-    raise FormatError(f"unknown connective kind {kind!r}")
+    inner = entry.get("inner")  # one of _LIFT_KINDS
+    theta = resolved.get(inner) if isinstance(inner, str) else None
+    if theta is None:
+        raise FormatError(f"{kind} needs \"inner\" naming an earlier entry, got {inner!r}")
+    return _LIFT_KINDS[kind](theta)
 
 
 def library_from_json(doc: Any) -> dict[str, Connective]:
     doc = _expect_map(doc, "library")
     _check_schema(doc, LIBRARY_SCHEMA)
+    _check_read(doc, "a library", ("schema", "connectives"))
     out: dict[str, Connective] = {}
     for name, entry in _expect_map(doc.get("connectives", {}), '"connectives"').items():
         try:

@@ -478,7 +478,6 @@ class CodedFormula:
     def __init__(self, ctx: TranslationContext, source: Formula):
         self.ctx = ctx
         self.source = source
-        source.value_space  # typecheck the source now
         # keyed on (formula, observable), and on (variable, body, hit) for a
         # point hit's sup, which hash by identity: the memo keeps every
         # observable alive, so a new one can never reuse a stale entry

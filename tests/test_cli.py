@@ -272,6 +272,37 @@ class TestMalformedFields:
                              "--formula", "sup x. P(x)")
         assert (code, out, err) == (2, "", f"error: connective 'c': {message}\n")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"connectives": {"f": {"kind": "affine", "space": TENTHS, "a": "1/2", "c": "1"}}},
+         "connective 'f': a \"affine\" connective does not read 'c'"),
+        ({"connectives": {"f": {"kind": "neg", "space": TENTHS, "a": "1/2"}}},
+         "connective 'f': a \"neg\" connective does not read 'a'"),
+        ({"connectives": {"f": {"kind": "neg", "space": TENTHS}}, "extra": 1},
+         "a library does not read 'extra'"),
+    ], ids=["affine-c", "neg-a", "library-extra"])
+    def test_unread_library_key(self, files, tmp_path, capsys, doc, message):
+        # with the unread key ignored, the first two printed 0.15 and 0.7
+        path = tmp_path / "lib.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--structure", files["m"], "--library", str(path),
+                             "--formula", "f(P(x))", "--assign", "x=a")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda doc: doc.update(extra=1), "a structure does not read 'extra'"),
+        (lambda doc: doc["signature"].update(extra=1), "a signature does not read 'extra'"),
+        (lambda doc: doc["signature"]["relations"][0].update(extra=1),
+         "a relation entry does not read 'extra'"),
+    ], ids=["structure", "signature", "relation"])
+    def test_unread_structure_key(self, tmp_path, capsys, edit, message):
+        doc = json.loads(json.dumps(M_DOC))
+        edit(doc)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "eval", "--structure", str(path), "--formula", "P(x)",
+                             "--assign", "x=a")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_high_arity_is_refused_by_its_entry_count(self, tmp_path):
         # 2^40 tuples are never listed.  The command runs in a child process
         # whose address space is capped at 1 GiB, so code that lists them

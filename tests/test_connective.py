@@ -769,3 +769,33 @@ class TestObservableContract:
             sup_theta(theta)
         assert str(caught.value) == (
             f"observable {theta.name} does not accept values of a single space")
+
+
+class TestRefusals:
+    """Each refusal ends in its own error type and message."""
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: Connective("c", (Q,), Q, F(-1), lambda p: p), ValidationError,
+         "Lipschitz constant must be nonnegative"),
+        (lambda: neg(Q)(point(0, 0)), EvalError,
+         "neg: argument (0, 0) does not fit 1-dimensional quarters"),
+        (lambda: compose(neg(Q), [neg(Q), neg(Q)]), SpaceMismatch,
+         "neg expects 1 inputs, got 2 inner connectives"),
+        (lambda: compose(Connective("k", (), Q, F(0), lambda: point(0)), [], shared=True),
+         SpaceMismatch, "shared composition needs at least one inner connective"),
+        (lambda: compose(min_of(Q, Q), [neg(Q), Connective("c", (EIGHTHS,), Q, F(1), lambda p: p)],
+                         shared=True),
+         SpaceMismatch, "shared composition requires identical inner domains"),
+        (lambda: table(Q, {p: point(1) for p in Q.net}, 0, make_finite([point(0)], label="zero")),
+         ValidationError, "table: entry (1) is not within resolution of zero"),
+        (lambda: mcshane_extend({p: 0 for p in Q.net}, 1, Q, (Q, Q)), SpaceMismatch,
+         "net dimension 1 does not match ambient dimension 2"),
+        (lambda: mcshane_extend({p: 0 for p in Q.net}, 1, Q, Q,
+                                codomain=make_finite([point(0), point(1)], label="ends")),
+         ValidationError, "extension codomain ends does not cover [0,1] within its resolution"),
+    ], ids=["negative-lipschitz", "argument-dimension", "compose-arity", "compose-shared-empty",
+            "compose-shared-domains", "table-off-codomain", "mcshane-dimension",
+            "mcshane-codomain"])
+    def test_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()

@@ -31,6 +31,16 @@ class TestSignature:
         with pytest.raises(ValidationError):
             Relation("P", 0, X)
 
+    @pytest.mark.parametrize("arity", ["1", True, 1.0], ids=["str", "bool", "float"])
+    def test_relation_arity_is_an_integer(self, arity):
+        with pytest.raises(ValidationError, match="^arity of 'P' must be an integer$"):
+            Relation("P", arity, X)
+
+    def test_moduli_nonnegative(self):
+        with pytest.raises(ValidationError, match="^moduli must be nonnegative$"):
+            signature([Relation("d", 2, X), Relation("P", 1, X)], distance_symbol="d",
+                      moduli={"P": -1})
+
     def test_distance_must_be_binary_real(self):
         with pytest.raises(ValidationError):
             signature([Relation("d", 1, X)], distance_symbol="d")
@@ -171,6 +181,25 @@ class TestDeepFormulas:
         assert phi.free_vars == frozenset({"x"})
         assert len(calls) == len(set(calls)) == self.DEPTH + 1
 
+    def test_shared_subformulas_are_bounded_once_per_read(self, monkeypatch):
+        calls = []
+        bound = Apply._error_bound
+
+        def counted(node, bounds):
+            calls.append(node)
+            return bound(node, bounds)
+
+        monkeypatch.setattr(Apply, "_error_bound", counted)
+        inner = min_of(X, X)
+        phi = Apply(inner, (atom(SIG, "P", "x"),) * 2)
+        for _ in range(self.DEPTH):
+            phi = Apply(inner, (phi, phi))  # a DAG with 2^5000 paths to the atom
+        # Lipschitz 1: each level doubles the bound below and adds 1/8
+        assert phi.error_bound == F(1, 8) * (2 ** (self.DEPTH + 2) - 1)
+        assert len(calls) == len(set(calls)) == self.DEPTH + 1
+        assert phi.error_bound == F(1, 8) * (2 ** (self.DEPTH + 2) - 1)  # kept, no new walk
+        assert len(calls) == self.DEPTH + 1
+
     def test_a_failing_node_leaves_the_nodes_below_filled(self):
         chain = self.chain()
         with pytest.raises(TypeCheckError):
@@ -227,6 +256,11 @@ class TestParse:
         phi = parse("neg(" * depth + "P(x)" + ")" * depth, SIG, {"neg": neg(X)})
         assert str(phi) == "neg(" * depth + "P(x)" + ")" * depth
 
+    @pytest.mark.parametrize("text", [5, None, b"P(x)"], ids=["int", "none", "bytes"])
+    def test_text_must_be_a_string(self, text):
+        with pytest.raises(ValidationError, match="^formula text must be a string, got "):
+            parse(text, SIG)
+
     @pytest.mark.parametrize("text", ["sup x. " * 5000 + "P(x)",
                                       "neg(" * 5000 + "P(x)" + ")" * 5000],
                              ids=["quantifiers", "connectives"])
@@ -261,6 +295,18 @@ class TestCauchyLimit:
     def test_sequence_must_cover_formulas(self):
         with pytest.raises(ValidationError):
             cauchy_limit([F(1, 2)], self._formulas(3), F(1, 4))
+
+    def test_mapping_must_hold_each_index_read(self):
+        with pytest.raises(ValidationError, match="^rate has no value at 0$"):
+            cauchy_limit({}, self._formulas(1), 0)
+        with pytest.raises(ValidationError, match="^rate has no value at 1$"):
+            cauchy_limit({0: F(1, 2)}, self._formulas(3), F(1, 4))
+        # an index past the one picked is never read
+        assert cauchy_limit({0: F(1, 2), 1: F(1, 4)}, self._formulas(3), F(1, 4)).index == 1
+
+    def test_needs_a_formula(self):
+        with pytest.raises(ValidationError, match="^cauchy_limit needs at least one formula$"):
+            cauchy_limit([F(0)], [], 0)
 
     def test_rate_must_be_nonincreasing(self):
         with pytest.raises(ValidationError, match="nonincreasing"):

@@ -1,4 +1,5 @@
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -8,6 +9,7 @@ from contlog.errors import CapacityError, SpaceMismatch, ValidationError
 from contlog.formula import Relation, parse, signature
 from contlog.hyperspace import (
     HyperSpace,
+    OpenRegion,
     SubsetNet,
     ball,
     compact,
@@ -293,3 +295,23 @@ class TestUrysohn:
         k = compact(B, point(0))
         with pytest.raises(ValidationError):
             urysohn_separator(B, k, compact(B, point(0)))
+
+
+class TestRefusals:
+    """Each refusal ends in its own error type and message."""
+
+    Q = make_interval(0, 1, F(1, 4), label="quarters")
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: OpenRegion(B, ()), ValidationError, "an open region needs at least one ball"),
+        (lambda: ball(B, point(0, 0), 1), SpaceMismatch, "ball center (0, 0) does not fit halves"),
+        (lambda: ball(B, point(0), 0), ValidationError, "ball radius must be positive"),
+        (lambda: vietoris_slack(compact(B, point(0)), ball(TestRefusals.Q, point(0), 1)),
+         SpaceMismatch, "regions must live on the set's space"),
+        (lambda: urysohn_separator(B, compact(TestRefusals.Q, point(0)), compact(B, point(1))),
+         SpaceMismatch, "separator needs both sets on the given space"),
+    ], ids=["region-no-ball", "ball-center-dimension", "ball-radius", "vietoris-foreign-region",
+            "urysohn-foreign-set"])
+    def test_refused(self, build, error, message):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            build()

@@ -57,6 +57,20 @@ class TestConfig:
         with pytest.raises(ValidationError, match="seed"):
             FuzzConfig(seed="not-a-seed")
 
+    @pytest.mark.parametrize("fields, message", [
+        ({"seed": True}, "seed must be an integer"),
+        ({"seed": 1.0}, "seed must be an integer"),
+        ({"seed": 1, "trials": 3 / 2}, "trials must be a positive integer"),
+        ({"seed": 1, "trials": True}, "trials must be a positive integer"),
+        ({"seed": 1, "universe_size": 1.5}, r"universe_size must be in 1\.\.6"),
+        ({"seed": 1, "formula_depth": "2"}, r"formula_depth must be in 0\.\.4"),
+        ({"seed": 1, "net_size": True}, r"net_size must be in 1\.\.5"),
+    ], ids=["seed-bool", "seed-float", "trials-float", "trials-bool", "universe-float",
+            "depth-str", "net-bool"])
+    def test_integer_fields(self, fields, message):
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            FuzzConfig(**fields)
+
     def test_tol_coerced(self):
         assert FuzzConfig(seed=1, tol="1/8").tol == F(1, 8)
 

@@ -618,9 +618,10 @@ class TestLazyErrorBounds:
         for node in nodes:
             assert "value_space" in node.__dict__ and "free_vars" in node.__dict__
             assert "error_bound" not in node.__dict__
-        # L * (1/8 + 1/8) + 1/8, derived when the result reads it
+        # L * (1/8 + 1/8) + 1/8, derived when the result reads it and kept
+        # on the node read
         assert evaluate(M, phi, {"y": "a"}).error_bound == F(3, 8)
-        assert all("error_bound" in node.__dict__ for node in nodes)
+        assert phi.__dict__["error_bound"] == F(3, 8)
 
 
 class TestSetMasks:
@@ -1058,3 +1059,31 @@ class TestCheckCondition:
         phi = parse("sup x. P(x)", SIG)
         with pytest.raises(SpaceMismatch, match="^set value supplied for non-hyperspace G$"):
             check_condition(M, phi, [compact(G, point(F(3, 4)))])
+
+
+class TestRefusals:
+    """Each refusal ends in its own error type and message."""
+
+    DSIG = signature([Relation("d", 2, G), Relation("P", 1, G)], distance_symbol="d",
+                     moduli={"P": 1})
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: Structure(SIG, (), {}), "universe must be nonempty"),
+        (lambda: structure(SIG, ["a", "a"], {"P": {"a": 0}}), "universe elements must be distinct"),
+        (lambda: Structure(SIG, ("a",), {}),
+         "interpretation keys [] do not match signature symbols ['P']"),
+        (lambda: structure(SIG, ["a"], {"P": {5: "0"}}),
+         "key 5 is not a string or a tuple"),
+        (lambda: check_function_axioms(
+            structure(TestRefusals.DSIG, ["a"], {"d": {"a,a": 0}, "P": {"a": 0}}), "nope"),
+         "unknown symbol 'nope'"),
+        (lambda: check_function_axioms(
+            structure(TestRefusals.DSIG, ["a"], {"d": {"a,a": 0}, "P": {"a": 0}}), "P"),
+         "P cannot be a function graph (needs arity >= 2, real values)"),
+        (lambda: check_condition(M, atom(SIG, "P", "x"), [], assignment={"x": "a"}),
+         "condition target is empty"),
+    ], ids=["empty-universe", "repeated-element", "keys-off-signature", "key-not-a-tuple",
+            "function-unknown-symbol", "function-unary-symbol", "empty-condition-target"])
+    def test_refused(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()

@@ -4,6 +4,7 @@ from fractions import Fraction as F
 
 import pytest
 
+from contlog import serialize
 from contlog.connective import unit_interval
 from contlog.errors import FormatError, ValidationError
 from contlog.formula import Relation, signature
@@ -336,6 +337,11 @@ class TestLibraries:
                 "codomain": self.unit_doc(), "lipschitz": 1,
                 "mapping": {"0": "0", "1/2": "1/2", "1": "1"}}}})
 
+    def test_table_needs_domains(self):
+        with pytest.raises(FormatError,
+                           match='^connective \'t\': table needs a nonempty "domains" list$'):
+            library_from_json({"connectives": {"t": {"kind": "table", "domains": []}}})
+
     def test_table_key_arity(self):
         with pytest.raises(FormatError, match="2 arguments"):
             library_from_json({
@@ -386,6 +392,83 @@ class TestLibraries:
     def test_wrong_schema(self):
         with pytest.raises(FormatError, match="unexpected schema"):
             library_from_json({"schema": "contlog.structure/1", "connectives": {}})
+
+
+class TestUnreadKeys:
+    """Every reader refuses a key it does not read, so a misspelt key never
+    leaves its field at the default without a word."""
+
+    UNIT = {"interval": ["0", "1", "1/2"]}
+
+    def structure_doc(self):
+        return {"schema": STRUCTURE_SCHEMA,
+                "signature": {"schema": SIGNATURE_SCHEMA,
+                              "relations": [{"name": "P", "arity": 1, "space": self.UNIT}]},
+                "universe": ["a"], "interp": {"P": {"a": "1"}}}
+
+    def test_structure(self):
+        doc = self.structure_doc()
+        structure_from_json(doc)
+        with pytest.raises(FormatError, match="^a structure does not read 'interps', 'universes'$"):
+            structure_from_json({**doc, "universes": [], "interps": {}})
+
+    def test_signature(self):
+        doc = self.structure_doc()["signature"]
+        signature_from_json(doc)
+        with pytest.raises(FormatError, match="^a signature does not read 'distances'$"):
+            signature_from_json({**doc, "distances": "P"})
+        # inside a structure the same refusal
+        with pytest.raises(FormatError, match="^a signature does not read 'distances'$"):
+            structure_from_json({**self.structure_doc(), "signature": {**doc, "distances": "P"}})
+
+    def test_relation_entry(self):
+        entry = {"name": "P", "arity": 1, "space": self.UNIT, "spaces": self.UNIT}
+        with pytest.raises(FormatError, match="^a relation entry does not read 'spaces'$"):
+            signature_from_json({"relations": [entry]})
+
+    def test_library(self):
+        with pytest.raises(FormatError, match="^a library does not read 'connective'$"):
+            library_from_json({"connective": {"not": {"kind": "neg", "space": self.UNIT}}})
+
+    @pytest.mark.parametrize("entry, message", [
+        ({"kind": "affine", "space": UNIT, "a": "1/2", "c": "1"},
+         "a \"affine\" connective does not read 'c'"),
+        ({"kind": "neg", "space": UNIT, "a": "1/2"}, "a \"neg\" connective does not read 'a'"),
+        ({"kind": "min", "x": UNIT, "y": UNIT, "space": UNIT},
+         "a \"min\" connective does not read 'space'"),
+        ({"kind": "table", "domains": [UNIT], "codomain": UNIT, "mapping": {}, "lipshitz": 1},
+         "a \"table\" connective does not read 'lipshitz'"),
+    ], ids=["affine-c", "neg-a", "min-space", "table-lipshitz"])
+    def test_connective_entry(self, entry, message):
+        with pytest.raises(FormatError, match=f"^connective 'f': {re.escape(message)}$"):
+            library_from_json({"connectives": {"f": entry}})
+
+    @pytest.mark.parametrize("kind", sorted(serialize._READS))
+    def test_each_kind_refuses_a_key_it_does_not_read(self, kind):
+        with pytest.raises(FormatError,
+                           match=f"^connective 'f': a \"{kind}\" connective does not read 'bogus'$"):
+            library_from_json({"connectives": {"f": {"kind": kind, "bogus": 1}}})
+
+    def test_each_kind_reads_every_key_it_accepts(self):
+        # one entry of every kind, each carrying every key its kind reads
+        u = self.UNIT
+        entries = {
+            "tab": {"kind": "table", "name": "tab", "domains": [u], "codomain": u,
+                    "lipschitz": 1, "mapping": {"0": "0", "1/2": "1/2", "1": "1"}},
+            "half": {"kind": "affine", "space": u, "a": "1/2", "b": "1/2"},
+            "zero": {"kind": "const", "space": u, "value": "0"},
+            "first": {"kind": "proj", "space": u, "index": 0},
+            **{k: {"kind": k, "space": u} for k in ("neg", "clamp01", "identity")},
+            **{k: {"kind": k, "x": {"finite": ["0"]}, "y": u}  # so add stays in [0,1]
+               for k in ("min", "max", "add", "mul", "bounded_add", "truncated_sub")},
+            **{k: {"kind": k, "inner": "neg"} for k in ("sup_theta", "inf_theta", "lift")},
+        }
+        assert {e["kind"] for e in entries.values()} == set(serialize._READS)
+        for entry in entries.values():
+            assert set(entry) == {"kind", *serialize._READS[entry["kind"]]}
+        lib = library_from_json({"schema": LIBRARY_SCHEMA, "connectives": entries})
+        assert lib["tab"].name == "tab"
+        assert lib["half"](point(0)) == point(F(1, 2))
 
 
 class TestManifests:

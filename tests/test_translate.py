@@ -842,34 +842,25 @@ class TestDeepFormulas:
     MESSAGE = "^input is nested too deeply to process$"
 
     @staticmethod
-    def deep(depth, typed):
+    def deep(depth):
         sig, ctx, M = aligned_setup()
         phi = Atomic("P", ("x",), ALIGNED_X)
         for _ in range(depth):
-            phi = Quant(QuantKind.SUP, "x", phi)
-            if typed:
-                phi.value_space  # typecheck as it grows, so no read recurses
+            phi = Quant(QuantKind.SUP, "x", phi)  # typed as it is built
         return ctx, phi
 
     @pytest.mark.parametrize("read", ["codes", "budget_of"])
-    def test_untyped_formula_constructs_and_fails_at_coding(self, read):
-        # the value space derives without recursion, so construction
-        # typechecks the chain; the coder itself is what refuses the depth
-        ctx, phi = self.deep(5000, typed=False)
-        coder = code_formula(ctx, phi)
-        with pytest.raises(CapacityError, match=self.MESSAGE):
-            getattr(coder, read)()
-
-    @pytest.mark.parametrize("read", ["codes", "budget_of"])
     def test_coding(self, read):
-        ctx, phi = self.deep(5000, typed=True)
+        # construction typechecks the chain without recursion; the coder
+        # itself is what refuses the depth
+        ctx, phi = self.deep(5000)
         coder = code_formula(ctx, phi)
         with pytest.raises(CapacityError, match=self.MESSAGE):
             getattr(coder, read)()
 
     def test_chain_of_400_extrema_codes(self):
         # the memo picks each level's builder itself: two frames per level
-        ctx, phi = self.deep(400, typed=True)
+        ctx, phi = self.deep(400)
         coder = code_formula(ctx, phi)
         assert coder.budget_of() == 0
         assert coder.codes().value_space == ctx.grid
@@ -1065,3 +1056,17 @@ class TestZeroSeparation:
             with pytest.raises(ValidationError, match=re.escape(self.TEXT)):
                 coder = code_formula(ctx, Q)
                 coder.codes(theta or ctx.coordinates(Q.value_space)[0])
+
+
+class TestContextRefusals:
+    @pytest.mark.parametrize("step", [0, 2, F(-1, 2)])
+    def test_grid_step_outside_the_unit_interval(self, step):
+        sig = signature([Relation("P", 1, ALIGNED_X)])
+        with pytest.raises(ValidationError, match=re.escape(f"grid step must be in (0,1], got {step}")):
+            TranslationContext(sig, step)
+
+    def test_target_symbol_collision(self):
+        sig = signature([Relation("P", 1, ALIGNED_X), Relation("P_0", 1, ALIGNED_X)])
+        with pytest.raises(ValidationError,
+                           match="^target symbol 'P_0' collides with an existing name$"):
+            TranslationContext(sig, F(1, 4))

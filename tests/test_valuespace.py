@@ -446,3 +446,8 @@ def test_net_order_is_point_order(dim):
                for _ in range(rng.randint(1, 9))]
         space = ValueSpace(dim, tuple(pts), F(0), "s")
         assert space.net == tuple(sorted(set(pts)))
+
+
+def test_product_refuses_a_hyperspace():
+    with pytest.raises(SpaceMismatch, match="^product is defined for plain l-infinity spaces; "):
+        product(hyper(make_interval(0, 1, F(1, 2))), make_interval(0, 1, F(1, 2)))
