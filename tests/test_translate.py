@@ -850,6 +850,21 @@ class TestDeepFormulas:
         return ctx, phi
 
     @pytest.mark.parametrize("read", ["codes", "budget_of"])
+    def test_untyped_formula_constructs_and_fails_at_coding(self, read):
+        # no read of the chain comes before the coder: each node got its
+        # value space when it was built, so nothing derives it recursively
+        # later, and the coder alone refuses the depth
+        sig, ctx, M = aligned_setup()
+        phi = Atomic("P", ("x",), ALIGNED_X)
+        for _ in range(5000):
+            phi = Quant(QuantKind.SUP, "x", phi)
+        assert "value_space" in vars(phi)
+        assert phi.value_space == ALIGNED_X
+        coder = code_formula(ctx, phi)
+        with pytest.raises(CapacityError, match=self.MESSAGE):
+            getattr(coder, read)()
+
+    @pytest.mark.parametrize("read", ["codes", "budget_of"])
     def test_coding(self, read):
         # construction typechecks the chain without recursion; the coder
         # itself is what refuses the depth
