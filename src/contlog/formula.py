@@ -27,6 +27,7 @@ import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from typing import Callable, Mapping, Sequence, Union
 
 from .connective import Connective
@@ -52,6 +53,9 @@ class Relation:
         if self.arity < 1:
             raise ValidationError(f"relation {self.name} needs arity >= 1")
         _check_name(self.name)
+        if not isinstance(self.space, ValueSpace):
+            raise ValidationError(f"space of {self.name!r} must be a ValueSpace, "
+                                  f"got {type(self.space).__name__}")
 
     @classmethod
     def _unchecked(cls, name: str, arity: int, space: ValueSpace) -> Relation:
@@ -83,6 +87,9 @@ class Signature:
     moduli: tuple[tuple[str, Fraction], ...] = ()
 
     def __post_init__(self):
+        if not all(map(isinstance, self.relations, repeat(Relation))):  # no bytecode per entry
+            bad = next(r for r in self.relations if not isinstance(r, Relation))
+            raise ValidationError(f"signature entry {bad!r} is not a Relation")
         names = [r.name for r in self.relations]
         if len(set(names)) != len(names):
             raise ValidationError("duplicate relation names in signature")
@@ -121,6 +128,9 @@ class Signature:
 def signature(relations: Sequence[Relation], distance_symbol: str | None = None,
               moduli: Mapping[str, Rational] | None = None) -> Signature:
     """Convenience constructor normalizing the moduli mapping."""
+    if moduli is not None and not isinstance(moduli, Mapping):
+        raise ValidationError(f"moduli must be a mapping of symbols to constants, "
+                              f"got {type(moduli).__name__}")
     pairs = tuple(sorted((k, frac(v)) for k, v in (moduli or {}).items()))
     return Signature(tuple(relations), distance_symbol, pairs)
 
@@ -135,10 +145,14 @@ class QuantKind(enum.Enum):
         return self.value
 
 
+_EXTREMA = (QuantKind.SUP, QuantKind.INF)
+
+
 def _postorder(roots: Sequence[Formula]) -> list[Formula]:
     """Every node under the roots once, children first and the leftmost
     subtree first, without recursion.  A node with no `children` is a leaf,
-    listed when reached."""
+    listed when reached.  The one walk of a formula DAG: `str()`,
+    `error_bound` and `semantics.tabulate` all take their nodes from it."""
     order: list[Formula] = []
     seen: set[Formula] = set()
     for root in roots:
@@ -274,6 +288,8 @@ class Quant(Formula):
         inner = self.body.value_space
         if self.kind is QuantKind.SET:
             return hyper(inner)
+        if self.kind not in _EXTREMA:  # by identity first, so a member costs no call
+            raise ValidationError(f"quantifier kind {self.kind!r} is not a QuantKind")
         if not inner.real_valued:
             raise TypeCheckError(
                 f"{self.kind.keyword} needs a real-valued body, got {inner.label}"
@@ -479,6 +495,14 @@ def parse(text: str, sig: Signature, library: Mapping[str, Connective] | None = 
     """Parse and typecheck formula text against a signature and connective library."""
     if not isinstance(text, str):
         raise ValidationError(f"formula text must be a string, got {type(text).__name__}")
+    if not isinstance(sig, Signature):
+        raise ValidationError(f"signature must be a Signature, got {type(sig).__name__}")
+    if library is not None and not isinstance(library, Mapping):
+        raise ValidationError(f"connective library must be a mapping of names to connectives, "
+                              f"got {type(library).__name__}")
+    for name, conn in (library or {}).items():
+        if not isinstance(conn, Connective):
+            raise ValidationError(f"library entry {name!r} is not a Connective")
     try:
         return _Parser(text, sig, library or {}).run()
     except RecursionError:

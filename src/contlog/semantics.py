@@ -49,7 +49,7 @@ from typing import Iterable, Mapping, Sequence, Union
 from .connective import _steepest_pair
 from .errors import EvalError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
-                      Relation, Signature, _check_name)
+                      Relation, Signature, _check_name, _postorder)
 from .hyperspace import CompactSet, HyperSpace, decode_subset, encode_subset
 from .valuespace import (ZERO, Point, Rational, ValueSpace, _member, frac,
                          nearest, point, tolerance)
@@ -173,11 +173,19 @@ class Structure:
 def structure(sig: Signature, universe: Sequence[str],
               interp: Mapping[str, Mapping]) -> Structure:
     """Build a structure, coercing raw interpretation entries to Points."""
+    if not isinstance(sig, Signature):
+        raise ValidationError(f"signature must be a Signature, got {type(sig).__name__}")
+    if not isinstance(interp, Mapping):
+        raise ValidationError(f"interpretation must be a mapping of symbols to tables, "
+                              f"got {type(interp).__name__}")
     cooked: dict[str, dict[ElementTuple, Point]] = {}
     for name, entries in interp.items():
         rel = sig.by_name.get(name)
         if rel is None:
             raise ValidationError(f"unknown relation {name!r} in interpretation")
+        if not isinstance(entries, Mapping):
+            raise ValidationError(f"{name}: table must be a mapping of tuples to values, "
+                                  f"got {type(entries).__name__}")
         cooked[name] = table = {}
         for k, v in entries.items():
             t = _normalize_tuple(k, rel.arity)
@@ -353,43 +361,27 @@ def tabulate(M: Structure, roots: Sequence[Formula],
 
     Nodes are typed when built.  Before any table is built the assignment's
     elements are checked against the universe, then each node's kind and
-    each atomic symbol against the signature as one walk lists the nodes,
-    children first and the leftmost subtree first: the leftmost error wins.
+    each atomic symbol against the signature in the order of the one walk,
+    `formula._postorder`, which also gives each table's last reader:
+    children first and the leftmost subtree first, so the leftmost error wins.
     """
     asg = dict(assignment or {})
     universe, sig = M.universe, M.signature
     for var, e in asg.items():
         if e not in universe:
             raise EvalError(f"assignment sends {var} to {e!r}, not a universe element")
-    order: list[Formula] = []
-    rebound, seen = set(), set()
-    last: dict[Formula, Formula] = {}  # each table's last reader in `order`, set as it is listed
-    for root in roots:
-        if root in seen:
-            continue
-        seen.add(root)
-        stack = [(root, iter(root.children))]  # nodes and their children not yet walked
-        while stack:
-            node, kids = stack[-1]
-            for child in kids:
-                if child not in seen:
-                    seen.add(child)
-                    if child.children or not isinstance(child, Atomic):
-                        stack.append((child, iter(child.children)))
-                        break
-                    _check_symbol(child, sig)  # an atomic leaf, listed when reached
-                    order.append(child)
-            else:
-                stack.pop()
-                if isinstance(node, Quant):
-                    rebound.add(node.var)
-                elif isinstance(node, Atomic):
-                    _check_symbol(node, sig)
-                elif not isinstance(node, (Apply, CauchyLimit)):
-                    raise EvalError(f"unknown formula node {type(node).__name__}")
-                for child in node.children:
-                    last[child] = node
-                order.append(node)
+    order = _postorder(roots)
+    rebound = set()
+    last: dict[Formula, Formula] = {}  # each table's last reader in `order`
+    for node in order:
+        if isinstance(node, Quant):
+            rebound.add(node.var)
+        elif isinstance(node, Atomic):
+            _check_symbol(node, sig)
+        elif not isinstance(node, (Apply, CauchyLimit)):
+            raise EvalError(f"unknown formula node {type(node).__name__}")
+        for child in node.children:
+            last[child] = node
     domains = {v: (e,) for v, e in asg.items() if v not in rebound}
     unfixed = repeat(universe)  # the domain of a variable the assignment does not fix
     keep, masked = set(roots), set()
@@ -472,24 +464,35 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     return out
 
 
-def _assigned_table(M: Structure, phi: Formula, asg: Mapping[str, str]) -> Table:
-    """phi's table under an assignment that must cover its free variables."""
+def _assigned_table(M: Structure, phi: Formula,
+                    assignment: Mapping[str, str] | None) -> tuple[Table, dict[str, str]]:
+    """phi's table under an assignment that must cover its free variables,
+    and the assignment as a dict; the arguments are checked first."""
+    if not isinstance(M, Structure):
+        raise ValidationError(f"structure must be a Structure, got {type(M).__name__}")
+    if not isinstance(phi, Formula):
+        raise ValidationError(f"formula must be a Formula, got {type(phi).__name__}")
+    if assignment is not None and not isinstance(assignment, Mapping):
+        raise ValidationError(f"assignment must be a mapping of variables to elements, "
+                              f"got {type(assignment).__name__}")
+    asg = dict(assignment or {})
     [table] = tabulate(M, [phi], asg)
     missing = sorted(set(table.vars) - set(asg))
     if missing:
         raise EvalError(f"unassigned free variables: {missing}")
-    return table
+    return table, asg
 
 
 def evaluate(M: Structure, phi: Formula, assignment: Mapping[str, str] | None = None) -> EvalResult:
     """Evaluate a formula in a structure under an assignment of free variables.
 
     A lookup into the formula's table; a set value is decoded into a
-    CompactSet.  Errors come in the order `tabulate` checks them; an
-    unassigned free variable is reported last.
+    CompactSet.  An argument of the wrong type is refused first; then
+    errors come in the order `tabulate` checks them, and an unassigned free
+    variable is reported last.
     """
-    asg = dict(assignment or {})
-    value = _assigned_table(M, phi, asg).value(asg)
+    table, asg = _assigned_table(M, phi, assignment)
+    value = table.value(asg)
     return EvalResult(value, phi.error_bound, phi.value_space)
 
 
@@ -771,8 +774,7 @@ def check_condition(M: Structure, phi: Formula, target, tol: Rational = 0,
     included.
     """
     tol = tolerance(tol)
-    asg = dict(assignment or {})
-    table = _assigned_table(M, phi, asg)
+    table, asg = _assigned_table(M, phi, assignment)
     p, space, bound = table.at(asg), phi.value_space, phi.error_bound
     dist = min(space.metric(p, m) for m in _target_points(space, target))
     return ConditionReport(dist <= bound + tol, table.value(asg), dist, bound)

@@ -104,6 +104,9 @@ class TranslationContext:
     """Holds the grid, the target signature, and all per-space caches."""
 
     def __init__(self, source: Signature, step: Rational):
+        if not isinstance(source, Signature):
+            raise ValidationError(f"source signature must be a Signature, "
+                                  f"got {type(source).__name__}")
         step = frac(step)
         if not 0 < step <= 1:
             raise ValidationError(f"grid step must be in (0,1], got {step}")

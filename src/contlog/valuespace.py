@@ -151,6 +151,7 @@ class ValueSpace:
             raise ValidationError("dimension must be a positive integer")
         if not self.net:
             raise ValidationError("net must be nonempty")
+        _check_points(self.net)
         # Point's order, with the coordinates as the key: one tuple
         # comparison per pair, not a call of Point.__lt__
         canonical = tuple(sorted(set(self.net), key=attrgetter("coords")))
@@ -271,11 +272,19 @@ def make_interval(lo: Rational, hi: Rational, step: Rational, label: str | None 
     return space
 
 
+def _check_points(net: Sequence) -> None:
+    """Refuse a net entry that is not a Point."""
+    if not all(map(isinstance, net, itertools.repeat(Point))):  # no bytecode per entry
+        bad = next(p for p in net if not isinstance(p, Point))
+        raise ValidationError(f"net entry {bad!r} is not a Point")
+
+
 def make_finite(points: Iterable[Point], label: str | None = None) -> ValueSpace:
     """An exact space: the given points with resolution 0, deduplicated."""
     pts = tuple(points)
     if not pts:
         raise ValidationError("make_finite needs at least one point")
+    _check_points(pts)
     dim = pts[0].dimension
     if label is None:
         label = f"finite({len(set(pts))}p,{dim}d)"

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -72,6 +73,16 @@ class TestSignature:
             with pytest.raises(ValidationError):
                 Relation(bad, 1, X)
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda: signature([Relation("P", 1, X)], moduli=5),
+         "moduli must be a mapping of symbols to constants, got int"),
+        (lambda: signature(["P"]), "signature entry 'P' is not a Relation"),
+        (lambda: Relation("P", 1, None), "space of 'P' must be a ValueSpace, got NoneType"),
+    ], ids=["moduli-int", "entry-str", "space-none"])
+    def test_malformed_arguments_refused(self, build, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
+
     @pytest.mark.parametrize("bad", ["", "2P", 5, None])
     def test_non_identifier_names_rejected(self, bad):
         with pytest.raises(ValidationError, match="is not an identifier"):
@@ -106,6 +117,14 @@ class TestNodes:
         assert Quant(QuantKind.SUP, "x", a).value_space == X
         assert isinstance(Quant(QuantKind.SET, "x", a).value_space, HyperSpace)
         assert Quant(QuantKind.SUP, "x", a).free_vars == frozenset()
+
+    @pytest.mark.parametrize("kind, shown", [("sup", "'sup'"), ("Q", "'Q'"), (1, "1"),
+                                             (None, "None")], ids=["sup", "Q", "int", "none"])
+    def test_quant_kind_must_be_a_quant_kind(self, kind, shown):
+        # a kind that is no QuantKind once evaluated as inf; it is refused when built
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(f'quantifier kind {shown} is not a QuantKind')}$"):
+            Quant(kind, "x", atom(SIG, "P", "x"))
 
     def test_sup_needs_real_body(self):
         q = Quant(QuantKind.SET, "x", atom(SIG, "P", "x"))
@@ -267,6 +286,15 @@ class TestParse:
     def test_deep_input_is_a_capacity_error(self, text):
         with pytest.raises(CapacityError, match="^input is nested too deeply to process$"):
             parse(text, SIG, {"neg": neg(X)})
+
+    @pytest.mark.parametrize("args, message", [
+        ((SIG, ["neg"]), "connective library must be a mapping of names to connectives, got list"),
+        ((SIG, {"neg": 5}), "library entry 'neg' is not a Connective"),
+        ((5,), "signature must be a Signature, got int"),
+    ], ids=["library-list", "library-entry", "signature-int"])
+    def test_malformed_arguments_refused(self, args, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            parse("P(x)", *args)
 
     def test_library_name_clashes_rejected(self):
         with pytest.raises(ValidationError):

@@ -409,6 +409,29 @@ class TestRandomDags:
         assert formulas >= 200 and 4 * shared >= formulas
         assert wide > 0 and widest > 0
 
+    def test_one_walk_per_pass(self, monkeypatch):
+        # a pass over several roots that share nodes lists them with one
+        # `_postorder` call, and its tables match the reference on every row
+        walks = []
+        walk = semantics._postorder
+        monkeypatch.setattr(semantics, "_postorder", lambda roots: walks.append(roots) or walk(roots))
+        cfg = FuzzConfig(seed=5, universe_size=3, formula_depth=3)
+        sig = signature([Relation("R", 2, G), Relation("S", 1, G)])
+        rng = random.Random("one walk")
+        N = random_structure(cfg, sig, rng)
+        shared = 0
+        for _ in range(20):
+            roots = DagBuilder(cfg, sig, rng).roots(rng.randint(3, 6))
+            _, readers = below(roots)
+            shared += max(readers.values(), default=0) > 1
+            walks.clear()
+            tables = tabulate(N, roots)
+            assert walks == [roots]
+            for phi, table in zip(roots, tables):
+                for key, value in table.rows.items():
+                    assert value == reference(N, phi, dict(zip(table.vars, key)))
+        assert shared >= 10
+
 
 class TestPositionMaps:
     """A connective reads each child's column through the map from its own
@@ -709,6 +732,16 @@ class TestSnapByIndex:
         assert nearest_calls == []
 
 
+class Typed(Formula):
+    """A node typed when built, but of no kind evaluation knows."""
+
+    def _space(self):
+        return G
+
+    def _free(self):
+        return frozenset()
+
+
 class TestCheckSymbols:
     def test_unknown_symbol(self):
         other = signature([Relation("T", 1, G)])
@@ -736,13 +769,6 @@ class TestCheckSymbols:
         with pytest.raises(EvalError, match="^unknown formula node Odd$"):
             object.__new__(Odd).error_bound
 
-        class Typed(Formula):  # typed, but of no kind evaluation knows
-            def _space(self):
-                return G
-
-            def _free(self):
-                return frozenset()
-
         for phi in (Typed(), Apply(neg(G), (Typed(),)), Quant(QuantKind.SUP, "x", Typed())):
             with pytest.raises(EvalError, match="^unknown formula node Typed$"):
                 tabulate(M, [phi])
@@ -762,6 +788,13 @@ class TestErrorOrder:
         phi = Apply(min_of(G, G), (atom(self.OTHER, "T", "x"), atom(self.OTHER, "U", "x")))
         with pytest.raises(EvalError, match="^structure does not interpret 'T'$"):
             evaluate(M, phi, {"x": "a"})
+
+    def test_leftmost_of_a_kind_and_a_symbol_error_first(self):
+        unknown = atom(self.OTHER, "U", "x")
+        with pytest.raises(EvalError, match="^unknown formula node Typed$"):
+            evaluate(M, Apply(min_of(G, G), (Typed(), unknown)), {"x": "a"})
+        with pytest.raises(EvalError, match="^structure does not interpret 'U'$"):
+            evaluate(M, Apply(min_of(G, G), (unknown, Typed())), {"x": "a"})
 
     def test_types_before_symbols(self):
         # an ill-typed node is refused when built, before the unknown symbol
@@ -1082,8 +1115,22 @@ class TestRefusals:
          "P cannot be a function graph (needs arity >= 2, real values)"),
         (lambda: check_condition(M, atom(SIG, "P", "x"), [], assignment={"x": "a"}),
          "condition target is empty"),
+        (lambda: structure(5, ["a"], {"P": {"a": 0}}), "signature must be a Signature, got int"),
+        (lambda: structure(SIG, ["a"], [("P", {"a": 0})]),
+         "interpretation must be a mapping of symbols to tables, got list"),
+        (lambda: structure(SIG, ["a"], {"P": [1]}),
+         "P: table must be a mapping of tuples to values, got list"),
+        (lambda: evaluate(M, atom(SIG, "P", "x"), ["x"]),
+         "assignment must be a mapping of variables to elements, got list"),
+        (lambda: evaluate(M, "P(x)"), "formula must be a Formula, got str"),
+        (lambda: evaluate(SIG, atom(SIG, "P", "x")), "structure must be a Structure, got Signature"),
+        (lambda: check_condition(M, atom(SIG, "P", "x"), F(1, 4), assignment=["x"]),
+         "assignment must be a mapping of variables to elements, got list"),
     ], ids=["empty-universe", "repeated-element", "keys-off-signature", "key-not-a-tuple",
-            "function-unknown-symbol", "function-unary-symbol", "empty-condition-target"])
+            "function-unknown-symbol", "function-unary-symbol", "empty-condition-target",
+            "structure-signature-int", "structure-interp-list", "structure-table-list",
+            "evaluate-assignment-list", "evaluate-formula-str", "evaluate-structure-signature",
+            "condition-assignment-list"])
     def test_refused(self, build, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()

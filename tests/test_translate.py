@@ -1080,6 +1080,10 @@ class TestContextRefusals:
         with pytest.raises(ValidationError, match=re.escape(f"grid step must be in (0,1], got {step}")):
             TranslationContext(sig, step)
 
+    def test_source_must_be_a_signature(self):
+        with pytest.raises(ValidationError, match="^source signature must be a Signature, got int$"):
+            TranslationContext(5, F(1, 4))
+
     def test_target_symbol_collision(self):
         sig = signature([Relation("P", 1, ALIGNED_X), Relation("P_0", 1, ALIGNED_X)])
         with pytest.raises(ValidationError,

@@ -259,6 +259,16 @@ class TestMakeFinite:
         with pytest.raises(ValidationError):
             make_finite([])
 
+    @pytest.mark.parametrize("points, shown", [([0, 1], "0"), ([[0], [1]], "[0]"),
+                                               ([point(0), "1"], "'1'")],
+                             ids=["ints", "lists", "str-after-point"])
+    def test_rejects_entries_that_are_not_points(self, points, shown):
+        message = f"net entry {shown} is not a Point"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_finite(points)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ValueSpace(1, tuple(points), F(0), "bad")
+
 
 def test_product():
     x = make_interval(0, 1, F(1, 2))
