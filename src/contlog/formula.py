@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .connective import Connective
 from .errors import (NESTED_TOO_DEEPLY, CapacityError, EvalError, ParseError, TypeCheckError,
@@ -131,6 +131,9 @@ def signature(relations: Sequence[Relation], distance_symbol: str | None = None,
     if moduli is not None and not isinstance(moduli, Mapping):
         raise ValidationError(f"moduli must be a mapping of symbols to constants, "
                               f"got {type(moduli).__name__}")
+    if not isinstance(relations, Iterable):
+        raise ValidationError(f"relations must be a sequence of Relations, "
+                              f"got {type(relations).__name__}")
     pairs = tuple(sorted((k, frac(v)) for k, v in (moduli or {}).items()))
     return Signature(tuple(relations), distance_symbol, pairs)
 
@@ -230,6 +233,14 @@ class Atomic(Formula):
     space: ValueSpace
 
     def _space(self) -> ValueSpace:
+        if type(self.symbol) is not str:
+            raise ValidationError(f"atomic symbol must be a string, got {type(self.symbol).__name__}")
+        if type(self.args) is not tuple or not all(map(isinstance, self.args, repeat(str))):
+            raise ValidationError(f"arguments of {self.symbol} must be a tuple of variable "
+                                  f"names, got {self.args!r}")
+        if not isinstance(self.space, ValueSpace):
+            raise ValidationError(f"space of {self.symbol} must be a ValueSpace, "
+                                  f"got {type(self.space).__name__}")
         return self.space
 
     def _free(self) -> frozenset[str]:
@@ -248,6 +259,15 @@ class Apply(Formula):
     children: tuple[Formula, ...]
 
     def _space(self) -> ValueSpace:
+        if not isinstance(self.conn, Connective):
+            raise ValidationError(f"an Apply needs a Connective, got {type(self.conn).__name__}")
+        if type(self.children) is not tuple:
+            raise ValidationError(f"children of {self.conn.name} must be a tuple of formulas, "
+                                  f"got {type(self.children).__name__}")
+        if not all(map(isinstance, self.children, repeat(Formula))):
+            bad = next(c for c in self.children if not isinstance(c, Formula))
+            raise ValidationError(f"child of {self.conn.name} must be a Formula, "
+                                  f"got {type(bad).__name__}")
         if len(self.children) != self.conn.arity:
             raise TypeCheckError(
                 f"{self.conn.name} expects {self.conn.arity} arguments, "
@@ -285,6 +305,12 @@ class Quant(Formula):
         super().__post_init__()
 
     def _space(self) -> ValueSpace:
+        if type(self.var) is not str:
+            raise ValidationError(f"quantifier variable must be a string, "
+                                  f"got {type(self.var).__name__}")
+        if not isinstance(self.body, Formula):
+            raise ValidationError(f"quantifier body must be a Formula, "
+                                  f"got {type(self.body).__name__}")
         inner = self.body.value_space
         if self.kind is QuantKind.SET:
             return hyper(inner)
@@ -341,6 +367,8 @@ class CauchyLimit(Formula):
 
 def atom(sig: Signature, name: str, *variables: str) -> Atomic:
     """Atomic formula over a signature, with arity checked."""
+    if not isinstance(sig, Signature):
+        raise ValidationError(f"signature must be a Signature, got {type(sig).__name__}")
     rel = sig.by_name.get(name)
     if rel is None:
         raise TypeCheckError(f"unknown relation {name!r}")
@@ -363,6 +391,9 @@ def cauchy_limit(rate: RateLike, formulas: Sequence[Formula], tol: Rational) -> 
     tol = tolerance(tol)
     if not formulas:
         raise ValidationError("cauchy_limit needs at least one formula")
+    if not all(map(isinstance, formulas, repeat(Formula))):
+        bad = next(phi for phi in formulas if not isinstance(phi, Formula))
+        raise ValidationError(f"cauchy_limit needs formulas, got {type(bad).__name__}")
 
     if callable(rate):
         rate_fn = lambda n: frac(rate(n))  # noqa: E731

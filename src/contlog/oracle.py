@@ -602,11 +602,18 @@ def _bump(conn: Connective, delta: Fraction, grid: ValueSpace) -> Connective:
 
 
 def _bump_first_apply(node: Formula, delta: Fraction, grid: ValueSpace) -> Formula:
-    if isinstance(node, Apply):
-        return Apply(_bump(node.conn, delta, grid), node.children)
-    if isinstance(node, Quant):
-        return Quant(node.kind, node.var, _bump_first_apply(node.body, delta, grid))
-    raise EvalError(f"nothing to corrupt under {node}")
+    """node with the first Apply down its chain of quantifiers bumped; the
+    quantifiers above it are rebuilt bottom-up, so no depth recurses."""
+    chain = []
+    while isinstance(node, Quant):
+        chain.append(node)
+        node = node.body
+    if not isinstance(node, Apply):
+        raise EvalError(f"nothing to corrupt under {node}")
+    node = Apply(_bump(node.conn, delta, grid), node.children)
+    for q in reversed(chain):
+        node = Quant(q.kind, q.var, node)
+    return node
 
 
 def verify_corruption_detected(ctx: TranslationContext, M: Structure,

@@ -175,6 +175,9 @@ def structure(sig: Signature, universe: Sequence[str],
     """Build a structure, coercing raw interpretation entries to Points."""
     if not isinstance(sig, Signature):
         raise ValidationError(f"signature must be a Signature, got {type(sig).__name__}")
+    if isinstance(universe, str) or not isinstance(universe, Iterable):
+        raise ValidationError(f"universe must be a sequence of element ids, "
+                              f"got {type(universe).__name__}")
     if not isinstance(interp, Mapping):
         raise ValidationError(f"interpretation must be a mapping of symbols to tables, "
                               f"got {type(interp).__name__}")

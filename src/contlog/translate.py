@@ -18,7 +18,10 @@ theta(value of phi) within an explicit budget.  The budget is zero whenever
 the source nets already sit on the grid, so on aligned instances the
 translation is exact and the two semantics are interchangeable.
 
-The coder's memo picks one builder per node kind.  The builders read typed
+The coder has one builder per node kind, a generator that yields each
+(formula, observable) pair it reads and is sent that pair's coding.  One
+loop runs them on an explicit stack, children first, through the memo, so
+no depth of formula recurses.  The builders read typed
 connectives through their evaluators and check each distinct output of a
 connective application once: the typecheck settled the rest.  An atomic
 formula and every connective application, constants included, are coded by
@@ -75,11 +78,11 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Mapping, Sequence
+from typing import Generator, Mapping, Sequence
 
 from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tight_constant,
                          _value_table, flat_coords, observable, product_net, proj)
-from .errors import NESTED_TOO_DEEPLY, CapacityError, SpaceMismatch, ValidationError
+from .errors import CapacityError, SpaceMismatch, ValidationError
 from .formula import (Apply, Atomic, CauchyLimit, Formula, Quant, QuantKind,
                       Relation, Signature)
 from .hyperspace import (_COORDS, HyperSpace, _extremes_by_mask, decode_subset,
@@ -475,7 +478,10 @@ class CodedFormula:
 
     codes(theta) returns a target-signature formula agreeing with
     theta(value of the source formula) within budget(theta) on transported
-    structures; both are memoized per observable.
+    structures; both are memoized per observable.  Each builder, picked by
+    node class from `_BUILDERS`, yields the pairs it reads and is sent their
+    codings; `_code` is the one loop that runs them, children first, and
+    memoizes a pair only once it is built.
     """
 
     def __init__(self, ctx: TranslationContext, source: Formula):
@@ -503,32 +509,32 @@ class CodedFormula:
             theta = self.ctx.coordinates(space)[0]
         else:
             observable(space, theta)
-        try:
-            return self._code(self.source, theta)
-        except RecursionError:
-            raise CapacityError(NESTED_TOO_DEEPLY) from None
+        return self._code(self.source, theta)
 
     def _code(self, phi: Formula, theta: Connective) -> Coded:
-        key = (phi, theta)
-        hit = self._memo.get(key)
-        if hit is None:
-            space = phi.value_space
-            if isinstance(space, HyperSpace):
-                # coordinates and snap bounds are closed forms, but the
-                # atomic, apply and set builders enumerate the hyperspace net
-                _check_set_capacity(space.base)
-            if isinstance(phi, Atomic):
-                hit = self._build_atomic(phi, theta)
-            elif isinstance(phi, Apply):
-                hit = self._build_apply(phi, theta)
-            elif isinstance(phi, CauchyLimit):
-                hit = self._code(phi.body, theta)
-            elif isinstance(phi, Quant):
-                hit = self._build_quant(phi, theta)
-            else:
-                raise ValidationError(f"cannot code {type(phi).__name__}")
-            self._memo[key] = hit
-        return hit
+        """Code (phi, theta) and each pair it reads, children first, in one loop:
+        the top builder is sent the `Coded` of the pair it yielded, memoized or built."""
+        memo, stack, pair = self._memo, [], (phi, theta)
+        while True:
+            done = memo.get(pair)
+            if done is None:
+                phi, theta = pair
+                if isinstance(phi.value_space, HyperSpace):
+                    # coordinates and snap bounds are closed forms, but the
+                    # atomic, apply and set builders enumerate the hyperspace net
+                    _check_set_capacity(phi.value_space.base)
+                build = self._BUILDERS.get(type(phi))
+                if build is None:
+                    raise ValidationError(f"cannot code {type(phi).__name__}")
+                stack.append((pair, build(self, phi, theta)))
+            elif not stack:
+                return done
+            key, steps = stack[-1]
+            try:
+                pair = steps.send(done)
+            except StopIteration as built:
+                memo[key] = built.value
+                pair = stack.pop()[0]
 
     def _extend(self, name: str, spaces: Sequence[ValueSpace], values: Sequence[Fraction],
                 children: tuple[Formula, ...], error: Fraction) -> Coded:
@@ -549,10 +555,11 @@ class CodedFormula:
         ext = _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name)
         return Coded(Apply(ext, children), lip * error)
 
-    def _build_atomic(self, phi: Atomic, theta: Connective) -> Coded:
+    def _build_atomic(self, phi: Atomic, theta: Connective) -> Generator[tuple, Coded, Coded]:
         """theta of a symbol's value, through its grid symbols; the grid
         atoms of one (symbol, args) are shared by every observable, so a
-        table of the coded formula reads each once."""
+        table of the coded formula reads each once.  It reads no pair."""
+        yield from ()
         ctx = self.ctx
         key = (phi.symbol, phi.args)
         children = self._leaves.get(key)
@@ -567,15 +574,16 @@ class CodedFormula:
                             [theta.evaluator(q).scalar for q in phi.space.net], children,
                             ctx.space_snap_bound(phi.space))
 
-    def _build_apply(self, phi: Apply, theta: Connective) -> Coded:
+    def _build_apply(self, phi: Apply, theta: Connective) -> Generator[tuple, Coded, Coded]:
         ctx = self.ctx
         conn = phi.conn
         child_spaces = [c.value_space for c in phi.children]
         # every child enters through its coordinates; a child valued in a
         # hyperspace over the cap is refused by its own coding
-        coded_children = [self._code(child, obs)
-                          for child, s in zip(phi.children, child_spaces)
-                          for obs in ctx.coordinates(s)]
+        coded_children = []
+        for child, s in zip(phi.children, child_spaces):
+            for obs in ctx.coordinates(s):
+                coded_children.append((yield child, obs))
 
         # tabulate theta(conn(..)) over the product of the child nets, an
         # extremum over a set by subset mask: each distinct output's
@@ -596,7 +604,7 @@ class CodedFormula:
                             tuple(c.formula for c in coded_children),
                             sum((c.budget for c in coded_children), start=ZERO))
 
-    def _build_quant(self, phi: Quant, theta: Connective) -> Coded:
+    def _build_quant(self, phi: Quant, theta: Connective) -> Generator[tuple, Coded, Coded]:
         """Code theta of a quantifier's value through the lattice of g, which
         reads it off the set of the body's values, by subset mask of the base
         (g[m - 1] at mask m) so that no indicator point is needed."""
@@ -617,7 +625,7 @@ class CodedFormula:
             # set; this one pass also tells the identity, coded by the body's
             outs = [theta.evaluator(p) for p in base.net]
             if theta.codomain == base and outs == list(base.net):
-                inner = self._code(phi.body, ctx.coordinates(base)[0])
+                inner = yield phi.body, ctx.coordinates(base)[0]
                 return Coded(Quant(phi.kind, phi.var, inner.formula), inner.budget)
             _check_set_capacity(base)
             # the body net is sorted by value, so a set's largest member is
@@ -641,7 +649,7 @@ class CodedFormula:
             hit = ctx.point_hit(base, j)
             key = (phi.var, phi.body, hit)
             if key not in self._memo:
-                inner = self._code(phi.body, hit)
+                inner = yield phi.body, hit
                 self._memo[key] = Coded(Quant(QuantKind.SUP, phi.var, inner.formula),
                                         inner.budget + hit.lipschitz * base.resolution)
             sups.append(self._memo[key])
@@ -652,6 +660,12 @@ class CodedFormula:
                           lambda *pts: _net_point(grid, *lattice._ratio([p.scalar for p in pts])))
         drift = max((c.budget for c in sups), default=ZERO)
         return Coded(Apply(conn, tuple(c.formula for c in sups)), lattice.lipschitz * drift + slack)
+
+    def _build_limit(self, phi: CauchyLimit, theta: Connective) -> Generator[tuple, Coded, Coded]:
+        return (yield phi.body, theta)
+
+    _BUILDERS = {Atomic: _build_atomic, Apply: _build_apply, CauchyLimit: _build_limit,
+                 Quant: _build_quant}
 
 
 def _net_table(spaces: Sequence[ValueSpace], values: Sequence[Fraction]) -> tuple[int, list, Fraction]:

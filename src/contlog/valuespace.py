@@ -147,7 +147,7 @@ class ValueSpace:
         return self.standard_metric and self.dimension == 1
 
     def __post_init__(self):
-        if self.dimension < 1:
+        if type(self.dimension) is not int or self.dimension < 1:
             raise ValidationError("dimension must be a positive integer")
         if not self.net:
             raise ValidationError("net must be nonempty")

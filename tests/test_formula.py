@@ -7,6 +7,7 @@ from contlog.connective import min_of, neg
 from contlog.errors import CapacityError, ParseError, TypeCheckError, ValidationError
 from contlog.formula import (
     Apply,
+    Atomic,
     CauchyLimit,
     Quant,
     QuantKind,
@@ -78,7 +79,8 @@ class TestSignature:
          "moduli must be a mapping of symbols to constants, got int"),
         (lambda: signature(["P"]), "signature entry 'P' is not a Relation"),
         (lambda: Relation("P", 1, None), "space of 'P' must be a ValueSpace, got NoneType"),
-    ], ids=["moduli-int", "entry-str", "space-none"])
+        (lambda: signature(5), "relations must be a sequence of Relations, got int"),
+    ], ids=["moduli-int", "entry-str", "space-none", "relations-int"])
     def test_malformed_arguments_refused(self, build, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()
@@ -125,6 +127,31 @@ class TestNodes:
         with pytest.raises(ValidationError,
                            match=f"^{re.escape(f'quantifier kind {shown} is not a QuantKind')}$"):
             Quant(kind, "x", atom(SIG, "P", "x"))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: atom(5, "P", "x"), "signature must be a Signature, got int"),
+        (lambda: Apply(5, ()), "an Apply needs a Connective, got int"),
+        (lambda: Apply(neg(X), [atom(SIG, "P", "x")]),
+         "children of neg must be a tuple of formulas, got list"),
+        (lambda: Apply(neg(X), (5,)), "child of neg must be a Formula, got int"),
+        (lambda: Quant(QuantKind.SUP, "x", 5), "quantifier body must be a Formula, got int"),
+        (lambda: Quant(QuantKind.SUP, 5, atom(SIG, "P", "x")),
+         "quantifier variable must be a string, got int"),
+        (lambda: Atomic("P", "xy", X),
+         "arguments of P must be a tuple of variable names, got 'xy'"),
+        (lambda: Atomic("P", ("x", 5), X),
+         "arguments of P must be a tuple of variable names, got ('x', 5)"),
+        (lambda: Atomic(5, ("x",), X), "atomic symbol must be a string, got int"),
+        (lambda: Atomic("P", ("x",), 5), "space of P must be a ValueSpace, got int"),
+        (lambda: cauchy_limit(lambda n: 0, [5], 0), "cauchy_limit needs formulas, got int"),
+    ], ids=["atom-signature-int", "apply-connective-int", "apply-children-list",
+            "apply-child-int", "quant-body-int", "quant-variable-int", "atomic-args-str",
+            "atomic-arg-int", "atomic-symbol-int", "atomic-space-int", "limit-formula-int"])
+    def test_malformed_arguments_refused(self, build, message):
+        # each refusal names what was wrong, where it once passed silently
+        # or ended in a bare AttributeError
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build()
 
     def test_sup_needs_real_body(self):
         q = Quant(QuantKind.SET, "x", atom(SIG, "P", "x"))

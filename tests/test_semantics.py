@@ -45,6 +45,7 @@ from contlog.semantics import (
 from contlog.oracle import (FuzzConfig, _FormulaBuilder, random_formula, random_signature,
                             random_space, random_structure, verify_quantifier)
 from contlog.serialize import structure_from_json
+from contlog.translate import TranslationContext, code_formula
 from contlog.valuespace import make_finite, make_interval, nearest, point
 
 G = make_interval(0, 1, F(1, 4), label="G")
@@ -773,6 +774,12 @@ class TestCheckSymbols:
             with pytest.raises(EvalError, match="^unknown formula node Typed$"):
                 tabulate(M, [phi])
 
+    def test_unknown_node_kind_is_not_coded(self):
+        ctx = TranslationContext(SIG, F(1, 4))
+        for phi in (Typed(), Apply(neg(G), (Typed(),)), Quant(QuantKind.SUP, "x", Typed())):
+            with pytest.raises(ValidationError, match="^cannot code Typed$"):
+                code_formula(ctx, phi).codes()
+
 
 class TestErrorOrder:
     """Types as each node is built; then, in evaluation, assignment
@@ -1126,11 +1133,13 @@ class TestRefusals:
         (lambda: evaluate(SIG, atom(SIG, "P", "x")), "structure must be a Structure, got Signature"),
         (lambda: check_condition(M, atom(SIG, "P", "x"), F(1, 4), assignment=["x"]),
          "assignment must be a mapping of variables to elements, got list"),
+        (lambda: structure(SIG, "ab", {"P": {"a": 0, "b": 1}}),
+         "universe must be a sequence of element ids, got str"),
     ], ids=["empty-universe", "repeated-element", "keys-off-signature", "key-not-a-tuple",
             "function-unknown-symbol", "function-unary-symbol", "empty-condition-target",
             "structure-signature-int", "structure-interp-list", "structure-table-list",
             "evaluate-assignment-list", "evaluate-formula-str", "evaluate-structure-signature",
-            "condition-assignment-list"])
+            "condition-assignment-list", "structure-universe-str"])
     def test_refused(self, build, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()

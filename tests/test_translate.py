@@ -15,9 +15,11 @@ from contlog.formula import (Apply, Atomic, CauchyLimit, Quant, QuantKind, Relat
 from contlog.hyperspace import (HyperSpace, compact, decode_subset, hyper, inf_theta,
                                sup_theta, urysohn_separator)
 from contlog.oracle import (FuzzConfig, _rng, random_formula, random_signature,
-                            random_structure, random_theta, verify_coding)
-from contlog.semantics import Structure, check_condition, evaluate, structure
+                            random_structure, random_theta, verify_coding,
+                            verify_corruption_detected)
+from contlog.semantics import Structure, check_condition, evaluate, structure, tabulate
 from contlog.translate import (
+    Coded,
     CodedFormula,
     LatticeApprox,
     TranslationContext,
@@ -780,6 +782,26 @@ class TestCodingMemo:
             assert evaluate(N, coder.codes(theta)).scalar == c, i
             assert coder.budget_of(theta) == 0
 
+    def test_capacity_error_deep_in_a_formula_is_raised_again(self):
+        # the set coding of Q x. P(x) over a 9-point base is refused after
+        # the left argument of m is coded; the memo keeps only finished pairs
+        base = make_interval(0, 1, F(1, 8), label="B9")
+        sig = signature([Relation("P", 1, base)])
+        ctx = TranslationContext(sig, F(1, 8))
+        library = {"m": connective.min_of(base, base), "top": sup_theta(identity(base))}
+        phi = parse("m(sup y. P(y), top(Q x. P(x)))", sig, library)
+        coder = code_formula(ctx, phi)
+        message = "^set-quantifier coding is capped at base nets of size 8; B9 has 9$"
+        with pytest.raises(CapacityError, match=message) as first:
+            coder.codes()
+        memo = dict(coder._memo)
+        assert [key[0] for key in memo] == [phi.children[0].body, phi.children[0]]
+        assert all(type(coded) is Coded for coded in memo.values())
+        with pytest.raises(CapacityError, match=message) as second:
+            coder.codes()
+        assert str(second.value) == str(first.value)
+        assert coder._memo == memo
+
 
 class TestResolutionTerms:
     def test_set_coding_resolution_term_is_load_bearing(self):
@@ -837,54 +859,72 @@ class TestOutputCheck:
 
 
 class TestDeepFormulas:
-    """A formula deeper than the recursion limit ends in a CapacityError."""
-
-    MESSAGE = "^input is nested too deeply to process$"
+    """The coder builds every pair in one loop, not by recursion: chains far
+    deeper than the recursion limit code with budget 0, and the coded
+    formula tabulates on the transported structure as the source does."""
 
     @staticmethod
-    def deep(depth):
+    def deep(depth, kind="sup"):
         sig, ctx, M = aligned_setup()
+        # neg(X) is valued in another space: two negations alternate
+        flips = (neg(ALIGNED_X), neg(neg(ALIGNED_X).codomain))
         phi = Atomic("P", ("x",), ALIGNED_X)
-        for _ in range(depth):
-            phi = Quant(QuantKind.SUP, "x", phi)  # typed as it is built
-        return ctx, phi
+        for i in range(depth):
+            # typed as it is built
+            phi = Quant(QuantKind.SUP, "x", phi) if kind == "sup" else Apply(flips[i % 2], (phi,))
+        return ctx, M, phi
+
+    @staticmethod
+    def assert_codes_exactly(ctx, M, phi, read="codes"):
+        coder = code_formula(ctx, phi)
+        getattr(coder, read)()  # the first read builds every pair
+        assert coder.budget_of() == 0
+        coded = coder.codes()
+        assert coded.value_space == ctx.grid
+        N = transport_structure(ctx, M)
+        assert tabulate(N, [coded])[0].rows == tabulate(M, [phi])[0].rows
 
     @pytest.mark.parametrize("read", ["codes", "budget_of"])
-    def test_untyped_formula_constructs_and_fails_at_coding(self, read):
+    def test_untyped_formula_constructs_and_codes(self, read):
         # no read of the chain comes before the coder: each node got its
         # value space when it was built, so nothing derives it recursively
-        # later, and the coder alone refuses the depth
+        # later, and the coder builds the chain without recursion too
         sig, ctx, M = aligned_setup()
         phi = Atomic("P", ("x",), ALIGNED_X)
         for _ in range(5000):
             phi = Quant(QuantKind.SUP, "x", phi)
         assert "value_space" in vars(phi)
         assert phi.value_space == ALIGNED_X
-        coder = code_formula(ctx, phi)
-        with pytest.raises(CapacityError, match=self.MESSAGE):
-            getattr(coder, read)()
+        self.assert_codes_exactly(ctx, M, phi, read)
 
     @pytest.mark.parametrize("read", ["codes", "budget_of"])
     def test_coding(self, read):
-        # construction typechecks the chain without recursion; the coder
-        # itself is what refuses the depth
-        ctx, phi = self.deep(5000)
-        coder = code_formula(ctx, phi)
-        with pytest.raises(CapacityError, match=self.MESSAGE):
-            getattr(coder, read)()
+        ctx, M, phi = self.deep(5000)
+        self.assert_codes_exactly(ctx, M, phi, read)
+
+    @pytest.mark.parametrize("read", ["codes", "budget_of"])
+    def test_negation_chain_codes(self, read):
+        ctx, M, phi = self.deep(5000, "neg")
+        assert phi.free_vars == {"x"}
+        self.assert_codes_exactly(ctx, M, phi, read)
 
     def test_chain_of_400_extrema_codes(self):
-        # the memo picks each level's builder itself: two frames per level
-        ctx, phi = self.deep(400)
+        # each level is one builder on the coder's stack, not a frame
+        ctx, M, phi = self.deep(400)
         coder = code_formula(ctx, phi)
         assert coder.budget_of() == 0
         assert coder.codes().value_space == ctx.grid
 
     def test_parsed_formula(self):
         sig, ctx, M = aligned_setup()
-        coder = code_formula(ctx, parse("sup x. " * 900 + "P(x)", sig))
-        with pytest.raises(CapacityError, match=self.MESSAGE):
-            coder.budget_of()
+        self.assert_codes_exactly(ctx, M, parse("sup x. " * 900 + "P(x)", sig))
+
+    def test_verifiers_pass_on_a_deep_chain(self):
+        # the corruption check bumps the first Apply under the coded chain
+        # of quantifiers and rebuilds the chain above it without recursion
+        ctx, M, phi = self.deep(5000)
+        assert verify_coding(ctx, M, phi).ok
+        assert verify_corruption_detected(ctx, M, phi).ok
 
 
 def _plain_copy(conn):

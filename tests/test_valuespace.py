@@ -135,6 +135,11 @@ class TestValueSpace:
         with pytest.raises(ValidationError):
             ValueSpace(1, (point(0),), F(-1), "bad")
 
+    def test_dimension_must_be_an_integer(self):
+        # a string dimension once failed on comparing '1' < 1
+        with pytest.raises(ValidationError, match="^dimension must be a positive integer$"):
+            ValueSpace("1", (point(0),), 0, "l")
+
     def test_net_index(self):
         s = make_interval(0, 1, F(1, 2))
         assert s.net_index(point(F(1, 2))) == 1
