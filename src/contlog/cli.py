@@ -25,7 +25,7 @@ import sys
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .errors import NESTED_TOO_DEEPLY, ContlogError, FormatError, ValidationError
+from .errors import ContlogError, FormatError, ValidationError
 from .formula import parse as parse_formula
 from .hyperspace import CompactSet
 from .semantics import (
@@ -51,6 +51,9 @@ from .serialize import (
 )
 
 CLI_SCHEMA = "contlog.cli/1"
+
+#: the error line's text for a JSON file nested deeper than the decoder follows
+NESTED_TOO_DEEPLY = "input is nested too deeply to process"
 
 # the names of oracle.SUITES, kept here so that building the parser does not
 # load the fuzz harness
@@ -464,7 +467,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         message = "cannot write output: stdout was closed by its reader"
     except ContlogError as err:
         message = str(err)
-    except RecursionError:
+    except RecursionError:  # JSON nested too deeply to decode
         message = NESTED_TOO_DEEPLY
     except Exception as err:
         message = f"internal error: {type(err).__name__}: {err}"

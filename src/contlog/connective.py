@@ -164,6 +164,8 @@ def observable(space: ValueSpace | None, theta: Connective) -> ValueSpace:
     """Theta's input space, once theta is checked as an observable on space
     (on a space of its own, when space is None): unary on it and
     real-valued, the only way a set value is read."""
+    if not isinstance(theta, Connective):
+        raise ValidationError(f"observable must be a Connective, got {type(theta).__name__}")
     if theta.arity != 1 or space not in (None, theta.domain[0]):
         on = "a single space" if space is None else space.label
         raise SpaceMismatch(f"observable {theta.name} does not accept values of {on}")

@@ -15,10 +15,6 @@ class CapacityError(ContlogError):
     """An operation would enumerate more data than its hard cap allows."""
 
 
-#: the CapacityError text for an input deeper than Python's recursion limit
-NESTED_TOO_DEEPLY = "input is nested too deeply to process"
-
-
 class ValidationError(ContlogError):
     """A declared property (Lipschitz bound, totality, range) failed to hold."""
 

@@ -17,7 +17,9 @@ Concrete syntax (also produced by str()):
     atom    := IDENT "(" IDENT ("," IDENT)* ")"
 
 A node is typed when built.  Its text and its error bound fold bottom-up
-over one walk of the nodes below it, so no depth overflows the stack.
+over one walk of the nodes below it.  The parser yields where it reads a
+subformula and is sent the node parsed there; one loop drives it on an
+explicit stack.  So no depth overflows the stack.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import repeat
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from typing import Callable, Generator as Steps, Iterable, Mapping, Sequence, Union
 
 from .connective import Connective
-from .errors import (NESTED_TOO_DEEPLY, CapacityError, EvalError, ParseError, TypeCheckError,
-                     ValidationError)
+from .errors import EvalError, ParseError, TypeCheckError, ValidationError
 from .hyperspace import hyper
 from .valuespace import Rational, ValueSpace, frac, tolerance
 
@@ -477,7 +478,9 @@ class _Parser:
         self.i += 1
         return tok
 
-    def formula(self) -> Formula:
+    def formula(self) -> Steps[None, Formula, Formula]:
+        """The node that starts at the next token; it yields where it reads a
+        subformula and is sent that node, parsed by `run`."""
         kind, value, pos = self.peek()
         if kind == "ident" and value in KEYWORDS:
             self.i += 1
@@ -485,7 +488,7 @@ class _Parser:
             if var in KEYWORDS:
                 raise ParseError(f"{var!r} cannot be used as a variable", pos, self.text)
             self.take(".", "'.'")
-            return self._typed(pos, Quant, QuantKind(value), var, self.formula())
+            return self._typed(pos, Quant, QuantKind(value), var, (yield))
         if kind == "ident":
             self.i += 1
             self.take("(", "'('")
@@ -497,10 +500,10 @@ class _Parser:
                 self.take(")", "')' or ','")
                 return self._typed(pos, atom, self.sig, value, *args)
             if value in self.library:
-                children = [self.formula()]
+                children = [(yield)]
                 while self.peek()[0] == ",":
                     self.i += 1
-                    children.append(self.formula())
+                    children.append((yield))
                 self.take(")", "')' or ','")
                 return self._typed(pos, Apply, self.library[value], tuple(children))
             raise ParseError(f"unknown symbol {value!r}", pos, self.text)
@@ -515,7 +518,19 @@ class _Parser:
             raise ParseError(str(err), pos, self.text) from None
 
     def run(self) -> Formula:
-        node = self.formula()
+        """Parse the whole text in one loop: the top parse on the stack is sent
+        the node last finished; when it yields, a new parse is pushed for
+        the subformula it reads, and when it returns, its node is finished."""
+        stack, node = [self.formula()], None
+        while stack:
+            try:
+                stack[-1].send(node)
+            except StopIteration as finished:
+                stack.pop()
+                node = finished.value
+            else:
+                stack.append(self.formula())
+                node = None
         tok = self.peek()
         if tok[0] != "eof":
             raise ParseError("trailing input after formula", tok[2], self.text)
@@ -534,7 +549,4 @@ def parse(text: str, sig: Signature, library: Mapping[str, Connective] | None = 
     for name, conn in (library or {}).items():
         if not isinstance(conn, Connective):
             raise ValidationError(f"library entry {name!r} is not a Connective")
-    try:
-        return _Parser(text, sig, library or {}).run()
-    except RecursionError:
-        raise CapacityError(NESTED_TOO_DEEPLY) from None
+    return _Parser(text, sig, library or {}).run()

@@ -190,6 +190,9 @@ def hyper(space: ValueSpace) -> HyperSpace:
     nets beyond MAX_BASE_POINTS.  Each call builds a new space (equal to any
     other over an equal base), so built points live only as long as it does.
     """
+    if not isinstance(space, ValueSpace):
+        raise ValidationError(f"base of a hyperspace must be a ValueSpace, "
+                              f"got {type(space).__name__}")
     n = len(space.net)
     if n > MAX_BASE_POINTS:
         raise CapacityError(

@@ -499,6 +499,10 @@ def verify_quantifier(M: Structure, body: Formula, theta: Connective | None = No
     differ only off the net.  The body is tabulated for this only if no
     check needed it already.
     """
+    if not isinstance(body, Formula):
+        raise ValidationError(f"quantifier body must be a Formula, got {type(body).__name__}")
+    if isinstance(checks, str):  # `in` would match its substrings
+        raise ValidationError(f"checks must be a sequence of names, got the string {checks!r}")
     chosen = [name for name in QUANTIFIER_CHECKS if name in checks]
     if not chosen:
         raise ValidationError(f"no known checks among {checks!r}")

@@ -368,6 +368,12 @@ def tabulate(M: Structure, roots: Sequence[Formula],
     `formula._postorder`, which also gives each table's last reader:
     children first and the leftmost subtree first, so the leftmost error wins.
     """
+    if type(roots) not in (list, tuple):
+        raise ValidationError(f"roots must be a list or tuple of formulas, "
+                              f"got {type(roots).__name__}")
+    if not all(map(isinstance, roots, repeat(Formula))):  # no bytecode per root
+        bad = next(r for r in roots if not isinstance(r, Formula))
+        raise ValidationError(f"root must be a Formula, got {type(bad).__name__}")
     asg = dict(assignment or {})
     universe, sig = M.universe, M.signature
     for var, e in asg.items():

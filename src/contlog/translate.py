@@ -78,7 +78,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from typing import Generator, Mapping, Sequence
+# typing's Generator, renamed: `Generator` below is the lattice's generator
+from typing import Generator as Steps, Mapping, Sequence
 
 from .connective import (Connective, _integer_table, _mcshane, _tabulated, _tight_constant,
                          _value_table, flat_coords, observable, product_net, proj)
@@ -206,6 +207,8 @@ def translate_signature(sig: Signature, step: Rational) -> TranslationContext:
 
 def transport_structure(ctx: TranslationContext, M: Structure) -> Structure:
     """Snap the coordinates of every value onto the grid."""
+    if not isinstance(M, Structure):
+        raise ValidationError(f"structure must be a Structure, got {type(M).__name__}")
     if M.signature != ctx.source:
         raise SpaceMismatch("structure is not over the source signature")
     grid = ctx.grid
@@ -485,6 +488,8 @@ class CodedFormula:
     """
 
     def __init__(self, ctx: TranslationContext, source: Formula):
+        if not isinstance(source, Formula):
+            raise ValidationError(f"source formula must be a Formula, got {type(source).__name__}")
         self.ctx = ctx
         self.source = source
         # keyed on (formula, observable), and on (variable, body, hit) for a
@@ -555,7 +560,7 @@ class CodedFormula:
         ext = _mcshane(den, rows, lip, (grid,) * len(rows[0][0]), grid, name)
         return Coded(Apply(ext, children), lip * error)
 
-    def _build_atomic(self, phi: Atomic, theta: Connective) -> Generator[tuple, Coded, Coded]:
+    def _build_atomic(self, phi: Atomic, theta: Connective) -> Steps[tuple, Coded, Coded]:
         """theta of a symbol's value, through its grid symbols; the grid
         atoms of one (symbol, args) are shared by every observable, so a
         table of the coded formula reads each once.  It reads no pair."""
@@ -574,7 +579,7 @@ class CodedFormula:
                             [theta.evaluator(q).scalar for q in phi.space.net], children,
                             ctx.space_snap_bound(phi.space))
 
-    def _build_apply(self, phi: Apply, theta: Connective) -> Generator[tuple, Coded, Coded]:
+    def _build_apply(self, phi: Apply, theta: Connective) -> Steps[tuple, Coded, Coded]:
         ctx = self.ctx
         conn = phi.conn
         child_spaces = [c.value_space for c in phi.children]
@@ -604,7 +609,7 @@ class CodedFormula:
                             tuple(c.formula for c in coded_children),
                             sum((c.budget for c in coded_children), start=ZERO))
 
-    def _build_quant(self, phi: Quant, theta: Connective) -> Generator[tuple, Coded, Coded]:
+    def _build_quant(self, phi: Quant, theta: Connective) -> Steps[tuple, Coded, Coded]:
         """Code theta of a quantifier's value through the lattice of g, which
         reads it off the set of the body's values, by subset mask of the base
         (g[m - 1] at mask m) so that no indicator point is needed."""
@@ -661,7 +666,7 @@ class CodedFormula:
         drift = max((c.budget for c in sups), default=ZERO)
         return Coded(Apply(conn, tuple(c.formula for c in sups)), lattice.lipschitz * drift + slack)
 
-    def _build_limit(self, phi: CauchyLimit, theta: Connective) -> Generator[tuple, Coded, Coded]:
+    def _build_limit(self, phi: CauchyLimit, theta: Connective) -> Steps[tuple, Coded, Coded]:
         return (yield phi.body, theta)
 
     _BUILDERS = {Atomic: _build_atomic, Apply: _build_apply, CauchyLimit: _build_limit,

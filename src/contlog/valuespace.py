@@ -49,9 +49,15 @@ _MODULUS = sys.hash_info.modulus
 
 
 def frac(x: Rational) -> Fraction:
-    """Coerce an int, a string like '2/3', or a Fraction to a Fraction."""
+    """Coerce an int, a string like '2/3', or a Fraction to a Fraction.  A
+    float is refused, being inexact, and so is a bool, being a truth value."""
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, (float, bool)):
+        raise ValidationError(f"bad rational {x!r}: give an int, a string like '2/3' "
+                              f"or a Fraction, not a {type(x).__name__}")
     try:
-        return x if isinstance(x, Fraction) else Fraction(x)
+        return Fraction(x)
     except (ValueError, ZeroDivisionError, TypeError) as err:
         raise ValidationError(f"bad rational {x!r}: {err}") from None
 

@@ -707,18 +707,17 @@ class TestNetCap:
 
 
 class TestUnexpectedErrors:
-    def test_deep_formula_exits_2(self, files, capsys):
-        formula = "sup x. " * 1500 + "P(x)"
+    def test_deep_formula_evaluates(self, files, capsys):
+        formula = "sup x. " * 5000 + "P(x)"
         code, out, err = run(capsys, "eval", "--structure", files["m"],
                              "--formula", formula)
-        assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
-        assert "Traceback" not in err
+        assert (code, out, err) == (0, "0.8\n", "")
 
-    def test_recursion_error_has_its_own_message(self, capsys):
-        mood = Path(__file__).resolve().parents[1] / "demos" / "data" / "mood.json"
-        code, out, err = run(capsys, "eval", "--structure", str(mood),
-                             "--formula", "sup x. " * 1500 + "P(x)")
+    def test_recursion_error_has_its_own_message(self, tmp_path, capsys):
+        # JSON nested deeper than the decoder follows
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        code, out, err = run(capsys, "eval", "--structure", str(deep), "--formula", "P(x)")
         assert (code, out, err) == (2, "", "error: input is nested too deeply to process\n")
 
     def test_non_contlog_exception_exits_2(self, files, capsys, monkeypatch):

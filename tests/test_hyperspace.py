@@ -310,8 +310,9 @@ class TestRefusals:
          SpaceMismatch, "regions must live on the set's space"),
         (lambda: urysohn_separator(B, compact(TestRefusals.Q, point(0)), compact(B, point(1))),
          SpaceMismatch, "separator needs both sets on the given space"),
+        (lambda: hyper(5), ValidationError, "base of a hyperspace must be a ValueSpace, got int"),
     ], ids=["region-no-ball", "ball-center-dimension", "ball-radius", "vietoris-foreign-region",
-            "urysohn-foreign-set"])
+            "urysohn-foreign-set", "hyper-int"])
     def test_refused(self, build, error, message):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             build()

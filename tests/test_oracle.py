@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction as F
 
@@ -454,6 +455,19 @@ class TestOneQuantifierCheck:
         assert set(verify_quantifier(M, body, checks=("primordial", "typo"))) == {"primordial"}
         with pytest.raises(ValidationError, match="no known checks"):
             verify_quantifier(M, body, checks=("typo",))
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda M, body: verify_quantifier(M, 5), "quantifier body must be a Formula, got int"),
+        (lambda M, body: verify_quantifier(M, body, var="x", checks="xidentity"),
+         "checks must be a sequence of names, got the string 'xidentity'"),
+        (lambda M, body: verify_coding(TranslationContext(M.signature, 1), M, 5),
+         "source formula must be a Formula, got int"),
+    ], ids=["body-int", "checks-str", "coding-formula-int"])
+    def test_malformed_arguments_refused(self, build, message):
+        X = make_finite([point(0), point(1)])
+        M = structure(signature([Relation("P", 1, X)]), ["a"], {"P": {"a": 1}})
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(M, atom(M.signature, "P", "x"))
 
 
 class TestWitnesses:

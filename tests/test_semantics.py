@@ -1135,11 +1135,15 @@ class TestRefusals:
          "assignment must be a mapping of variables to elements, got list"),
         (lambda: structure(SIG, "ab", {"P": {"a": 0, "b": 1}}),
          "universe must be a sequence of element ids, got str"),
+        (lambda: tabulate(M, atom(SIG, "P", "x")),
+         "roots must be a list or tuple of formulas, got Atomic"),
+        (lambda: tabulate(M, [5]), "root must be a Formula, got int"),
     ], ids=["empty-universe", "repeated-element", "keys-off-signature", "key-not-a-tuple",
             "function-unknown-symbol", "function-unary-symbol", "empty-condition-target",
             "structure-signature-int", "structure-interp-list", "structure-table-list",
             "evaluate-assignment-list", "evaluate-formula-str", "evaluate-structure-signature",
-            "condition-assignment-list", "structure-universe-str"])
+            "condition-assignment-list", "structure-universe-str", "tabulate-formula",
+            "tabulate-root-int"])
     def test_refused(self, build, message):
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             build()

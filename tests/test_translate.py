@@ -1,7 +1,9 @@
+import collections.abc
 import itertools
 import random
 import re
 import time
+import typing
 from fractions import Fraction as F
 
 import pytest
@@ -10,8 +12,8 @@ from contlog import connective, hyperspace
 from contlog.connective import (const, identity, max_of, mcshane_extend, neg, proj, table,
                                 tight_lipschitz, unit_interval)
 from contlog.errors import CapacityError, EvalError, SpaceMismatch, ValidationError
-from contlog.formula import (Apply, Atomic, CauchyLimit, Quant, QuantKind, Relation,
-                             cauchy_limit, parse, signature)
+from contlog.formula import (Apply, Atomic, CauchyLimit, Quant, QuantKind, Relation, _Parser,
+                             atom, cauchy_limit, parse, signature)
 from contlog.hyperspace import (HyperSpace, compact, decode_subset, hyper, inf_theta,
                                sup_theta, urysohn_separator)
 from contlog.oracle import (FuzzConfig, _rng, random_formula, random_signature,
@@ -1124,8 +1126,30 @@ class TestContextRefusals:
         with pytest.raises(ValidationError, match="^source signature must be a Signature, got int$"):
             TranslationContext(5, F(1, 4))
 
+    @pytest.mark.parametrize("build, message", [
+        (lambda ctx, phi: CodedFormula(ctx, 5).codes(), "source formula must be a Formula, got int"),
+        (lambda ctx, phi: code_formula(ctx, phi).codes(5), "observable must be a Connective, got int"),
+        (lambda ctx, phi: transport_structure(ctx, 5), "structure must be a Structure, got int"),
+        (lambda ctx, phi: TranslationContext(ctx.source, 0.1),
+         "bad rational 0.1: give an int, a string like '2/3' or a Fraction, not a float"),
+    ], ids=["coder-source-int", "observable-int", "transport-int", "step-float"])
+    def test_malformed_arguments_refused(self, build, message):
+        sig, ctx, _ = aligned_setup()
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            build(ctx, atom(sig, "P", "x"))
+
     def test_target_symbol_collision(self):
         sig = signature([Relation("P", 1, ALIGNED_X), Relation("P_0", 1, ALIGNED_X)])
         with pytest.raises(ValidationError,
                            match="^target symbol 'P_0' collides with an existing name$"):
             TranslationContext(sig, F(1, 4))
+
+
+@pytest.mark.parametrize("steps", [*CodedFormula._BUILDERS.values(), _Parser.formula],
+                         ids=lambda f: f.__name__)
+def test_step_annotations_name_a_generator(steps):
+    """The coder's builders and the parser are generators, and say so in
+    annotations that resolve: `Generator`, the lattice dataclass, does not
+    shadow `typing.Generator` in them."""
+    returns = typing.get_type_hints(steps)["return"]
+    assert typing.get_origin(returns) is collections.abc.Generator

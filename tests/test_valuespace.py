@@ -45,6 +45,19 @@ def test_malformed_rationals_are_refused(build, bad):
         build()
 
 
+@pytest.mark.parametrize("build, message", [
+    (lambda: point(0.1), "bad rational 0.1: give an int, a string like '2/3' or a Fraction, "
+                         "not a float"),
+    (lambda: make_interval(0, 1, 0.1), "bad rational 0.1: give an int, a string like '2/3' "
+                                       "or a Fraction, not a float"),
+    (lambda: point(True), "bad rational True: give an int, a string like '2/3' or a Fraction, "
+                          "not a bool"),
+], ids=["float-point", "float-step", "bool-point"])
+def test_inexact_and_boolean_values_are_refused(build, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_tolerance_coercion():
     assert tolerance("1/4") == F(1, 4) and tolerance(0) == 0
     with pytest.raises(ValidationError, match="^tolerance must be nonnegative$"):
